@@ -5,20 +5,20 @@
 //!   over a realistic mixed-length RIB;
 //! - `hash_ingest` — [`FxHashMap`] vs the std SipHash map on the
 //!   entry-accumulate pattern `TrafficStats` uses per record;
-//! - `queue` — per-record queue hand-off vs pooled [`RecordBatch`]es
+//! - `queue` — per-record queue hand-off vs pooled record batches
 //!   across a real producer/consumer thread pair.
 //!
-//! Unlike the Criterion benches this one hand-rolls its harness: it
-//! must emit machine-readable `BENCH_hotpath.json` (path overridable
-//! via the `BENCH_HOTPATH_JSON` env var) so CI can smoke-run it and
-//! validate all three comparison groups. Run with no `--bench` flag
+//! The harness is hand-rolled: it must emit machine-readable
+//! `BENCH_hotpath.json` (path overridable via the `BENCH_HOTPATH_JSON`
+//! env var) so CI can smoke-run it and validate all three comparison
+//! groups. Run with no `--bench` flag
 //! (as `cargo test` does) or with `--smoke`, it uses tiny sizes; under
 //! `cargo bench` it uses full sizes.
 
 use mt_flow::FlowRecord;
-use mt_stream::{BatchPool, BoundedQueue, OverflowPolicy, RecordBatch};
+use mt_stream::{BatchPool, BoundedQueue, OverflowPolicy};
 use mt_types::mix::mix3;
-use mt_types::{Asn, Day, FxHashMap, Ipv4, Prefix, PrefixTrie, RibIndex, SimTime};
+use mt_types::{Asn, FxHashMap, Ipv4, Prefix, PrefixTrie, RibIndex, SimTime};
 use serde::Serialize;
 use std::collections::HashMap;
 use std::hint::black_box;
@@ -184,8 +184,9 @@ fn record(i: u64) -> FlowRecord {
 
 /// Producer/consumer hand-off of `n` records, one queue item each.
 fn queue_per_record(n: usize, capacity: usize) {
-    let q = Arc::new(BoundedQueue::<FlowRecord>::new(
+    let q = Arc::new(BoundedQueue::<FlowRecord>::with_lanes(
         capacity,
+        1,
         OverflowPolicy::Block,
     ));
     let consumer = {
@@ -199,16 +200,17 @@ fn queue_per_record(n: usize, capacity: usize) {
         })
     };
     for i in 0..n as u64 {
-        assert!(q.push(record(i)).is_accepted());
+        assert!(q.push_lane(0, record(i)).is_accepted());
     }
     q.close();
     consumer.join().expect("consumer panicked");
 }
 
-/// The same hand-off in pooled batches, mirroring `StreamService`.
+/// The same hand-off in pooled batches, as a `LaneProducer` does it.
 fn queue_batched(n: usize, capacity: usize, batch: usize) {
-    let q = Arc::new(BoundedQueue::<RecordBatch>::new(
+    let q = Arc::new(BoundedQueue::<Vec<FlowRecord>>::with_lanes(
         capacity,
+        1,
         OverflowPolicy::Block,
     ));
     let pool = Arc::new(BatchPool::new(capacity + 2));
@@ -217,11 +219,11 @@ fn queue_batched(n: usize, capacity: usize, batch: usize) {
         let pool = Arc::clone(&pool);
         std::thread::spawn(move || {
             let mut sum = 0u64;
-            while let Some(b) = q.pop() {
-                for r in &b.records {
+            while let Some(records) = q.pop() {
+                for r in &records {
                     sum += r.octets;
                 }
-                pool.put(b.records);
+                pool.put(records);
             }
             black_box(sum)
         })
@@ -231,21 +233,11 @@ fn queue_batched(n: usize, capacity: usize, batch: usize) {
         buf.push(record(i));
         if buf.len() == batch {
             let records = std::mem::replace(&mut buf, pool.take());
-            assert!(q
-                .push(RecordBatch {
-                    day: Day(0),
-                    records
-                })
-                .is_accepted());
+            assert!(q.push_lane(0, records).is_accepted());
         }
     }
     if !buf.is_empty() {
-        assert!(q
-            .push(RecordBatch {
-                day: Day(0),
-                records: buf
-            })
-            .is_accepted());
+        assert!(q.push_lane(0, buf).is_accepted());
     }
     q.close();
     consumer.join().expect("consumer panicked");

@@ -21,7 +21,7 @@
 use mt_bench::harness::{Profile, World};
 use mt_flow::stats::DEFAULT_SIZE_THRESHOLD;
 use mt_flow::FlowRecord;
-use mt_stream::{HealthSnapshot, OverflowPolicy, StreamConfig, StreamOutput, StreamService};
+use mt_stream::{HealthSnapshot, MultiStreamService, OverflowPolicy, StreamConfig, StreamOutput};
 use mt_traffic::{generate_day, CaptureSet};
 use mt_types::{Day, SimDuration};
 use std::collections::HashMap;
@@ -101,7 +101,8 @@ fn main() {
     );
 
     let net = &world.net;
-    let mut svc = StreamService::start(
+    // One in-process producer: the service's single-lane case.
+    let (svc, mut lanes) = MultiStreamService::start(
         StreamConfig {
             ingest_threads,
             sampling_rate: rate,
@@ -109,8 +110,10 @@ fn main() {
             allowed_lateness: SimDuration::hours(2),
             ..StreamConfig::default()
         },
+        1,
         |day| net.rib(day),
     );
+    let lane = &mut lanes[0];
 
     // Per-exporter running IPFIX sequence counters, as real exporters keep.
     let mut sequences: HashMap<String, u32> = HashMap::new();
@@ -149,7 +152,7 @@ fn main() {
             for (i, (name, bytes)) in streams.iter().enumerate() {
                 if cursors[i] < bytes.len() {
                     let end = (cursors[i] + CHUNK).min(bytes.len());
-                    svc.push_chunk(name, &bytes[cursors[i]..end]);
+                    lane.push_chunk(name, &bytes[cursors[i]..end]);
                     cursors[i] = end;
                     progressed = true;
                 }
@@ -162,7 +165,7 @@ fn main() {
         if d == 0 {
             // A link hiccup: 64 bytes of garbage mid-stream. The session
             // resynchronizes and counts the damage.
-            svc.push_chunk("CE1", &[0xA5; 64]);
+            lane.push_chunk("CE1", &[0xA5; 64]);
         }
     }
 
@@ -172,18 +175,18 @@ fn main() {
         let flows = [r.to_ipfix()];
         let seq = sequences.entry("CE1".to_owned()).or_insert(0);
         for msg in mt_wire::ipfix::encode_messages(&flows, DAYS * 86_400, 1, seq, 1) {
-            svc.push_chunk("CE1", &msg);
+            lane.push_chunk("CE1", &msg);
         }
     }
 
-    let out = svc.finish();
+    let out = svc.finish(lanes);
 
     println!("\nper-exporter sessions:");
     println!(
         "  {:<6} {:>10} {:>8} {:>9} {:>7} {:>6} {:>7}",
         "code", "bytes", "msgs", "flows", "errors", "late", "dropped"
     );
-    for e in &out.exporters {
+    for e in &out.health.exporters {
         println!(
             "  {:<6} {:>10} {:>8} {:>9} {:>7} {:>6} {:>7}",
             e.name, e.bytes, e.messages, e.flows, e.decode_errors, e.late, e.dropped
@@ -212,11 +215,12 @@ fn main() {
         );
     }
 
+    let h = &out.health;
     println!(
         "\ngate: {} on time, {} late (accepted), {} dropped late, {} shed by backpressure",
-        out.on_time, out.late, out.dropped_late, out.dropped_backpressure
+        h.on_time, h.late, h.dropped_late, h.dropped_backpressure
     );
-    let q = out.queue;
+    let q = h.queue;
     println!(
         "queue: {} pushed, {} popped, {} dropped, high-water mark {}",
         q.pushed, q.popped, q.dropped, q.high_water_mark

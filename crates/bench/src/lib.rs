@@ -5,8 +5,8 @@
 //! - [`experiments`] — one function per table/figure (see DESIGN.md §4);
 //! - [`report`] — plain-text report assembly.
 //!
-//! The `repro` binary (`src/bin/repro.rs`) drives these; the Criterion
-//! benches under `benches/` measure the hot kernels.
+//! The `repro` binary (`src/bin/repro.rs`) drives these; the
+//! hand-rolled benches under `benches/` are the ones CI runs.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

@@ -164,7 +164,7 @@ fn main() {
         out.datagrams, out.datagrams_rejected, out.tcp_connections, out.http_requests
     );
     println!("per-exporter sessions:");
-    for e in &out.stream.exporters {
+    for e in &out.stream.health.exporters {
         println!(
             "  {:<24} {:>10} bytes {:>8} flows {:>4} errors",
             e.name, e.bytes, e.flows, e.decode_errors

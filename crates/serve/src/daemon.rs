@@ -11,8 +11,8 @@
 //! shared exporter port (the kernel shards incoming connections across
 //! the accepting loops), and their own producer lane
 //! ([`mt_stream::LaneProducer`]) into the service's ingest queue. At
-//! one loop the daemon degenerates to the classic single-producer
-//! shape (plain `std` binds, no `SO_REUSEPORT` needed) — and at every
+//! one loop the daemon is the service's single-lane case (plain `std`
+//! binds, no `SO_REUSEPORT` needed) — and at every
 //! loop count the results are bit-identical to in-process batch
 //! ingest, because ordering lives in the service's shared window gate,
 //! not in which loop read which byte.

@@ -23,9 +23,11 @@
 //!   hold exactly.
 //!
 //! Records delivered over sockets produce window verdicts bit-identical
-//! to an in-process batch run — the event loop is just another producer
-//! for [`StreamService`](mt_stream::StreamService), and all gating
-//! stays watermark-driven (simulated time), never wall-clock-driven.
+//! to an in-process batch run — each event loop is just a producer
+//! lane ([`LaneProducer`](mt_stream::LaneProducer)) of one
+//! [`MultiStreamService`](mt_stream::MultiStreamService), and all
+//! gating stays watermark-driven (simulated time), never
+//! wall-clock-driven.
 //!
 //! All `unsafe` lives in [`sys`], a small audited wrapper over the
 //! epoll/signal syscalls; the crate root denies rather than forbids

@@ -132,14 +132,14 @@ fn udp_and_tcp_ingest_match_and_drain_cleanly() {
     assert!(out.http_requests >= 2);
     assert_eq!(out.stream.health.decoded, w.total_flows());
     assert_eq!(out.stream.health.in_flight, 0, "drain left nothing queued");
-    assert_eq!(out.stream.dropped_late, 0);
-    assert_eq!(out.stream.dropped_backpressure, 0);
+    assert_eq!(out.stream.health.dropped_late, 0);
+    assert_eq!(out.stream.health.dropped_backpressure, 0);
     out.stream.health.check_invariants().expect("final ledger");
 
     // Both transports fed the same sessions path: every exporter shows
     // up, named by transport, with clean decodes.
-    assert_eq!(out.stream.exporters.len(), w.exporters);
-    for e in &out.stream.exporters {
+    assert_eq!(out.stream.health.exporters.len(), w.exporters);
+    for e in &out.stream.health.exporters {
         assert!(
             e.name.starts_with("udp:") || e.name.starts_with("tcp:"),
             "session named by transport: {}",
@@ -194,9 +194,9 @@ fn torn_datagrams_are_rejected_without_desync() {
     let out = runner.join().expect("join").expect("run");
     assert_eq!(out.datagrams, 4);
     assert_eq!(out.datagrams_rejected, 2);
-    assert_eq!(out.stream.exporters.len(), 1);
-    assert_eq!(out.stream.exporters[0].flows, 40);
-    assert_eq!(out.stream.exporters[0].decode_errors, 2);
+    assert_eq!(out.stream.health.exporters.len(), 1);
+    assert_eq!(out.stream.health.exporters[0].flows, 40);
+    assert_eq!(out.stream.health.exporters[0].decode_errors, 2);
     out.stream.health.check_invariants().expect("final ledger");
 }
 

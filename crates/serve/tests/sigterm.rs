@@ -56,5 +56,8 @@ fn sigterm_drains_and_closes_the_final_window() {
     );
     let windowed: u64 = out.stream.windows.iter().map(|win| win.records).sum();
     assert_eq!(windowed, w.total_flows());
-    assert_eq!(out.stream.dropped_late + out.stream.dropped_backpressure, 0);
+    assert_eq!(
+        out.stream.health.dropped_late + out.stream.health.dropped_backpressure,
+        0
+    );
 }

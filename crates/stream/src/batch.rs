@@ -8,26 +8,16 @@
 //! allocating and freeing one per batch.
 //!
 //! The pool is deliberately bounded: it never holds more buffers than
-//! can be in flight at once (queue capacity plus one per worker plus
-//! the producer's scratch), so a traffic burst cannot ratchet memory up
-//! permanently.
+//! can be in flight at once (the lane's queue quota plus one in a
+//! worker's hands plus the lane's scratch), so a traffic burst cannot
+//! ratchet memory up permanently.
 
 use mt_flow::FlowRecord;
-use mt_types::Day;
 use std::sync::Mutex;
 
-/// One unit of ingest work: a day's worth of records from one chunk.
-#[derive(Debug)]
-pub struct RecordBatch {
-    /// The day every record in the batch belongs to.
-    pub day: Day,
-    /// The records, in arrival order.
-    pub records: Vec<FlowRecord>,
-}
-
-/// A bounded free-list of record buffers shared between the producer
-/// (which takes buffers to build batches) and the ingest workers (which
-/// return them once folded).
+/// A bounded free-list of record buffers shared between one producer
+/// lane (which takes buffers to build batches) and the ingest workers
+/// (which return them once folded).
 #[derive(Debug)]
 pub struct BatchPool {
     free: Mutex<Vec<Vec<FlowRecord>>>,

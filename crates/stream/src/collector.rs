@@ -162,17 +162,8 @@ impl StreamCollector {
     }
 
     /// Feeds one chunk from `exporter`, creating its session on first
-    /// contact, and returns the flows decoded from it.
-    pub fn feed(&mut self, exporter: &str, chunk: &[u8]) -> Vec<IpfixFlow> {
-        let mut out = Vec::new();
-        self.feed_into(exporter, chunk, &mut out);
-        out
-    }
-
-    /// Like [`feed`](Self::feed), but appending decoded flows to a
-    /// caller-supplied buffer — a long-running producer reuses one
-    /// allocation across chunks instead of building a fresh `Vec` each
-    /// time.
+    /// contact, and appends the flows decoded from it to `out` — a
+    /// long-running producer reuses one allocation across chunks.
     pub fn feed_into(&mut self, exporter: &str, chunk: &[u8], out: &mut Vec<IpfixFlow>) {
         self.sessions
             .entry(exporter.to_owned())
@@ -298,7 +289,8 @@ mod tests {
         let input = flows(4);
         let b_stream = messages(&input, 2);
         let mut c = StreamCollector::new();
-        let got_b = c.feed("B", &b_stream);
+        let mut got_b = Vec::new();
+        c.feed_into("B", &b_stream, &mut got_b);
         assert_eq!(got_b, input);
 
         // A data-only message: header + data set referencing template 256.
@@ -315,7 +307,8 @@ mod tests {
         let total = a_msg.len() as u16;
         a_msg[2..4].copy_from_slice(&total.to_be_bytes());
 
-        let got_a = c.feed("A", &a_msg);
+        let mut got_a = Vec::new();
+        c.feed_into("A", &a_msg, &mut got_a);
         assert!(got_a.is_empty(), "A has no template for id 256");
         assert_eq!(c.session("A").unwrap().collector().unknown_sets, 1);
         assert_eq!(c.session("B").unwrap().decode_errors(), 0);
@@ -337,10 +330,10 @@ mod tests {
             let a = ai.next();
             let b = bi.next();
             if let Some(chunk) = a {
-                got_a.extend(c.feed("A", chunk));
+                c.feed_into("A", chunk, &mut got_a);
             }
             if let Some(chunk) = b {
-                got_b.extend(c.feed("B", chunk));
+                c.feed_into("B", chunk, &mut got_b);
             }
             if a.is_none() && b.is_none() {
                 break;

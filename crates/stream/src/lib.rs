@@ -20,31 +20,29 @@
 //!   the day's end. Out-of-order records inside the lateness bound are
 //!   accepted (and counted late); records for closed windows are dropped
 //!   (and counted).
-//! - [`queue`] — a bounded MPSC queue between the collector and the
-//!   ingest workers, so a slow pipeline degrades gracefully (blocking or
-//!   counted drops, high-water-mark stats) instead of buffering without
-//!   bound.
+//! - [`queue`] — a bounded queue between the producer lanes and the
+//!   ingest workers, each lane with its own quota, so a slow pipeline
+//!   degrades gracefully (blocking or counted drops, high-water-mark
+//!   stats) instead of buffering without bound.
 //! - [`scheduler`] — on window close, runs the sharded pipeline for the
 //!   window and incrementally maintains the multi-day combination
 //!   (cumulative merged stats + union RIB, the `mt_core::combine`
 //!   semantics) so the K-of-N combined result is refreshed after every
 //!   window.
-//! - [`service`] — the assembled [`service::StreamService`]: byte chunks
-//!   in, per-window and combined [`mt_core::pipeline::PipelineResult`]s
-//!   out, with ingest parallelised over worker threads. Every run
-//!   carries an [`mt_obs::MetricsRegistry`]; the collector/queue/gate
-//!   counters republish into it, and [`service::StreamService::health`]
-//!   returns one [`service::HealthSnapshot`] whose accounting
-//!   identities (decoded = on-time + late + dropped, accepted =
-//!   ingested + in-flight + shed + rejected) tie the whole stack
-//!   together.
-//! - [`multi`] — the multi-producer variant
-//!   [`multi::MultiStreamService`]: N event-loop *lanes*
-//!   ([`multi::LaneProducer`]) feed the same worker pool through
-//!   per-lane queue quotas and pools, rebuilding the single-producer
-//!   ordering argument around a shared gate so the sharded daemon can
-//!   ingest on every core with the same health identities and the same
-//!   batch equivalence.
+//! - [`multi`] — the assembled service, [`MultiStreamService`]: byte
+//!   chunks in on N producer *lanes* ([`LaneProducer`]; an in-process
+//!   caller takes one lane, the sharded daemon one per event loop), a
+//!   shared window gate, ingest parallelised over worker threads, and
+//!   per-window and combined
+//!   [`mt_core::pipeline::PipelineResult`]s out. Its module docs are
+//!   the crate's threading model and ordering argument.
+//! - [`service`] — the service's vocabulary: [`StreamConfig`],
+//!   [`StreamOutput`], and [`HealthSnapshot`]. Every run carries an
+//!   [`mt_obs::MetricsRegistry`]; the collector/queue/gate counters
+//!   republish into it, and [`MultiStreamService::health`] returns one
+//!   snapshot whose accounting identities (decoded = on-time + late +
+//!   dropped, accepted = ingested + in-flight + shed + rejected) tie
+//!   the whole stack together.
 //!
 //! # Equivalence with the batch path
 //!
@@ -57,8 +55,9 @@
 //! (counters add, host sets union), so any partition of a window's
 //! records across ingest workers merges to the exact batch accumulator;
 //! and the sharded pipeline is itself bit-identical to the serial one.
-//! The integration test `streaming_equivalence` asserts this end to end,
-//! including under shuffled arrival within the allowed lateness.
+//! The integration test `streaming_equivalence` asserts this end to end
+//! at 1 and 3 lanes, including under shuffled arrival within the
+//! allowed lateness.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -72,12 +71,12 @@ pub mod service;
 mod sync;
 pub mod window;
 
-pub use batch::{BatchPool, RecordBatch};
+pub use batch::BatchPool;
 pub use collector::{ExporterSession, StreamCollector};
 pub use multi::{LaneProducer, MultiStreamService};
 pub use queue::{BoundedQueue, OverflowPolicy, PushOutcome, QueueStats};
 pub use scheduler::{
     ClosedWindow, CombinedReport, SchedulerConfig, WindowReport, WindowScheduler, WindowSink,
 };
-pub use service::{ExporterCounters, HealthSnapshot, StreamConfig, StreamOutput, StreamService};
+pub use service::{ExporterCounters, HealthSnapshot, StreamConfig, StreamOutput};
 pub use window::{Gate, WindowTracker};

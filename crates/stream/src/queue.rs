@@ -1,8 +1,8 @@
 //! A bounded multi-producer queue with backpressure accounting.
 //!
-//! The queue sits between the stream collector (producer) and the
-//! ingest workers (consumers). Bounding it is the backpressure
-//! mechanism: when ingest falls behind, the producer either blocks
+//! The queue sits between the producer lanes and the ingest workers
+//! (consumers). Bounding it is the backpressure mechanism: when ingest
+//! falls behind, a producer either blocks
 //! ([`OverflowPolicy::Block`] — lossless, the transport's own flow
 //! control pushes back) or sheds the newest item
 //! ([`OverflowPolicy::DropNewest`] — lossy but non-blocking, with every
@@ -18,7 +18,7 @@ use serde::{Deserialize, Serialize};
 use std::collections::VecDeque;
 use std::sync::{Condvar, Mutex};
 
-/// What `push` does when the queue is full.
+/// What a push does when its lane is full.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum OverflowPolicy {
     /// Wait until a consumer makes room (lossless backpressure).
@@ -95,28 +95,22 @@ struct Inner<T> {
 ///
 /// # Producer lanes
 ///
-/// The queue supports multiple *producer lanes*
-/// ([`with_lanes`](Self::with_lanes)): one FIFO feeds the consumers,
-/// but each lane has its own capacity quota, so under
-/// [`OverflowPolicy::Block`] a full lane stalls only its own producer —
-/// the other lanes keep pushing. This is what lets N event-loop
-/// producers share one worker pool without one slow consumer stalling
-/// every loop at once. A single-lane queue ([`new`](Self::new)) behaves
-/// exactly as before.
+/// One FIFO feeds the consumers, but each *producer lane* has its own
+/// capacity quota, so under [`OverflowPolicy::Block`] a full lane
+/// stalls only its own producer — the other lanes keep pushing. This
+/// is what lets N event-loop producers share one worker pool without
+/// one slow consumer stalling every loop at once. A single producer is
+/// the one-lane case.
 pub struct BoundedQueue<T> {
     inner: Mutex<Inner<T>>,
     not_empty: Condvar,
     not_full: Condvar,
+    lanes: usize,
     lane_capacity: usize,
     policy: OverflowPolicy,
 }
 
 impl<T> BoundedQueue<T> {
-    /// Creates a single-lane queue holding at most `capacity` items.
-    pub fn new(capacity: usize, policy: OverflowPolicy) -> Self {
-        Self::with_lanes(capacity, 1, policy)
-    }
-
     /// Creates a queue with `lanes` producer lanes, each with its own
     /// quota of `lane_capacity` items (total bound: `lanes *
     /// lane_capacity`).
@@ -132,6 +126,7 @@ impl<T> BoundedQueue<T> {
             }),
             not_empty: Condvar::new(),
             not_full: Condvar::new(),
+            lanes,
             lane_capacity,
             policy,
         }
@@ -144,12 +139,7 @@ impl<T> BoundedQueue<T> {
 
     /// Number of producer lanes.
     pub fn lanes(&self) -> usize {
-        crate::sync::lock(&self.inner).lane_depth.len() // lock: stream.queue
-    }
-
-    /// Enqueues one item on lane 0 — the single-producer entry point.
-    pub fn push(&self, item: T) -> PushOutcome {
-        self.push_lane(0, item)
+        self.lanes
     }
 
     /// Enqueues one item on `lane`, reporting exactly what happened as
@@ -159,7 +149,18 @@ impl<T> BoundedQueue<T> {
     /// closes during that wait the item is rejected as
     /// [`PushOutcome::Closed`] and counted in
     /// [`QueueStats::rejected_closed`].
+    ///
+    /// # Panics
+    ///
+    /// If `lane` is not below [`lanes`](Self::lanes). The check runs
+    /// before the queue lock is taken: a caller's bad index must not
+    /// poison the lock every worker's next `pop` needs.
     pub fn push_lane(&self, lane: usize, item: T) -> PushOutcome {
+        assert!(
+            lane < self.lanes,
+            "lane {lane} out of range: the queue has {} producer lanes",
+            self.lanes
+        );
         let mut g = crate::sync::lock(&self.inner); // lock: stream.queue
         loop {
             if g.closed {
@@ -247,9 +248,9 @@ mod tests {
 
     #[test]
     fn fifo_order_and_counters() {
-        let q = BoundedQueue::new(8, OverflowPolicy::Block);
+        let q = BoundedQueue::with_lanes(8, 1, OverflowPolicy::Block);
         for i in 0..5 {
-            assert!(q.push(i).is_accepted());
+            assert!(q.push_lane(0, i).is_accepted());
         }
         let drained: Vec<i32> = (0..5).map(|_| q.pop().unwrap()).collect();
         assert_eq!(drained, [0, 1, 2, 3, 4]);
@@ -264,24 +265,24 @@ mod tests {
 
     #[test]
     fn drop_newest_sheds_when_full() {
-        let q = BoundedQueue::new(2, OverflowPolicy::DropNewest);
-        assert!(q.push(1).is_accepted());
-        assert!(q.push(2).is_accepted());
-        assert_eq!(q.push(3), PushOutcome::Shed, "third item is shed");
+        let q = BoundedQueue::with_lanes(2, 1, OverflowPolicy::DropNewest);
+        assert!(q.push_lane(0, 1).is_accepted());
+        assert!(q.push_lane(0, 2).is_accepted());
+        assert_eq!(q.push_lane(0, 3), PushOutcome::Shed, "third item is shed");
         assert_eq!(q.stats().dropped, 1);
         assert_eq!(q.pop(), Some(1));
-        assert!(q.push(4).is_accepted(), "room again after a pop");
+        assert!(q.push_lane(0, 4).is_accepted(), "room again after a pop");
         assert_eq!(q.stats().high_water_mark, 2);
         assert_eq!(q.stats().attempts(), 4);
     }
 
     #[test]
     fn close_rejects_pushes_and_drains_consumers() {
-        let q = BoundedQueue::new(4, OverflowPolicy::Block);
-        assert!(q.push(1).is_accepted());
+        let q = BoundedQueue::with_lanes(4, 1, OverflowPolicy::Block);
+        assert!(q.push_lane(0, 1).is_accepted());
         q.close();
         assert_eq!(
-            q.push(2),
+            q.push_lane(0, 2),
             PushOutcome::Closed,
             "closed queue rejects pushes"
         );
@@ -293,11 +294,11 @@ mod tests {
 
     #[test]
     fn blocking_push_waits_for_consumer() {
-        let q = Arc::new(BoundedQueue::new(1, OverflowPolicy::Block));
-        assert!(q.push(10).is_accepted());
+        let q = Arc::new(BoundedQueue::with_lanes(1, 1, OverflowPolicy::Block));
+        assert!(q.push_lane(0, 10).is_accepted());
         let producer = {
             let q = Arc::clone(&q);
-            std::thread::spawn(move || q.push(20))
+            std::thread::spawn(move || q.push_lane(0, 20))
         };
         // The producer is stuck until we pop; popping twice proves the
         // blocked item eventually lands.
@@ -315,17 +316,18 @@ mod tests {
     /// equal to the number of attempts.
     #[test]
     fn close_during_blocked_push_is_counted() {
-        let q = Arc::new(BoundedQueue::new(1, OverflowPolicy::Block));
-        assert!(q.push(1).is_accepted());
+        let q = Arc::new(BoundedQueue::with_lanes(1, 1, OverflowPolicy::Block));
+        assert!(q.push_lane(0, 1).is_accepted());
         let blocked: Vec<_> = (0..3)
             .map(|i| {
                 let q = Arc::clone(&q);
-                std::thread::spawn(move || q.push(10 + i))
+                std::thread::spawn(move || q.push_lane(0, 10 + i))
             })
             .collect();
-        // Give the producers time to park inside `push` (the outcome is
-        // `Closed` either way — parked or not-yet-started — so this
-        // only steers the test toward the interesting interleaving).
+        // Give the producers time to park inside `push_lane` (the
+        // outcome is `Closed` either way — parked or not-yet-started —
+        // so this only steers the test toward the interesting
+        // interleaving).
         std::thread::sleep(std::time::Duration::from_millis(20));
         q.close();
         let outcomes: Vec<PushOutcome> = blocked.into_iter().map(|t| t.join().unwrap()).collect();
@@ -375,15 +377,40 @@ mod tests {
         assert_eq!(q.stats().attempts(), 3);
     }
 
+    /// An out-of-range lane is the caller's bug, and must stay the
+    /// caller's problem: the check has to precede the lock, because a
+    /// panic inside the critical section poisons the queue lock and
+    /// takes every other producer and worker down on their next touch.
+    #[test]
+    fn out_of_range_lane_panics_without_poisoning_the_queue() {
+        let q = Arc::new(BoundedQueue::with_lanes(2, 2, OverflowPolicy::Block));
+        let bad = {
+            let q = Arc::clone(&q);
+            std::thread::spawn(move || q.push_lane(2, 1))
+        };
+        assert!(bad.join().is_err(), "lane 2 of 2 is rejected loudly");
+        let producer = {
+            let q = Arc::clone(&q);
+            std::thread::spawn(move || q.push_lane(1, 7))
+        };
+        assert!(producer.join().expect("queue still usable").is_accepted());
+        assert_eq!(q.pop(), Some(7));
+        assert_eq!(
+            q.stats().attempts(),
+            1,
+            "the bad push never reached the queue"
+        );
+    }
+
     #[test]
     fn many_producers_one_consumer() {
-        let q = Arc::new(BoundedQueue::new(4, OverflowPolicy::Block));
+        let q = Arc::new(BoundedQueue::with_lanes(4, 1, OverflowPolicy::Block));
         let producers: Vec<_> = (0..4)
             .map(|t| {
                 let q = Arc::clone(&q);
                 std::thread::spawn(move || {
                     for i in 0..50 {
-                        assert!(q.push(t * 100 + i).is_accepted());
+                        assert!(q.push_lane(0, t * 100 + i).is_accepted());
                     }
                 })
             })

@@ -134,21 +134,12 @@ impl<F: Fn(Day) -> PrefixTrie<Asn>> WindowScheduler<F> {
     }
 
     /// Closes the window of `day` with its accumulated stats, returning
-    /// the per-window report and the refreshed combined report.
+    /// the per-window report and the refreshed combined report. `ports`
+    /// is the window's destination-port histogram, passed through to
+    /// the sink (the scheduler itself never reads it).
     ///
     /// Windows must close in ascending day order (the watermark
     /// guarantees this upstream).
-    pub fn close(
-        &mut self,
-        day: Day,
-        records: u64,
-        stats: ShardedTrafficStats,
-    ) -> (WindowReport, CombinedReport) {
-        self.close_with_ports(day, records, stats, &[])
-    }
-
-    /// [`close`](Self::close), with the window's destination-port
-    /// histogram for the sink (the scheduler itself never reads it).
     pub fn close_with_ports(
         &mut self,
         day: Day,
@@ -295,9 +286,11 @@ mod tests {
             },
             cfg(),
         );
-        let (w0, _) = s.close(Day(0), 1, day_stats(&[flow(Day(0), 0x1401_0101, 5)]));
+        let (w0, _) =
+            s.close_with_ports(Day(0), 1, day_stats(&[flow(Day(0), 0x1401_0101, 5)]), &[]);
         assert_eq!(w0.result.dark.len(), 1, "20/8 routed on its day");
-        let (w1, c1) = s.close(Day(1), 1, day_stats(&[flow(Day(1), 0x1501_0101, 5)]));
+        let (w1, c1) =
+            s.close_with_ports(Day(1), 1, day_stats(&[flow(Day(1), 0x1501_0101, 5)]), &[]);
         assert_eq!(w1.result.dark.len(), 1, "21/8 routed on its day");
         // Combined: union RIB covers both, both blocks dark over 2 days.
         assert_eq!(c1.days, 2);
@@ -314,9 +307,9 @@ mod tests {
         let day2: Vec<FlowRecord> = (0..30)
             .map(|i| flow(Day(2), 0x1400_4100 + i * 256, 3))
             .collect();
-        s.close(Day(0), day0.len() as u64, day_stats(&day0));
+        s.close_with_ports(Day(0), day0.len() as u64, day_stats(&day0), &[]);
         // Day 1 has no window (a gap); the span still counts it.
-        let (_, combined) = s.close(Day(2), day2.len() as u64, day_stats(&day2));
+        let (_, combined) = s.close_with_ports(Day(2), day2.len() as u64, day_stats(&day2), &[]);
         assert_eq!(combined.days, 3, "calendar span includes the gap day");
 
         let mut all = day0.clone();
@@ -340,7 +333,7 @@ mod tests {
     #[should_panic(expected = "ascending day order")]
     fn out_of_order_close_is_rejected() {
         let mut s = WindowScheduler::new(|_| rib(&["20.0.0.0/8"]), cfg());
-        s.close(Day(3), 1, day_stats(&[flow(Day(3), 0x1401_0101, 5)]));
-        s.close(Day(1), 1, day_stats(&[flow(Day(1), 0x1401_0101, 5)]));
+        s.close_with_ports(Day(3), 1, day_stats(&[flow(Day(3), 0x1401_0101, 5)]), &[]);
+        s.close_with_ports(Day(1), 1, day_stats(&[flow(Day(1), 0x1401_0101, 5)]), &[]);
     }
 }

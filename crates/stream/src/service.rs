@@ -1,42 +1,17 @@
-//! The assembled streaming service: IPFIX byte chunks in, per-window
-//! and combined pipeline results out.
-//!
-//! # Threading model
-//!
-//! One *producer* (the caller of [`StreamService::push_chunk`]) and N
-//! *ingest workers*. The producer owns everything whose order matters
-//! for determinism: message framing and decoding, the window gate
-//! (late/dropped decisions against the watermark), and window-close
-//! scheduling. Workers only do the order-*independent* part — folding
-//! records into per-day [`ShardedTrafficStats`] — so the nondeterminism
-//! of which worker picks up which batch cannot affect results: each
-//! worker accumulates its share into its own per-day stats, and at
-//! window close the per-worker parts are merged in worker-index order
-//! (merging is commutative content-wise; the fixed order makes the walk
-//! itself deterministic too).
-//!
-//! Window close uses an epoch barrier: the producer counts records
-//! pushed, workers count records processed, and close waits until the
-//! two agree — at that point every accepted record of the closing day
-//! is in some worker's accumulator, and the merged window stats equal a
-//! batch ingest of exactly the gated record set.
+//! The streaming service's vocabulary: its [`StreamConfig`], the
+//! [`HealthSnapshot`] accounting document with its identities, and the
+//! [`StreamOutput`] a finished run returns. The service itself — the
+//! lanes, the shared gate, the workers and the close barrier — is
+//! [`crate::multi`].
 
-use crate::batch::{BatchPool, RecordBatch};
-use crate::collector::StreamCollector;
-use crate::queue::{BoundedQueue, OverflowPolicy, PushOutcome, QueueStats};
-use crate::scheduler::{
-    CombinedReport, SchedulerConfig, WindowReport, WindowScheduler, WindowSink,
-};
-use crate::window::{Gate, WindowTracker};
+use crate::queue::{OverflowPolicy, QueueStats};
+use crate::scheduler::{CombinedReport, WindowReport};
 use mt_core::pipeline::PipelineConfig;
-use mt_flow::{FlowRecord, ShardedTrafficStats, StatsLayout};
-use mt_obs::{Counter, MetricsRegistry};
-use mt_types::{Asn, Day, FxHashMap, PrefixTrie, SimDuration};
-use mt_wire::ipfix::IpfixFlow;
+use mt_flow::StatsLayout;
+use mt_obs::MetricsRegistry;
+use mt_types::SimDuration;
 use serde::{Deserialize, Serialize};
-use std::collections::BTreeMap;
-use std::sync::{Arc, Condvar, Mutex};
-use std::thread::JoinHandle;
+use std::sync::Arc;
 
 /// Configuration of the whole streaming stack.
 #[derive(Debug, Clone)]
@@ -85,7 +60,7 @@ impl Default for StreamConfig {
     }
 }
 
-/// Per-exporter lifetime counters, as reported by [`StreamOutput`].
+/// Per-exporter lifetime counters, as reported by [`HealthSnapshot`].
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
 pub struct ExporterCounters {
     /// Exporter name.
@@ -117,11 +92,10 @@ pub struct ExporterCounters {
 ///   still queued, shed by backpressure, or rejected by a closed queue;
 /// - the per-exporter vectors sum to the global gate counters.
 ///
-/// Taken at a quiescent point (after a flush barrier or [`finish`]),
-/// `in_flight` is zero and the identities are exact equalities over
-/// completed work.
+/// Taken at a quiescent point ([`finish`]), `in_flight` is zero and
+/// the identities are exact equalities over completed work.
 ///
-/// [`finish`]: StreamService::finish
+/// [`finish`]: crate::multi::MultiStreamService::finish
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
 pub struct HealthSnapshot {
     /// Flow records decoded across all exporters.
@@ -209,18 +183,6 @@ pub struct StreamOutput {
     pub windows: Vec<WindowReport>,
     /// The combined report after each window close (last = final).
     pub combined: Vec<CombinedReport>,
-    /// Per-exporter counters, ordered by exporter name.
-    pub exporters: Vec<ExporterCounters>,
-    /// Collector→ingest queue statistics.
-    pub queue: QueueStats,
-    /// Records accepted at or ahead of the watermark.
-    pub on_time: u64,
-    /// Records accepted behind the watermark (within allowed lateness).
-    pub late: u64,
-    /// Records dropped at the window gate (window already closed).
-    pub dropped_late: u64,
-    /// Records shed by queue backpressure (`DropNewest` only).
-    pub dropped_backpressure: u64,
     /// The final health document (quiescent: `in_flight` is zero).
     pub health: HealthSnapshot,
     /// The run's metrics registry, still holding every counter for
@@ -228,383 +190,9 @@ pub struct StreamOutput {
     pub registry: Arc<MetricsRegistry>,
 }
 
-#[derive(Default)]
-struct Progress {
-    pushed: u64,
-    processed: u64,
-}
-
-/// State shared with the ingest workers.
-struct Shared {
-    queue: BoundedQueue<RecordBatch>,
-    /// Recycles batch buffers between the producer and the workers so
-    /// steady-state ingest allocates nothing per batch.
-    pool: BatchPool,
-    /// Per-worker per-day accumulators, indexed by worker.
-    workers: Vec<Mutex<FxHashMap<Day, ShardedTrafficStats>>>,
-    /// Per-worker `mt_ingest_records_total` counters, indexed like
-    /// `workers`; incremented at the event site as batches are folded.
-    ingest_counters: Vec<Counter>,
-    progress: Mutex<Progress>,
-    drained: Condvar,
-    num_shards: usize,
-    size_threshold: u16,
-    layout: StatsLayout,
-}
-
-impl Shared {
-    /// An empty window accumulator with the configured shape.
-    fn empty_stats(&self) -> ShardedTrafficStats {
-        ShardedTrafficStats::with_layout(self.num_shards, self.size_threshold, self.layout.clone())
-    }
-}
-
-/// The streaming stack: collector sessions, window gate, bounded queue,
-/// ingest workers, and the window scheduler.
-pub struct StreamService<F> {
-    cfg: StreamConfig,
-    collector: StreamCollector,
-    tracker: WindowTracker,
-    scheduler: WindowScheduler<F>,
-    shared: Arc<Shared>,
-    handles: Vec<JoinHandle<()>>,
-    windows: Vec<WindowReport>,
-    combined: Vec<CombinedReport>,
-    /// Records enqueued per open window.
-    window_records: FxHashMap<Day, u64>,
-    /// Destination-port packet histogram per open window; counts
-    /// exactly the records `window_records` counts (accepted pushes).
-    window_ports: FxHashMap<Day, FxHashMap<u16, u64>>,
-    /// Reusable per-batch port histogram scratch.
-    port_scratch: FxHashMap<u16, u64>,
-    /// Per-exporter window-gate counters: (late, dropped).
-    gate_counts: BTreeMap<String, (u64, u64)>,
-    dropped_backpressure: u64,
-    /// Records lost to a queue closed mid-push (shutdown races).
-    rejected_closed: u64,
-    registry: Arc<MetricsRegistry>,
-    windows_closed_counter: Counter,
-    /// Reusable decode buffer: one allocation serves every chunk.
-    decode_buf: Vec<IpfixFlow>,
-}
-
-impl<F: Fn(Day) -> PrefixTrie<Asn>> StreamService<F> {
-    /// Starts the service: spawns the ingest workers and returns the
-    /// producer-side handle. `rib_of` supplies each day's RIB snapshot
-    /// at window close.
-    pub fn start(cfg: StreamConfig, rib_of: F) -> Self {
-        Self::start_with_registry(cfg, rib_of, Arc::new(MetricsRegistry::new()))
-    }
-
-    /// Like [`start`](Self::start), but publishing into a
-    /// caller-supplied registry (e.g. one shared with other services).
-    pub fn start_with_registry(
-        cfg: StreamConfig,
-        rib_of: F,
-        registry: Arc<MetricsRegistry>,
-    ) -> Self {
-        assert!(cfg.ingest_threads >= 1);
-        let ingest_counters = (0..cfg.ingest_threads)
-            .map(|i| {
-                let worker = i.to_string();
-                registry.counter_with(
-                    "mt_ingest_records_total",
-                    &[("worker", worker.as_str())],
-                    "Records folded into window accumulators by this worker.",
-                )
-            })
-            .collect();
-        let shared = Arc::new(Shared {
-            queue: BoundedQueue::new(cfg.queue_capacity, cfg.overflow),
-            // At most queue_capacity batches wait, one is in each
-            // worker's hands, and the producer holds a few while
-            // grouping — that bounds how many buffers recycling needs.
-            pool: BatchPool::new(cfg.queue_capacity + cfg.ingest_threads + 1),
-            workers: (0..cfg.ingest_threads)
-                .map(|_| Mutex::new(FxHashMap::default()))
-                .collect(),
-            ingest_counters,
-            progress: Mutex::new(Progress::default()),
-            drained: Condvar::new(),
-            num_shards: cfg.num_shards,
-            size_threshold: cfg.size_threshold,
-            layout: cfg.layout.clone(),
-        });
-        let handles = (0..cfg.ingest_threads)
-            .map(|i| {
-                let shared = Arc::clone(&shared);
-                std::thread::spawn(move || ingest_worker(&shared, i))
-            })
-            .collect();
-        let scheduler = WindowScheduler::new(
-            rib_of,
-            SchedulerConfig {
-                sampling_rate: cfg.sampling_rate,
-                pipeline: cfg.pipeline.clone(),
-                threads: cfg.pipeline_threads,
-            },
-        )
-        .with_registry(&registry);
-        let windows_closed_counter = registry.counter(
-            "mt_window_closed_total",
-            "Windows closed and run through the pipeline.",
-        );
-        StreamService {
-            tracker: WindowTracker::new(cfg.allowed_lateness),
-            cfg,
-            collector: StreamCollector::new(),
-            scheduler,
-            shared,
-            handles,
-            windows: Vec::new(),
-            combined: Vec::new(),
-            window_records: FxHashMap::default(),
-            window_ports: FxHashMap::default(),
-            port_scratch: FxHashMap::default(),
-            gate_counts: BTreeMap::new(),
-            dropped_backpressure: 0,
-            rejected_closed: 0,
-            registry,
-            windows_closed_counter,
-            decode_buf: Vec::new(),
-        }
-    }
-
-    /// The run's metrics registry. [`health`](Self::health) republishes
-    /// the legacy counters into it before every snapshot.
-    pub fn registry(&self) -> &Arc<MetricsRegistry> {
-        &self.registry
-    }
-
-    /// The service configuration.
-    pub fn config(&self) -> &StreamConfig {
-        &self.cfg
-    }
-
-    /// Installs a window sink on the scheduler: an observer invoked
-    /// after every window close with the window's stats, port
-    /// histogram, and both pipeline results — how the results store
-    /// persists windows as they close.
-    pub fn set_window_sink(&mut self, sink: WindowSink) {
-        self.scheduler.set_sink(sink);
-    }
-
-    /// The per-exporter collector sessions (live counters).
-    pub fn collector(&self) -> &StreamCollector {
-        &self.collector
-    }
-
-    /// The window tracker (watermark, gate counters).
-    pub fn tracker(&self) -> &WindowTracker {
-        &self.tracker
-    }
-
-    /// Windows closed so far.
-    pub fn windows_closed(&self) -> usize {
-        self.windows.len()
-    }
-
-    /// Feeds one chunk of `exporter`'s IPFIX byte stream. Complete
-    /// messages are decoded, their records gated against the watermark,
-    /// accepted records handed to the ingest workers, and any windows
-    /// the advancing watermark closed are run to completion.
-    pub fn push_chunk(&mut self, exporter: &str, chunk: &[u8]) {
-        let mut decoded = std::mem::take(&mut self.decode_buf);
-        decoded.clear();
-        self.collector.feed_into(exporter, chunk, &mut decoded);
-        self.ingest_decoded(exporter, decoded);
-    }
-
-    /// Feeds one UDP datagram from `exporter`, which must carry whole
-    /// IPFIX message(s). Rejected datagrams (returning `false`) are
-    /// counted on the exporter's session and contribute no records; the
-    /// session's templates and the stream-framing buffer are untouched,
-    /// so neither transport desyncs the other.
-    pub fn push_datagram(&mut self, exporter: &str, datagram: &[u8]) -> bool {
-        let mut decoded = std::mem::take(&mut self.decode_buf);
-        decoded.clear();
-        let accepted = self
-            .collector
-            .feed_datagram_into(exporter, datagram, &mut decoded);
-        self.ingest_decoded(exporter, decoded);
-        accepted
-    }
-
-    /// Gates decoded records against the watermark, batches them per
-    /// day, pushes to the worker queue, and closes any ready windows —
-    /// the shared back half of both transports' push paths. Takes and
-    /// returns the reusable decode buffer.
-    fn ingest_decoded(&mut self, exporter: &str, decoded: Vec<IpfixFlow>) {
-        if decoded.is_empty() {
-            self.decode_buf = decoded;
-            self.close_ready_windows();
-            return;
-        }
-        let gate = self.gate_counts.entry(exporter.to_owned()).or_default();
-        // Group the chunk's accepted records per day so one queue item
-        // is one (day, records) batch; record buffers come from the
-        // shared pool so the workers' returns are reused here.
-        let shared = Arc::clone(&self.shared);
-        let mut by_day: BTreeMap<Day, Vec<FlowRecord>> = BTreeMap::new();
-        for f in &decoded {
-            let r = FlowRecord::from_ipfix(f);
-            match self.tracker.observe(r.start) {
-                Gate::Accept { day, late } => {
-                    if late {
-                        gate.0 += 1;
-                    }
-                    by_day
-                        .entry(day)
-                        .or_insert_with(|| shared.pool.take())
-                        .push(r);
-                }
-                Gate::TooLate { .. } => gate.1 += 1,
-            }
-        }
-        self.decode_buf = decoded;
-        for (day, records) in by_day {
-            let n = records.len() as u64;
-            // Tally the batch's destination ports up front: the record
-            // buffer moves into the queue, and only an accepted push
-            // may count toward the window (shed/closed batches never
-            // reach the accumulators).
-            self.port_scratch.clear();
-            for r in &records {
-                *self.port_scratch.entry(r.dst_port).or_default() += r.packets;
-            }
-            match self.shared.queue.push(RecordBatch { day, records }) {
-                PushOutcome::Accepted => {
-                    crate::sync::lock(&self.shared.progress).pushed += n; // lock: stream.progress
-                    *self.window_records.entry(day).or_default() += n;
-                    let ports = self.window_ports.entry(day).or_default();
-                    for (&port, &packets) in &self.port_scratch {
-                        *ports.entry(port).or_default() += packets;
-                    }
-                }
-                PushOutcome::Shed => self.dropped_backpressure += n,
-                PushOutcome::Closed => self.rejected_closed += n,
-            }
-        }
-        self.close_ready_windows();
-    }
-
-    /// Closes every window the current watermark allows.
-    fn close_ready_windows(&mut self) {
-        let closable = self.tracker.take_closable();
-        if closable.is_empty() {
-            return;
-        }
-        self.flush();
-        for day in closable {
-            self.close_window(day);
-        }
-    }
-
-    /// Epoch barrier: waits until the workers have ingested every
-    /// record pushed so far.
-    fn flush(&self) {
-        let g = crate::sync::lock(&self.shared.progress); // lock: stream.progress
-        let _g = crate::sync::wait_while(&self.shared.drained, g, |p| p.processed < p.pushed);
-    }
-
-    /// Merges the per-worker accumulators of `day` (worker-index order)
-    /// and hands the window to the scheduler. Callers must flush first.
-    fn close_window(&mut self, day: Day) {
-        let mut merged: Option<ShardedTrafficStats> = None;
-        for w in &self.shared.workers {
-            let part = crate::sync::lock(w).remove(&day); // lock: stream.workers
-            if let Some(part) = part {
-                match &mut merged {
-                    None => merged = Some(part),
-                    Some(m) => m.merge(&part),
-                }
-            }
-        }
-        let stats = merged.unwrap_or_else(|| self.shared.empty_stats());
-        let records = self.window_records.remove(&day).unwrap_or(0);
-        for (i, load) in stats.shard_loads().into_iter().enumerate() {
-            let shard = i.to_string();
-            self.registry
-                .gauge_with(
-                    "mt_flow_shard_blocks",
-                    &[("shard", shard.as_str())],
-                    "Destination /24s held by this shard at the last window close.",
-                )
-                .set(load as u64);
-        }
-        let mut ports: Vec<(u16, u64)> = self
-            .window_ports
-            .remove(&day)
-            .map(|m| m.into_iter().collect())
-            .unwrap_or_default();
-        ports.sort_unstable();
-        let (window, combined) = self.scheduler.close_with_ports(day, records, stats, &ports);
-        self.windows.push(window);
-        self.combined.push(combined);
-        self.windows_closed_counter.inc();
-    }
-
-    /// Builds the per-exporter counter vector, ordered by name.
-    fn exporter_counters(&self) -> Vec<ExporterCounters> {
-        self.collector
-            .sessions()
-            .map(|(name, s)| {
-                let (late, dropped) = self.gate_counts.get(name).copied().unwrap_or_default();
-                ExporterCounters {
-                    name: name.to_owned(),
-                    bytes: s.bytes,
-                    messages: s.messages,
-                    flows: s.flows,
-                    decode_errors: s.decode_errors(),
-                    late,
-                    dropped,
-                }
-            })
-            .collect()
-    }
-
-    /// Takes a [`HealthSnapshot`] of the whole stack and republishes
-    /// every legacy counter (queue stats, session counters, gate
-    /// tallies) into the registry, so
-    /// [`Snapshot::render_prometheus_text`](mt_obs::Snapshot) and the
-    /// snapshot's JSON form carry the same values the bespoke structs
-    /// report. Callable mid-stream; exact at quiescent points (the
-    /// `in_flight` field carries the only mid-stream slack).
-    pub fn health(&self) -> HealthSnapshot {
-        let exporters = self.exporter_counters();
-        let queue = self.shared.queue.stats();
-        let ingested: u64 = self.shared.ingest_counters.iter().map(Counter::get).sum();
-        let accepted = self.tracker.on_time + self.tracker.late;
-        let snapshot = HealthSnapshot {
-            decoded: exporters.iter().map(|e| e.flows).sum(),
-            on_time: self.tracker.on_time,
-            late: self.tracker.late,
-            dropped_late: self.tracker.dropped,
-            dropped_backpressure: self.dropped_backpressure,
-            rejected_closed: self.rejected_closed,
-            ingested,
-            in_flight: accepted - ingested - self.dropped_backpressure - self.rejected_closed,
-            queue,
-            queue_depth: self.shared.queue.len() as u64,
-            windows_open: self.tracker.open_days().count() as u64,
-            windows_closed: self.windows.len() as u64,
-            exporters,
-        };
-        self.republish(&snapshot);
-        snapshot
-    }
-
-    /// Mirrors the snapshot's externally maintained totals into the
-    /// registry (see [`Counter::set_total`] for the monotonicity
-    /// contract; every source here is a lifetime counter).
-    fn republish(&self, h: &HealthSnapshot) {
-        republish_health(&self.registry, h);
-    }
-}
-
 /// Mirrors a [`HealthSnapshot`]'s externally maintained totals into
-/// `registry` — shared by [`StreamService`] and the multi-producer
-/// [`crate::multi::MultiStreamService`], which report the same series.
+/// `registry` (see [`mt_obs::Counter::set_total`] for the monotonicity
+/// contract; every source here is a lifetime counter).
 pub(crate) fn republish_health(r: &MetricsRegistry, h: &HealthSnapshot) {
     for e in &h.exporters {
         let labels = [("exporter", e.name.as_str())];
@@ -675,451 +263,4 @@ pub(crate) fn republish_health(r: &MetricsRegistry, h: &HealthSnapshot) {
     .set_total(h.rejected_closed);
     r.gauge("mt_window_open", "Windows currently open.")
         .set(h.windows_open);
-}
-
-impl<F: Fn(Day) -> PrefixTrie<Asn>> StreamService<F> {
-    /// Ends the stream: flushes in-flight records, closes every
-    /// remaining open window in day order, stops the workers, and
-    /// returns the run's full output.
-    pub fn finish(mut self) -> StreamOutput {
-        self.flush();
-        for day in self.tracker.drain_open() {
-            self.close_window(day);
-        }
-        self.shared.queue.close();
-        for h in self.handles.drain(..) {
-            // check: allow(no_panic, "join() errs only if the worker panicked; re-raising on the coordinator is intended")
-            h.join().expect("ingest worker panicked");
-        }
-        let health = self.health();
-        debug_assert_eq!(health.in_flight, 0, "finish is a quiescent point");
-        StreamOutput {
-            exporters: health.exporters.clone(),
-            queue: health.queue,
-            on_time: health.on_time,
-            late: health.late,
-            dropped_late: health.dropped_late,
-            dropped_backpressure: health.dropped_backpressure,
-            windows: self.windows,
-            combined: self.combined,
-            health,
-            registry: self.registry,
-        }
-    }
-}
-
-/// Ingest worker loop: pop batches, fold records into this worker's
-/// per-day accumulator, and report progress for the flush barrier.
-fn ingest_worker(shared: &Shared, index: usize) {
-    while let Some(batch) = shared.queue.pop() {
-        let n = batch.records.len() as u64;
-        {
-            let mut days = crate::sync::lock(&shared.workers[index]); // lock: stream.workers
-            let stats = days
-                .entry(batch.day)
-                .or_insert_with(|| shared.empty_stats());
-            for r in &batch.records {
-                stats.ingest(r);
-            }
-        }
-        shared.pool.put(batch.records);
-        // Counted before the progress update so the flush barrier
-        // (processed == pushed) also implies the ingest counters are
-        // complete — health snapshots at quiescent points stay exact.
-        shared.ingest_counters[index].add(n);
-        let mut p = crate::sync::lock(&shared.progress); // lock: stream.progress
-        p.processed += n;
-        drop(p);
-        shared.drained.notify_all();
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use mt_core::PipelineEngine;
-    use mt_types::{Ipv4, Prefix};
-    use mt_wire::ipfix;
-
-    fn rib() -> PrefixTrie<Asn> {
-        [("20.0.0.0/8".parse::<Prefix>().unwrap(), Asn(65_000))]
-            .into_iter()
-            .collect()
-    }
-
-    fn record(day: Day, offset: u64, dst: u32, packets: u64) -> FlowRecord {
-        FlowRecord {
-            start: day.start() + SimDuration::secs(offset),
-            src: Ipv4::new(9, 9, 9, 9),
-            dst: Ipv4(dst),
-            src_port: 40_000,
-            dst_port: 23,
-            protocol: 6,
-            tcp_flags: 2,
-            packets,
-            octets: packets * 40,
-        }
-    }
-
-    fn encode(records: &[FlowRecord], seq: &mut u32) -> Vec<u8> {
-        let flows: Vec<ipfix::IpfixFlow> = records.iter().map(FlowRecord::to_ipfix).collect();
-        ipfix::encode_messages(&flows, 0, 1, seq, 50)
-            .into_iter()
-            .flatten()
-            .collect()
-    }
-
-    fn day_records(day: Day) -> Vec<FlowRecord> {
-        (0..40u32)
-            .map(|i| {
-                record(
-                    day,
-                    u64::from(i) * 600,
-                    0x1400_0100 + (i % 13) * 256 + day.0 * 7,
-                    1 + u64::from(i % 4),
-                )
-            })
-            .collect()
-    }
-
-    #[test]
-    fn streamed_windows_match_batch_per_day() {
-        for threads in [1, 3] {
-            let cfg = StreamConfig {
-                ingest_threads: threads,
-                allowed_lateness: SimDuration::hours(1),
-                ..StreamConfig::default()
-            };
-            let mut svc = StreamService::start(cfg.clone(), |_| rib());
-            let mut seq = 0;
-            let mut all = Vec::new();
-            for d in 0..3 {
-                let recs = day_records(Day(d));
-                let bytes = encode(&recs, &mut seq);
-                // Feed in awkward chunk sizes to exercise framing.
-                for chunk in bytes.chunks(97) {
-                    svc.push_chunk("CE1", chunk);
-                }
-                all.push(recs);
-            }
-            assert_eq!(
-                svc.windows_closed(),
-                2,
-                "days 0 and 1 closed mid-stream at {threads} threads"
-            );
-            let out = svc.finish();
-            assert_eq!(out.windows.len(), 3);
-            assert_eq!(out.dropped_late, 0);
-            assert_eq!(out.dropped_backpressure, 0);
-
-            let engine = PipelineEngine::standard();
-            for (w, recs) in out.windows.iter().zip(&all) {
-                assert_eq!(w.records, recs.len() as u64);
-                let batch_stats = ShardedTrafficStats::from_records(cfg.num_shards, recs);
-                let batch = engine.run_sharded(&batch_stats, &rib(), 1, 1, &cfg.pipeline, 2);
-                assert_eq!(w.result.dark, batch.dark, "day {}", w.day.0);
-                assert_eq!(w.result.unclean, batch.unclean);
-                assert_eq!(w.result.gray, batch.gray);
-                assert_eq!(w.result.funnel, batch.funnel);
-            }
-            // Combined final result equals batch over everything.
-            let flat: Vec<FlowRecord> = all.iter().flatten().cloned().collect();
-            let batch_stats = ShardedTrafficStats::from_records(cfg.num_shards, &flat);
-            let batch = engine.run_sharded(&batch_stats, &rib(), 1, 3, &cfg.pipeline, 2);
-            let fin = out.combined.last().unwrap();
-            assert_eq!(fin.days, 3);
-            assert_eq!(fin.result.dark, batch.dark);
-            assert_eq!(fin.result.funnel, batch.funnel);
-        }
-    }
-
-    #[test]
-    fn datagram_transport_matches_stream_transport() {
-        let run = |datagrams: bool| {
-            let cfg = StreamConfig {
-                ingest_threads: 2,
-                allowed_lateness: SimDuration::hours(1),
-                ..StreamConfig::default()
-            };
-            let mut svc = StreamService::start(cfg, |_| rib());
-            let mut seq = 0;
-            for d in 0..3 {
-                let recs = day_records(Day(d));
-                let flows: Vec<ipfix::IpfixFlow> = recs.iter().map(FlowRecord::to_ipfix).collect();
-                // One datagram per message, vs the same bytes as a stream.
-                for msg in ipfix::encode_messages(&flows, 0, 1, &mut seq, 7) {
-                    if datagrams {
-                        assert!(svc.push_datagram("CE1", &msg));
-                    } else {
-                        svc.push_chunk("CE1", &msg);
-                    }
-                }
-            }
-            svc.finish()
-        };
-        let via_stream = run(false);
-        let via_datagram = run(true);
-        assert_eq!(via_stream.windows.len(), via_datagram.windows.len());
-        for (s, d) in via_stream.windows.iter().zip(&via_datagram.windows) {
-            assert_eq!(s.records, d.records, "day {}", s.day.0);
-            assert_eq!(s.result.dark, d.result.dark);
-            assert_eq!(s.result.funnel, d.result.funnel);
-        }
-        via_datagram.health.check_invariants().unwrap();
-    }
-
-    #[test]
-    fn rejected_datagram_is_counted_and_contributes_nothing() {
-        let cfg = StreamConfig {
-            ingest_threads: 1,
-            allowed_lateness: SimDuration::hours(1),
-            ..StreamConfig::default()
-        };
-        let mut svc = StreamService::start(cfg, |_| rib());
-        let mut seq = 0;
-        let good = encode(&day_records(Day(0)), &mut seq);
-        assert!(svc.push_datagram("U", &good));
-        let mut torn = encode(&day_records(Day(1)), &mut seq);
-        torn.truncate(torn.len() - 9);
-        assert!(!svc.push_datagram("U", &torn), "torn datagram rejected");
-        let out = svc.finish();
-        assert_eq!(out.windows.len(), 1, "only day 0 produced records");
-        let health = &out.health;
-        health.check_invariants().unwrap();
-        let u = health
-            .exporters
-            .iter()
-            .find(|e| e.name == "U")
-            .expect("session exists");
-        assert_eq!(u.flows, 40);
-        assert_eq!(u.decode_errors, 1, "the torn datagram was counted");
-    }
-
-    #[test]
-    fn columnar_layout_streams_bit_identical_to_map_layout() {
-        // Slot index over the destination space only: the 9.9.9.9
-        // sources have no slot and exercise the overflow path.
-        let slot_trie: PrefixTrie<()> = [("20.0.0.0/8".parse::<Prefix>().unwrap(), ())]
-            .into_iter()
-            .collect();
-        let slots = Arc::new(mt_types::Slot24Index::build(&mt_types::RibIndex::build(
-            &slot_trie,
-        )));
-        let run = |layout: StatsLayout| {
-            let cfg = StreamConfig {
-                ingest_threads: 3,
-                allowed_lateness: SimDuration::hours(1),
-                layout,
-                ..StreamConfig::default()
-            };
-            let mut svc = StreamService::start(cfg, |_| rib());
-            let mut seq = 0;
-            for d in 0..3 {
-                svc.push_chunk("CE1", &encode(&day_records(Day(d)), &mut seq));
-            }
-            svc.finish()
-        };
-        let map = run(StatsLayout::Map);
-        let columnar = run(StatsLayout::Columnar(slots));
-        assert_eq!(map.windows.len(), columnar.windows.len());
-        for (m, c) in map.windows.iter().zip(&columnar.windows) {
-            assert_eq!(m.records, c.records, "day {}", m.day.0);
-            assert_eq!(m.result.dark, c.result.dark, "day {}", m.day.0);
-            assert_eq!(m.result.unclean, c.result.unclean);
-            assert_eq!(m.result.gray, c.result.gray);
-            assert_eq!(m.result.funnel, c.result.funnel);
-        }
-        for (m, c) in map.combined.iter().zip(&columnar.combined) {
-            assert_eq!(
-                m.result.dark, c.result.dark,
-                "combined after {} days",
-                m.days
-            );
-            assert_eq!(m.result.funnel, c.result.funnel);
-        }
-    }
-
-    #[test]
-    fn too_late_records_are_dropped_and_counted() {
-        let cfg = StreamConfig {
-            allowed_lateness: SimDuration::hours(1),
-            ..StreamConfig::default()
-        };
-        let mut svc = StreamService::start(cfg, |_| rib());
-        let mut seq = 0;
-        svc.push_chunk("X", &encode(&day_records(Day(0)), &mut seq));
-        svc.push_chunk("X", &encode(&day_records(Day(2)), &mut seq));
-        assert_eq!(svc.windows_closed(), 1, "day 0 closed");
-        // A straggler for day 0 after its window closed.
-        svc.push_chunk("X", &encode(&[record(Day(0), 3, 0x1400_0100, 1)], &mut seq));
-        let out = svc.finish();
-        assert_eq!(out.dropped_late, 1);
-        let x = &out.exporters[0];
-        assert_eq!(x.name, "X");
-        assert_eq!(x.dropped, 1);
-        assert_eq!(
-            out.windows[0].records, 40,
-            "the dropped straggler is not in the window"
-        );
-    }
-
-    #[test]
-    fn shuffled_arrival_within_lateness_is_equivalent() {
-        let day = Day(0);
-        let mut recs = day_records(day);
-        let in_order_result = {
-            let mut svc = StreamService::start(StreamConfig::default(), |_| rib());
-            let mut seq = 0;
-            svc.push_chunk("A", &encode(&recs, &mut seq));
-            svc.finish()
-        };
-        // Reverse arrival order entirely — all inside one day, so every
-        // record stays within the lateness bound.
-        recs.reverse();
-        let reversed_result = {
-            let mut svc = StreamService::start(StreamConfig::default(), |_| rib());
-            let mut seq = 0;
-            svc.push_chunk("A", &encode(&recs, &mut seq));
-            svc.finish()
-        };
-        let a = &in_order_result.windows[0].result;
-        let b = &reversed_result.windows[0].result;
-        assert_eq!(a.dark, b.dark);
-        assert_eq!(a.unclean, b.unclean);
-        assert_eq!(a.gray, b.gray);
-        assert_eq!(a.funnel, b.funnel);
-        assert!(reversed_result.late > 0, "reversal produced late records");
-        assert_eq!(reversed_result.dropped_late, 0);
-    }
-
-    #[test]
-    fn drop_newest_backpressure_is_counted() {
-        // A tiny queue with no consumers able to keep up: capacity 1 and
-        // a worker that must contend with a flood of batches. Shedding
-        // must be counted, never silent.
-        let cfg = StreamConfig {
-            queue_capacity: 1,
-            ingest_threads: 1,
-            overflow: OverflowPolicy::DropNewest,
-            ..StreamConfig::default()
-        };
-        let mut svc = StreamService::start(cfg, |_| rib());
-        let mut seq = 0;
-        let mut pushed = 0u64;
-        for i in 0..200u32 {
-            let r = record(Day(0), u64::from(i), 0x1400_0100 + i * 256, 1);
-            svc.push_chunk("A", &encode(&[r], &mut seq));
-            pushed += 1;
-        }
-        let out = svc.finish();
-        let kept = out.windows[0].records;
-        assert_eq!(
-            kept + out.dropped_backpressure,
-            pushed,
-            "every record is either ingested or counted shed"
-        );
-        assert_eq!(out.queue.high_water_mark, 1);
-    }
-
-    #[test]
-    fn health_snapshot_holds_invariants_and_mirrors_registry() {
-        let cfg = StreamConfig {
-            ingest_threads: 3,
-            allowed_lateness: SimDuration::hours(1),
-            ..StreamConfig::default()
-        };
-        let mut svc = StreamService::start(cfg, |_| rib());
-        let mut seq = 0;
-        for d in 0..3 {
-            let bytes = encode(&day_records(Day(d)), &mut seq);
-            for chunk in bytes.chunks(113) {
-                svc.push_chunk("CE1", chunk);
-            }
-        }
-        svc.push_chunk("CE2", &[0xde; 40]); // decode garbage
-                                            // A straggler for a closed window.
-        svc.push_chunk(
-            "CE1",
-            &encode(&[record(Day(0), 3, 0x1400_0100, 1)], &mut seq),
-        );
-
-        // Mid-stream snapshot: identities hold (in_flight absorbs any
-        // queued batches).
-        let mid = svc.health();
-        mid.check_invariants().expect("mid-stream invariants");
-
-        let out = svc.finish();
-        let h = &out.health;
-        h.check_invariants().expect("final invariants");
-        assert_eq!(h.in_flight, 0);
-        assert_eq!(h.decoded, 121, "120 day records + 1 straggler");
-        assert_eq!(h.dropped_late, 1);
-        assert_eq!(h.windows_closed, 3);
-        assert_eq!(h.windows_open, 0);
-        assert_eq!(h.ingested, h.on_time + h.late);
-
-        // The registry reports exactly the legacy structs' values.
-        let snap = out.registry.snapshot();
-        assert_eq!(
-            snap.scalar("mt_queue_pushed_total", &[]),
-            Some(out.queue.pushed)
-        );
-        assert_eq!(
-            snap.scalar("mt_queue_high_water", &[]),
-            Some(out.queue.high_water_mark as u64)
-        );
-        assert_eq!(
-            snap.scalar("mt_window_on_time_total", &[]),
-            Some(out.on_time)
-        );
-        assert_eq!(snap.scalar("mt_window_late_total", &[]), Some(out.late));
-        assert_eq!(
-            snap.scalar("mt_window_dropped_total", &[]),
-            Some(out.dropped_late)
-        );
-        assert_eq!(snap.scalar("mt_window_closed_total", &[]), Some(3));
-        for e in &out.exporters {
-            let labels = [("exporter", e.name.as_str())];
-            assert_eq!(snap.scalar("mt_stream_flows_total", &labels), Some(e.flows));
-            assert_eq!(
-                snap.scalar("mt_stream_decode_errors_total", &labels),
-                Some(e.decode_errors)
-            );
-            assert_eq!(
-                snap.scalar("mt_stream_dropped_total", &labels),
-                Some(e.dropped)
-            );
-        }
-        let ingested: u64 = (0..3)
-            .map(|w| {
-                snap.scalar(
-                    "mt_ingest_records_total",
-                    &[("worker", w.to_string().as_str())],
-                )
-                .unwrap_or(0)
-            })
-            .sum();
-        assert_eq!(ingested, h.ingested, "per-worker counters sum to ingested");
-        // The scheduler's engine published pipeline metrics here too:
-        // two runs (window + combined) per close.
-        assert_eq!(snap.scalar("mt_pipeline_runs_total", &[]), Some(6));
-
-        // And the health document round-trips through JSON.
-        let json = serde_json::to_string(h).unwrap();
-        let back: HealthSnapshot = serde_json::from_str(&json).unwrap();
-        assert_eq!(&back, h);
-    }
-
-    #[test]
-    fn garbage_chunks_surface_as_decode_errors() {
-        let mut svc = StreamService::start(StreamConfig::default(), |_| rib());
-        let mut seq = 0;
-        svc.push_chunk("A", &encode(&day_records(Day(0)), &mut seq));
-        svc.push_chunk("A", &[0xff; 64]);
-        svc.push_chunk("A", &encode(&day_records(Day(1)), &mut seq));
-        let out = svc.finish();
-        let a = &out.exporters[0];
-        assert!(a.decode_errors > 0);
-        assert_eq!(a.flows, 80, "both clean chunks decoded fully");
-    }
 }

@@ -203,9 +203,9 @@ fn socket_delivery_matches_batch_bit_for_bit_at_every_loop_count() {
             out.health.decoded, total,
             "every record crossed the wire at {loops} loops"
         );
-        assert_eq!(out.dropped_late, 0, "{loops} loops");
-        assert_eq!(out.dropped_backpressure, 0, "{loops} loops");
-        for e in &out.exporters {
+        assert_eq!(out.health.dropped_late, 0, "{loops} loops");
+        assert_eq!(out.health.dropped_backpressure, 0, "{loops} loops");
+        for e in &out.health.exporters {
             assert_eq!(
                 e.decode_errors, 0,
                 "clean transport for {} at {loops} loops",

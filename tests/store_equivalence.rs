@@ -22,7 +22,7 @@ use metatelescope::netmodel::{Internet, InternetConfig};
 use metatelescope::store::{
     QueryIndex, ResultsStore, StoreConfig, SummaryData, Verdicts, WindowData,
 };
-use metatelescope::stream::{OverflowPolicy, StreamConfig, StreamService};
+use metatelescope::stream::{MultiStreamService, OverflowPolicy, StreamConfig};
 use metatelescope::traffic::{generate_day, CaptureSet, SpoofSpace, TrafficConfig};
 use metatelescope::types::{Block24, Day, RibIndex, SimDuration, Slot24Index};
 use metatelescope::wire::ipfix;
@@ -135,7 +135,7 @@ fn persisted_windows_remerge_to_the_inprocess_combination() {
     .expect("open store");
 
     // --- stream with a persisting window sink ------------------------
-    let mut svc = StreamService::start(
+    let (svc, mut lanes) = MultiStreamService::start(
         StreamConfig {
             ingest_threads: 2,
             sampling_rate: sampling,
@@ -143,6 +143,7 @@ fn persisted_windows_remerge_to_the_inprocess_combination() {
             allowed_lateness: SimDuration::hours(2),
             ..StreamConfig::default()
         },
+        1,
         |day| net.rib(day),
     );
     let live_summary = Arc::new(Mutex::new(SummaryData::empty()));
@@ -169,13 +170,13 @@ fn persisted_windows_remerge_to_the_inprocess_combination() {
                 .flatten()
                 .collect();
             for chunk in bytes.chunks(CHUNK) {
-                svc.push_chunk(code, chunk);
+                lanes[0].push_chunk(code, chunk);
             }
         }
     }
-    let out = svc.finish();
+    let out = svc.finish(lanes);
     assert_eq!(out.windows.len(), DAYS as usize);
-    assert_eq!(out.dropped_late, 0);
+    assert_eq!(out.health.dropped_late, 0);
     let final_combined = &out.combined.last().expect("combined refreshes").result;
 
     // --- cold re-read: every window decodes to what was written ------

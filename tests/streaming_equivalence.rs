@@ -11,7 +11,7 @@ use metatelescope::core::PipelineEngine;
 use metatelescope::flow::stats::DEFAULT_SIZE_THRESHOLD;
 use metatelescope::flow::{FlowRecord, ShardedTrafficStats};
 use metatelescope::netmodel::{Internet, InternetConfig};
-use metatelescope::stream::{OverflowPolicy, StreamConfig, StreamOutput, StreamService};
+use metatelescope::stream::{MultiStreamService, OverflowPolicy, StreamConfig, StreamOutput};
 use metatelescope::traffic::{generate_day, CaptureSet, SpoofSpace, TrafficConfig};
 use metatelescope::types::{Day, SimDuration};
 use metatelescope::wire::ipfix;
@@ -59,13 +59,17 @@ fn sampling_rate(net: &Internet) -> u32 {
 }
 
 /// Streams the given per-day per-exporter record sets through a
-/// `StreamService`, interleaving exporters in transport-sized chunks.
+/// `lanes`-lane `MultiStreamService`, interleaving exporters in
+/// transport-sized chunks. Exporters are pinned to lanes round-robin
+/// and one thread drives every lane, so the gate sequence is the same
+/// at any lane count.
 fn stream(
     net: &Internet,
     days: &[Vec<(String, Vec<FlowRecord>)>],
+    lanes: usize,
     ingest_threads: usize,
 ) -> StreamOutput {
-    let mut svc = StreamService::start(
+    let (svc, mut producers) = MultiStreamService::start(
         StreamConfig {
             ingest_threads,
             sampling_rate: sampling_rate(net),
@@ -73,6 +77,7 @@ fn stream(
             allowed_lateness: SimDuration::hours(2),
             ..StreamConfig::default()
         },
+        lanes,
         |day| net.rib(day),
     );
     let mut sequences: HashMap<String, u32> = HashMap::new();
@@ -96,7 +101,7 @@ fn stream(
             for (i, (code, bytes)) in streams.iter().enumerate() {
                 if cursors[i] < bytes.len() {
                     let end = (cursors[i] + CHUNK).min(bytes.len());
-                    svc.push_chunk(code, &bytes[cursors[i]..end]);
+                    producers[i % lanes].push_chunk(code, &bytes[cursors[i]..end]);
                     cursors[i] = end;
                     progressed = true;
                 }
@@ -106,7 +111,7 @@ fn stream(
             }
         }
     }
-    svc.finish()
+    svc.finish(producers)
 }
 
 fn assert_results_equal(a: &PipelineResult, b: &PipelineResult, what: &str) {
@@ -132,13 +137,22 @@ fn batch_window(net: &Internet, day: Day, records: &[FlowRecord]) -> PipelineRes
 
 #[test]
 fn seven_day_stream_matches_batch() {
+    for lanes in [1, 3] {
+        seven_day_stream_matches_batch_at(lanes);
+    }
+}
+
+fn seven_day_stream_matches_batch_at(lanes: usize) {
     let fx = fixture();
-    let out = stream(&fx.net, &fx.days, 3);
+    let out = stream(&fx.net, &fx.days, lanes, 3);
 
     assert_eq!(out.windows.len(), DAYS as usize);
-    assert_eq!(out.dropped_late, 0, "in-order arrival drops nothing");
-    assert_eq!(out.dropped_backpressure, 0, "Block policy sheds nothing");
-    for e in &out.exporters {
+    assert_eq!(out.health.dropped_late, 0, "in-order arrival drops nothing");
+    assert_eq!(
+        out.health.dropped_backpressure, 0,
+        "Block policy sheds nothing"
+    );
+    for e in &out.health.exporters {
         assert_eq!(e.decode_errors, 0, "clean streams for {}", e.name);
     }
 
@@ -248,9 +262,12 @@ fn shuffled_arrival_within_lateness_matches_batch() {
         })
         .collect();
 
-    let out = stream(&fx.net, &days, 2);
-    assert!(out.late > 0, "shuffling produced out-of-order records");
-    assert_eq!(out.dropped_late, 0, "all inside the lateness bound");
+    let out = stream(&fx.net, &days, 1, 2);
+    assert!(
+        out.health.late > 0,
+        "shuffling produced out-of-order records"
+    );
+    assert_eq!(out.health.dropped_late, 0, "all inside the lateness bound");
 
     assert_eq!(out.windows.len(), DAYS as usize);
     for (d, w) in out.windows.iter().enumerate() {
@@ -267,7 +284,7 @@ fn shuffled_arrival_within_lateness_matches_batch() {
 #[test]
 fn straggler_past_lateness_is_dropped_not_misfiled() {
     let fx = fixture();
-    let out_clean = stream(&fx.net, &fx.days[..2], 2);
+    let out_clean = stream(&fx.net, &fx.days[..2], 1, 2);
 
     // Re-run with a day-0 record appended to the *day-1* stream of the
     // first exporter: by then day 0's window has closed, so the record
@@ -282,13 +299,9 @@ fn straggler_past_lateness_is_dropped_not_misfiled() {
         .1
         .push(straggler);
 
-    let out = stream(&fx.net, &days, 2);
-    assert_eq!(out.dropped_late, 1, "the straggler was dropped");
+    let out = stream(&fx.net, &days, 1, 2);
+    assert_eq!(out.health.dropped_late, 1, "the straggler was dropped");
     out.health.check_invariants().expect("health invariants");
-    assert_eq!(
-        out.health.dropped_late, 1,
-        "the drop shows in the health document"
-    );
     assert_eq!(
         out.windows[1].records, out_clean.windows[1].records,
         "day 1's window did not absorb the stray day-0 record"
