@@ -1,7 +1,13 @@
 //! Store bench: persist, cold-load, and query the results store.
 //!
-//! Three phases over one synthetic deployment (a /8 of announced space,
-//! 65 536 slots, LCG-generated per-window columns):
+//! Three phases over one synthetic deployment (262 144 slots in 8 192
+//! announced prefixes, LCG-generated per-window columns). It is
+//! world-shaped where the query path cares: the announced space is
+//! fragmented, so slot → block is a search and not a subtraction; the
+//! port histogram holds tens of thousands of distinct ports with a long
+//! tail of tied counts; and the dark list of a full window passes
+//! 100 000 slots. (The first version fed 40 ports and one /8, which is
+//! how "1M QPS" coexisted with a 0.8 ms lookup on real traffic.)
 //!
 //! - `write` — persist N day windows plus the incrementally merged
 //!   summary after each, exactly the serve daemon's sink sequence;
@@ -77,7 +83,7 @@ const SMOKE: Sizes = Sizes {
 
 const FULL: Sizes = Sizes {
     windows: 14,
-    rows_per_window: 40_000,
+    rows_per_window: 160_000,
     point_queries: 200_000,
     range_scans: 2_000,
 };
@@ -92,19 +98,31 @@ fn lcg(state: &mut u64) -> u64 {
     *state >> 11
 }
 
-/// The announced space: all of 20.0.0.0/8, i.e. 65 536 /24 slots.
+/// The deployment's address space, 16.0.0.0/5, in /24 blocks.
+const SPACE_FIRST_BLOCK: u32 = 16 << 16;
+const SPACE_BLOCKS: u32 = 1 << 19;
+
+/// Announced /24s: the lower /19 of every /18 of the space.
+const NUM_SLOTS: u32 = SPACE_BLOCKS / 2;
+
+/// Distinct destination ports a window's histogram draws from.
+const PORT_DRAWS: usize = 48_000;
+
 fn slot_index() -> Arc<Slot24Index> {
     let mut trie = PrefixTrie::new();
-    trie.insert(
-        Prefix::new(Ipv4(20 << 24), 8).expect("aligned /8"),
-        Asn(65_000),
-    );
+    for first in (SPACE_FIRST_BLOCK..SPACE_FIRST_BLOCK + SPACE_BLOCKS).step_by(64) {
+        trie.insert(
+            Prefix::new(Ipv4(first << 8), 19).expect("aligned /19"),
+            Asn(65_000),
+        );
+    }
     Arc::new(Slot24Index::build(&RibIndex::build(&trie)))
 }
 
 /// One synthetic closed window: `rows` populated slots spread evenly
-/// over the slot space, a sparse overflow section, verdicts over a
-/// subset of the populated slots, and a port histogram.
+/// over the slot space, a sparse overflow section, verdicts over most
+/// of the populated slots (dark two in three), and a world-shaped port
+/// histogram.
 fn synth_window(day: u32, rows: usize, slots: &Slot24Index) -> WindowData {
     let num = slots.num_slots();
     let rows = rows.min(num as usize);
@@ -139,17 +157,17 @@ fn synth_window(day: u32, rows: usize, slots: &Slot24Index) -> WindowData {
                 },
             ));
         }
-        match r % 10 {
-            0..=2 => verdicts.dark_slots.push(slot),
-            3 => verdicts.unclean_slots.push(slot),
-            4 => verdicts.gray_slots.push(slot),
+        match r % 12 {
+            0..=7 => verdicts.dark_slots.push(slot),
+            8 => verdicts.unclean_slots.push(slot),
+            9 => verdicts.gray_slots.push(slot),
             _ => {}
         }
         columns.total_flows += r % 100;
         columns.total_packets += r % 1_000;
         columns.total_octets += (r % 1_000) * 640;
     }
-    // A handful of rows outside announced space (below 20.0.0.0).
+    // A handful of rows outside announced space (below 16.0.0.0).
     for i in 0..16u32 {
         let id = i * 1_000 + (lcg(&mut st) % 1_000) as u32;
         columns.ovf_dst.push((
@@ -162,9 +180,22 @@ fn synth_window(day: u32, rows: usize, slots: &Slot24Index) -> WindowData {
         ));
         verdicts.dark_blocks.push(id);
     }
-    let ports = (0..40u16)
-        .map(|p| (p * 157 + 23, lcg(&mut st) % 100_000 + 1))
+    // A few heavy ports, then a long tail whose counts are a handful
+    // of packets each — ties by the thousand, as scans and backscatter
+    // over the ephemeral range leave them.
+    let mut ports: Vec<(u16, u64)> = (0..PORT_DRAWS)
+        .map(|i| {
+            let port = (lcg(&mut st) % 65_536) as u16;
+            let count = if i < 32 {
+                lcg(&mut st) % 1_000_000 + 1_000
+            } else {
+                lcg(&mut st) % 6 + 1
+            };
+            (port, count)
+        })
         .collect();
+    ports.sort_unstable();
+    ports.dedup_by_key(|&mut (port, _)| port);
     WindowData {
         day: Day(day),
         records: columns.total_flows,
@@ -206,6 +237,11 @@ fn main() {
     let mut summary = SummaryData::empty();
     for day in 0..sizes.windows {
         let w = synth_window(day, sizes.rows_per_window, &slots);
+        if !smoke {
+            // The shape the CI floors are meant to be measured against.
+            assert!(w.ports.len() >= 20_000, "{} ports", w.ports.len());
+            assert!(w.verdicts.dark_slots.len() >= 100_000);
+        }
         bytes_written += store.write_window(&w).expect("persist window");
         summary.merge_window(&w).expect("incremental merge");
         summary.set_verdicts(w.verdicts.clone());
@@ -249,18 +285,18 @@ fn main() {
     let mut checksum = 0u64;
     let t0 = Instant::now();
     for _ in 0..sizes.point_queries {
-        let addr = Ipv4((20 << 24) | (lcg(&mut st) % (1 << 24)) as u32);
+        let block = slots.block_of((lcg(&mut st) % u64::from(NUM_SLOTS)) as u32);
+        let addr = Ipv4(block.base().0 | (lcg(&mut st) % 256) as u32);
         let report = index.point(addr);
         checksum += report.verdict.len() as u64 + u64::from(report.windows);
     }
     let point_seconds = t0.elapsed().as_secs_f64();
 
     let span = RANGE_SPAN;
-    let base = 20u32 << 16;
     let t0 = Instant::now();
     for _ in 0..sizes.range_scans {
         let day = Day((lcg(&mut st) % u64::from(sizes.windows)) as u32);
-        let from = base + (lcg(&mut st) % u64::from(65_536 - span)) as u32;
+        let from = SPACE_FIRST_BLOCK + (lcg(&mut st) % u64::from(SPACE_BLOCKS - span)) as u32;
         let report = index
             .range(day, Block24(from), Block24(from + span - 1))
             .expect("cached day");

@@ -38,7 +38,11 @@
 //! - Condvar waits (`wait`, `wait_while`, ...) that receive the guard
 //!   variable as an argument atomically release it, so that guard is
 //!   exempt at that site; every other blocking call under any live
-//!   guard fires `blocking_under_lock`.
+//!   guard fires `blocking_under_lock`. The blocking surface is named,
+//!   not inferred: io/socket/channel methods, `JoinHandle::join`,
+//!   Block-policy queue pushes, and the file writes that sit behind a
+//!   plain-looking call — `std::fs::{write, rename}` and mt-store's
+//!   `write_window`/`write_summary`.
 
 use crate::report::Report;
 use crate::syntax::{CallKind, CallSite, SyntaxIndex};
@@ -670,6 +674,13 @@ const BLOCKING_IO_METHODS: [&str; 14] = [
     "connect",
 ];
 
+/// mt-store's persisting methods: file writes behind another crate's
+/// method, which the io-method list cannot see through.
+const STORE_WRITE_METHODS: [&str; 2] = ["write_window", "write_summary"];
+
+/// `std::fs` free functions that write: `fs::write`, `fs::rename`.
+const FS_WRITE_FUNCTIONS: [&str; 2] = ["write", "rename"];
+
 /// Rule 10: no blocking call while a lock guard is live in an enclosing
 /// scope. A worker parked on io or a condvar while holding a shared
 /// lock stalls every lane behind that lock — the exact shape of the
@@ -739,11 +750,17 @@ fn blocking_kind(c: &CallSite) -> Option<String> {
             if (m == "push" || m == "push_lane") && c.receiver.rsplit('.').next() == Some("queue") {
                 return Some(format!("bounded-queue `.{m}(...)`"));
             }
+            if STORE_WRITE_METHODS.contains(&m) {
+                return Some(format!("store file write `.{m}(...)`"));
+            }
             None
         }
         CallKind::Path => {
             if c.receiver == "sync" && (c.callee == "wait" || c.callee == "wait_while") {
                 return Some(format!("condvar `sync::{}(...)`", c.callee));
+            }
+            if c.receiver == "fs" && FS_WRITE_FUNCTIONS.contains(&c.callee.as_str()) {
+                return Some(format!("file write `fs::{}(...)`", c.callee));
             }
             None
         }

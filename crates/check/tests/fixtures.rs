@@ -499,6 +499,36 @@ fn blocking_under_lock_fires_and_suppresses() {
 }
 
 #[test]
+fn blocking_under_lock_sees_file_writes_behind_plain_calls() {
+    let bad = check_one(
+        "crates/demo/src/a.rs",
+        include_str!("../fixtures/blocking_under_lock_store_bad.rs"),
+    );
+    assert_eq!(
+        bad.count("blocking_under_lock"),
+        3,
+        "write_summary, fs::write and fs::rename each fire: {}",
+        bad.render_human()
+    );
+
+    let sup = check_one(
+        "crates/demo/src/a.rs",
+        include_str!("../fixtures/blocking_under_lock_store_suppressed.rs"),
+    );
+    assert_eq!(
+        sup.count("blocking_under_lock"),
+        0,
+        "{}",
+        sup.render_human()
+    );
+    assert_eq!(
+        suppressed(&sup, "blocking_under_lock"),
+        3,
+        "counted, not silent"
+    );
+}
+
+#[test]
 fn suppression_inventory_carries_rule_site_and_reason() {
     let sup = check_one(
         "crates/demo/src/a.rs",

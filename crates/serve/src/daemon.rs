@@ -29,7 +29,13 @@
 //! The *control loop* runs on the caller's thread and owns the HTTP
 //! listener: `/health`, `/metrics`, and the `/v1` store queries are
 //! answered there, never on an ingest loop, so observability stays
-//! responsive while every ingest loop is saturated.
+//! responsive while every ingest loop is saturated. It is one thread:
+//! a `/v1` request that blocked on the store index would stall every
+//! request queued behind it. The index therefore sits in an `RwLock`
+//! (`serve.index`) that queries take shared, and the window sink — on
+//! whichever ingest thread closes the window — takes exclusively only
+//! to merge the window in memory; the summary file is written under a
+//! shared guard, beside the readers.
 //!
 //! Backpressure is end to end and per lane: the queue's `Block` policy
 //! stalls only the lane that is full — that loop stops reading its
@@ -66,7 +72,7 @@ use std::os::unix::io::AsRawFd;
 use std::os::unix::net::UnixStream;
 use std::str::FromStr;
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, RwLock, RwLockReadGuard, RwLockWriteGuard};
 use std::thread::JoinHandle;
 
 /// Histogram bounds for per-push ingest latency, in nanoseconds: fine
@@ -215,18 +221,34 @@ impl ShutdownHandle {
 /// The daemon's handle on a configured results store: the shared query
 /// cache (the window sink updates it from inside the service, the HTTP
 /// path reads it) and the query-side metrics.
+///
+/// `index` is the `serve.index` lock. Every query holds it shared. The
+/// window sink — its only writer, serialized by `stream.closer` — holds
+/// it exclusively for the in-memory merge of a closed window and then
+/// shared while the summary goes to disk, so a request that arrives
+/// mid-close waits for a memory merge, never for the disk.
 struct StoreRuntime {
-    index: Arc<Mutex<QueryIndex>>,
+    index: Arc<RwLock<QueryIndex>>,
     point_queries: Counter,
     range_queries: Counter,
     query_latency: Histogram,
 }
 
-/// Locks a mutex, recovering the data from a poisoned lock: the store
-/// cache stays serviceable even if a panic unwound mid-update.
-fn lock_index(m: &Mutex<QueryIndex>) -> std::sync::MutexGuard<'_, QueryIndex> {
+/// Takes the index lock shared, recovering the data from a poisoned
+/// lock: the store cache stays serviceable even if a panic unwound
+/// mid-update.
+fn lock_shared(l: &RwLock<QueryIndex>) -> RwLockReadGuard<'_, QueryIndex> {
     // lock: generic
-    match m.lock() {
+    match l.read() {
+        Ok(g) => g,
+        Err(poisoned) => poisoned.into_inner(),
+    }
+}
+
+/// Takes the index lock exclusively, with the same poison recovery.
+fn lock_exclusive(l: &RwLock<QueryIndex>) -> RwLockWriteGuard<'_, QueryIndex> {
+    // lock: generic
+    match l.write() {
         Ok(g) => g,
         Err(poisoned) => poisoned.into_inner(),
     }
@@ -699,7 +721,7 @@ impl<F: Fn(Day) -> PrefixTrie<Asn>> Daemon<F> {
                 let slots = Arc::clone(&store_cfg.slots);
                 let results = ResultsStore::open(store_cfg).map_err(to_io)?;
                 let (index, _cold) = QueryIndex::cold_load(&results).map_err(to_io)?;
-                let index = Arc::new(Mutex::new(index));
+                let index = Arc::new(RwLock::new(index));
                 let windows_persisted = reg.counter(
                     "mt_store_windows_persisted_total",
                     "Closed windows persisted to the results store.",
@@ -734,8 +756,15 @@ impl<F: Fn(Day) -> PrefixTrie<Asn>> Daemon<F> {
                         WindowData::build(w.day, w.records, w.stats, verdicts, w.ports, &slots);
                     let outcome = (|| {
                         let mut n = results.write_window(&wd)?;
-                        let mut idx = lock_index(&sink_index); // lock: serve.index
-                        idx.apply_window(&wd, w.combined)?;
+                        // Everything the merge can be handed ready-made
+                        // is made before the exclusive section.
+                        let combined = Verdicts::from_result(w.combined, &slots);
+                        let window = wd.verdicts.clone();
+                        lock_exclusive(&sink_index) // lock: serve.index
+                            .apply_verdicts(&wd, window, combined)?;
+                        // lock: serve.index
+                        let idx = lock_shared(&sink_index);
+                        // check: allow(blocking_under_lock, "shared guard: queries keep reading beside the write; this sink is the index's only writer and runs under stream.closer, so the summary cannot change before it is on disk")
                         n += results.write_summary(idx.summary())?;
                         Ok::<u64, mt_store::StoreError>(n)
                     })();
@@ -1023,7 +1052,7 @@ impl<F: Fn(Day) -> PrefixTrie<Asn>> Daemon<F> {
         };
         store.point_queries.inc();
         let span = store.query_latency.start_span();
-        let report = lock_index(&store.index).point(addr); // lock: serve.index
+        let report = lock_shared(&store.index).point(addr); // lock: serve.index
         drop(span);
         let body = serde_json::to_string(&report).unwrap_or_else(|_| "{}".to_owned());
         http::response("200 OK", "application/json", body.as_bytes())
@@ -1053,7 +1082,7 @@ impl<F: Fn(Day) -> PrefixTrie<Asn>> Daemon<F> {
         }
         store.range_queries.inc();
         let span = store.query_latency.start_span();
-        let report = lock_index(&store.index).range(Day(day), from, to); // lock: serve.index
+        let report = lock_shared(&store.index).range(Day(day), from, to); // lock: serve.index
         drop(span);
         match report {
             Some(report) => {
@@ -1168,5 +1197,160 @@ impl<F: Fn(Day) -> PrefixTrie<Asn> + Send + 'static> Daemon<F> {
             event_loops,
             stream,
         })
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::replay;
+    use mt_types::{RibIndex, Slot24Index};
+    use std::time::Duration;
+
+    /// One blocking GET that gives up after ten seconds, so a request
+    /// stuck behind a lock fails the test instead of hanging it.
+    fn http_get(addr: SocketAddr, path: &str) -> io::Result<String> {
+        let mut sock = TcpStream::connect(addr)?;
+        sock.set_read_timeout(Some(Duration::from_secs(10)))?;
+        sock.write_all(format!("GET {path} HTTP/1.1\r\nHost: t\r\n\r\n").as_bytes())?;
+        let mut response = String::new();
+        sock.read_to_string(&mut response)?;
+        Ok(response)
+    }
+
+    /// A store on a fresh directory over [`replay::default_rib`].
+    fn fresh_store(tag: &str) -> StoreConfig {
+        let dir = std::env::temp_dir().join(format!("mt-serve-{tag}-{}", std::process::id()));
+        std::fs::remove_dir_all(&dir).ok();
+        let slots = Slot24Index::build(&RibIndex::build(&replay::default_rib()));
+        StoreConfig {
+            dir,
+            slots: Arc::new(slots),
+        }
+    }
+
+    /// The window sink writes the summary file holding `serve.index`
+    /// shared. Held here for as long as it takes to ask, that guard
+    /// must keep nothing on the control loop waiting: not a `/v1`
+    /// lookup, and so not the `/health` and `/metrics` requests queued
+    /// on the same thread behind it.
+    #[test]
+    fn query_is_answered_while_summary_is_written() {
+        let store = fresh_store("midwrite");
+        let dir = store.dir.clone();
+        let cfg = ServeConfig {
+            udp: None,
+            tcp: None,
+            event_loops: 1,
+            store: Some(store),
+            ..ServeConfig::default()
+        };
+        let daemon = Daemon::bind(cfg, |_| replay::default_rib()).expect("bind");
+        let http = daemon.http_addr().expect("http on");
+        let handle = daemon.shutdown_handle().expect("handle");
+        let index = Arc::clone(&daemon.store.as_ref().expect("store on").index);
+        let runner = std::thread::spawn(move || daemon.run());
+
+        let summary_write_guard = lock_shared(&index);
+        for path in ["/v1/block/20.0.0.0", "/health", "/metrics"] {
+            let response = http_get(http, path)
+                .unwrap_or_else(|e| panic!("{path} waited for the summary write: {e}"));
+            assert!(response.starts_with("HTTP/1.1 200"), "{path}: {response}");
+        }
+        drop(summary_write_guard);
+
+        handle.shutdown();
+        runner.join().expect("join").expect("run");
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    /// Polls `/metrics` until `line` shows up (or panics after ~10 s).
+    fn await_metric(http: SocketAddr, line: &str) {
+        for _ in 0..1000 {
+            let text = http_get(http, "/metrics").expect("metrics");
+            if text.lines().any(|l| l == line) {
+                return;
+            }
+            std::thread::sleep(Duration::from_millis(10));
+        }
+        panic!("/metrics never showed `{line}`");
+    }
+
+    /// The store directory vanishes mid-run: the next close cannot
+    /// persist its window. That is a counted error, not a crash — the
+    /// index goes on serving the last state that did reach the disk,
+    /// and its lock is left unpoisoned.
+    #[test]
+    fn a_failed_persist_is_counted_and_leaves_the_index_on_its_last_good_state() {
+        let store = fresh_store("lostdir");
+        let dir = store.dir.clone();
+        let cfg = ServeConfig {
+            udp: None,
+            event_loops: 1,
+            stream: StreamConfig {
+                ingest_threads: 2,
+                allowed_lateness: mt_types::SimDuration::hours(2),
+                ..StreamConfig::default()
+            },
+            store: Some(store),
+            ..ServeConfig::default()
+        };
+        let daemon = Daemon::bind(cfg, |_| replay::default_rib()).expect("bind");
+        let tcp = daemon.tcp_addr().expect("tcp on");
+        let http = daemon.http_addr().expect("http on");
+        let handle = daemon.shutdown_handle().expect("handle");
+        let index = Arc::clone(&daemon.store.as_ref().expect("store on").index);
+        let runner = std::thread::spawn(move || daemon.run());
+
+        let w = replay::Workload {
+            exporters: 1,
+            days: 3,
+            flows_per_exporter_day: 300,
+            seed: 0x10_57D1,
+        };
+        let mut seq = 0;
+        let mut send_day = |d: u32| {
+            replay::send_tcp(tcp, &w.encode_day(0, Day(d), &mut seq, 25)).expect("send day");
+        };
+
+        // Day 1 runs past day 0's lateness: window 0 closes and lands.
+        send_day(0);
+        send_day(1);
+        await_metric(http, "mt_store_windows_persisted_total 1");
+        let good_point = http_get(http, "/v1/block/20.0.0.0").expect("point");
+        assert!(good_point.starts_with("HTTP/1.1 200"), "{good_point}");
+        assert!(good_point.contains("\"windows\":1"), "{good_point}");
+        let good_range = http_get(http, "/v1/windows/0/verdicts").expect("range");
+        assert!(good_range.starts_with("HTTP/1.1 200"), "{good_range}");
+
+        // The directory goes; day 2 closes window 1 into nothing.
+        std::fs::remove_dir_all(&dir).expect("remove store dir");
+        send_day(2);
+        await_metric(http, "mt_store_persist_errors_total 1");
+        await_metric(http, "mt_store_windows_persisted_total 1"); // still one
+
+        assert!(
+            !index.is_poisoned(),
+            "a persist error must not poison serve.index"
+        );
+        assert_eq!(
+            http_get(http, "/v1/block/20.0.0.0").expect("point"),
+            good_point,
+            "the index serves its last good state"
+        );
+        assert_eq!(
+            http_get(http, "/v1/windows/0/verdicts").expect("range"),
+            good_range
+        );
+        let lost = http_get(http, "/v1/windows/1/verdicts").expect("range");
+        assert!(
+            lost.starts_with("HTTP/1.1 404"),
+            "window 1 never landed: {lost}"
+        );
+
+        handle.shutdown();
+        runner.join().expect("join").expect("run");
+        assert!(!index.is_poisoned());
+        assert!(!dir.exists(), "nothing recreated the store directory");
     }
 }

@@ -336,22 +336,12 @@ impl SummaryData {
         self.columns.merge(&w.columns);
         self.records += w.records;
         merge_ports(&mut self.ports, &w.ports);
-        for &slot in &w.verdicts.dark_slots {
-            if let Err(i) = self
-                .first_dark_slots
-                .binary_search_by_key(&slot, |&(s, _)| s)
-            {
-                self.first_dark_slots.insert(i, (slot, w.day.0));
-            }
-        }
-        for &id in &w.verdicts.dark_blocks {
-            if let Err(i) = self
-                .first_dark_blocks
-                .binary_search_by_key(&id, |&(b, _)| b)
-            {
-                self.first_dark_blocks.insert(i, (id, w.day.0));
-            }
-        }
+        merge_first_dark(&mut self.first_dark_slots, &w.verdicts.dark_slots, w.day.0);
+        merge_first_dark(
+            &mut self.first_dark_blocks,
+            &w.verdicts.dark_blocks,
+            w.day.0,
+        );
         self.last_day = Some(w.day);
         self.windows += 1;
         self.span_days = match (self.first_day, self.last_day) {
@@ -588,6 +578,25 @@ fn decode_dated_list(r: &mut Reader<'_>) -> Result<Vec<(u32, u32)>, StoreError> 
     Ok(out)
 }
 
+/// Folds one window's dark ids (strictly ascending, as every
+/// [`Verdicts`] list is) into an ascending `(id, first dark day)` list:
+/// ids already present keep their earlier day, new ones enter with
+/// `day`. One linear merge — inserting one by one moved the whole tail
+/// per new id.
+fn merge_first_dark(seen: &mut Vec<(u32, u32)>, dark: &[u32], day: u32) {
+    let mut merged = Vec::with_capacity(seen.len() + dark.len());
+    let mut new = dark.iter().copied().peekable();
+    for &entry in seen.iter() {
+        while let Some(id) = new.next_if(|&id| id < entry.0) {
+            merged.push((id, day));
+        }
+        new.next_if_eq(&entry.0);
+        merged.push(entry);
+    }
+    merged.extend(new.map(|id| (id, day)));
+    *seen = merged;
+}
+
 /// Merges a sorted `(port, count)` histogram into another.
 fn merge_ports(into: &mut Vec<(u16, u64)>, from: &[(u16, u64)]) {
     for &(port, count) in from {
@@ -760,4 +769,53 @@ fn put_words(out: &mut Vec<u8>, words: &[u64; 4]) {
 
 fn get_words(r: &mut Reader<'_>) -> Result<[u64; 4], StoreError> {
     Ok([r.u64()?, r.u64()?, r.u64()?, r.u64()?])
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use proptest::prelude::*;
+
+    /// The parent's loop: one binary search and one `Vec::insert` per
+    /// dark id.
+    fn insert_first_dark(seen: &mut Vec<(u32, u32)>, dark: &[u32], day: u32) {
+        for &id in dark {
+            if let Err(i) = seen.binary_search_by_key(&id, |&(s, _)| s) {
+                seen.insert(i, (id, day));
+            }
+        }
+    }
+
+    fn ascending(mut ids: Vec<u32>) -> Vec<u32> {
+        ids.sort_unstable();
+        ids.dedup();
+        ids
+    }
+
+    proptest! {
+        /// Day after day over a small id space, so that later windows
+        /// mostly re-meet ids seen before: the merged list equals the
+        /// insertion loop's, first-seen days included.
+        #[test]
+        fn linear_merge_equals_the_insertion_loop(
+            windows in proptest::collection::vec(proptest::collection::vec(0u32..64, 0..40), 1..6),
+        ) {
+            let (mut merged, mut inserted) = (Vec::new(), Vec::new());
+            for (day, dark) in windows.into_iter().enumerate() {
+                let dark = ascending(dark);
+                merge_first_dark(&mut merged, &dark, day as u32);
+                insert_first_dark(&mut inserted, &dark, day as u32);
+                prop_assert_eq!(&merged, &inserted);
+            }
+        }
+    }
+
+    #[test]
+    fn first_seen_days_survive_later_sightings() {
+        let mut seen = vec![(3, 0), (7, 0)];
+        merge_first_dark(&mut seen, &[1, 3, 5, 7, 9], 4);
+        assert_eq!(seen, [(1, 4), (3, 0), (5, 4), (7, 0), (9, 4)]);
+        merge_first_dark(&mut seen, &[], 5);
+        assert_eq!(seen.len(), 5);
+    }
 }

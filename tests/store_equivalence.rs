@@ -11,7 +11,10 @@
 //! the traffic stats rebuilt from the merged columns must be
 //! observationally identical to a batch accumulator over the same
 //! records, and re-running the pipeline over those rebuilt stats must
-//! reproduce the streaming run's final combined verdicts exactly.
+//! reproduce the streaming run's final combined verdicts exactly. Last,
+//! the `/v1` response bodies answered by the live query index (fed
+//! window by window as the daemon's sink feeds it) must equal, byte
+//! for byte, those of an index cold-loaded from the files.
 
 use metatelescope::core::combine;
 use metatelescope::core::pipeline::{PipelineConfig, PipelineResult};
@@ -24,7 +27,7 @@ use metatelescope::store::{
 };
 use metatelescope::stream::{MultiStreamService, OverflowPolicy, StreamConfig};
 use metatelescope::traffic::{generate_day, CaptureSet, SpoofSpace, TrafficConfig};
-use metatelescope::types::{Block24, Day, RibIndex, SimDuration, Slot24Index};
+use metatelescope::types::{Block24, Day, Ipv4, RibIndex, SimDuration, Slot24Index};
 use metatelescope::wire::ipfix;
 use std::collections::HashMap;
 use std::sync::{Arc, Mutex};
@@ -146,18 +149,18 @@ fn persisted_windows_remerge_to_the_inprocess_combination() {
         1,
         |day| net.rib(day),
     );
-    let live_summary = Arc::new(Mutex::new(SummaryData::empty()));
+    let live_index = Arc::new(Mutex::new(QueryIndex::new(Arc::clone(&slots))));
     {
         let slots = Arc::clone(&slots);
-        let live_summary = Arc::clone(&live_summary);
+        let live_index = Arc::clone(&live_index);
         svc.set_window_sink(Box::new(move |w| {
             let verdicts = Verdicts::from_result(w.window, &slots);
             let wd = WindowData::build(w.day, w.records, w.stats, verdicts, w.ports, &slots);
             store.write_window(&wd).expect("persist window");
-            let mut summary = live_summary.lock().expect("summary lock"); // lock: test.summary
-            summary.merge_window(&wd).expect("incremental merge");
-            summary.set_verdicts(Verdicts::from_result(w.combined, &slots));
-            store.write_summary(&summary).expect("persist summary");
+            let mut index = live_index.lock().expect("index lock"); // lock: test.index
+            index.apply_window(&wd, w.combined).expect("merge");
+            // check: allow(blocking_under_lock, "test sink: nothing else takes test.index until the service has finished")
+            store.write_summary(index.summary()).expect("summary");
         }));
     }
     let mut sequences: HashMap<String, u32> = HashMap::new();
@@ -216,7 +219,8 @@ fn persisted_windows_remerge_to_the_inprocess_combination() {
     remerged.set_verdicts(Verdicts::from_result(final_combined, &slots));
 
     // --- the keystone: disk-remerged == in-process, bit for bit ------
-    let live = live_summary.lock().expect("summary lock"); // lock: test.summary
+    let live_index = live_index.lock().expect("index lock"); // lock: test.index
+    let live = live_index.summary();
     assert_eq!(
         remerged, *live,
         "summary re-merged from persisted windows differs from the in-process one"
@@ -226,7 +230,6 @@ fn persisted_windows_remerge_to_the_inprocess_combination() {
         .expect("summary reads back")
         .expect("summary was written");
     assert_eq!(persisted, *live, "persisted summary differs");
-    drop(live);
 
     // The rebuilt accumulator is observationally identical to a batch
     // accumulator over every record of every day.
@@ -283,6 +286,47 @@ fn persisted_windows_remerge_to_the_inprocess_combination() {
         w0.dark.len() + w0.unclean.len() + w0.gray.len(),
         "full-space range scan covers every day-0 verdict"
     );
+
+    // --- and in the same bytes: `/v1` bodies, live vs reloaded --------
+    // Every block that ever carried a verdict, their neighbours, and
+    // addresses outside announced space.
+    let mut probes: Vec<Block24> = out
+        .windows
+        .iter()
+        .map(|w| &w.result)
+        .chain([final_combined])
+        .flat_map(|r| r.dark.iter().chain(r.unclean.iter()).chain(r.gray.iter()))
+        .flat_map(|b| [b, Block24(b.0.saturating_sub(1)), Block24(b.0 + 1)])
+        .chain([Block24(0), Block24::containing(Ipv4::new(240, 0, 0, 0))])
+        .collect();
+    probes.sort_unstable();
+    probes.dedup();
+    let point_body =
+        |i: &QueryIndex, b: Block24| serde_json::to_string(&i.point(b.base())).expect("serializes");
+    for &block in &probes {
+        assert_eq!(
+            point_body(&live_index, block),
+            point_body(&index, block),
+            "/v1/block/{} differs after reload",
+            block.base()
+        );
+    }
+    let range_body = |i: &QueryIndex, d: u32, from: Block24, to: Block24| {
+        serde_json::to_string(&i.range(Day(d), from, to)).expect("serializes")
+    };
+    let (first, last) = (probes[0], probes[probes.len() - 1]);
+    let mid = probes[probes.len() / 2];
+    for d in 0..=DAYS {
+        for (from, to) in [(first, last), (first, mid), (mid, last), (mid, mid)] {
+            assert_eq!(
+                range_body(&live_index, d, from, to),
+                range_body(&index, d, from, to),
+                "/v1/windows/{d}/verdicts?from={}&to={} differs after reload",
+                from.base(),
+                to.base()
+            );
+        }
+    }
 
     std::fs::remove_dir_all(&dir).ok();
 }
