@@ -21,8 +21,7 @@
 //!   with `--json PATH` emitting the validated report document;
 //! - the umbrella crate's `tests/static_analysis.rs`, which fails
 //!   `cargo test` on any violation and prints the human report;
-//! - the CI job, which validates `check_report.json` the same way the
-//!   hotpath bench document is validated.
+//! - the CI job, which schema-validates `check_report.json`.
 //!
 //! Violations are suppressed — never silently — with
 //! `// check: allow(<rule>, <reason>)` on the offending line or the

@@ -1,9 +1,9 @@
 //! Violation collection and the two report renderings.
 //!
-//! The JSON document follows the same validated-artifact pattern as
-//! `BENCH_hotpath.json`: a self-describing envelope (`tool`,
-//! `schema_version`), a scan summary, one entry per rule (present even
-//! at zero, so CI can assert the full rule list is live), the flat
+//! The JSON document is a validated artifact: a self-describing
+//! envelope (`tool`, `schema_version`), a scan summary, one entry per
+//! rule (present even at zero, so CI can assert the full rule list is
+//! live), the flat
 //! violation list, and — since schema version 2 — the suppression
 //! inventory: every violation a reasoned pragma silenced, with its
 //! rule, site, and stated reason, so CI artifacts can be diffed across

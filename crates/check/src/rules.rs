@@ -300,8 +300,9 @@ fn crate_root_has_attr(file: &SourceFile, attr: &str) -> bool {
 
 /// Rule 4: hot-path crates must not fall back to `std::collections`
 /// maps — `mt_types::FxHashMap`/`FxHashSet` (PR 4) are the standard
-/// there, and a stray SipHash map on the ingest path is a silent 2×
-/// regression the benches only catch after the fact.
+/// there, and a stray SipHash map on the ingest path is a silent
+/// regression the ledger (`flow.fold_map_ns_per_record`) only catches
+/// after the fact.
 fn hash_policy(file: &SourceFile, report: &mut Report) {
     if file.role != Role::Lib || !HASH_POLICY_CRATES.contains(&file.crate_name.as_str()) {
         return;

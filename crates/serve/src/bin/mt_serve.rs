@@ -42,7 +42,7 @@ struct Args {
     tcp: Option<SocketAddr>,
     http: Option<SocketAddr>,
     event_loops: usize,
-    lateness_hours: u64,
+    lateness: SimDuration,
     ingest_threads: usize,
     max_seconds: Option<u64>,
     health_json: Option<String>,
@@ -56,7 +56,7 @@ fn parse_args() -> Result<Args, String> {
         tcp: Some("127.0.0.1:4740".parse().map_err(|e| format!("{e}"))?),
         http: Some("127.0.0.1:9178".parse().map_err(|e| format!("{e}"))?),
         event_loops: 0,
-        lateness_hours: 2,
+        lateness: SimDuration::hours(2),
         ingest_threads: std::thread::available_parallelism().map_or(2, |n| n.get().min(4)),
         max_seconds: None,
         health_json: None,
@@ -86,8 +86,20 @@ fn parse_args() -> Result<Args, String> {
             "--tcp" => args.tcp = addr(it.next(), "--tcp")?,
             "--http" => args.http = addr(it.next(), "--http")?,
             "--event-loops" => args.event_loops = num(it.next(), "--event-loops")?,
-            "--lateness-hours" => args.lateness_hours = num(it.next(), "--lateness-hours")?,
-            "--ingest-threads" => args.ingest_threads = num(it.next(), "--ingest-threads")?,
+            "--lateness-hours" => {
+                let hours: u64 = num(it.next(), "--lateness-hours")?;
+                // `SimDuration` counts seconds in a u64.
+                let secs = hours
+                    .checked_mul(3600)
+                    .ok_or_else(|| format!("--lateness-hours {hours} is out of range"))?;
+                args.lateness = SimDuration::secs(secs);
+            }
+            "--ingest-threads" => {
+                args.ingest_threads = num(it.next(), "--ingest-threads")?;
+                if args.ingest_threads == 0 {
+                    return Err("--ingest-threads needs at least 1".into());
+                }
+            }
             "--max-seconds" => args.max_seconds = Some(num(it.next(), "--max-seconds")?),
             "--health-json" => args.health_json = Some(path(it.next(), "--health-json")?),
             "--metrics-text" => args.metrics_text = Some(path(it.next(), "--metrics-text")?),
@@ -121,11 +133,10 @@ fn main() {
         stream: StreamConfig {
             ingest_threads: args.ingest_threads,
             overflow: OverflowPolicy::Block,
-            allowed_lateness: SimDuration::hours(args.lateness_hours),
+            allowed_lateness: args.lateness,
             ..StreamConfig::default()
         },
         store,
-        ..ServeConfig::default()
     };
     // The demo RIB: 20.0.0.0/8 announced by one AS. A deployment would
     // plug per-day RIBs in through the library API instead.

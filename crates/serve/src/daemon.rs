@@ -53,7 +53,7 @@
 //! accepting: its listeners are deregistered and closed; (2) drains:
 //! bounded `epoll_wait` sweeps keep reading its open TCP connections
 //! and its UDP socket until a full sweep makes no progress
-//! ([`ServeConfig::drain_quiet_sweeps`] times in a row); (3) returns
+//! (`DRAIN_QUIET_SWEEPS` times in a row); (3) returns
 //! its lane. The control loop answers its in-flight HTTP requests,
 //! joins the ingest threads, and finishes the service —
 //! [`MultiStreamService::finish`] flushes the queue, folds the tail,
@@ -100,6 +100,17 @@ pub const INGEST_LATENCY_BUCKETS: [u64; 16] = [
 /// Listen backlog for the `SO_REUSEPORT` exporter listeners.
 const TCP_BACKLOG: u32 = 1024;
 
+/// Requested kernel receive-buffer size for each UDP socket, in bytes.
+/// Best-effort: the kernel clamps to `net.core.rmem_max`.
+const UDP_RECV_BUF: usize = 4 << 20;
+
+/// Per-sweep `epoll_wait` timeout during the drain phase, in ms.
+const DRAIN_WAIT_MS: i32 = 50;
+
+/// Consecutive no-progress drain sweeps before a loop declares its
+/// sockets quiescent.
+const DRAIN_QUIET_SWEEPS: u32 = 2;
+
 /// Event-loop registration tokens for a loop's own fds; connections
 /// start at [`FIRST_CONN_TOKEN`]. Each loop has its own poller, so the
 /// token spaces are independent.
@@ -126,10 +137,6 @@ pub struct ServeConfig {
     /// one, the ingest transports must bind IPv4 addresses — the
     /// `SO_REUSEPORT` shims are IPv4-only.
     pub event_loops: usize,
-    /// Requested kernel receive-buffer size for each UDP socket, in
-    /// bytes (0 = leave the kernel default). Best-effort: the kernel
-    /// clamps to `net.core.rmem_max`.
-    pub udp_recv_buf: usize,
     /// The streaming service under the loops.
     pub stream: StreamConfig,
     /// Results store to persist closed windows into and serve `/v1/...`
@@ -139,11 +146,6 @@ pub struct ServeConfig {
     /// gracefully on the signal. Off by default: tests and embedders
     /// usually prefer a [`ShutdownHandle`].
     pub catch_sigterm: bool,
-    /// Per-sweep `epoll_wait` timeout during the drain phase, in ms.
-    pub drain_wait_ms: i32,
-    /// Consecutive no-progress drain sweeps before a loop declares its
-    /// sockets quiescent.
-    pub drain_quiet_sweeps: u32,
 }
 
 impl Default for ServeConfig {
@@ -154,12 +156,9 @@ impl Default for ServeConfig {
             tcp: Some(loopback),
             http: Some(loopback),
             event_loops: 0,
-            udp_recv_buf: 4 << 20,
             stream: StreamConfig::default(),
             store: None,
             catch_sigterm: false,
-            drain_wait_ms: 50,
-            drain_quiet_sweeps: 2,
         }
     }
 }
@@ -286,8 +285,6 @@ struct IngestLoop<F> {
     conns: FxHashMap<u64, IngestConn>,
     next_token: u64,
     read_buf: Vec<u8>,
-    drain_wait_ms: i32,
-    drain_quiet_sweeps: u32,
     // Shared counters (one handle per loop onto the same cells) …
     datagrams: Counter,
     datagrams_rejected: Counter,
@@ -438,9 +435,9 @@ impl<F: Fn(Day) -> PrefixTrie<Asn>> IngestLoop<F> {
         }
         let mut events = Vec::with_capacity(256);
         let mut quiet = 0;
-        while quiet < self.drain_quiet_sweeps {
+        while quiet < DRAIN_QUIET_SWEEPS {
             events.clear();
-            self.poller.wait(&mut events, self.drain_wait_ms)?;
+            self.poller.wait(&mut events, DRAIN_WAIT_MS)?;
             let mut progressed = false;
             for ev in &events {
                 match ev.token {
@@ -492,8 +489,6 @@ pub struct Daemon<F: Fn(Day) -> PrefixTrie<Asn>> {
     store: Option<StoreRuntime>,
     conns: FxHashMap<u64, HttpConn>,
     next_token: u64,
-    drain_wait_ms: i32,
-    drain_quiet_sweeps: u32,
     // Output counters (shared with the ingest loops) and the control
     // loop's own series.
     datagrams: Counter,
@@ -590,11 +585,9 @@ impl<F: Fn(Day) -> PrefixTrie<Asn>> Daemon<F> {
                     }
                 };
                 sock.set_nonblocking(true)?;
-                if cfg.udp_recv_buf > 0 {
-                    // Best-effort; a clamped buffer only costs UDP loss
-                    // headroom, never correctness.
-                    let _ = sys::set_recv_buffer(sock.as_raw_fd(), cfg.udp_recv_buf);
-                }
+                // Best-effort; a clamped buffer only costs UDP loss
+                // headroom, never correctness.
+                let _ = sys::set_recv_buffer(sock.as_raw_fd(), UDP_RECV_BUF);
                 if i == 0 {
                     udp_addr = Some(sock.local_addr()?);
                 }
@@ -660,8 +653,6 @@ impl<F: Fn(Day) -> PrefixTrie<Asn>> Daemon<F> {
                 conns: FxHashMap::default(),
                 next_token: FIRST_CONN_TOKEN,
                 read_buf: vec![0u8; 64 * 1024],
-                drain_wait_ms: cfg.drain_wait_ms,
-                drain_quiet_sweeps: cfg.drain_quiet_sweeps,
                 datagrams: datagrams.clone(),
                 datagrams_rejected: datagrams_rejected.clone(),
                 tcp_conns: tcp_conns.clone(),
@@ -805,8 +796,6 @@ impl<F: Fn(Day) -> PrefixTrie<Asn>> Daemon<F> {
             store,
             conns: FxHashMap::default(),
             next_token: FIRST_CONN_TOKEN,
-            drain_wait_ms: cfg.drain_wait_ms,
-            drain_quiet_sweeps: cfg.drain_quiet_sweeps,
             datagrams,
             datagrams_rejected,
             tcp_conns,
@@ -1101,9 +1090,9 @@ impl<F: Fn(Day) -> PrefixTrie<Asn>> Daemon<F> {
         }
         let mut events = Vec::with_capacity(64);
         let mut quiet = 0;
-        while quiet < self.drain_quiet_sweeps && !self.conns.is_empty() {
+        while quiet < DRAIN_QUIET_SWEEPS && !self.conns.is_empty() {
             events.clear();
-            self.poller.wait(&mut events, self.drain_wait_ms)?;
+            self.poller.wait(&mut events, DRAIN_WAIT_MS)?;
             let mut progressed = false;
             for ev in &events {
                 match ev.token {

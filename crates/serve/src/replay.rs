@@ -1,6 +1,5 @@
 //! Deterministic traffic replay: the synthetic exporter fleet that
-//! feeds the daemon in tests, the `serve-replay` load client, and the
-//! `serve` bench.
+//! feeds the daemon in tests and the `serve-replay` load client.
 //!
 //! A [`Workload`] is a pure function of its parameters — exporter `e`,
 //! day `d`, flow `i` always produce the same record (via
@@ -50,9 +49,10 @@ impl Workload {
             i as u64,
         );
         let per_day = self.flows_per_exporter_day as u64;
-        // Spread starts across the day, keeping order within the stream.
-        let step = SECS_PER_DAY / per_day.max(1);
-        let start = day.start() + mt_types::SimDuration::secs((i as u64) * step % SECS_PER_DAY);
+        // Spread starts across the day, keeping order within the stream:
+        // strictly inside the day for `i < per_day`, at any flow count.
+        let start =
+            day.start() + mt_types::SimDuration::secs(i as u64 * SECS_PER_DAY / per_day.max(1));
         IpfixFlow {
             src: mt_types::Ipv4((0x0900_0000u32).wrapping_add((h >> 40) as u32 & 0x00ff_ffff)),
             dst: mt_types::Ipv4(0x1400_0000 | ((h as u32) & 0x00ff_ff00) | 0x01),
@@ -71,20 +71,6 @@ impl Workload {
         (0..self.flows_per_exporter_day)
             .map(|i| self.flow(exporter, day, i))
             .collect()
-    }
-
-    /// Every flow of the whole workload, exporter-major then day-major —
-    /// the reference order for in-process batch comparison (ingest is
-    /// order-insensitive within a day window).
-    pub fn all_flows(&self) -> Vec<IpfixFlow> {
-        let mut out =
-            Vec::with_capacity(self.exporters * self.days as usize * self.flows_per_exporter_day);
-        for e in 0..self.exporters {
-            for d in 0..self.days {
-                out.extend(self.day_flows(e, Day(d)));
-            }
-        }
-        out
     }
 
     /// Total flows the workload generates.
@@ -168,7 +154,19 @@ mod tests {
                 assert_eq!(day, Day(0), "flow stays inside its day");
             }
         }
-        assert_eq!(w.all_flows().len() as u64, w.total_flows());
+        // Above one flow a second the stamps still walk the whole day.
+        let dense = Workload {
+            flows_per_exporter_day: 200_000,
+            ..w
+        };
+        let starts: Vec<u32> = dense
+            .day_flows(0, Day(1))
+            .iter()
+            .map(|f| f.start_secs)
+            .collect();
+        assert!(starts.windows(2).all(|p| p[0] <= p[1]), "non-decreasing");
+        assert!(starts.iter().all(|&s| u64::from(s) / SECS_PER_DAY == 1));
+        assert_ne!(starts.first(), starts.last(), "the day is not one second");
     }
 
     #[test]

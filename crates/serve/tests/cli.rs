@@ -46,6 +46,18 @@ fn mt_serve_rejects_malformed_values() {
     assert_usage_rejection(MT_SERVE, &["--event-loops", "many"], "--event-loops");
     assert_usage_rejection(MT_SERVE, &["--lateness-hours"], "--lateness-hours");
     assert_usage_rejection(MT_SERVE, &["--health-json"], "--health-json needs PATH");
+    // Parseable but out of range: no worker to fold, and an hour count
+    // whose seconds overflow a u64.
+    assert_usage_rejection(
+        MT_SERVE,
+        &["--ingest-threads", "0"],
+        "--ingest-threads needs at least 1",
+    );
+    assert_usage_rejection(
+        MT_SERVE,
+        &["--lateness-hours", "18446744073709551615"],
+        "--lateness-hours 18446744073709551615 is out of range",
+    );
 }
 
 #[test]

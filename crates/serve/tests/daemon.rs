@@ -57,7 +57,14 @@ fn await_decoded(http: SocketAddr, want: u64) -> HealthSnapshot {
 
 #[test]
 fn udp_and_tcp_ingest_match_and_drain_cleanly() {
-    let w = Workload::small(0xC0FFEE);
+    // A fleet, not a pair: 32 UDP peers and 32 TCP streams held open
+    // side by side, so each loop juggles many live connections.
+    let w = Workload {
+        exporters: 64,
+        days: 3,
+        flows_per_exporter_day: 50,
+        seed: 0xC0FFEE,
+    };
     let daemon = Daemon::bind(serve_config(SimDuration::hours(2)), |_| {
         replay::default_rib()
     })

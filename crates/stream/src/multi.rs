@@ -67,6 +67,8 @@ use crate::service::{
     republish_health, ExporterCounters, HealthSnapshot, StreamConfig, StreamOutput,
 };
 use crate::window::{Gate, WindowTracker};
+use mt_flow::sharded::DEFAULT_SHARDS;
+use mt_flow::stats::DEFAULT_SIZE_THRESHOLD;
 use mt_flow::{FlowRecord, ShardedTrafficStats, StatsLayout};
 use mt_obs::{Counter, MetricsRegistry};
 use mt_types::{Asn, Day, FxHashMap, PrefixTrie};
@@ -141,15 +143,17 @@ struct LaneShared {
     /// Signals progress advances (and compensating decrements) to the
     /// close barrier.
     drained: Condvar,
-    num_shards: usize,
-    size_threshold: u16,
     layout: StatsLayout,
 }
 
 impl LaneShared {
-    /// An empty window accumulator with the configured shape.
+    /// An empty window accumulator in the configured layout.
     fn empty_stats(&self) -> ShardedTrafficStats {
-        ShardedTrafficStats::with_layout(self.num_shards, self.size_threshold, self.layout.clone())
+        ShardedTrafficStats::with_layout(
+            DEFAULT_SHARDS,
+            DEFAULT_SIZE_THRESHOLD,
+            self.layout.clone(),
+        )
     }
 }
 
@@ -243,8 +247,6 @@ impl<F: Fn(Day) -> PrefixTrie<Asn>> MultiStreamService<F> {
             }),
             progress: Mutex::new(ProgressState::default()),
             drained: Condvar::new(),
-            num_shards: cfg.num_shards,
-            size_threshold: cfg.size_threshold,
             layout: cfg.layout.clone(),
         });
         let handles = (0..cfg.ingest_threads)
@@ -873,7 +875,7 @@ mod tests {
     ) {
         let engine = PipelineEngine::standard();
         let batch = |records: &[FlowRecord], span: u32| {
-            let stats = ShardedTrafficStats::from_records(cfg.num_shards, records);
+            let stats = ShardedTrafficStats::from_records(DEFAULT_SHARDS, records);
             engine.run_sharded(&stats, &rib(), cfg.sampling_rate, span, &cfg.pipeline, 2)
         };
         assert_eq!(out.windows.len(), days.len(), "{what}: windows");

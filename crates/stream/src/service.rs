@@ -16,10 +16,6 @@ use std::sync::Arc;
 /// Configuration of the whole streaming stack.
 #[derive(Debug, Clone)]
 pub struct StreamConfig {
-    /// Shards per window accumulator (must match across the run).
-    pub num_shards: usize,
-    /// Per-host size threshold (must match the pipeline's).
-    pub size_threshold: u16,
     /// Storage layout of the window accumulators: hashmap-backed shards
     /// (the default) or columnar slot-range shards over a fixed
     /// announced-space index. With the columnar layout the slot index
@@ -46,8 +42,6 @@ pub struct StreamConfig {
 impl Default for StreamConfig {
     fn default() -> Self {
         StreamConfig {
-            num_shards: mt_flow::sharded::DEFAULT_SHARDS,
-            size_threshold: mt_flow::stats::DEFAULT_SIZE_THRESHOLD,
             layout: StatsLayout::Map,
             ingest_threads: 2,
             pipeline_threads: 2,

@@ -214,8 +214,8 @@ proptest! {
 
 /// Full-profile smoke: the full-IPv4 announced space (~14M slots) with
 /// a reduced day's traffic, columnar vs map, equal pipeline results.
-/// Volumes are sized so the test stays debug-feasible; the release-mode
-/// day-window run lives in the `columnar` bench and the CI smoke job.
+/// Volumes are sized so the test stays debug-feasible; CI's
+/// `full-profile` job runs it in release mode.
 #[test]
 fn full_profile_day_window_smoke() {
     let net = Internet::generate(InternetConfig::full(), 9);

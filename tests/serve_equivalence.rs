@@ -10,6 +10,7 @@
 use metatelescope::core::combine;
 use metatelescope::core::pipeline::{PipelineConfig, PipelineResult};
 use metatelescope::core::PipelineEngine;
+use metatelescope::flow::sharded::DEFAULT_SHARDS;
 use metatelescope::flow::stats::DEFAULT_SIZE_THRESHOLD;
 use metatelescope::flow::{FlowRecord, ShardedTrafficStats};
 use metatelescope::netmodel::{Internet, InternetConfig};
@@ -172,7 +173,7 @@ fn socket_delivery_matches_batch_bit_for_bit_at_every_loop_count() {
     let mut batch_windows = Vec::new();
     for (d, per_vp) in days.iter().enumerate() {
         let records: Vec<FlowRecord> = per_vp.iter().flat_map(|(_, r)| r.iter().copied()).collect();
-        let stats = ShardedTrafficStats::from_records(StreamConfig::default().num_shards, &records);
+        let stats = ShardedTrafficStats::from_records(DEFAULT_SHARDS, &records);
         let batch = PipelineEngine::standard().run_sharded(
             &stats,
             &net.rib(Day(d as u32)),

@@ -19,6 +19,7 @@
 use metatelescope::core::combine;
 use metatelescope::core::pipeline::{PipelineConfig, PipelineResult};
 use metatelescope::core::PipelineEngine;
+use metatelescope::flow::sharded::DEFAULT_SHARDS;
 use metatelescope::flow::stats::DEFAULT_SIZE_THRESHOLD;
 use metatelescope::flow::{FlowRecord, ShardedTrafficStats, TrafficView};
 use metatelescope::netmodel::{Internet, InternetConfig};
@@ -237,7 +238,7 @@ fn persisted_windows_remerge_to_the_inprocess_combination() {
         .iter()
         .flat_map(|per_vp| per_vp.iter().flat_map(|(_, r)| r.iter().copied()))
         .collect();
-    let batch = ShardedTrafficStats::from_records(StreamConfig::default().num_shards, &all_records);
+    let batch = ShardedTrafficStats::from_records(DEFAULT_SHARDS, &all_records);
     let restored = remerged.to_stats(&slots);
     assert_views_equal(&restored, &batch, "restored stats vs batch");
 

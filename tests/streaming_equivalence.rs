@@ -8,6 +8,7 @@
 use metatelescope::core::combine;
 use metatelescope::core::pipeline::{PipelineConfig, PipelineResult};
 use metatelescope::core::PipelineEngine;
+use metatelescope::flow::sharded::DEFAULT_SHARDS;
 use metatelescope::flow::stats::DEFAULT_SIZE_THRESHOLD;
 use metatelescope::flow::{FlowRecord, ShardedTrafficStats};
 use metatelescope::netmodel::{Internet, InternetConfig};
@@ -124,7 +125,7 @@ fn assert_results_equal(a: &PipelineResult, b: &PipelineResult, what: &str) {
 /// Batch reference for one day: plain ingest of the day's records and
 /// one sharded pipeline run against the day's RIB.
 fn batch_window(net: &Internet, day: Day, records: &[FlowRecord]) -> PipelineResult {
-    let stats = ShardedTrafficStats::from_records(StreamConfig::default().num_shards, records);
+    let stats = ShardedTrafficStats::from_records(DEFAULT_SHARDS, records);
     PipelineEngine::standard().run_sharded(
         &stats,
         &net.rib(day),
@@ -168,7 +169,7 @@ fn seven_day_stream_matches_batch_at(lanes: usize) {
         let batch = batch_window(&fx.net, w.day, &records);
         assert_results_equal(&w.result, &batch, &format!("day {d} window"));
 
-        let stats = ShardedTrafficStats::from_records(StreamConfig::default().num_shards, &records);
+        let stats = ShardedTrafficStats::from_records(DEFAULT_SHARDS, &records);
         match &mut merged {
             None => merged = Some(stats),
             Some(m) => m.merge(&stats),
