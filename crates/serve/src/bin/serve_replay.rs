@@ -14,10 +14,10 @@
 //! With only `--udp` or only `--tcp`, every exporter uses that
 //! transport.
 
-use mt_serve::replay::Workload;
+use mt_serve::replay::{self, Workload};
 use mt_types::Day;
-use std::io::Write;
-use std::net::{SocketAddr, TcpStream, UdpSocket};
+use mt_wire::ipfix::MAX_RECORDS_PER_MESSAGE;
+use std::net::SocketAddr;
 
 struct Args {
     udp: Option<SocketAddr>,
@@ -38,7 +38,7 @@ options:
   --days N                   simulated days per exporter (default 1)
   --flows N                  flows per exporter-day (default 5000)
   --seed N                   workload seed (default 42)
-  --records-per-message N    IPFIX records per message (default 50)";
+  --records-per-message N    IPFIX records per message, 1..=1924 (default 50)";
 
 fn parse_args() -> Result<Args, String> {
     let mut args = Args {
@@ -71,6 +71,11 @@ fn parse_args() -> Result<Args, String> {
             "--seed" => args.seed = num(it.next(), "--seed")?,
             "--records-per-message" => {
                 args.records_per_message = num(it.next(), "--records-per-message")?;
+                if !(1..=MAX_RECORDS_PER_MESSAGE).contains(&args.records_per_message) {
+                    return Err(format!(
+                        "--records-per-message needs 1..={MAX_RECORDS_PER_MESSAGE}"
+                    ));
+                }
             }
             other => return Err(format!("unknown argument {other}")),
         }
@@ -81,43 +86,16 @@ fn parse_args() -> Result<Args, String> {
     Ok(args)
 }
 
-/// One exporter's whole send, on its own socket. Returns datagrams sent
-/// (0 for TCP).
-fn run_exporter(
-    w: Workload,
-    e: usize,
-    udp: Option<SocketAddr>,
-    tcp: Option<SocketAddr>,
-    records_per_message: usize,
-) -> u64 {
-    let use_udp = match (udp, tcp) {
-        (Some(_), Some(_)) => e.is_multiple_of(2),
-        (Some(_), None) => true,
-        _ => false,
-    };
+/// One exporter's whole send — every day down one socket. Returns
+/// datagrams sent (0 for TCP).
+fn run_exporter(w: Workload, e: usize, args: &Args) -> std::io::Result<u64> {
     let mut seq = 0;
-    if use_udp {
-        let to = udp.expect("udp target");
-        let sock = UdpSocket::bind(("127.0.0.1", 0)).expect("bind exporter socket");
-        let mut sent = 0;
-        for d in 0..w.days {
-            for msg in w.encode_day(e, Day(d), &mut seq, records_per_message) {
-                sock.send_to(&msg, to).expect("send datagram");
-                sent += 1;
-            }
-        }
-        sent
-    } else {
-        let to = tcp.expect("tcp target");
-        let mut sock = TcpStream::connect(to).expect("connect exporter");
-        for d in 0..w.days {
-            for msg in w.encode_day(e, Day(d), &mut seq, records_per_message) {
-                sock.write_all(&msg).expect("send stream");
-            }
-        }
-        sock.shutdown(std::net::Shutdown::Write)
-            .expect("close write half");
-        0
+    let messages =
+        (0..w.days).flat_map(|d| w.encode_day(e, Day(d), &mut seq, args.records_per_message));
+    match (args.udp, args.tcp) {
+        (Some(udp), tcp) if tcp.is_none() || e.is_multiple_of(2) => replay::send_udp(udp, messages),
+        (_, Some(tcp)) => replay::send_tcp(tcp, messages).map(|()| 0),
+        (_, None) => unreachable!("parse_args wants a target"),
     }
 }
 
@@ -145,15 +123,14 @@ fn main() {
 
     // check: allow(determinism, "load-client wall clock; measures the daemon, never enters pipeline output")
     let t0 = std::time::Instant::now();
+    let args = &args;
     let datagrams: u64 = std::thread::scope(|s| {
         let handles: Vec<_> = (0..w.exporters)
-            .map(|e| {
-                s.spawn(move || run_exporter(w, e, args.udp, args.tcp, args.records_per_message))
-            })
+            .map(|e| s.spawn(move || run_exporter(w, e, args)))
             .collect();
         handles
             .into_iter()
-            .map(|h| h.join().expect("exporter"))
+            .map(|h| h.join().expect("exporter").expect("exporter send"))
             .sum()
     });
     let elapsed = t0.elapsed();

@@ -4,8 +4,11 @@
 //!
 //! ## Architecture
 //!
-//! [`ServeConfig::event_loops`] ingest threads each own a full event
-//! loop: their own [`Poller`], their own `SO_REUSEPORT` UDP socket on
+//! Every loop is one `Reactor` — poller, wake pipe, listener,
+//! connection table, serve and drain phases — around a handler.
+//!
+//! [`ServeConfig::event_loops`] ingest threads each run a reactor
+//! around an `Ipfix` handler: their own `SO_REUSEPORT` UDP socket on
 //! the shared ingest port (the kernel hashes datagrams across the
 //! sockets by 4-tuple), their own `SO_REUSEPORT` TCP listener on the
 //! shared exporter port (the kernel shards incoming connections across
@@ -26,7 +29,8 @@
 //! by exporter name across loops — while template state never crosses
 //! loops (RFC 7011 §10 keeps transport sessions separate).
 //!
-//! The *control loop* runs on the caller's thread and owns the HTTP
+//! The *control loop* is the reactor around the `Http` handler. It
+//! runs on the caller's thread and owns the HTTP
 //! listener: `/health`, `/metrics`, and the `/v1` store queries are
 //! answered there, never on an ingest loop, so observability stays
 //! responsive while every ingest loop is saturated. It is one thread:
@@ -49,26 +53,28 @@
 //! A [`ShutdownHandle`] trigger or SIGTERM (when
 //! [`ServeConfig::catch_sigterm`] is set) wakes the control loop via a
 //! self-pipe. The control loop then broadcasts the shutdown to every
-//! ingest loop's wake pipe; each ingest loop independently (1) stops
-//! accepting: its listeners are deregistered and closed; (2) drains:
-//! bounded `epoll_wait` sweeps keep reading its open TCP connections
-//! and its UDP socket until a full sweep makes no progress
-//! (`DRAIN_QUIET_SWEEPS` times in a row); (3) returns
-//! its lane. The control loop answers its in-flight HTTP requests,
-//! joins the ingest threads, and finishes the service —
+//! ingest loop's wake pipe; each loop independently (1) stops
+//! accepting: its listener is deregistered and closed; (2) drains:
+//! bounded `epoll_wait` sweeps keep serving its open connections and
+//! its UDP socket until no byte moves in either direction for a few
+//! sweeps in a row, or nothing is left open; (3) closes what remains.
+//! The control loop drains its in-flight HTTP responses the same way,
+//! joins the ingest threads, collects their lanes, and finishes the
+//! service —
 //! [`MultiStreamService::finish`] flushes the queue, folds the tail,
 //! closes every open window, and returns the quiescent
 //! [`mt_stream::StreamOutput`] whose ledger identities hold exactly.
 
 use crate::http;
-use crate::sys::{self, Interest, Poller};
-use mt_obs::{Counter, Gauge, Histogram};
+use crate::reactor::{Handler, Next, Reactor, Step};
+use crate::sys;
+use mt_obs::{Counter, Histogram};
 use mt_store::{QueryIndex, ResultsStore, StoreConfig, Verdicts, WindowData};
 use mt_stream::{LaneProducer, MultiStreamService, StreamConfig};
-use mt_types::{Asn, Block24, Day, FxHashMap, Ipv4, PrefixTrie};
+use mt_types::{Asn, Block24, Day, Ipv4, PrefixTrie};
 use std::io::{self, Read, Write};
 use std::net::{SocketAddr, SocketAddrV4, TcpListener, TcpStream, UdpSocket};
-use std::os::unix::io::AsRawFd;
+use std::os::unix::io::{AsRawFd, RawFd};
 use std::os::unix::net::UnixStream;
 use std::str::FromStr;
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -103,23 +109,6 @@ const TCP_BACKLOG: u32 = 1024;
 /// Requested kernel receive-buffer size for each UDP socket, in bytes.
 /// Best-effort: the kernel clamps to `net.core.rmem_max`.
 const UDP_RECV_BUF: usize = 4 << 20;
-
-/// Per-sweep `epoll_wait` timeout during the drain phase, in ms.
-const DRAIN_WAIT_MS: i32 = 50;
-
-/// Consecutive no-progress drain sweeps before a loop declares its
-/// sockets quiescent.
-const DRAIN_QUIET_SWEEPS: u32 = 2;
-
-/// Event-loop registration tokens for a loop's own fds; connections
-/// start at [`FIRST_CONN_TOKEN`]. Each loop has its own poller, so the
-/// token spaces are independent.
-const TOK_WAKE: u64 = 0;
-const TOK_UDP: u64 = 1;
-const TOK_TCP: u64 = 2;
-const TOK_HTTP: u64 = 3;
-const TOK_SIGTERM: u64 = 4;
-const FIRST_CONN_TOKEN: u64 = 16;
 
 /// Daemon configuration. `Default` binds every transport on loopback
 /// with OS-assigned ports — query the actual addresses after
@@ -190,8 +179,9 @@ pub struct ServeOutput {
     pub event_loops: usize,
 }
 
-/// A clonable-by-`try_clone` trigger that asks a running daemon to
-/// drain and exit; safe to fire from any thread.
+/// A trigger that asks a running daemon to drain and exit; safe to
+/// fire from any thread. [`Daemon::shutdown_handle`] makes as many as
+/// are wanted.
 #[derive(Debug)]
 pub struct ShutdownHandle {
     shutdown: Arc<AtomicBool>,
@@ -206,14 +196,6 @@ impl ShutdownHandle {
         // flag is a latch that only ever goes false→true.
         self.shutdown.store(true, Ordering::Release);
         let _ = (&self.wake_tx).write(b"S");
-    }
-
-    /// A second independent handle to the same daemon.
-    pub fn try_clone(&self) -> io::Result<ShutdownHandle> {
-        Ok(ShutdownHandle {
-            shutdown: Arc::clone(&self.shutdown),
-            wake_tx: self.wake_tx.try_clone()?,
-        })
     }
 }
 
@@ -231,6 +213,82 @@ struct StoreRuntime {
     point_queries: Counter,
     range_queries: Counter,
     query_latency: Histogram,
+}
+
+impl StoreRuntime {
+    /// Brings up the persistence sink and the query cache: cold-loads
+    /// whatever earlier runs persisted, then persists every window the
+    /// scheduler closes from here on.
+    fn open<F: Fn(Day) -> PrefixTrie<Asn>>(
+        cfg: StoreConfig,
+        service: &MultiStreamService<F>,
+    ) -> io::Result<StoreRuntime> {
+        let to_io =
+            |e: mt_store::StoreError| io::Error::new(io::ErrorKind::InvalidData, e.to_string());
+        let reg = service.registry();
+        let slots = Arc::clone(&cfg.slots);
+        let results = ResultsStore::open(cfg).map_err(to_io)?;
+        let (index, _cold) = QueryIndex::cold_load(&results).map_err(to_io)?;
+        let index = Arc::new(RwLock::new(index));
+        let windows_persisted = reg.counter(
+            "mt_store_windows_persisted_total",
+            "Closed windows persisted to the results store.",
+        );
+        let bytes_written = reg.counter(
+            "mt_store_bytes_written_total",
+            "Bytes written to the results store (window and summary files).",
+        );
+        let persist_errors = reg.counter(
+            "mt_store_persist_errors_total",
+            "Window persists that failed; the store keeps serving its last good state.",
+        );
+        let [point_queries, range_queries] = ["point", "range"].map(|kind| {
+            reg.counter_with(
+                "mt_store_queries_total",
+                &[("kind", kind)],
+                "Store queries answered, by kind.",
+            )
+        });
+        let sink_index = Arc::clone(&index);
+        service.set_window_sink(Box::new(move |w| {
+            let verdicts = Verdicts::from_result(w.window, &slots);
+            let wd = WindowData::build(w.day, w.records, w.stats, verdicts, w.ports, &slots);
+            let outcome = (|| {
+                let mut n = results.write_window(&wd)?;
+                // Everything the merge can be handed ready-made
+                // is made before the exclusive section.
+                let combined = Verdicts::from_result(w.combined, &slots);
+                let window = wd.verdicts.clone();
+                lock_exclusive(&sink_index) // lock: serve.index
+                    .apply_verdicts(&wd, window, combined)?;
+                // lock: serve.index
+                let idx = lock_shared(&sink_index);
+                // check: allow(blocking_under_lock, "shared guard: queries keep reading beside the write; this sink is the index's only writer and runs under stream.closer, so the summary cannot change before it is on disk")
+                n += results.write_summary(idx.summary())?;
+                Ok::<u64, mt_store::StoreError>(n)
+            })();
+            // A failed persist must never take down the
+            // collection path; it is counted and the store
+            // keeps serving its last good state.
+            match outcome {
+                Ok(n) => {
+                    windows_persisted.inc();
+                    bytes_written.add(n);
+                }
+                Err(_) => persist_errors.inc(),
+            }
+        }));
+        Ok(StoreRuntime {
+            index,
+            point_queries,
+            range_queries,
+            query_latency: reg.histogram(
+                "mt_store_query_nanoseconds",
+                &INGEST_LATENCY_BUCKETS,
+                "Wall time to answer one store query from the in-memory cache.",
+            ),
+        })
+    }
 }
 
 /// Takes the index lock shared, recovering the data from a poisoned
@@ -253,96 +311,35 @@ fn lock_exclusive(l: &RwLock<QueryIndex>) -> RwLockWriteGuard<'_, QueryIndex> {
     }
 }
 
-/// One live IPFIX-over-TCP exporter connection on an ingest loop.
-struct IngestConn {
-    sock: TcpStream,
-    /// Session name, `tcp:<peer addr>`.
-    peer: String,
-}
-
-/// One live HTTP probe connection on the control loop: request bytes
-/// in, response bytes out.
-struct HttpConn {
-    sock: TcpStream,
-    req: Vec<u8>,
-    out: Vec<u8>,
-    sent: usize,
-    /// Whether the response has been built (request fully parsed).
-    responding: bool,
-}
-
-/// One sharded ingest event loop: poller, sockets, lane, connections.
-/// Runs on its own thread from [`Daemon::run`] until shutdown, drains,
-/// and returns its lane.
-struct IngestLoop<F> {
-    index: usize,
-    poller: Poller,
-    wake_rx: UnixStream,
-    shutdown: Arc<AtomicBool>,
+/// The ingest loops' handler: IPFIX over this loop's UDP socket and
+/// accepted TCP exporter streams, pushed down this loop's lane. A TCP
+/// connection's state is its session name, `tcp:<peer addr>`.
+struct Ipfix<F> {
     udp: Option<UdpSocket>,
-    tcp: Option<TcpListener>,
     lane: LaneProducer<F>,
-    conns: FxHashMap<u64, IngestConn>,
-    next_token: u64,
     read_buf: Vec<u8>,
     // Shared counters (one handle per loop onto the same cells) …
     datagrams: Counter,
     datagrams_rejected: Counter,
     tcp_conns: Counter,
-    // … and per-loop series, labeled with this loop's index.
-    open_conns: Gauge,
-    loop_events: Counter,
+    // … and this loop's own series.
     ingest_latency: Histogram,
 }
 
-impl<F: Fn(Day) -> PrefixTrie<Asn>> IngestLoop<F> {
-    /// The loop body: wait, ingest, repeat until shutdown; then drain
-    /// to quiescence and hand the lane back.
-    fn run(mut self) -> io::Result<LaneProducer<F>> {
-        let mut events = Vec::with_capacity(256);
-        'main: loop {
-            events.clear();
-            self.poller.wait(&mut events, -1)?;
-            self.loop_events.add(events.len() as u64);
-            for ev in &events {
-                match ev.token {
-                    TOK_WAKE => {
-                        self.drain_wake_pipe();
-                        break 'main;
-                    }
-                    TOK_UDP => {
-                        self.drain_udp();
-                    }
-                    TOK_TCP => self.accept_exporters()?,
-                    tok => {
-                        self.conn_event(tok);
-                    }
-                }
-            }
-            // ordering: Acquire pairs with the shutdown path's Release;
-            // a trigger racing the wake byte is still caught here.
-            if self.shutdown.load(Ordering::Acquire) {
-                break;
-            }
-        }
-        self.drain()?;
-        Ok(self.lane)
+impl<F: Fn(Day) -> PrefixTrie<Asn>> Handler for Ipfix<F> {
+    type Conn = String;
+
+    fn datagram_fd(&self) -> Option<RawFd> {
+        self.udp.as_ref().map(AsRawFd::as_raw_fd)
     }
 
-    /// Empties the wake pipe so drain sweeps see only new wakeups.
-    fn drain_wake_pipe(&mut self) {
-        let mut sink = [0u8; 64];
-        while matches!((&self.wake_rx).read(&mut sink), Ok(n) if n > 0) {}
-    }
-
-    /// Reads every queued datagram; returns how many were ingested.
-    fn drain_udp(&mut self) -> u64 {
-        let mut count = 0;
+    fn on_datagrams(&mut self) -> u64 {
+        let mut moved = 0;
         loop {
-            let Some(sock) = &self.udp else { return count };
+            let Some(sock) = &self.udp else { return moved };
             match sock.recv_from(&mut self.read_buf) {
                 Ok((n, peer)) => {
-                    count += 1;
+                    moved += n as u64;
                     self.datagrams.inc();
                     let name = format!("udp:{peer}");
                     let span = self.ingest_latency.start_span();
@@ -352,575 +349,86 @@ impl<F: Fn(Day) -> PrefixTrie<Asn>> IngestLoop<F> {
                         self.datagrams_rejected.inc();
                     }
                 }
-                Err(e) if e.kind() == io::ErrorKind::WouldBlock => return count,
                 Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
-                Err(_) => return count,
+                // `WouldBlock`: the socket is empty. Any other error
+                // also ends this round.
+                Err(_) => return moved,
             }
         }
     }
 
-    /// Accepts every pending exporter connection on this loop's
-    /// listener — the kernel already sharded them to us.
-    fn accept_exporters(&mut self) -> io::Result<()> {
-        loop {
-            let Some(listener) = &self.tcp else {
-                return Ok(());
-            };
-            match listener.accept() {
-                Ok((sock, peer)) => {
-                    sock.set_nonblocking(true)?;
-                    let token = self.next_token;
-                    self.next_token += 1;
-                    self.poller.add(sock.as_raw_fd(), token, Interest::READ)?;
-                    self.tcp_conns.inc();
-                    self.conns.insert(
-                        token,
-                        IngestConn {
-                            sock,
-                            peer: format!("tcp:{peer}"),
-                        },
-                    );
-                    self.open_conns.set(self.conns.len() as u64);
-                }
-                Err(e) if e.kind() == io::ErrorKind::WouldBlock => return Ok(()),
-                Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
-                Err(_) => return Ok(()),
-            }
-        }
+    fn on_accept(&mut self, peer: SocketAddr) -> String {
+        self.tcp_conns.inc();
+        format!("tcp:{peer}")
     }
 
-    /// Handles one readiness event on a connection token. Returns
-    /// whether the event made ingest progress (used by the drain
-    /// phase's quiescence test).
-    fn conn_event(&mut self, token: u64) -> bool {
-        let Some(conn) = self.conns.remove(&token) else {
-            return false;
-        };
-        let (keep, progressed) = self.read_ipfix(&conn.sock, &conn.peer);
-        if keep {
-            self.conns.insert(token, conn);
-        } else {
-            let _ = self.poller.delete(conn.sock.as_raw_fd());
-        }
-        self.open_conns.set(self.conns.len() as u64);
-        progressed
-    }
-
-    /// Reads an IPFIX stream to `WouldBlock`/EOF, pushing each chunk
-    /// down this loop's lane. Returns `(keep_connection, made_progress)`.
-    fn read_ipfix(&mut self, sock: &TcpStream, peer: &str) -> (bool, bool) {
-        let mut progressed = false;
-        loop {
-            let mut sock = sock;
+    /// Reads the stream to `WouldBlock`/EOF, pushing each chunk down
+    /// this loop's lane.
+    fn on_ready(&mut self, mut sock: &TcpStream, peer: &mut String) -> Step {
+        let mut moved = 0;
+        let next = loop {
             match sock.read(&mut self.read_buf) {
-                Ok(0) => return (false, progressed),
+                Ok(0) => break Next::Close,
                 Ok(n) => {
-                    progressed = true;
+                    moved += n as u64;
                     let span = self.ingest_latency.start_span();
                     self.lane.push_chunk(peer, &self.read_buf[..n]);
                     drop(span);
                 }
-                Err(e) if e.kind() == io::ErrorKind::WouldBlock => return (true, progressed),
+                Err(e) if e.kind() == io::ErrorKind::WouldBlock => break Next::Read,
                 Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
-                Err(_) => return (false, progressed),
+                Err(_) => break Next::Close,
             }
-        }
-    }
-
-    /// The per-loop drain tail: stop accepting, sweep to quiescence,
-    /// close what remains.
-    fn drain(&mut self) -> io::Result<()> {
-        if let Some(listener) = self.tcp.take() {
-            let _ = self.poller.delete(listener.as_raw_fd());
-        }
-        let mut events = Vec::with_capacity(256);
-        let mut quiet = 0;
-        while quiet < DRAIN_QUIET_SWEEPS {
-            events.clear();
-            self.poller.wait(&mut events, DRAIN_WAIT_MS)?;
-            let mut progressed = false;
-            for ev in &events {
-                match ev.token {
-                    TOK_WAKE => self.drain_wake_pipe(),
-                    TOK_UDP => progressed |= self.drain_udp() > 0,
-                    TOK_TCP => {}
-                    tok => progressed |= self.conn_event(tok),
-                }
-            }
-            if progressed {
-                quiet = 0;
-            } else {
-                quiet += 1;
-            }
-        }
-        // Anything still open is an idle peer; close our side.
-        for (_, conn) in self.conns.drain() {
-            let _ = self.poller.delete(conn.sock.as_raw_fd());
-        }
-        self.open_conns.set(0);
-        if let Some(sock) = self.udp.take() {
-            let _ = self.poller.delete(sock.as_raw_fd());
-        }
-        Ok(())
+        };
+        Step { moved, next }
     }
 }
 
-/// The collection daemon. Bind with [`Daemon::bind`], then [`run`] on
-/// a dedicated thread; `run` returns when a shutdown trigger arrives
-/// and every loop's drain completes.
-///
-/// [`run`]: Daemon::run
-pub struct Daemon<F: Fn(Day) -> PrefixTrie<Asn>> {
+/// One live HTTP probe connection: request bytes in, response bytes
+/// out. `out` is empty until the request head has fully arrived.
+#[derive(Default)]
+struct HttpConn {
+    req: Vec<u8>,
+    out: Vec<u8>,
+    sent: usize,
+}
+
+/// The control loop's handler: the one-request-per-connection HTTP
+/// state machine, the routing, and what the routes read — the live
+/// service and the store's query cache.
+struct Http<F> {
     service: MultiStreamService<F>,
-    loops: Vec<IngestLoop<F>>,
-    /// Wake pipe write ends, one per ingest loop, for the shutdown
-    /// broadcast.
-    loop_wake_tx: Vec<UnixStream>,
-    // Control loop state (runs on the caller's thread).
-    poller: Poller,
-    wake_rx: UnixStream,
-    wake_tx: UnixStream,
-    sigterm_rx: Option<UnixStream>,
-    shutdown: Arc<AtomicBool>,
-    http: Option<TcpListener>,
-    udp_addr: Option<SocketAddr>,
-    tcp_addr: Option<SocketAddr>,
-    http_addr: Option<SocketAddr>,
     store: Option<StoreRuntime>,
-    conns: FxHashMap<u64, HttpConn>,
-    next_token: u64,
-    // Output counters (shared with the ingest loops) and the control
-    // loop's own series.
-    datagrams: Counter,
-    datagrams_rejected: Counter,
-    tcp_conns: Counter,
     http_conns: Counter,
-    open_conns: Gauge,
-    loop_events: Counter,
     http_health: Counter,
     http_metrics: Counter,
     http_store: Counter,
     http_other: Counter,
 }
 
-/// Pulls the IPv4 address out of `addr`, or explains why the sharded
-/// bind cannot use it.
-fn require_v4(addr: SocketAddr, what: &str) -> io::Result<SocketAddrV4> {
-    match addr {
-        SocketAddr::V4(v4) => Ok(v4),
-        SocketAddr::V6(_) => Err(io::Error::new(
-            io::ErrorKind::InvalidInput,
-            format!("{what}: SO_REUSEPORT sharding requires an IPv4 bind address (got {addr})"),
-        )),
-    }
-}
+impl<F: Fn(Day) -> PrefixTrie<Asn>> Handler for Http<F> {
+    type Conn = HttpConn;
 
-impl<F: Fn(Day) -> PrefixTrie<Asn>> Daemon<F> {
-    /// Binds every configured socket — one UDP socket and one TCP
-    /// listener per ingest loop, kernel-sharded via `SO_REUSEPORT` when
-    /// there is more than one loop — and starts the streaming service
-    /// (ingest workers spawn here). The loops themselves do not run
-    /// until [`run`](Self::run).
-    pub fn bind(cfg: ServeConfig, rib_of: F) -> io::Result<Daemon<F>> {
-        let loops = resolve_loops(cfg.event_loops);
-        let (service, lanes) = MultiStreamService::start(cfg.stream.clone(), loops, rib_of);
-        let shutdown = Arc::new(AtomicBool::new(false));
-        let reg = Arc::clone(service.registry());
-
-        // Shared output counters: every loop holds a handle to the same
-        // cell, so the totals need no post-run merge.
-        let datagrams = reg.counter("mt_serve_datagrams_total", "UDP datagrams received.");
-        let datagrams_rejected = reg.counter(
-            "mt_serve_datagrams_rejected_total",
-            "UDP datagrams rejected whole: torn, trailing garbage, or a bad message header.",
-        );
-        let tcp_conns = reg.counter_with(
-            "mt_serve_connections_total",
-            &[("transport", "tcp")],
-            "Connections accepted, by transport.",
-        );
-        let http_conns = reg.counter_with(
-            "mt_serve_connections_total",
-            &[("transport", "http")],
-            "Connections accepted, by transport.",
-        );
-        let http_health = reg.counter_with(
-            "mt_serve_http_requests_total",
-            &[("endpoint", "health")],
-            "HTTP requests answered, by endpoint.",
-        );
-        let http_metrics = reg.counter_with(
-            "mt_serve_http_requests_total",
-            &[("endpoint", "metrics")],
-            "HTTP requests answered, by endpoint.",
-        );
-        let http_store = reg.counter_with(
-            "mt_serve_http_requests_total",
-            &[("endpoint", "store")],
-            "HTTP requests answered, by endpoint.",
-        );
-        let http_other = reg.counter_with(
-            "mt_serve_http_requests_total",
-            &[("endpoint", "other")],
-            "HTTP requests answered, by endpoint.",
-        );
-
-        // Per-loop sockets. Loop 0 binds the configured address (which
-        // may carry port 0); the rest bind the concrete address it got,
-        // sharing the port through SO_REUSEPORT. At one loop the plain
-        // std bind path is used — no socket option needed.
-        let mut udp_socks: Vec<Option<UdpSocket>> = Vec::with_capacity(loops);
-        let mut udp_addr = None;
-        if let Some(addr) = cfg.udp {
-            for i in 0..loops {
-                let sock = match (loops, udp_addr) {
-                    (1, _) => UdpSocket::bind(addr)?,
-                    (_, None) => sys::bind_udp_reuseport(require_v4(addr, "udp")?)?,
-                    (_, Some(SocketAddr::V4(bound))) => sys::bind_udp_reuseport(bound)?,
-                    (_, Some(bound @ SocketAddr::V6(_))) => {
-                        return Err(io::Error::new(
-                            io::ErrorKind::InvalidInput,
-                            format!("udp: bound a V6 address ({bound}) under sharding"),
-                        ))
-                    }
-                };
-                sock.set_nonblocking(true)?;
-                // Best-effort; a clamped buffer only costs UDP loss
-                // headroom, never correctness.
-                let _ = sys::set_recv_buffer(sock.as_raw_fd(), UDP_RECV_BUF);
-                if i == 0 {
-                    udp_addr = Some(sock.local_addr()?);
-                }
-                udp_socks.push(Some(sock));
-            }
-        } else {
-            udp_socks.resize_with(loops, || None);
-        }
-        let mut tcp_listeners: Vec<Option<TcpListener>> = Vec::with_capacity(loops);
-        let mut tcp_addr = None;
-        if let Some(addr) = cfg.tcp {
-            for i in 0..loops {
-                let listener = match (loops, tcp_addr) {
-                    (1, _) => TcpListener::bind(addr)?,
-                    (_, None) => sys::bind_tcp_reuseport(require_v4(addr, "tcp")?, TCP_BACKLOG)?,
-                    (_, Some(SocketAddr::V4(bound))) => {
-                        sys::bind_tcp_reuseport(bound, TCP_BACKLOG)?
-                    }
-                    (_, Some(bound @ SocketAddr::V6(_))) => {
-                        return Err(io::Error::new(
-                            io::ErrorKind::InvalidInput,
-                            format!("tcp: bound a V6 address ({bound}) under sharding"),
-                        ))
-                    }
-                };
-                listener.set_nonblocking(true)?;
-                if i == 0 {
-                    tcp_addr = Some(listener.local_addr()?);
-                }
-                tcp_listeners.push(Some(listener));
-            }
-        } else {
-            tcp_listeners.resize_with(loops, || None);
-        }
-
-        // Assemble one IngestLoop per lane, each with its own poller,
-        // wake pipe, and per-loop metric series.
-        let mut ingest = Vec::with_capacity(loops);
-        let mut loop_wake_tx = Vec::with_capacity(loops);
-        for (i, lane) in lanes.into_iter().enumerate() {
-            let poller = Poller::new()?;
-            let (wake_rx, wake_tx) = UnixStream::pair()?;
-            wake_rx.set_nonblocking(true)?;
-            wake_tx.set_nonblocking(true)?;
-            poller.add(wake_rx.as_raw_fd(), TOK_WAKE, Interest::READ)?;
-            let udp = udp_socks[i].take();
-            if let Some(sock) = &udp {
-                poller.add(sock.as_raw_fd(), TOK_UDP, Interest::READ)?;
-            }
-            let tcp = tcp_listeners[i].take();
-            if let Some(listener) = &tcp {
-                poller.add(listener.as_raw_fd(), TOK_TCP, Interest::READ)?;
-            }
-            let label = i.to_string();
-            ingest.push(IngestLoop {
-                index: i,
-                poller,
-                wake_rx,
-                shutdown: Arc::clone(&shutdown),
-                udp,
-                tcp,
-                lane,
-                conns: FxHashMap::default(),
-                next_token: FIRST_CONN_TOKEN,
-                read_buf: vec![0u8; 64 * 1024],
-                datagrams: datagrams.clone(),
-                datagrams_rejected: datagrams_rejected.clone(),
-                tcp_conns: tcp_conns.clone(),
-                open_conns: reg.gauge_with(
-                    "mt_serve_open_connections",
-                    &[("loop", label.as_str())],
-                    "Currently open connections, by event loop.",
-                ),
-                loop_events: reg.counter_with(
-                    "mt_serve_loop_events_total",
-                    &[("loop", label.as_str())],
-                    "Readiness events handled, by event loop.",
-                ),
-                ingest_latency: reg.histogram_with(
-                    "mt_serve_ingest_nanoseconds",
-                    &[("loop", label.as_str())],
-                    &INGEST_LATENCY_BUCKETS,
-                    "Wall time to push one socket read (datagram or stream chunk) into the service, by event loop.",
-                ),
-            });
-            loop_wake_tx.push(wake_tx);
-        }
-
-        // The control loop's own plumbing.
-        let poller = Poller::new()?;
-        let (wake_rx, wake_tx) = UnixStream::pair()?;
-        wake_rx.set_nonblocking(true)?;
-        wake_tx.set_nonblocking(true)?;
-        poller.add(wake_rx.as_raw_fd(), TOK_WAKE, Interest::READ)?;
-        let mut http_addr = None;
-        let http = match cfg.http {
-            Some(addr) => {
-                let listener = TcpListener::bind(addr)?;
-                listener.set_nonblocking(true)?;
-                poller.add(listener.as_raw_fd(), TOK_HTTP, Interest::READ)?;
-                http_addr = Some(listener.local_addr()?);
-                Some(listener)
-            }
-            None => None,
-        };
-        let sigterm_rx = if cfg.catch_sigterm {
-            let rx = sys::install_sigterm_pipe()?;
-            poller.add(rx.as_raw_fd(), TOK_SIGTERM, Interest::READ)?;
-            Some(rx)
-        } else {
-            None
-        };
-
-        // A configured results store brings up the persistence sink and
-        // the query cache: cold-load whatever earlier runs persisted,
-        // then persist every window the scheduler closes from here on.
-        let store = match cfg.store.clone() {
-            Some(store_cfg) => {
-                let to_io = |e: mt_store::StoreError| {
-                    io::Error::new(io::ErrorKind::InvalidData, e.to_string())
-                };
-                let slots = Arc::clone(&store_cfg.slots);
-                let results = ResultsStore::open(store_cfg).map_err(to_io)?;
-                let (index, _cold) = QueryIndex::cold_load(&results).map_err(to_io)?;
-                let index = Arc::new(RwLock::new(index));
-                let windows_persisted = reg.counter(
-                    "mt_store_windows_persisted_total",
-                    "Closed windows persisted to the results store.",
-                );
-                let bytes_written = reg.counter(
-                    "mt_store_bytes_written_total",
-                    "Bytes written to the results store (window and summary files).",
-                );
-                let persist_errors = reg.counter(
-                    "mt_store_persist_errors_total",
-                    "Window persists that failed; the store keeps serving its last good state.",
-                );
-                let point_queries = reg.counter_with(
-                    "mt_store_queries_total",
-                    &[("kind", "point")],
-                    "Store queries answered, by kind.",
-                );
-                let range_queries = reg.counter_with(
-                    "mt_store_queries_total",
-                    &[("kind", "range")],
-                    "Store queries answered, by kind.",
-                );
-                let query_latency = reg.histogram(
-                    "mt_store_query_nanoseconds",
-                    &INGEST_LATENCY_BUCKETS,
-                    "Wall time to answer one store query from the in-memory cache.",
-                );
-                let sink_index = Arc::clone(&index);
-                service.set_window_sink(Box::new(move |w| {
-                    let verdicts = Verdicts::from_result(w.window, &slots);
-                    let wd =
-                        WindowData::build(w.day, w.records, w.stats, verdicts, w.ports, &slots);
-                    let outcome = (|| {
-                        let mut n = results.write_window(&wd)?;
-                        // Everything the merge can be handed ready-made
-                        // is made before the exclusive section.
-                        let combined = Verdicts::from_result(w.combined, &slots);
-                        let window = wd.verdicts.clone();
-                        lock_exclusive(&sink_index) // lock: serve.index
-                            .apply_verdicts(&wd, window, combined)?;
-                        // lock: serve.index
-                        let idx = lock_shared(&sink_index);
-                        // check: allow(blocking_under_lock, "shared guard: queries keep reading beside the write; this sink is the index's only writer and runs under stream.closer, so the summary cannot change before it is on disk")
-                        n += results.write_summary(idx.summary())?;
-                        Ok::<u64, mt_store::StoreError>(n)
-                    })();
-                    // A failed persist must never take down the
-                    // collection path; it is counted and the store
-                    // keeps serving its last good state.
-                    match outcome {
-                        Ok(n) => {
-                            windows_persisted.inc();
-                            bytes_written.add(n);
-                        }
-                        Err(_) => persist_errors.inc(),
-                    }
-                }));
-                Some(StoreRuntime {
-                    index,
-                    point_queries,
-                    range_queries,
-                    query_latency,
-                })
-            }
-            None => None,
-        };
-
-        Ok(Daemon {
-            service,
-            loops: ingest,
-            loop_wake_tx,
-            poller,
-            wake_rx,
-            wake_tx,
-            sigterm_rx,
-            shutdown,
-            http,
-            udp_addr,
-            tcp_addr,
-            http_addr,
-            store,
-            conns: FxHashMap::default(),
-            next_token: FIRST_CONN_TOKEN,
-            datagrams,
-            datagrams_rejected,
-            tcp_conns,
-            http_conns,
-            open_conns: reg.gauge_with(
-                "mt_serve_open_connections",
-                &[("loop", "control")],
-                "Currently open connections, by event loop.",
-            ),
-            loop_events: reg.counter_with(
-                "mt_serve_loop_events_total",
-                &[("loop", "control")],
-                "Readiness events handled, by event loop.",
-            ),
-            http_health,
-            http_metrics,
-            http_store,
-            http_other,
-        })
+    fn on_accept(&mut self, _peer: SocketAddr) -> HttpConn {
+        self.http_conns.inc();
+        HttpConn::default()
     }
 
-    /// The shared UDP ingest address, if the transport is on (all loops
-    /// bind the same port).
-    pub fn udp_addr(&self) -> Option<SocketAddr> {
-        self.udp_addr
-    }
-
-    /// The shared TCP exporter address, if the transport is on.
-    pub fn tcp_addr(&self) -> Option<SocketAddr> {
-        self.tcp_addr
-    }
-
-    /// The HTTP listener's actual bound address, if enabled.
-    pub fn http_addr(&self) -> Option<SocketAddr> {
-        self.http_addr
-    }
-
-    /// How many ingest event loops the daemon resolved to.
-    pub fn event_loops(&self) -> usize {
-        self.loops.len()
-    }
-
-    /// A trigger other threads can use to stop the daemon.
-    pub fn shutdown_handle(&self) -> io::Result<ShutdownHandle> {
-        Ok(ShutdownHandle {
-            shutdown: Arc::clone(&self.shutdown),
-            wake_tx: self.wake_tx.try_clone()?,
-        })
-    }
-
-    /// The live streaming service (health snapshots mid-run).
-    pub fn service(&self) -> &MultiStreamService<F> {
-        &self.service
-    }
-
-    /// Empties the wake and SIGTERM pipes so later sweeps see only new
-    /// wakeups.
-    fn drain_wake_pipes(&mut self) {
-        let mut sink = [0u8; 64];
-        while matches!((&self.wake_rx).read(&mut sink), Ok(n) if n > 0) {}
-        if let Some(rx) = &mut self.sigterm_rx {
-            while matches!(rx.read(&mut sink), Ok(n) if n > 0) {}
-        }
-    }
-
-    /// Accepts every pending probe connection on the HTTP listener.
-    fn accept_http(&mut self) -> io::Result<()> {
-        loop {
-            let Some(listener) = &self.http else {
-                return Ok(());
-            };
-            match listener.accept() {
-                Ok((sock, _peer)) => {
-                    sock.set_nonblocking(true)?;
-                    let token = self.next_token;
-                    self.next_token += 1;
-                    self.poller.add(sock.as_raw_fd(), token, Interest::READ)?;
-                    self.http_conns.inc();
-                    self.conns.insert(
-                        token,
-                        HttpConn {
-                            sock,
-                            req: Vec::new(),
-                            out: Vec::new(),
-                            sent: 0,
-                            responding: false,
-                        },
-                    );
-                    self.open_conns.set(self.conns.len() as u64);
-                }
-                Err(e) if e.kind() == io::ErrorKind::WouldBlock => return Ok(()),
-                Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
-                Err(_) => return Ok(()),
-            }
-        }
-    }
-
-    /// Handles one readiness event on an HTTP connection token.
-    fn http_event(&mut self, token: u64, writable: bool) {
-        let Some(conn) = self.conns.remove(&token) else {
-            return;
-        };
-        let (keep, conn) = self.step_http(token, conn, writable);
-        if keep {
-            self.conns.insert(token, conn);
-        } else {
-            let _ = self.poller.delete(conn.sock.as_raw_fd());
-        }
-        self.open_conns.set(self.conns.len() as u64);
-    }
-
-    /// Advances one HTTP connection: read until the head completes,
-    /// build the response, write as far as the socket allows.
-    fn step_http(&mut self, token: u64, mut conn: HttpConn, writable: bool) -> (bool, HttpConn) {
-        if !conn.responding {
+    /// Reads until the head completes, builds the response, writes as
+    /// far as the socket allows.
+    fn on_ready(&mut self, mut sock: &TcpStream, conn: &mut HttpConn) -> Step {
+        let mut moved = 0;
+        if conn.out.is_empty() {
             let mut eof = false;
             loop {
-                let mut r = &conn.sock;
                 let mut buf = [0u8; 4096];
-                match r.read(&mut buf) {
+                match sock.read(&mut buf) {
                     Ok(0) => {
                         eof = true;
                         break;
                     }
                     Ok(n) => {
+                        moved += n as u64;
                         conn.req.extend_from_slice(&buf[..n]);
                         // Keep reading only while the head is genuinely
                         // incomplete; the parser's bounds make that
@@ -938,55 +446,42 @@ impl<F: Fn(Day) -> PrefixTrie<Asn>> Daemon<F> {
                     }
                 }
             }
-            match http::parse_request(&conn.req) {
-                http::Parse::Complete(r) => {
-                    conn.out = self.respond(&r);
-                    conn.responding = true;
-                }
+            conn.out = match http::parse_request(&conn.req) {
+                http::Parse::Complete(r) => self.respond(&r),
                 http::Parse::Malformed => {
                     self.http_other.inc();
-                    conn.out = http::bad_request();
-                    conn.responding = true;
+                    http::bad_request()
                 }
                 http::Parse::TooLarge => {
                     self.http_other.inc();
-                    conn.out = http::header_too_large();
-                    conn.responding = true;
+                    http::header_too_large()
                 }
                 http::Parse::Incomplete => {
-                    if eof {
-                        return (false, conn);
-                    }
-                }
-            }
-        }
-        if conn.responding {
-            let done = loop {
-                if conn.sent >= conn.out.len() {
-                    break true;
-                }
-                let mut w = &conn.sock;
-                match w.write(&conn.out[conn.sent..]) {
-                    Ok(0) => break true, // peer gone; nothing more to do
-                    Ok(n) => conn.sent += n,
-                    Err(e) if e.kind() == io::ErrorKind::WouldBlock => break false,
-                    Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
-                    Err(_) => break true,
+                    let next = if eof { Next::Close } else { Next::Read };
+                    return Step { moved, next };
                 }
             };
-            if done {
-                return (false, conn);
-            }
-            if !writable {
-                // Partial write: also wake on writability from now on.
-                let _ = self
-                    .poller
-                    .modify(conn.sock.as_raw_fd(), token, Interest::READ_WRITE);
-            }
         }
-        (true, conn)
+        let next = loop {
+            if conn.sent >= conn.out.len() {
+                break Next::Close;
+            }
+            match sock.write(&conn.out[conn.sent..]) {
+                Ok(0) => break Next::Close, // peer gone; nothing more to do
+                Ok(n) => {
+                    moved += n as u64;
+                    conn.sent += n;
+                }
+                Err(e) if e.kind() == io::ErrorKind::WouldBlock => break Next::Write,
+                Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
+                Err(_) => break Next::Close,
+            }
+        };
+        Step { moved, next }
     }
+}
 
+impl<F: Fn(Day) -> PrefixTrie<Asn>> Http<F> {
     /// Builds the response for a parsed request and counts it.
     fn respond(&mut self, req: &http::Request) -> Vec<u8> {
         if req.method != "GET" {
@@ -1081,41 +576,232 @@ impl<F: Fn(Day) -> PrefixTrie<Asn>> Daemon<F> {
             None => http::not_found(),
         }
     }
+}
 
-    /// The control loop's drain tail: stop accepting probes, finish
-    /// answering in-flight requests, close what remains.
-    fn drain_http(&mut self) -> io::Result<()> {
-        if let Some(listener) = self.http.take() {
-            let _ = self.poller.delete(listener.as_raw_fd());
-        }
-        let mut events = Vec::with_capacity(64);
-        let mut quiet = 0;
-        while quiet < DRAIN_QUIET_SWEEPS && !self.conns.is_empty() {
-            events.clear();
-            self.poller.wait(&mut events, DRAIN_WAIT_MS)?;
-            let mut progressed = false;
-            for ev in &events {
-                match ev.token {
-                    TOK_WAKE | TOK_SIGTERM => self.drain_wake_pipes(),
-                    TOK_HTTP => {}
-                    tok => {
-                        let before = self.conns.len();
-                        self.http_event(tok, ev.writable);
-                        progressed |= self.conns.len() != before;
-                    }
-                }
+/// The collection daemon. Bind with [`Daemon::bind`], then [`run`] on
+/// a dedicated thread; `run` returns when a shutdown trigger arrives
+/// and every loop's drain completes.
+///
+/// [`run`]: Daemon::run
+pub struct Daemon<F: Fn(Day) -> PrefixTrie<Asn>> {
+    /// The ingest loops, one per lane of the service.
+    loops: Vec<Reactor<Ipfix<F>>>,
+    /// Their wake pipes' write ends, for the shutdown broadcast.
+    loop_wake_tx: Vec<UnixStream>,
+    /// The control loop (runs on the caller's thread); its handler owns
+    /// the service.
+    control: Reactor<Http<F>>,
+    wake_tx: UnixStream,
+    shutdown: Arc<AtomicBool>,
+    udp_addr: Option<SocketAddr>,
+    tcp_addr: Option<SocketAddr>,
+    http_addr: Option<SocketAddr>,
+    // Output counters, shared with the ingest loops.
+    datagrams: Counter,
+    datagrams_rejected: Counter,
+    tcp_conns: Counter,
+}
+
+/// Pulls the IPv4 address out of `addr`, or explains why the sharded
+/// bind cannot use it.
+fn require_v4(addr: SocketAddr, what: &str) -> io::Result<SocketAddrV4> {
+    match addr {
+        SocketAddr::V4(v4) => Ok(v4),
+        SocketAddr::V6(_) => Err(io::Error::new(
+            io::ErrorKind::InvalidInput,
+            format!("{what}: SO_REUSEPORT sharding requires an IPv4 bind address (got {addr})"),
+        )),
+    }
+}
+
+/// Binds one `what` socket per loop on `addr` (`None`: the transport
+/// is off) and reports the address they share. Loop 0 binds the
+/// configured address (which may carry port 0); the rest bind the
+/// concrete address it got, sharing the port through `SO_REUSEPORT`.
+/// At one loop the plain std bind is used — no socket option needed.
+fn bind_per_loop<S>(
+    addr: Option<SocketAddr>,
+    loops: usize,
+    what: &str,
+    plain: fn(SocketAddr) -> io::Result<S>,
+    reuseport: fn(SocketAddrV4) -> io::Result<S>,
+    local_addr: fn(&S) -> io::Result<SocketAddr>,
+) -> io::Result<(Vec<Option<S>>, Option<SocketAddr>)> {
+    let Some(addr) = addr else {
+        return Ok(((0..loops).map(|_| None).collect(), None));
+    };
+    if loops == 1 {
+        let sock = plain(addr)?;
+        let bound = local_addr(&sock)?;
+        return Ok((vec![Some(sock)], Some(bound)));
+    }
+    let first = reuseport(require_v4(addr, what)?)?;
+    let bound = local_addr(&first)?;
+    let shared = require_v4(bound, what)?;
+    let mut socks = vec![Some(first)];
+    for _ in 1..loops {
+        socks.push(Some(reuseport(shared)?));
+    }
+    Ok((socks, Some(bound)))
+}
+
+impl<F: Fn(Day) -> PrefixTrie<Asn>> Daemon<F> {
+    /// Binds every configured socket — one UDP socket and one TCP
+    /// listener per ingest loop, kernel-sharded via `SO_REUSEPORT` when
+    /// there is more than one loop — and starts the streaming service
+    /// (ingest workers spawn here). The loops themselves do not run
+    /// until [`run`](Self::run).
+    pub fn bind(cfg: ServeConfig, rib_of: F) -> io::Result<Daemon<F>> {
+        let loops = resolve_loops(cfg.event_loops);
+        let (service, lanes) = MultiStreamService::start(cfg.stream.clone(), loops, rib_of);
+        let shutdown = Arc::new(AtomicBool::new(false));
+        let reg = Arc::clone(service.registry());
+
+        // The loops share these cells (every loop holds a handle to the
+        // same one), so the totals need no post-run merge.
+        let datagrams = reg.counter("mt_serve_datagrams_total", "UDP datagrams received.");
+        let datagrams_rejected = reg.counter(
+            "mt_serve_datagrams_rejected_total",
+            "UDP datagrams rejected whole: torn, trailing garbage, or a bad message header.",
+        );
+        let [tcp_conns, http_conns] = ["tcp", "http"].map(|transport| {
+            reg.counter_with(
+                "mt_serve_connections_total",
+                &[("transport", transport)],
+                "Connections accepted, by transport.",
+            )
+        });
+        let [http_health, http_metrics, http_store, http_other] =
+            ["health", "metrics", "store", "other"].map(|endpoint| {
+                reg.counter_with(
+                    "mt_serve_http_requests_total",
+                    &[("endpoint", endpoint)],
+                    "HTTP requests answered, by endpoint.",
+                )
+            });
+
+        let (udp_socks, udp_addr) = bind_per_loop(
+            cfg.udp,
+            loops,
+            "udp",
+            UdpSocket::bind,
+            sys::bind_udp_reuseport,
+            UdpSocket::local_addr,
+        )?;
+        let (tcp_listeners, tcp_addr) = bind_per_loop(
+            cfg.tcp,
+            loops,
+            "tcp",
+            TcpListener::bind,
+            |addr| sys::bind_tcp_reuseport(addr, TCP_BACKLOG),
+            TcpListener::local_addr,
+        )?;
+
+        // One ingest loop per lane, each with its own poller, wake
+        // pipe, and per-loop metric series.
+        let mut ingest = Vec::with_capacity(loops);
+        let mut loop_wake_tx = Vec::with_capacity(loops);
+        for (i, ((lane, udp), tcp)) in lanes
+            .into_iter()
+            .zip(udp_socks)
+            .zip(tcp_listeners)
+            .enumerate()
+        {
+            if let Some(sock) = &udp {
+                sock.set_nonblocking(true)?;
+                // Best-effort; a clamped buffer only costs UDP loss
+                // headroom, never correctness.
+                let _ = sys::set_recv_buffer(sock.as_raw_fd(), UDP_RECV_BUF);
             }
-            if progressed {
-                quiet = 0;
-            } else {
-                quiet += 1;
-            }
+            let label = i.to_string();
+            let handler = Ipfix {
+                udp,
+                lane,
+                read_buf: vec![0u8; 64 * 1024],
+                datagrams: datagrams.clone(),
+                datagrams_rejected: datagrams_rejected.clone(),
+                tcp_conns: tcp_conns.clone(),
+                ingest_latency: reg.histogram_with(
+                    "mt_serve_ingest_nanoseconds",
+                    &[("loop", label.as_str())],
+                    &INGEST_LATENCY_BUCKETS,
+                    "Wall time to push one socket read (datagram or stream chunk) into the service, by event loop.",
+                ),
+            };
+            let (reactor, wake_tx) =
+                Reactor::new(handler, tcp, Arc::clone(&shutdown), &reg, &label)?;
+            ingest.push(reactor);
+            loop_wake_tx.push(wake_tx);
         }
-        for (_, conn) in self.conns.drain() {
-            let _ = self.poller.delete(conn.sock.as_raw_fd());
+
+        let http = cfg.http.map(TcpListener::bind).transpose()?;
+        let http_addr = http.as_ref().map(TcpListener::local_addr).transpose()?;
+        let store = match cfg.store {
+            Some(store_cfg) => Some(StoreRuntime::open(store_cfg, &service)?),
+            None => None,
+        };
+        let handler = Http {
+            service,
+            store,
+            http_conns,
+            http_health,
+            http_metrics,
+            http_store,
+            http_other,
+        };
+        let (mut control, wake_tx) =
+            Reactor::new(handler, http, Arc::clone(&shutdown), &reg, "control")?;
+        if cfg.catch_sigterm {
+            control.add_wake(sys::install_sigterm_pipe()?)?;
         }
-        self.open_conns.set(0);
-        Ok(())
+
+        Ok(Daemon {
+            loops: ingest,
+            loop_wake_tx,
+            control,
+            wake_tx,
+            shutdown,
+            udp_addr,
+            tcp_addr,
+            http_addr,
+            datagrams,
+            datagrams_rejected,
+            tcp_conns,
+        })
+    }
+
+    /// The shared UDP ingest address, if the transport is on (all loops
+    /// bind the same port).
+    pub fn udp_addr(&self) -> Option<SocketAddr> {
+        self.udp_addr
+    }
+
+    /// The shared TCP exporter address, if the transport is on.
+    pub fn tcp_addr(&self) -> Option<SocketAddr> {
+        self.tcp_addr
+    }
+
+    /// The HTTP listener's actual bound address, if enabled.
+    pub fn http_addr(&self) -> Option<SocketAddr> {
+        self.http_addr
+    }
+
+    /// How many ingest event loops the daemon resolved to.
+    pub fn event_loops(&self) -> usize {
+        self.loops.len()
+    }
+
+    /// A trigger other threads can use to stop the daemon.
+    pub fn shutdown_handle(&self) -> io::Result<ShutdownHandle> {
+        Ok(ShutdownHandle {
+            shutdown: Arc::clone(&self.shutdown),
+            wake_tx: self.wake_tx.try_clone()?,
+        })
+    }
+
+    /// The live streaming service (health snapshots mid-run).
+    pub fn service(&self) -> &MultiStreamService<F> {
+        &self.control.handler.service
     }
 }
 
@@ -1128,45 +814,29 @@ impl<F: Fn(Day) -> PrefixTrie<Asn> + Send + 'static> Daemon<F> {
         let threads: Vec<JoinHandle<io::Result<LaneProducer<F>>>> = self
             .loops
             .drain(..)
-            .map(|l| {
+            .enumerate()
+            .map(|(i, mut l)| {
                 std::thread::Builder::new()
-                    .name(format!("mt-serve-loop-{}", l.index))
-                    .spawn(move || l.run())
+                    .name(format!("mt-serve-loop-{i}"))
+                    .spawn(move || {
+                        l.serve()?;
+                        l.drain()?;
+                        Ok(l.handler.lane)
+                    })
             })
             .collect::<io::Result<_>>()?;
 
-        let mut events = Vec::with_capacity(256);
-        'main: loop {
-            events.clear();
-            self.poller.wait(&mut events, -1)?;
-            self.loop_events.add(events.len() as u64);
-            for ev in &events {
-                match ev.token {
-                    TOK_WAKE | TOK_SIGTERM => {
-                        self.drain_wake_pipes();
-                        break 'main;
-                    }
-                    TOK_HTTP => self.accept_http()?,
-                    tok => self.http_event(tok, ev.writable),
-                }
-            }
-            // ordering: Acquire pairs with ShutdownHandle's Release; a
-            // racing trigger between wait() and here is still caught.
-            if self.shutdown.load(Ordering::Acquire) {
-                break;
-            }
-        }
-
+        self.control.serve()?;
         // Broadcast the shutdown to every ingest loop (the SIGTERM path
         // arrives here with the flag still unset).
-        // ordering: Release pairs with the ingest loops' Acquire loads.
+        // ordering: Release pairs with the loops' Acquire loads.
         self.shutdown.store(true, Ordering::Release);
         for tx in &mut self.loop_wake_tx {
             let _ = tx.write(b"S");
         }
         // Answer in-flight probes while the ingest loops drain in
         // parallel, then collect the lanes.
-        self.drain_http()?;
+        self.control.drain()?;
         let mut lanes = Vec::with_capacity(threads.len());
         for t in threads {
             let lane = t
@@ -1174,17 +844,17 @@ impl<F: Fn(Day) -> PrefixTrie<Asn> + Send + 'static> Daemon<F> {
                 .map_err(|_| io::Error::other("ingest loop panicked"))??;
             lanes.push(lane);
         }
-        let stream = self.service.finish(lanes);
+        let http = self.control.handler;
         Ok(ServeOutput {
             datagrams: self.datagrams.get(),
             datagrams_rejected: self.datagrams_rejected.get(),
             tcp_connections: self.tcp_conns.get(),
-            http_requests: self.http_health.get()
-                + self.http_metrics.get()
-                + self.http_store.get()
-                + self.http_other.get(),
+            http_requests: http.http_health.get()
+                + http.http_metrics.get()
+                + http.http_store.get()
+                + http.http_other.get(),
             event_loops,
-            stream,
+            stream: http.service.finish(lanes),
         })
     }
 }
@@ -1192,20 +862,9 @@ impl<F: Fn(Day) -> PrefixTrie<Asn> + Send + 'static> Daemon<F> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::replay;
+    use crate::replay::{self, http_get};
     use mt_types::{RibIndex, Slot24Index};
     use std::time::Duration;
-
-    /// One blocking GET that gives up after ten seconds, so a request
-    /// stuck behind a lock fails the test instead of hanging it.
-    fn http_get(addr: SocketAddr, path: &str) -> io::Result<String> {
-        let mut sock = TcpStream::connect(addr)?;
-        sock.set_read_timeout(Some(Duration::from_secs(10)))?;
-        sock.write_all(format!("GET {path} HTTP/1.1\r\nHost: t\r\n\r\n").as_bytes())?;
-        let mut response = String::new();
-        sock.read_to_string(&mut response)?;
-        Ok(response)
-    }
 
     /// A store on a fresh directory over [`replay::default_rib`].
     fn fresh_store(tag: &str) -> StoreConfig {
@@ -1237,14 +896,22 @@ mod tests {
         let daemon = Daemon::bind(cfg, |_| replay::default_rib()).expect("bind");
         let http = daemon.http_addr().expect("http on");
         let handle = daemon.shutdown_handle().expect("handle");
-        let index = Arc::clone(&daemon.store.as_ref().expect("store on").index);
+        let index = Arc::clone(
+            &daemon
+                .control
+                .handler
+                .store
+                .as_ref()
+                .expect("store on")
+                .index,
+        );
         let runner = std::thread::spawn(move || daemon.run());
 
         let summary_write_guard = lock_shared(&index);
         for path in ["/v1/block/20.0.0.0", "/health", "/metrics"] {
-            let response = http_get(http, path)
+            let (head, _) = http_get(http, path)
                 .unwrap_or_else(|e| panic!("{path} waited for the summary write: {e}"));
-            assert!(response.starts_with("HTTP/1.1 200"), "{path}: {response}");
+            assert!(head.starts_with("HTTP/1.1 200"), "{path}: {head}");
         }
         drop(summary_write_guard);
 
@@ -1256,7 +923,7 @@ mod tests {
     /// Polls `/metrics` until `line` shows up (or panics after ~10 s).
     fn await_metric(http: SocketAddr, line: &str) {
         for _ in 0..1000 {
-            let text = http_get(http, "/metrics").expect("metrics");
+            let (_, text) = http_get(http, "/metrics").expect("metrics");
             if text.lines().any(|l| l == line) {
                 return;
             }
@@ -1288,7 +955,15 @@ mod tests {
         let tcp = daemon.tcp_addr().expect("tcp on");
         let http = daemon.http_addr().expect("http on");
         let handle = daemon.shutdown_handle().expect("handle");
-        let index = Arc::clone(&daemon.store.as_ref().expect("store on").index);
+        let index = Arc::clone(
+            &daemon
+                .control
+                .handler
+                .store
+                .as_ref()
+                .expect("store on")
+                .index,
+        );
         let runner = std::thread::spawn(move || daemon.run());
 
         let w = replay::Workload {
@@ -1299,7 +974,7 @@ mod tests {
         };
         let mut seq = 0;
         let mut send_day = |d: u32| {
-            replay::send_tcp(tcp, &w.encode_day(0, Day(d), &mut seq, 25)).expect("send day");
+            replay::send_tcp(tcp, w.encode_day(0, Day(d), &mut seq, 25)).expect("send day");
         };
 
         // Day 1 runs past day 0's lateness: window 0 closes and lands.
@@ -1307,10 +982,10 @@ mod tests {
         send_day(1);
         await_metric(http, "mt_store_windows_persisted_total 1");
         let good_point = http_get(http, "/v1/block/20.0.0.0").expect("point");
-        assert!(good_point.starts_with("HTTP/1.1 200"), "{good_point}");
-        assert!(good_point.contains("\"windows\":1"), "{good_point}");
+        assert!(good_point.0.starts_with("HTTP/1.1 200"), "{good_point:?}");
+        assert!(good_point.1.contains("\"windows\":1"), "{good_point:?}");
         let good_range = http_get(http, "/v1/windows/0/verdicts").expect("range");
-        assert!(good_range.starts_with("HTTP/1.1 200"), "{good_range}");
+        assert!(good_range.0.starts_with("HTTP/1.1 200"), "{good_range:?}");
 
         // The directory goes; day 2 closes window 1 into nothing.
         std::fs::remove_dir_all(&dir).expect("remove store dir");
@@ -1331,7 +1006,7 @@ mod tests {
             http_get(http, "/v1/windows/0/verdicts").expect("range"),
             good_range
         );
-        let lost = http_get(http, "/v1/windows/1/verdicts").expect("range");
+        let (lost, _) = http_get(http, "/v1/windows/1/verdicts").expect("range");
         assert!(
             lost.starts_with("HTTP/1.1 404"),
             "window 1 never landed: {lost}"

@@ -3,8 +3,10 @@
 //! The rest of the workspace ingests flows through in-process function
 //! calls; a deployed telescope is fed by independently-operated
 //! exporters over the network. This crate closes that gap with a
-//! long-running daemon built on a hand-rolled nonblocking epoll event
-//! loop (no async runtime, no external crates):
+//! long-running daemon built on one hand-rolled nonblocking epoll event
+//! loop (`reactor`; no async runtime, no external crates), run once per
+//! ingest shard around the IPFIX handler and once more around the HTTP
+//! handler:
 //!
 //! - **UDP** (RFC 7011 §10.3): one datagram carries whole IPFIX
 //!   message(s); torn or garbage datagrams are counted and dropped
@@ -14,8 +16,10 @@
 //!   stream, any chunking, via the existing per-peer
 //!   [`StreamCollector`](mt_stream::StreamCollector) sessions.
 //! - **HTTP/1.1**: `GET /health` (the accounting-identity snapshot as
-//!   JSON) and `GET /metrics` (Prometheus text exposition), served by a
-//!   minimal responder on the same event loop.
+//!   JSON), `GET /metrics` (Prometheus text exposition), and the
+//!   results store's `GET /v1/block/{addr}` and
+//!   `GET /v1/windows/{day}/verdicts` queries, answered by a minimal
+//!   responder on a control loop of its own, never on an ingest loop.
 //! - **Graceful shutdown**: on SIGTERM or a [`ShutdownHandle`] trigger
 //!   the daemon stops accepting, drains kernel buffers and the ingest
 //!   queue, closes the final windows, and returns a quiescent
@@ -39,6 +43,7 @@
 
 pub mod daemon;
 pub mod http;
+mod reactor;
 pub mod replay;
 #[allow(unsafe_code)]
 pub mod sys;

@@ -1,0 +1,581 @@
+//! The daemon's one event loop.
+//!
+//! A [`Reactor`] owns everything the ingest loops and the control loop
+//! have in common: the [`Poller`], the wake pipes, the shutdown latch,
+//! the optional listener, the token → connection table, the per-loop
+//! `open_connections`/`loop_events` series, and the two phases — serve
+//! until shutdown ([`Reactor::serve`]) and drain to quiescence
+//! ([`Reactor::drain`]). What a readiness event *means* is the
+//! [`Handler`]'s business: the type parameter is dispatched statically,
+//! so nothing sits between `epoll_wait` and the bytes' consumer.
+//!
+//! Per-connection setup errors (`set_nonblocking`/`Poller::add` failing
+//! for one accepted socket) are fatal to the loop.
+
+use crate::sys::{Event, Interest, Poller};
+use mt_obs::{Counter, Gauge, MetricsRegistry};
+use mt_types::FxHashMap;
+use std::io::{self, Read};
+use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::os::unix::io::{AsRawFd, RawFd};
+use std::os::unix::net::UnixStream;
+use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::Arc;
+
+/// Per-sweep `epoll_wait` timeout during the drain phase, in ms.
+const DRAIN_WAIT_MS: i32 = 50;
+
+/// Consecutive drain sweeps that move no bytes before a loop declares
+/// its sockets quiescent.
+const DRAIN_QUIET_SWEEPS: u32 = 2;
+
+/// Registration tokens for a loop's own fds; connections start at
+/// [`FIRST_CONN_TOKEN`]. Each loop has its own poller, so the token
+/// spaces are independent.
+const TOK_WAKE: u64 = 0;
+const TOK_DATAGRAM: u64 = 1;
+const TOK_LISTENER: u64 = 2;
+const FIRST_CONN_TOKEN: u64 = 16;
+
+/// What a connection waits for after its handler ran.
+pub(crate) enum Next {
+    /// Finished or failed: deregister and close it.
+    Close,
+    /// More input.
+    Read,
+    /// Room in the socket's send buffer, to finish a blocked write.
+    Write,
+}
+
+/// The outcome of one [`Handler::on_ready`] call.
+pub(crate) struct Step {
+    /// Bytes read plus bytes written: the drain phase's progress signal.
+    pub moved: u64,
+    /// What the connection waits for next.
+    pub next: Next,
+}
+
+/// What one kind of loop does with its readiness events.
+pub(crate) trait Handler {
+    /// Per-connection state kept beside the socket (which the reactor
+    /// owns).
+    type Conn;
+
+    /// The handler's nonblocking datagram socket, if it has one; the
+    /// reactor registers it for reads.
+    fn datagram_fd(&self) -> Option<RawFd> {
+        None
+    }
+
+    /// The datagram socket is readable: consume it to `WouldBlock`.
+    /// Returns the bytes received.
+    fn on_datagrams(&mut self) -> u64 {
+        0
+    }
+
+    /// A connection from `peer` was accepted and registered.
+    fn on_accept(&mut self, peer: SocketAddr) -> Self::Conn;
+
+    /// `sock` is ready: advance the connection as far as the socket
+    /// allows without blocking.
+    fn on_ready(&mut self, sock: &TcpStream, conn: &mut Self::Conn) -> Step;
+}
+
+/// One event loop around a [`Handler`].
+pub(crate) struct Reactor<H: Handler> {
+    pub(crate) handler: H,
+    poller: Poller,
+    /// Read ends of the wake pipes, all registered under one token.
+    wakes: Vec<UnixStream>,
+    shutdown: Arc<AtomicBool>,
+    listener: Option<TcpListener>,
+    conns: FxHashMap<u64, (TcpStream, H::Conn)>,
+    next_token: u64,
+    /// Consecutive sweeps that moved no bytes.
+    quiet: u32,
+    open_conns: Gauge,
+    loop_events: Counter,
+}
+
+impl<H: Handler> Reactor<H> {
+    /// Builds a loop around `handler`, registering its datagram socket
+    /// and `listener` (made nonblocking here), and the loop's two
+    /// series under `loop="<label>"`. Also returns the write end of
+    /// the loop's wake pipe.
+    pub(crate) fn new(
+        handler: H,
+        listener: Option<TcpListener>,
+        shutdown: Arc<AtomicBool>,
+        reg: &MetricsRegistry,
+        label: &str,
+    ) -> io::Result<(Reactor<H>, UnixStream)> {
+        let poller = Poller::new()?;
+        if let Some(fd) = handler.datagram_fd() {
+            poller.add(fd, TOK_DATAGRAM, Interest::READ)?;
+        }
+        if let Some(listener) = &listener {
+            listener.set_nonblocking(true)?;
+            poller.add(listener.as_raw_fd(), TOK_LISTENER, Interest::READ)?;
+        }
+        let (wake_rx, wake_tx) = UnixStream::pair()?;
+        wake_tx.set_nonblocking(true)?;
+        let mut reactor = Reactor {
+            handler,
+            poller,
+            wakes: Vec::new(),
+            shutdown,
+            listener,
+            conns: FxHashMap::default(),
+            next_token: FIRST_CONN_TOKEN,
+            quiet: 0,
+            open_conns: reg.gauge_with(
+                "mt_serve_open_connections",
+                &[("loop", label)],
+                "Currently open connections, by event loop.",
+            ),
+            loop_events: reg.counter_with(
+                "mt_serve_loop_events_total",
+                &[("loop", label)],
+                "Readiness events handled, by event loop.",
+            ),
+        };
+        reactor.add_wake(wake_rx)?;
+        Ok((reactor, wake_tx))
+    }
+
+    /// Registers one more wake source (the SIGTERM self-pipe): a byte
+    /// on it ends the serve phase like a byte on the wake pipe.
+    pub(crate) fn add_wake(&mut self, rx: UnixStream) -> io::Result<()> {
+        rx.set_nonblocking(true)?;
+        self.poller.add(rx.as_raw_fd(), TOK_WAKE, Interest::READ)?;
+        self.wakes.push(rx);
+        Ok(())
+    }
+
+    /// The serve phase: wait and dispatch until a wake byte or the
+    /// shutdown latch. `mt_serve_loop_events_total` counts this phase
+    /// only.
+    pub(crate) fn serve(&mut self) -> io::Result<()> {
+        let mut events = Vec::with_capacity(256);
+        loop {
+            let woken = self.sweep(&mut events, -1)?;
+            self.loop_events.add(events.len() as u64);
+            // ordering: Acquire pairs with the shutdown path's Release;
+            // a trigger racing the wake byte is still caught here.
+            if woken || self.shutdown.load(Ordering::Acquire) {
+                return Ok(());
+            }
+        }
+    }
+
+    /// The drain phase: stop accepting, keep sweeping while bytes move
+    /// in either direction — until [`DRAIN_QUIET_SWEEPS`] sweeps in a
+    /// row move none, or nothing is left that could — then close what
+    /// remains.
+    pub(crate) fn drain(&mut self) -> io::Result<()> {
+        if let Some(listener) = self.listener.take() {
+            let _ = self.poller.delete(listener.as_raw_fd());
+        }
+        let mut events = Vec::with_capacity(256);
+        self.quiet = 0;
+        while self.quiet < DRAIN_QUIET_SWEEPS
+            && (!self.conns.is_empty() || self.handler.datagram_fd().is_some())
+        {
+            self.sweep(&mut events, DRAIN_WAIT_MS)?;
+        }
+        // Anything still open is an idle peer; close our side (which
+        // also drops the sockets out of the poller).
+        self.conns.clear();
+        self.open_conns.set(0);
+        Ok(())
+    }
+
+    /// One `epoll_wait` and the dispatch of what it returned, left in
+    /// `events`. Returns whether a wake source fired.
+    fn sweep(&mut self, events: &mut Vec<Event>, timeout_ms: i32) -> io::Result<bool> {
+        events.clear();
+        self.poller.wait(events, timeout_ms)?;
+        let (mut woken, mut moved) = (false, 0);
+        for ev in events.iter() {
+            match ev.token {
+                TOK_WAKE => {
+                    woken = true;
+                    // Emptied so later sweeps see only new wakeups.
+                    let mut sink = [0u8; 64];
+                    for rx in &mut self.wakes {
+                        while matches!(rx.read(&mut sink), Ok(n) if n > 0) {}
+                    }
+                }
+                TOK_DATAGRAM => moved += self.handler.on_datagrams(),
+                TOK_LISTENER => self.accept_pending()?,
+                token => moved += self.conn_ready(token, ev.writable),
+            }
+        }
+        self.quiet = if moved > 0 {
+            0
+        } else {
+            self.quiet.saturating_add(1)
+        };
+        Ok(woken)
+    }
+
+    /// Accepts every pending connection on the listener.
+    fn accept_pending(&mut self) -> io::Result<()> {
+        let Some(listener) = &self.listener else {
+            return Ok(());
+        };
+        loop {
+            match listener.accept() {
+                Ok((sock, peer)) => {
+                    sock.set_nonblocking(true)?;
+                    let token = self.next_token;
+                    self.next_token += 1;
+                    self.poller.add(sock.as_raw_fd(), token, Interest::READ)?;
+                    self.conns
+                        .insert(token, (sock, self.handler.on_accept(peer)));
+                    self.open_conns.set(self.conns.len() as u64);
+                }
+                Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
+                // `WouldBlock`: the backlog is empty. Anything else
+                // ends the round too; the listener stays registered.
+                Err(_) => return Ok(()),
+            }
+        }
+    }
+
+    /// Hands one connection's readiness to the handler and applies its
+    /// verdict. Returns the bytes moved.
+    fn conn_ready(&mut self, token: u64, writable: bool) -> u64 {
+        let Some((sock, conn)) = self.conns.get_mut(&token) else {
+            return 0;
+        };
+        let step = self.handler.on_ready(sock, conn);
+        match step.next {
+            Next::Close => {
+                let _ = self.poller.delete(sock.as_raw_fd());
+                self.conns.remove(&token);
+                self.open_conns.set(self.conns.len() as u64);
+            }
+            // Blocked mid-write: also wake on writability from now on.
+            Next::Write if !writable => {
+                let _ = self
+                    .poller
+                    .modify(sock.as_raw_fd(), token, Interest::READ_WRITE);
+            }
+            Next::Write | Next::Read => {}
+        }
+        step.moved
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use std::io::Write;
+    use std::net::UdpSocket;
+    use std::sync::mpsc;
+    use std::time::Duration;
+
+    /// Size of the response a `!` asks for: several times what loopback
+    /// socket buffers hold, so the write blocks mid-response.
+    const BIG: usize = 32 << 20;
+
+    /// Echoes every byte back. A `!` in the input is answered with
+    /// [`BIG`] bytes instead; a `q` closes the connection.
+    #[derive(Default)]
+    struct Echo {
+        udp: Option<UdpSocket>,
+        accepted: u64,
+    }
+
+    /// Bytes owed to the peer, and how many of them are sent.
+    #[derive(Default)]
+    struct Pending {
+        out: Vec<u8>,
+        sent: usize,
+    }
+
+    impl Handler for Echo {
+        type Conn = Pending;
+
+        fn datagram_fd(&self) -> Option<RawFd> {
+            self.udp.as_ref().map(AsRawFd::as_raw_fd)
+        }
+
+        fn on_datagrams(&mut self) -> u64 {
+            let mut buf = [0u8; 64];
+            let mut moved = 0;
+            while let Some(Ok((n, _))) = self.udp.as_ref().map(|s| s.recv_from(&mut buf)) {
+                moved += n as u64;
+            }
+            moved
+        }
+
+        fn on_accept(&mut self, _peer: SocketAddr) -> Pending {
+            self.accepted += 1;
+            Pending::default()
+        }
+
+        fn on_ready(&mut self, mut sock: &TcpStream, conn: &mut Pending) -> Step {
+            let mut moved = 0;
+            let mut buf = [0u8; 4096];
+            loop {
+                match sock.read(&mut buf) {
+                    Ok(0) => {
+                        return Step {
+                            moved,
+                            next: Next::Close,
+                        }
+                    }
+                    Ok(n) => {
+                        moved += n as u64;
+                        if buf[..n].contains(&b'q') {
+                            return Step {
+                                moved,
+                                next: Next::Close,
+                            };
+                        }
+                        if buf[..n].contains(&b'!') {
+                            conn.out.resize(conn.out.len() + BIG, b'.');
+                        } else {
+                            conn.out.extend_from_slice(&buf[..n]);
+                        }
+                    }
+                    Err(_) => break,
+                }
+            }
+            while conn.sent < conn.out.len() {
+                match sock.write(&conn.out[conn.sent..]) {
+                    Ok(n) => {
+                        moved += n as u64;
+                        conn.sent += n;
+                    }
+                    Err(_) => {
+                        return Step {
+                            moved,
+                            next: Next::Write,
+                        }
+                    }
+                }
+            }
+            Step {
+                moved,
+                next: Next::Read,
+            }
+        }
+    }
+
+    struct Rig {
+        reactor: Reactor<Echo>,
+        wake_tx: UnixStream,
+        latch: Arc<AtomicBool>,
+        addr: SocketAddr,
+        reg: Arc<MetricsRegistry>,
+    }
+
+    fn rig(handler: Echo) -> Rig {
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let addr = listener.local_addr().unwrap();
+        let latch = Arc::new(AtomicBool::new(false));
+        let reg = Arc::new(MetricsRegistry::new());
+        let (reactor, wake_tx) =
+            Reactor::new(handler, Some(listener), Arc::clone(&latch), &reg, "t").unwrap();
+        Rig {
+            reactor,
+            wake_tx,
+            latch,
+            addr,
+            reg,
+        }
+    }
+
+    impl Rig {
+        /// A client whose connection the reactor has adopted.
+        fn connect(&mut self) -> TcpStream {
+            let client = TcpStream::connect(self.addr).unwrap();
+            self.reactor.sweep(&mut Vec::new(), 5_000).unwrap();
+            client
+        }
+
+        fn series(&self, name: &str) -> u64 {
+            self.reg.snapshot().scalar(name, &[("loop", "t")]).unwrap()
+        }
+    }
+
+    #[test]
+    fn one_readiness_event_adopts_every_pending_connection() {
+        let mut rig = rig(Echo::default());
+        // connect() returns once the handshake is done, so all eight sit
+        // in the backlog behind a single listener event.
+        let clients: Vec<_> = (0..8)
+            .map(|_| TcpStream::connect(rig.addr).unwrap())
+            .collect();
+        let mut events = Vec::new();
+        rig.reactor.sweep(&mut events, 5_000).unwrap();
+        assert_eq!(events.len(), 1, "one listener event");
+        assert_eq!(rig.reactor.conns.len(), clients.len());
+        assert_eq!(rig.reactor.handler.accepted, 8);
+        assert_eq!(rig.series("mt_serve_open_connections"), 8);
+    }
+
+    /// `serve()` on another thread; the channel says when it returned.
+    fn serve_in_background(mut reactor: Reactor<Echo>) -> mpsc::Receiver<Reactor<Echo>> {
+        let (tx, rx) = mpsc::channel();
+        std::thread::spawn(move || {
+            reactor.serve().unwrap();
+            tx.send(reactor)
+        });
+        rx
+    }
+
+    #[test]
+    fn a_trigger_racing_the_wake_byte_is_caught_by_the_latch() {
+        // The latch is set but its wake byte has not landed yet; some
+        // other event — a connection — is what ends the wait.
+        let rig = rig(Echo::default());
+        // ordering: Release pairs with serve()'s Acquire load.
+        rig.latch.store(true, Ordering::Release);
+        let _client = TcpStream::connect(rig.addr).unwrap();
+        let served = serve_in_background(rig.reactor);
+        let reactor = served
+            .recv_timeout(Duration::from_secs(10))
+            .expect("the latch check ends the serve phase without a wake byte");
+        assert_eq!(reactor.conns.len(), 1, "the event itself was still handled");
+        let events = rig
+            .reg
+            .snapshot()
+            .scalar("mt_serve_loop_events_total", &[("loop", "t")]);
+        assert_eq!(events, Some(1), "the serve phase counts its events");
+    }
+
+    #[test]
+    fn a_wake_byte_alone_ends_the_serve_phase() {
+        // The SIGTERM path: a byte on a wake source, latch still unset.
+        let rig = rig(Echo::default());
+        (&rig.wake_tx).write_all(b"S").unwrap();
+        let served = serve_in_background(rig.reactor);
+        served
+            .recv_timeout(Duration::from_secs(10))
+            .expect("the wake byte ends the serve phase");
+    }
+
+    #[test]
+    fn quiet_sweeps_count_up_and_any_byte_moved_resets_them() {
+        let mut rig = rig(Echo::default());
+        let mut client = rig.connect();
+        let mut events = Vec::new();
+        rig.reactor.quiet = 0;
+        rig.reactor.sweep(&mut events, 0).unwrap();
+        assert_eq!(rig.reactor.quiet, 1);
+        client.write_all(b"x").unwrap();
+        rig.reactor.sweep(&mut events, 5_000).unwrap();
+        assert_eq!(rig.reactor.quiet, 0, "the echo moved bytes");
+        rig.reactor.sweep(&mut events, 0).unwrap();
+        rig.reactor.sweep(&mut events, 0).unwrap();
+        assert_eq!(rig.reactor.quiet, 2);
+        // A wake byte is an event, not progress.
+        (&rig.wake_tx).write_all(b"S").unwrap();
+        assert!(rig.reactor.sweep(&mut events, 5_000).unwrap());
+        assert_eq!(rig.reactor.quiet, 3);
+    }
+
+    #[test]
+    fn the_drain_ends_after_exactly_the_quiet_sweeps() {
+        // An open, silent peer: nothing moves, so the drain gives it
+        // DRAIN_QUIET_SWEEPS full waits and then closes our side.
+        let mut rig = rig(Echo::default());
+        let mut client = rig.connect();
+        let t0 = std::time::Instant::now();
+        rig.reactor.drain().unwrap();
+        assert_eq!(rig.reactor.quiet, DRAIN_QUIET_SWEEPS);
+        let floor = Duration::from_millis(u64::from(DRAIN_QUIET_SWEEPS) * DRAIN_WAIT_MS as u64);
+        assert!(t0.elapsed() >= floor, "each quiet sweep waited its turn");
+        assert!(rig.reactor.conns.is_empty());
+        assert_eq!(rig.series("mt_serve_open_connections"), 0);
+        assert_eq!(client.read(&mut [0u8; 8]).unwrap(), 0, "our side closed");
+        assert!(
+            TcpStream::connect(rig.addr).is_err(),
+            "the listener is gone"
+        );
+    }
+
+    #[test]
+    fn the_drain_skips_the_waits_only_when_nothing_could_move() {
+        // No connection, no datagram socket: nothing to wait for.
+        let mut idle = rig(Echo::default());
+        idle.reactor.drain().unwrap();
+        assert_eq!(idle.reactor.quiet, 0, "no sweep ran");
+
+        // A datagram socket can always still receive: it gets its quiet
+        // sweeps, and what was queued on it counts as progress.
+        let udp = UdpSocket::bind("127.0.0.1:0").unwrap();
+        udp.set_nonblocking(true).unwrap();
+        let to = udp.local_addr().unwrap();
+        let mut rig = rig(Echo {
+            udp: Some(udp),
+            accepted: 0,
+        });
+        UdpSocket::bind("127.0.0.1:0")
+            .unwrap()
+            .send_to(b"ping", to)
+            .unwrap();
+        rig.reactor.drain().unwrap();
+        assert_eq!(rig.reactor.quiet, DRAIN_QUIET_SWEEPS);
+        assert!(
+            rig.reactor.handler.on_datagrams() == 0,
+            "the drain emptied the socket"
+        );
+    }
+
+    #[test]
+    fn a_connection_the_handler_closes_is_deregistered_and_the_gauge_follows() {
+        let mut rig = rig(Echo::default());
+        let mut keep = rig.connect();
+        let mut quit = rig.connect();
+        assert_eq!(rig.series("mt_serve_open_connections"), 2);
+        quit.write_all(b"q").unwrap();
+        let mut events = Vec::new();
+        rig.reactor.sweep(&mut events, 5_000).unwrap();
+        assert_eq!(rig.reactor.conns.len(), 1);
+        assert_eq!(rig.series("mt_serve_open_connections"), 1);
+        assert_eq!(quit.read(&mut [0u8; 8]).unwrap(), 0, "closed, not leaked");
+        // The survivor still works, and the closed one raises nothing.
+        keep.write_all(b"x").unwrap();
+        rig.reactor.sweep(&mut events, 5_000).unwrap();
+        assert_eq!(events.len(), 1);
+        let mut echoed = [0u8; 1];
+        keep.read_exact(&mut echoed).unwrap();
+        assert_eq!(&echoed, b"x");
+    }
+
+    #[test]
+    fn a_slow_reader_of_a_multi_buffer_response_is_not_cut_off_by_the_drain() {
+        let mut rig = rig(Echo::default());
+        let mut client = rig.connect();
+        client.write_all(b"!").unwrap();
+        let mut events = Vec::new();
+        rig.reactor.sweep(&mut events, 5_000).unwrap();
+        let (_, pending) = rig.reactor.conns.values().next().expect("still open");
+        assert!(
+            0 < pending.sent && pending.sent < BIG,
+            "the response blocked mid-write ({} sent)",
+            pending.sent
+        );
+
+        // The shutdown arrives now. The connection does not finish for
+        // many sweeps yet — a rule that counted only finished
+        // connections as progress would cut it off after two.
+        let reader = std::thread::spawn(move || {
+            let (mut got, mut buf) = (0, vec![0u8; 256 << 10]);
+            loop {
+                match client.read(&mut buf).unwrap() {
+                    0 => return got,
+                    n => got += n,
+                }
+                std::thread::sleep(Duration::from_millis(1));
+            }
+        });
+        rig.reactor.drain().unwrap();
+        assert_eq!(reader.join().unwrap(), BIG, "the whole response arrived");
+    }
+}

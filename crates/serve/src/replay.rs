@@ -1,5 +1,6 @@
 //! Deterministic traffic replay: the synthetic exporter fleet that
-//! feeds the daemon in tests and the `serve-replay` load client.
+//! feeds the daemon in tests and the `serve-replay` load client, and
+//! the blocking socket clients both drive it with.
 //!
 //! A [`Workload`] is a pure function of its parameters — exporter `e`,
 //! day `d`, flow `i` always produce the same record (via
@@ -7,12 +8,14 @@
 //! against an in-process batch run of the same workload, and any two
 //! transports against each other.
 
+use mt_stream::HealthSnapshot;
 use mt_types::mix::mix3;
 use mt_types::time::SECS_PER_DAY;
 use mt_types::{Asn, Day, PrefixTrie, SimTime};
 use mt_wire::ipfix::{self, IpfixFlow};
-use std::io::{self, Write};
+use std::io::{self, Read, Write};
 use std::net::{SocketAddr, TcpStream, UdpSocket};
+use std::time::Duration;
 
 /// A deterministic multi-exporter, multi-day flow workload.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -113,13 +116,17 @@ pub fn default_rib() -> PrefixTrie<Asn> {
     trie
 }
 
-/// Sends each message as one UDP datagram from an ephemeral socket.
-/// Returns the number of datagrams sent.
-pub fn send_udp(to: SocketAddr, messages: &[Vec<u8>]) -> io::Result<u64> {
+/// Sends each message as one UDP datagram, all from one ephemeral
+/// socket (one source address, so one session at the daemon). Returns
+/// the number of datagrams sent.
+pub fn send_udp(
+    to: SocketAddr,
+    messages: impl IntoIterator<Item = impl AsRef<[u8]>>,
+) -> io::Result<u64> {
     let sock = UdpSocket::bind(("127.0.0.1", 0))?;
     let mut sent = 0;
     for msg in messages {
-        sock.send_to(msg, to)?;
+        sock.send_to(msg.as_ref(), to)?;
         sent += 1;
     }
     Ok(sent)
@@ -127,13 +134,59 @@ pub fn send_udp(to: SocketAddr, messages: &[Vec<u8>]) -> io::Result<u64> {
 
 /// Streams messages back to back over one TCP connection, then shuts
 /// down the write half so the daemon sees EOF.
-pub fn send_tcp(to: SocketAddr, messages: &[Vec<u8>]) -> io::Result<()> {
+pub fn send_tcp(
+    to: SocketAddr,
+    messages: impl IntoIterator<Item = impl AsRef<[u8]>>,
+) -> io::Result<()> {
     let mut sock = TcpStream::connect(to)?;
     for msg in messages {
-        sock.write_all(msg)?;
+        sock.write_all(msg.as_ref())?;
     }
-    sock.shutdown(std::net::Shutdown::Write)?;
-    Ok(())
+    sock.shutdown(std::net::Shutdown::Write)
+}
+
+/// Sends `raw` to the daemon's HTTP endpoint and reads the response to
+/// EOF; returns `(head, body)`, split at the blank line. Gives up after
+/// ten silent seconds, so a request stuck behind a lock is an error,
+/// not a hang.
+pub fn http_request(addr: SocketAddr, raw: &[u8]) -> io::Result<(String, String)> {
+    let mut sock = TcpStream::connect(addr)?;
+    sock.set_read_timeout(Some(Duration::from_secs(10)))?;
+    sock.write_all(raw)?;
+    let mut response = String::new();
+    sock.read_to_string(&mut response)?;
+    let (head, body) = response.split_once("\r\n\r\n").unwrap_or((&response, ""));
+    Ok((head.to_owned(), body.to_owned()))
+}
+
+/// One blocking `GET path`; see [`http_request`].
+pub fn http_get(addr: SocketAddr, path: &str) -> io::Result<(String, String)> {
+    http_request(
+        addr,
+        format!("GET {path} HTTP/1.1\r\nHost: t\r\n\r\n").as_bytes(),
+    )
+}
+
+/// Polls `/health` until the daemon has decoded `want` records and
+/// returns that snapshot; an error after twenty seconds of polling.
+pub fn await_decoded(http: SocketAddr, want: u64) -> io::Result<HealthSnapshot> {
+    let invalid = |what: String| io::Error::new(io::ErrorKind::InvalidData, what);
+    for _ in 0..2000 {
+        let (head, body) = http_get(http, "/health")?;
+        if !head.starts_with("HTTP/1.1 200") {
+            return Err(invalid(format!("/health answered {head}")));
+        }
+        let health: HealthSnapshot =
+            serde_json::from_str(&body).map_err(|e| invalid(format!("/health body: {e}")))?;
+        if health.decoded >= want {
+            return Ok(health);
+        }
+        std::thread::sleep(Duration::from_millis(10));
+    }
+    Err(io::Error::new(
+        io::ErrorKind::TimedOut,
+        format!("daemon never decoded {want} records"),
+    ))
 }
 
 #[cfg(test)]

@@ -7,14 +7,14 @@
 //! already links. Every `unsafe` block carries a `// safety:` argument
 //! (enforced workspace-wide by mt-check's `crate_hygiene` rule), and
 //! nothing unsafe leaks out of this module: the public surface is
-//! [`Poller`]/[`Event`], [`set_recv_buffer`], the `SO_REUSEPORT` bind
-//! helpers ([`bind_udp_reuseport`], [`bind_tcp_reuseport`]), and the
-//! signal helpers, all safe.
+//! [`Poller`]/[`Interest`]/[`Event`], [`set_recv_buffer`], the
+//! `SO_REUSEPORT` bind helpers ([`bind_udp_reuseport`],
+//! [`bind_tcp_reuseport`]), and the signal helpers, all safe.
 
 use std::io;
 use std::net::{SocketAddrV4, TcpListener, UdpSocket};
 use std::os::raw::{c_int, c_void};
-use std::os::unix::io::RawFd;
+use std::os::unix::io::{AsRawFd, FromRawFd, OwnedFd, RawFd};
 use std::os::unix::net::UnixStream;
 use std::sync::atomic::{AtomicI32, Ordering};
 
@@ -25,8 +25,6 @@ const EPOLL_CTL_DEL: c_int = 2;
 const EPOLL_CTL_MOD: c_int = 3;
 const EPOLLIN: u32 = 0x001;
 const EPOLLOUT: u32 = 0x004;
-const EPOLLERR: u32 = 0x008;
-const EPOLLHUP: u32 = 0x010;
 const SIGTERM: c_int = 15;
 const SOL_SOCKET: c_int = 1;
 const SO_RCVBUF: c_int = 8;
@@ -91,50 +89,26 @@ impl SockaddrIn {
     }
 }
 
-/// What a registration wants to be woken for.
+/// What a registration wants to be woken for (an epoll event mask).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct Interest {
-    /// Wake when the fd is readable.
-    pub readable: bool,
-    /// Wake when the fd is writable.
-    pub writable: bool,
-}
+pub struct Interest(u32);
 
 impl Interest {
     /// Read-only interest — the common case for listeners and ingest.
-    pub const READ: Interest = Interest {
-        readable: true,
-        writable: false,
-    };
+    pub const READ: Interest = Interest(EPOLLIN);
     /// Read + write interest — HTTP connections mid-response.
-    pub const READ_WRITE: Interest = Interest {
-        readable: true,
-        writable: true,
-    };
-
-    fn mask(self) -> u32 {
-        let mut m = 0;
-        if self.readable {
-            m |= EPOLLIN;
-        }
-        if self.writable {
-            m |= EPOLLOUT;
-        }
-        m
-    }
+    pub const READ_WRITE: Interest = Interest(EPOLLIN | EPOLLOUT);
 }
 
-/// One readiness event, translated out of the kernel struct.
+/// One readiness event, translated out of the kernel struct. Anything
+/// but writability — readable, peer hangup, error — is for the owner
+/// to find out by reading the fd.
 #[derive(Debug, Clone, Copy)]
 pub struct Event {
     /// The token the fd was registered with.
     pub token: u64,
-    /// Readable (or a peer hangup, which reads as EOF).
-    pub readable: bool,
     /// Writable.
     pub writable: bool,
-    /// Error condition on the fd.
-    pub error: bool,
 }
 
 /// A level-triggered epoll instance. The file descriptor is owned:
@@ -156,7 +130,11 @@ impl Poller {
         Ok(Poller { epfd })
     }
 
-    fn ctl(&self, op: c_int, fd: RawFd, mut ev: EpollEvent) -> io::Result<()> {
+    fn ctl(&self, op: c_int, fd: RawFd, token: u64, interest: Interest) -> io::Result<()> {
+        let mut ev = EpollEvent {
+            events: interest.0,
+            data: token,
+        };
         // safety: `ev` is a live, properly-laid-out EpollEvent for the
         // duration of the call; epfd and fd are open descriptors owned
         // by the caller; the kernel only reads the struct.
@@ -169,31 +147,17 @@ impl Poller {
 
     /// Registers `fd` under `token`.
     pub fn add(&self, fd: RawFd, token: u64, interest: Interest) -> io::Result<()> {
-        self.ctl(
-            EPOLL_CTL_ADD,
-            fd,
-            EpollEvent {
-                events: interest.mask(),
-                data: token,
-            },
-        )
+        self.ctl(EPOLL_CTL_ADD, fd, token, interest)
     }
 
     /// Changes the interest set of a registered `fd`.
     pub fn modify(&self, fd: RawFd, token: u64, interest: Interest) -> io::Result<()> {
-        self.ctl(
-            EPOLL_CTL_MOD,
-            fd,
-            EpollEvent {
-                events: interest.mask(),
-                data: token,
-            },
-        )
+        self.ctl(EPOLL_CTL_MOD, fd, token, interest)
     }
 
     /// Removes `fd` from the interest list.
     pub fn delete(&self, fd: RawFd) -> io::Result<()> {
-        self.ctl(EPOLL_CTL_DEL, fd, EpollEvent { events: 0, data: 0 })
+        self.ctl(EPOLL_CTL_DEL, fd, 0, Interest(0))
     }
 
     /// Waits up to `timeout_ms` (-1 = forever) and appends readiness
@@ -220,9 +184,7 @@ impl Poller {
             let data = ev.data;
             out.push(Event {
                 token: data,
-                readable: events & (EPOLLIN | EPOLLHUP) != 0,
                 writable: events & EPOLLOUT != 0,
-                error: events & EPOLLERR != 0,
             });
         }
         Ok(())
@@ -240,27 +202,11 @@ impl Drop for Poller {
 /// Asks the kernel for a receive-buffer size on `fd` (the kernel may
 /// clamp to `net.core.rmem_max`; this is best-effort by design).
 pub fn set_recv_buffer(fd: RawFd, bytes: usize) -> io::Result<()> {
-    let val: c_int = c_int::try_from(bytes).unwrap_or(c_int::MAX);
-    // safety: optval points at a live c_int of exactly optlen bytes for
-    // the duration of the call; the kernel only reads it.
-    let rc = unsafe {
-        setsockopt(
-            fd,
-            SOL_SOCKET,
-            SO_RCVBUF,
-            (&val as *const c_int).cast::<c_void>(),
-            std::mem::size_of::<c_int>() as u32,
-        )
-    };
-    if rc < 0 {
-        return Err(io::Error::last_os_error());
-    }
-    Ok(())
+    set_sol_option(fd, SO_RCVBUF, c_int::try_from(bytes).unwrap_or(c_int::MAX))
 }
 
-/// Sets a boolean socket option to 1 at the `SOL_SOCKET` level.
-fn set_sol_flag(fd: RawFd, optname: c_int) -> io::Result<()> {
-    let val: c_int = 1;
+/// Sets an integer socket option at the `SOL_SOCKET` level.
+fn set_sol_option(fd: RawFd, optname: c_int, val: c_int) -> io::Result<()> {
     // safety: optval points at a live c_int of exactly optlen bytes for
     // the duration of the call; the kernel only reads it.
     let rc = unsafe {
@@ -278,36 +224,27 @@ fn set_sol_flag(fd: RawFd, optname: c_int) -> io::Result<()> {
     Ok(())
 }
 
-/// Sets `SO_REUSEPORT` on `fd`: several sockets may then bind the same
-/// address, with the kernel hashing incoming datagrams (by 4-tuple) and
-/// TCP connections across them — the distribution mechanism behind the
-/// daemon's sharded event loops.
-pub fn set_reuseport(fd: RawFd) -> io::Result<()> {
-    set_sol_flag(fd, SO_REUSEPORT)
-}
-
 /// Creates an IPv4 socket of type `ty` with `SO_REUSEPORT` set and
-/// binds it to `addr`, returning the raw fd wrapped in `wrap` so every
-/// error path closes it exactly once.
-fn bound_reuseport_fd<S>(
-    addr: SocketAddrV4,
-    ty: c_int,
-    wrap: impl FnOnce(RawFd) -> S,
-) -> io::Result<S> {
+/// binds it to `addr`.
+fn bound_reuseport_fd(addr: SocketAddrV4, ty: c_int) -> io::Result<OwnedFd> {
     // safety: socket(2) touches no caller memory; domain/type/protocol
     // are valid constants and the returned fd (or -1) is checked below.
     let fd = unsafe { socket(AF_INET, ty | SOCK_CLOEXEC, 0) };
     if fd < 0 {
         return Err(io::Error::last_os_error());
     }
-    // Wrapped immediately: from here the std owner closes the fd on
-    // every early return.
-    let sock = wrap(fd);
-    set_reuseport(fd)?;
+    // safety: fd was created by socket(2) just above and has no other
+    // owner; from here `sock` closes it exactly once, early returns
+    // included.
+    let sock = unsafe { OwnedFd::from_raw_fd(fd) };
+    // Several sockets may then bind the same address, with the kernel
+    // hashing incoming datagrams (by 4-tuple) and TCP connections
+    // across them — how the daemon's event loops are sharded.
+    set_sol_option(fd, SO_REUSEPORT, 1)?;
     if ty == SOCK_STREAM {
         // Before the bind, where it takes effect — matching std's
         // listener bind so TIME_WAIT remnants don't block restarts.
-        set_sol_flag(fd, SO_REUSEADDR)?;
+        set_sol_option(fd, SO_REUSEADDR, 1)?;
     }
     let sa = SockaddrIn::from_v4(addr);
     // safety: `sa` is a live, properly-laid-out sockaddr_in for the
@@ -324,12 +261,7 @@ fn bound_reuseport_fd<S>(
 /// the bind, so N event loops can each own a socket on the same port
 /// and the kernel spreads datagrams across them by flow hash.
 pub fn bind_udp_reuseport(addr: SocketAddrV4) -> io::Result<UdpSocket> {
-    bound_reuseport_fd(addr, SOCK_DGRAM, |fd| {
-        use std::os::unix::io::FromRawFd;
-        // safety: fd was created by socket(2) three lines up and has no
-        // other owner; UdpSocket takes sole ownership (closes on drop).
-        unsafe { UdpSocket::from_raw_fd(fd) }
-    })
+    bound_reuseport_fd(addr, SOCK_DGRAM).map(UdpSocket::from)
 }
 
 /// Binds an IPv4 TCP listener to `addr` with `SO_REUSEPORT` (and
@@ -337,28 +269,19 @@ pub fn bind_udp_reuseport(addr: SocketAddrV4) -> io::Result<UdpSocket> {
 /// so N event loops can each accept on the same port with the kernel
 /// sharding incoming connections across them.
 pub fn bind_tcp_reuseport(addr: SocketAddrV4, backlog: u32) -> io::Result<TcpListener> {
-    let listener = bound_reuseport_fd(addr, SOCK_STREAM, |fd| {
-        use std::os::unix::io::FromRawFd;
-        // safety: fd was created by socket(2) in bound_reuseport_fd and
-        // has no other owner; TcpListener takes sole ownership.
-        unsafe { TcpListener::from_raw_fd(fd) }
-    })?;
-    {
-        use std::os::unix::io::AsRawFd;
-        // safety: listen(2) touches no caller memory; the fd is open,
-        // bound, and owned by `listener`; the backlog is clamped to the
-        // C int range.
-        let rc = unsafe {
-            listen(
-                listener.as_raw_fd(),
-                c_int::try_from(backlog).unwrap_or(c_int::MAX),
-            )
-        };
-        if rc < 0 {
-            return Err(io::Error::last_os_error());
-        }
+    let sock = bound_reuseport_fd(addr, SOCK_STREAM)?;
+    // safety: listen(2) touches no caller memory; the fd is open, bound,
+    // and owned by `sock`; the backlog is clamped to the C int range.
+    let rc = unsafe {
+        listen(
+            sock.as_raw_fd(),
+            c_int::try_from(backlog).unwrap_or(c_int::MAX),
+        )
+    };
+    if rc < 0 {
+        return Err(io::Error::last_os_error());
     }
-    Ok(listener)
+    Ok(TcpListener::from(sock))
 }
 
 /// Write end of the SIGTERM self-pipe, published for the handler.
@@ -418,7 +341,6 @@ mod tests {
     use super::*;
     use std::io::Read;
     use std::net::UdpSocket;
-    use std::os::unix::io::AsRawFd;
 
     #[test]
     fn poller_sees_udp_readability() {
@@ -436,7 +358,6 @@ mod tests {
         poller.wait(&mut events, 2000).unwrap();
         assert_eq!(events.len(), 1);
         assert_eq!(events[0].token, 7);
-        assert!(events[0].readable);
 
         // Level-triggered: still readable until drained.
         events.clear();

@@ -70,6 +70,15 @@ fn serve_replay_rejects_bad_invocations() {
         &["--udp", "127.0.0.1:4739", "--flows", "lots"],
         "--flows needs a number",
     );
+    // Parseable but out of range: an empty message, and one whose u16
+    // length fields would wrap.
+    for n in ["0", "3000"] {
+        assert_usage_rejection(
+            SERVE_REPLAY,
+            &["--tcp", "127.0.0.1:4740", "--records-per-message", n],
+            "--records-per-message needs 1..=1924",
+        );
+    }
 }
 
 #[test]

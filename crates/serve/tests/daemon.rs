@@ -1,13 +1,13 @@
 //! Daemon integration: real sockets on loopback, UDP + TCP ingest, the
 //! HTTP endpoints, and the graceful-drain accounting identities.
 
-use mt_serve::replay::{self, Workload};
+use mt_serve::replay::{self, await_decoded, http_get, http_request, Workload};
 use mt_serve::{Daemon, ServeConfig};
 use mt_store::StoreConfig;
 use mt_stream::{HealthSnapshot, StreamConfig};
 use mt_types::{Day, RibIndex, SimDuration, Slot24Index};
 use std::io::{Read, Write};
-use std::net::{SocketAddr, TcpStream, UdpSocket};
+use std::net::{TcpStream, UdpSocket};
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -20,39 +20,6 @@ fn serve_config(lateness: SimDuration) -> ServeConfig {
         },
         ..ServeConfig::default()
     }
-}
-
-/// One blocking HTTP/1.1 GET; returns (status line, body).
-fn http_get(addr: SocketAddr, path: &str) -> (String, String) {
-    http_request(addr, &format!("GET {path} HTTP/1.1\r\nHost: t\r\n\r\n"))
-}
-
-fn http_request(addr: SocketAddr, raw: &str) -> (String, String) {
-    let mut sock = TcpStream::connect(addr).expect("connect http");
-    sock.write_all(raw.as_bytes()).expect("send request");
-    let mut response = Vec::new();
-    sock.read_to_end(&mut response).expect("read response");
-    let text = String::from_utf8(response).expect("utf8 response");
-    let status = text.lines().next().unwrap_or_default().to_owned();
-    let body = match text.find("\r\n\r\n") {
-        Some(i) => text[i + 4..].to_owned(),
-        None => String::new(),
-    };
-    (status, body)
-}
-
-/// Polls `/health` until `decoded` reaches `want` (or panics after ~10s).
-fn await_decoded(http: SocketAddr, want: u64) -> HealthSnapshot {
-    for _ in 0..1000 {
-        let (status, body) = http_get(http, "/health");
-        assert!(status.contains("200"), "health status: {status}");
-        let health: HealthSnapshot = serde_json::from_str(&body).expect("health json");
-        if health.decoded >= want {
-            return health;
-        }
-        std::thread::sleep(Duration::from_millis(10));
-    }
-    panic!("daemon never decoded {want} records");
 }
 
 #[test]
@@ -108,20 +75,23 @@ fn udp_and_tcp_ingest_match_and_drain_cleanly() {
         // Let the day fully land before the fleet moves on — otherwise
         // a fast TCP stream's day d+1 can advance the watermark past a
         // UDP peer's still-queued day-d datagrams.
-        await_decoded(http, per_day * u64::from(d + 1));
+        await_decoded(http, per_day * u64::from(d + 1)).expect("decoded");
     }
     for sock in &mut tcp_socks {
         sock.shutdown(std::net::Shutdown::Write)
             .expect("close write half");
     }
 
-    let live = await_decoded(http, w.total_flows());
+    let live = await_decoded(http, w.total_flows()).expect("decoded");
     live.check_invariants().expect("live health invariants");
 
     // The exposition endpoint is scrape-clean and carries both the
     // daemon's own metrics and the stream layer's.
-    let (status, body) = http_get(http, "/metrics");
-    assert!(status.contains("200 OK"), "metrics status: {status}");
+    let (status, body) = http_get(http, "/metrics").expect("get");
+    assert!(
+        status.starts_with("HTTP/1.1 200 OK"),
+        "metrics status: {status}"
+    );
     assert!(body.ends_with('\n'), "exposition ends with a newline");
     assert!(body.contains("# TYPE mt_serve_datagrams_total counter"));
     assert!(body.contains("# TYPE mt_serve_ingest_nanoseconds histogram"));
@@ -194,7 +164,7 @@ fn torn_datagrams_are_rejected_without_desync() {
     sock.send_to(&tailed, udp_to).expect("send");
     sock.send_to(&msgs[2], udp_to).expect("send");
 
-    let live = await_decoded(http, 40);
+    let live = await_decoded(http, 40).expect("decoded");
     assert_eq!(live.decoded, 40, "only the two clean datagrams count");
 
     handle.shutdown();
@@ -217,14 +187,18 @@ fn http_endpoints_reject_what_they_should() {
     let handle = daemon.shutdown_handle().expect("handle");
     let runner = std::thread::spawn(move || daemon.run());
 
-    let (status, _) = http_get(http, "/nope");
-    assert!(status.contains("404"), "unknown path: {status}");
-    let (status, _) = http_request(http, "POST /health HTTP/1.1\r\nHost: t\r\n\r\n");
-    assert!(status.contains("405"), "non-GET: {status}");
-    let (status, _) = http_request(http, " \r\n\r\n");
-    assert!(status.contains("400"), "garbage request line: {status}");
-    let (status, body) = http_get(http, "/health");
-    assert!(status.contains("200"), "health: {status}");
+    let (status, _) = http_get(http, "/nope").expect("get");
+    assert!(status.starts_with("HTTP/1.1 404"), "unknown path: {status}");
+    let (status, _) =
+        http_request(http, b"POST /health HTTP/1.1\r\nHost: t\r\n\r\n").expect("request");
+    assert!(status.starts_with("HTTP/1.1 405"), "non-GET: {status}");
+    let (status, _) = http_request(http, b" \r\n\r\n").expect("request");
+    assert!(
+        status.starts_with("HTTP/1.1 400"),
+        "garbage request line: {status}"
+    );
+    let (status, body) = http_get(http, "/health").expect("get");
+    assert!(status.starts_with("HTTP/1.1 200"), "health: {status}");
     let health: HealthSnapshot = serde_json::from_str(&body).expect("health json");
     assert_eq!(health.decoded, 0);
 
@@ -333,10 +307,16 @@ fn v1_endpoints_without_a_store_are_not_found() {
     let handle = daemon.shutdown_handle().expect("handle");
     let runner = std::thread::spawn(move || daemon.run());
 
-    let (status, _) = http_get(http, "/v1/block/20.0.0.0");
-    assert!(status.contains("404"), "no store, no block API: {status}");
-    let (status, _) = http_get(http, "/v1/windows/0/verdicts");
-    assert!(status.contains("404"), "no store, no window API: {status}");
+    let (status, _) = http_get(http, "/v1/block/20.0.0.0").expect("get");
+    assert!(
+        status.starts_with("HTTP/1.1 404"),
+        "no store, no block API: {status}"
+    );
+    let (status, _) = http_get(http, "/v1/windows/0/verdicts").expect("get");
+    assert!(
+        status.starts_with("HTTP/1.1 404"),
+        "no store, no window API: {status}"
+    );
 
     handle.shutdown();
     runner.join().expect("join").expect("run");
@@ -372,7 +352,7 @@ fn store_endpoints_serve_persisted_windows_across_a_restart() {
             .collect();
         replay::send_tcp(tcp_to, &messages).expect("send stream");
     }
-    await_decoded(http, w.total_flows());
+    await_decoded(http, w.total_flows()).expect("decoded");
     handle.shutdown();
     let out = runner.join().expect("join").expect("run");
     assert_eq!(out.stream.windows.len(), w.days as usize);
@@ -400,8 +380,8 @@ fn store_endpoints_serve_persisted_windows_across_a_restart() {
 
     // Point lookup inside announced space: answered from the summary
     // built across all three days.
-    let (status, body) = http_get(http, "/v1/block/20.0.0.0");
-    assert!(status.contains("200"), "point query: {status}");
+    let (status, body) = http_get(http, "/v1/block/20.0.0.0").expect("get");
+    assert!(status.starts_with("HTTP/1.1 200"), "point query: {status}");
     assert!(body.contains("\"block\":\"20.0.0.0\""), "body: {body}");
     assert!(body.contains("\"routed\":true"), "body: {body}");
     assert!(
@@ -414,32 +394,43 @@ fn store_endpoints_serve_persisted_windows_across_a_restart() {
     );
 
     // Outside announced space: still an answer, not an error.
-    let (status, body) = http_get(http, "/v1/block/1.2.3.4");
-    assert!(status.contains("200"), "unrouted point query: {status}");
+    let (status, body) = http_get(http, "/v1/block/1.2.3.4").expect("get");
+    assert!(
+        status.starts_with("HTTP/1.1 200"),
+        "unrouted point query: {status}"
+    );
     assert!(body.contains("\"routed\":false"), "body: {body}");
 
     // Bad address: 400.
-    let (status, _) = http_get(http, "/v1/block/not-an-ip");
-    assert!(status.contains("400"), "bad address: {status}");
+    let (status, _) = http_get(http, "/v1/block/not-an-ip").expect("get");
+    assert!(status.starts_with("HTTP/1.1 400"), "bad address: {status}");
 
     // Range scan over a persisted window, full and bounded.
-    let (status, body) = http_get(http, "/v1/windows/0/verdicts");
-    assert!(status.contains("200"), "range query: {status}");
+    let (status, body) = http_get(http, "/v1/windows/0/verdicts").expect("get");
+    assert!(status.starts_with("HTTP/1.1 200"), "range query: {status}");
     assert!(body.contains("\"day\":0"), "body: {body}");
-    let (status, _) = http_get(http, "/v1/windows/1/verdicts?from=20.0.0.0&to=20.0.255.0");
-    assert!(status.contains("200"), "bounded range query: {status}");
+    let (status, _) =
+        http_get(http, "/v1/windows/1/verdicts?from=20.0.0.0&to=20.0.255.0").expect("get");
+    assert!(
+        status.starts_with("HTTP/1.1 200"),
+        "bounded range query: {status}"
+    );
 
     // Unknown day is a 404; bad bounds are 400s.
-    let (status, _) = http_get(http, "/v1/windows/99/verdicts");
-    assert!(status.contains("404"), "unknown day: {status}");
-    let (status, _) = http_get(http, "/v1/windows/0/verdicts?from=zz");
-    assert!(status.contains("400"), "bad bound: {status}");
-    let (status, _) = http_get(http, "/v1/windows/0/verdicts?from=20.0.1.0&to=20.0.0.0");
-    assert!(status.contains("400"), "inverted bounds: {status}");
+    let (status, _) = http_get(http, "/v1/windows/99/verdicts").expect("get");
+    assert!(status.starts_with("HTTP/1.1 404"), "unknown day: {status}");
+    let (status, _) = http_get(http, "/v1/windows/0/verdicts?from=zz").expect("get");
+    assert!(status.starts_with("HTTP/1.1 400"), "bad bound: {status}");
+    let (status, _) =
+        http_get(http, "/v1/windows/0/verdicts?from=20.0.1.0&to=20.0.0.0").expect("get");
+    assert!(
+        status.starts_with("HTTP/1.1 400"),
+        "inverted bounds: {status}"
+    );
 
     // The store metrics are registered and the query counters moved.
-    let (status, body) = http_get(http, "/metrics");
-    assert!(status.contains("200"), "metrics: {status}");
+    let (status, body) = http_get(http, "/metrics").expect("get");
+    assert!(status.starts_with("HTTP/1.1 200"), "metrics: {status}");
     assert!(body.contains("mt_store_windows_persisted_total"));
     // Rejected requests (bad address, bad bounds) never reach the
     // query path: two valid points, three well-formed range scans

@@ -98,10 +98,24 @@ impl IpfixFlow {
     }
 }
 
+/// Encoded length of the template set: set header, template header,
+/// one `(ie, len)` pair per field.
+const TEMPLATE_SET_LEN: usize = 4 + 4 + FLOW_FIELDS.len() * 4;
+
+/// Bytes of a message before its first data record: message header,
+/// template set, data set header.
+const MESSAGE_OVERHEAD: usize = 16 + TEMPLATE_SET_LEN + 4;
+
+/// The most data records [`encode_messages`] puts in one message: the
+/// largest count whose message still fits a UDP payload (65 507 bytes),
+/// and with it the `u16` set and message length fields.
+pub const MAX_RECORDS_PER_MESSAGE: usize = (65_507 - MESSAGE_OVERHEAD) / FLOW_RECORD_LEN;
+
 /// Encodes flow records into one or more IPFIX messages.
 ///
 /// Each message carries the template set followed by a data set with up to
-/// `max_records_per_message` records. `sequence` is the exporter's running
+/// `max_records_per_message` records, capped at [`MAX_RECORDS_PER_MESSAGE`].
+/// `sequence` is the exporter's running
 /// data-record counter (RFC 7011 §3.1) and is advanced by this call.
 pub fn encode_messages(
     flows: &[IpfixFlow],
@@ -111,11 +125,12 @@ pub fn encode_messages(
     max_records_per_message: usize,
 ) -> Vec<Vec<u8>> {
     assert!(max_records_per_message > 0);
+    let per_message = max_records_per_message.min(MAX_RECORDS_PER_MESSAGE);
     let mut messages = Vec::new();
     let chunks: Vec<&[IpfixFlow]> = if flows.is_empty() {
         vec![&[][..]] // still emit one message so templates propagate
     } else {
-        flows.chunks(max_records_per_message).collect()
+        flows.chunks(per_message).collect()
     };
     for chunk in chunks {
         let mut msg = Vec::with_capacity(64 + chunk.len() * FLOW_RECORD_LEN);
@@ -126,9 +141,8 @@ pub fn encode_messages(
         msg.put_u32(*sequence);
         msg.put_u32(domain);
         // Template set.
-        let tmpl_len = 4 + 4 + FLOW_FIELDS.len() * 4;
         msg.put_u16(TEMPLATE_SET_ID);
-        msg.put_u16(tmpl_len as u16);
+        msg.put_u16(TEMPLATE_SET_LEN as u16);
         msg.put_u16(FLOW_TEMPLATE_ID);
         msg.put_u16(FLOW_FIELDS.len() as u16);
         for &(ie, len) in FLOW_FIELDS {
@@ -483,6 +497,30 @@ mod tests {
         }
         assert_eq!(out, flows);
         assert_eq!(collector.skipped_records, 0);
+    }
+
+    #[test]
+    fn oversized_message_requests_are_capped_so_no_length_field_wraps() {
+        // 3 000 records would need a 102 064-byte message, more than
+        // the u16 set and message length fields can say: uncapped, the
+        // lengths wrap and the collector loses most of the records.
+        let flows: Vec<IpfixFlow> = (0..6_000).map(sample_flow).collect();
+        let mut seq = 0;
+        let msgs = encode_messages(&flows, 42, 7, &mut seq, 3_000);
+        assert_eq!(seq, 6_000);
+        let mut collector = Collector::new();
+        let mut out = Vec::new();
+        for m in &msgs {
+            collector.decode_message(m, &mut out).unwrap();
+        }
+        assert_eq!(out.len(), flows.len(), "every record comes back");
+        assert_eq!(out, flows);
+        assert_eq!(collector.skipped_sets(), 0);
+        assert_eq!(msgs.len(), 6_000usize.div_ceil(MAX_RECORDS_PER_MESSAGE));
+        assert!(
+            msgs.iter().all(|m| m.len() <= 65_507),
+            "each fits a datagram"
+        );
     }
 
     #[test]

@@ -14,16 +14,16 @@ use metatelescope::flow::sharded::DEFAULT_SHARDS;
 use metatelescope::flow::stats::DEFAULT_SIZE_THRESHOLD;
 use metatelescope::flow::{FlowRecord, ShardedTrafficStats};
 use metatelescope::netmodel::{Internet, InternetConfig};
+use metatelescope::serve::replay::await_decoded;
 use metatelescope::serve::{Daemon, ServeConfig};
-use metatelescope::stream::{HealthSnapshot, OverflowPolicy, StreamConfig, StreamOutput};
+use metatelescope::stream::{OverflowPolicy, StreamConfig, StreamOutput};
 use metatelescope::traffic::{generate_day, CaptureSet, SpoofSpace, TrafficConfig};
 use metatelescope::types::{Day, SimDuration};
 use metatelescope::wire::ipfix;
 use std::collections::HashMap;
-use std::io::{Read, Write};
-use std::net::{SocketAddr, TcpStream, UdpSocket};
+use std::io::Write;
+use std::net::{TcpStream, UdpSocket};
 use std::sync::Arc;
-use std::time::Duration;
 
 const DAYS: u32 = 3;
 const LOOP_COUNTS: [usize; 3] = [1, 2, 4];
@@ -33,31 +33,6 @@ fn assert_results_equal(a: &PipelineResult, b: &PipelineResult, what: &str) {
     assert_eq!(a.unclean, b.unclean, "{what}: unclean sets differ");
     assert_eq!(a.gray, b.gray, "{what}: gray sets differ");
     assert_eq!(a.funnel, b.funnel, "{what}: funnels differ");
-}
-
-fn http_get(addr: SocketAddr, path: &str) -> String {
-    let mut sock = TcpStream::connect(addr).expect("connect http");
-    sock.write_all(format!("GET {path} HTTP/1.1\r\nHost: t\r\n\r\n").as_bytes())
-        .expect("send request");
-    let mut response = Vec::new();
-    sock.read_to_end(&mut response).expect("read response");
-    let text = String::from_utf8(response).expect("utf8 response");
-    match text.find("\r\n\r\n") {
-        Some(i) => text[i + 4..].to_owned(),
-        None => String::new(),
-    }
-}
-
-fn await_decoded(http: SocketAddr, want: u64) {
-    for _ in 0..2000 {
-        let health: HealthSnapshot =
-            serde_json::from_str(&http_get(http, "/health")).expect("health json");
-        if health.decoded >= want {
-            return;
-        }
-        std::thread::sleep(Duration::from_millis(10));
-    }
-    panic!("daemon never decoded {want} records");
 }
 
 /// Delivers the pre-generated days over real sockets to a daemon with
@@ -126,7 +101,7 @@ fn socket_run(
             }
             sent += records.len() as u64;
         }
-        await_decoded(http, sent);
+        await_decoded(http, sent).expect("decoded");
     }
     for transport in transports.values_mut() {
         if let Err(sock) = transport {
