@@ -1,7 +1,7 @@
 //! Exploratory end-to-end run used while calibrating the scenario.
 //! Run: `cargo run --release -p mt-bench --example explore [paper]`
 
-use mt_core::{analysis, classifier, eval, pipeline, SpoofTolerance};
+use mt_core::{analysis, classifier, eval, pipeline, PipelineEngine, SpoofTolerance};
 use mt_netmodel::{AuxDatasets, Internet, InternetConfig};
 use mt_traffic::{generate_day, CaptureSet, SpoofSpace, TrafficConfig};
 use mt_types::Day;
@@ -84,7 +84,7 @@ fn main() {
     let pc = pipeline::PipelineConfig::default();
     let mut all_stats: Option<mt_flow::ShardedTrafficStats> = None;
     for vo in &capture.vantages {
-        let r = pipeline::run(&vo.stats, &rib, vo.vp.sampling_rate, 1, &pc);
+        let r = PipelineEngine::standard().run(&vo.stats, &rib, vo.vp.sampling_rate, 1, &pc);
         let gt = eval::GroundTruthReport::evaluate(&r.dark, &net, day, 1);
         println!(
             "{}: flows={} funnel={:?} dark={} unclean={} gray={} precision={:.1}% recall={:.1}%",
@@ -106,7 +106,7 @@ fn main() {
     let tol = SpoofTolerance::estimate(&all, net.unrouted_octets(), 0.9999);
     println!("spoof tolerance: {tol:?}");
     let rate = net.vantage_points[0].sampling_rate;
-    let r = pipeline::run(&all, &rib, rate, 1, &pc);
+    let r = PipelineEngine::standard().run(&all, &rib, rate, 1, &pc);
     let gt = eval::GroundTruthReport::evaluate(&r.dark, &net, day, 1);
     println!(
         "ALL: funnel={:?} dark={} unclean={} gray={} precision={:.1}% recall={:.1}%",

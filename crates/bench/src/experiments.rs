@@ -4,7 +4,7 @@
 use crate::harness::{SimData, World, SERIES};
 use crate::report::{pct, row, Report};
 use mt_core::render::HilbertMap;
-use mt_core::{analysis, baseline, classifier, eval, pipeline};
+use mt_core::{analysis, baseline, classifier, eval, pipeline, PipelineEngine};
 use mt_flow::sampling::thin_records;
 use mt_flow::TrafficStats;
 use mt_telescope::{port_overlap, PortRanking, TelescopeWeekStats};
@@ -190,17 +190,21 @@ fn fig2(_world: &World, data: &SimData) -> Report {
         "Figure 2: Inference pipeline funnel (all IXPs, day 0)",
     );
     let all = day0_result(data, "All");
-    let f = &all.funnel;
-    for (label, v) in [
-        ("destination /24s seen", f.seen()),
-        ("after 1. TCP traffic", f.after_tcp()),
-        ("after 2. average <= 44 bytes", f.after_avg()),
-        ("after 3. clean source remains", f.after_origin()),
-        ("after 4. not private/reserved", f.after_special()),
-        ("after 5. globally routed", f.after_routed()),
-        ("after 6. volume cap", f.after_volume()),
-    ] {
-        r.line(format!("{:>32}: {v}", label));
+    r.line(format!(
+        "{:>32}: {}",
+        "destination /24s seen",
+        all.funnel.seen()
+    ));
+    let labels = [
+        "after 1. TCP traffic",
+        "after 2. average <= 44 bytes",
+        "after 3. clean source remains",
+        "after 4. not private/reserved",
+        "after 5. globally routed",
+        "after 6. volume cap",
+    ];
+    for (label, stage) in labels.into_iter().zip(all.funnel.stages()) {
+        r.line(format!("{:>32}: {}", label, stage.kept));
     }
     r.blank();
     r.line(format!(
@@ -628,7 +632,7 @@ fn fig10(world: &World, data: &SimData) -> Report {
     for factor in [1u32, 2, 4, 8, 16, 32, 64, 128, 180, 256] {
         let thinned = thin_records(records, factor, &mut StdRng::seed_from_u64(world.seed));
         let stats = TrafficStats::from_records(&thinned);
-        let result = pipeline::run(&stats, &rib, rate * factor, 1, &pc);
+        let result = PipelineEngine::standard().run(&stats, &rib, rate * factor, 1, &pc);
         let gt = eval::GroundTruthReport::evaluate(&result.dark, &world.net, Day(0), 1);
         let packets: u64 = thinned.iter().map(|f| f.packets).sum();
         r.line(row(

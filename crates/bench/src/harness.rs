@@ -247,12 +247,12 @@ pub fn simulate(world: &World, needs: Needs) -> SimData {
                 records.append(&mut r);
             }
             if d == 0 && needs.vp_day0 {
-                let result = pipeline::run(&vo.stats, &rib_day, rate, 1, &pc);
+                let result = PipelineEngine::standard().run(&vo.stats, &rib_day, rate, 1, &pc);
                 data.day0_flows.insert(code.clone(), vo.sampled_flows);
                 data.day0_results.push((code.clone(), result));
             }
             if SERIES.contains(&code.as_str()) {
-                let result = pipeline::run(&vo.stats, &rib_day, rate, 1, &pc);
+                let result = PipelineEngine::standard().run(&vo.stats, &rib_day, rate, 1, &pc);
                 daily_point.dark.insert(code.clone(), result.dark.len());
                 if needs.cumulative {
                     cumulative

@@ -15,6 +15,7 @@
 //!   IXP-style sampling the reverse flow is often simply unsampled, so
 //!   its false positives grow with the sampling rate.
 
+use crate::engine::PipelineEngine;
 use crate::pipeline::PipelineConfig;
 use mt_flow::{FlowRecord, TrafficView};
 use mt_types::{Asn, Block24, Block24Set, PrefixTrie, RibIndex, SpecialRegistry};
@@ -100,7 +101,9 @@ impl BaselineComparison {
     ) -> Self {
         BaselineComparison {
             baseline: origin_only(stats, rib),
-            pipeline: crate::pipeline::run(stats, rib, sampling_rate, days, config).dark,
+            pipeline: PipelineEngine::standard()
+                .run(stats, rib, sampling_rate, days, config)
+                .dark,
         }
     }
 
@@ -198,7 +201,7 @@ mod tests {
         let dark = one_way_blocks(&records, &rib());
         assert_eq!(dark.len(), 1, "one-way is fooled");
         let stats = TrafficStats::from_records(&records);
-        let full = crate::pipeline::run(&stats, &rib(), 1, 1, &PipelineConfig::default());
+        let full = PipelineEngine::standard().run(&stats, &rib(), 1, 1, &PipelineConfig::default());
         assert!(full.dark.is_empty(), "the fingerprint rejects it");
     }
 

@@ -6,11 +6,9 @@
 //! [`TrafficStats`] — counters add, host sets union — plus a RIB that
 //! covers the window.
 
-use crate::pipeline::{self, PipelineConfig, PipelineResult};
-use mt_flow::{ShardedTrafficStats, TrafficStats};
+use mt_flow::TrafficStats;
 use mt_netmodel::Internet;
 use mt_types::{Asn, Day, PrefixTrie};
-use parking_lot::Mutex;
 
 /// Merges any number of stats into one (vantage-point union and/or
 /// day concatenation).
@@ -50,76 +48,6 @@ pub fn rib_union(net: &Internet, first: Day, days: u32) -> PrefixTrie<Asn> {
         }
     }
     union
-}
-
-/// Merges per-part stats into a sharded accumulator with a shard-wise
-/// parallel reduction: each worker owns a contiguous range of shards
-/// and, per shard, folds in just the matching blocks of every part.
-///
-/// Equivalent in content to [`merge_stats`] (modulo the sharded
-/// representation); worthwhile when merging many large
-/// per-vantage-point accumulators on a multi-core box, and the natural
-/// input for [`crate::engine::PipelineEngine::run_sharded`].
-pub fn merge_stats_sharded(
-    parts: &[TrafficStats],
-    num_shards: usize,
-    threads: usize,
-) -> ShardedTrafficStats {
-    assert!(threads >= 1);
-    ShardedTrafficStats::from_parts_parallel(parts, num_shards, threads)
-}
-
-/// Merges stats in parallel, returning the flat representation.
-/// Equivalent to [`merge_stats`] (same empty-input and
-/// threshold-mismatch behaviour).
-///
-/// Since the sharded-stats refactor this is a shard-wise reduction
-/// ([`merge_stats_sharded`] + [`ShardedTrafficStats::into_unsharded`])
-/// instead of a tree reduction over pairwise merges: workers own
-/// disjoint shard ranges, so no block is merged more than once and no
-/// intermediate accumulators are cloned.
-pub fn merge_stats_parallel(parts: Vec<TrafficStats>, threads: usize) -> TrafficStats {
-    assert!(threads >= 1);
-    if parts.len() <= 1 || threads == 1 {
-        return merge_stats(parts);
-    }
-    // 4 shards per worker keeps the per-shard scan cost balanced even
-    // when block keys cluster.
-    merge_stats_sharded(&parts, threads * 4, threads).into_unsharded()
-}
-
-/// Runs the pipeline over several independent stat sets concurrently
-/// (e.g. the 14 per-vantage-point day results of Table 6), preserving
-/// input order.
-pub fn run_pipelines_parallel(
-    inputs: &[&TrafficStats],
-    rib: &PrefixTrie<Asn>,
-    sampling_rate: u32,
-    days: u32,
-    config: &PipelineConfig,
-    threads: usize,
-) -> Vec<PipelineResult> {
-    assert!(threads >= 1);
-    let results: Vec<Mutex<Option<PipelineResult>>> =
-        inputs.iter().map(|_| Mutex::new(None)).collect();
-    let chunk = inputs.len().div_ceil(threads).max(1);
-    crossbeam::thread::scope(|scope| {
-        for (stats_chunk, result_chunk) in inputs.chunks(chunk).zip(results.chunks(chunk)) {
-            scope.spawn(move |_| {
-                for (stats, slot) in stats_chunk.iter().zip(result_chunk) {
-                    // lock: core.combine_slot
-                    *slot.lock() = Some(pipeline::run(*stats, rib, sampling_rate, days, config));
-                }
-            });
-        }
-    })
-    // check: allow(no_panic, "scope() errs only if a worker panicked; re-raising on the coordinator is intended")
-    .expect("pipeline worker panicked");
-    results
-        .into_iter()
-        // check: allow(no_panic, "the scope above writes every slot exactly once before joining")
-        .map(|m| m.into_inner().expect("filled"))
-        .collect()
 }
 
 #[cfg(test)]
@@ -175,80 +103,6 @@ mod tests {
         let a = TrafficStats::with_size_threshold(44);
         let b = TrafficStats::with_size_threshold(100);
         let _ = merge_stats([a, b]);
-    }
-
-    #[test]
-    #[should_panic(expected = "different host-size thresholds")]
-    fn parallel_merge_rejects_mismatched_thresholds() {
-        let a = TrafficStats::with_size_threshold(44);
-        let b = TrafficStats::with_size_threshold(100);
-        let c = TrafficStats::with_size_threshold(44);
-        let _ = merge_stats_parallel(vec![a, b, c], 2);
-    }
-
-    #[test]
-    fn parallel_merge_equals_sequential() {
-        let mut parts = Vec::new();
-        for i in 0..7u32 {
-            let records: Vec<FlowRecord> = (0..50)
-                .map(|j| flow(0x1400_0000 + i * 1000 + j, 1 + u64::from(j % 3)))
-                .collect();
-            parts.push(TrafficStats::from_records(&records));
-        }
-        let sequential = merge_stats(parts.clone());
-        for threads in [1, 2, 4] {
-            let parallel = merge_stats_parallel(parts.clone(), threads);
-            assert_eq!(parallel.total_flows, sequential.total_flows);
-            assert_eq!(parallel.total_packets, sequential.total_packets);
-            assert_eq!(parallel.dst_block_count(), sequential.dst_block_count());
-        }
-    }
-
-    #[test]
-    fn sharded_merge_matches_flat_merge() {
-        let mut parts = Vec::new();
-        for i in 0..5u32 {
-            let records: Vec<FlowRecord> = (0..60)
-                .map(|j| flow(0x1400_0000 + i * 500 + j * 13, 1 + u64::from(j % 4)))
-                .collect();
-            parts.push(TrafficStats::from_records(&records));
-        }
-        let flat = merge_stats(parts.clone());
-        let sharded = merge_stats_sharded(&parts, 8, 3);
-        assert_eq!(sharded.num_shards(), 8);
-        let reassembled = sharded.into_unsharded();
-        assert_eq!(reassembled.total_flows, flat.total_flows);
-        assert_eq!(reassembled.total_packets, flat.total_packets);
-        assert_eq!(reassembled.total_octets, flat.total_octets);
-        assert_eq!(reassembled.dst_block_count(), flat.dst_block_count());
-        for (block, d) in flat.iter_dst() {
-            let r = reassembled.dst(block).expect("block present");
-            assert_eq!(r.tcp_packets, d.tcp_packets);
-            assert_eq!(r.tcp_octets, d.tcp_octets);
-        }
-    }
-
-    #[test]
-    fn parallel_pipelines_match_sequential_runs() {
-        let sets: Vec<TrafficStats> = (0..5u32)
-            .map(|i| {
-                let records: Vec<FlowRecord> = (0..40)
-                    .map(|j| flow(0x1400_0000 + i * 777 + j, 2))
-                    .collect();
-                TrafficStats::from_records(&records)
-            })
-            .collect();
-        let refs: Vec<&TrafficStats> = sets.iter().collect();
-        let rib: PrefixTrie<Asn> = [("20.0.0.0/8".parse().unwrap(), Asn(1))]
-            .into_iter()
-            .collect();
-        let pc = PipelineConfig::default();
-        let parallel = run_pipelines_parallel(&refs, &rib, 1, 1, &pc, 3);
-        for (stats, result) in sets.iter().zip(&parallel) {
-            let expected = pipeline::run(stats, &rib, 1, 1, &pc);
-            assert_eq!(result.dark, expected.dark);
-            assert_eq!(result.funnel, expected.funnel);
-        }
     }
 
     #[test]

@@ -1,83 +1,185 @@
-//! The staged pipeline engine: the seven-step loop of Section 4.2
-//! decomposed into composable [`Stage`]s.
+//! The inference funnel of Section 4.2 (Figure 2): the one place the
+//! seven steps are defined and run.
 //!
-//! The engine separates three concerns the original hard-coded loop
-//! tangled together:
-//!
-//! - **what a step decides** — each filter is a [`Stage`] returning a
-//!   [`Verdict`] for one destination /24, given the block's aggregates
-//!   ([`BlockCtx`]) and the run-wide environment ([`StageEnv`]);
-//! - **how the funnel is accounted** — the engine counts entered/kept
-//!   per stage into a [`crate::pipeline::Funnel`], so drop
-//!   reasons fall out of the stage list instead of hand-maintained
-//!   counters;
-//! - **how blocks are traversed** — [`PipelineEngine::run`] walks any
-//!   [`TrafficView`] serially, while [`PipelineEngine::run_sharded`]
-//!   runs the same stage vector over each shard of a
-//!   [`ShardedTrafficStats`] in parallel and folds the per-shard
-//!   funnels and sets. Because every stage only reads its own block's
-//!   dst/src aggregates — and sharding co-locates both halves of a
-//!   block — per-shard runs partition the work exactly, and the folded
-//!   result is bit-identical to the serial run.
-//!
-//! [`crate::pipeline::run`] remains as a thin compatibility wrapper over
-//! the standard stage vector.
+//! The funnel consumes only *observable* inputs: per-/24 aggregates of
+//! sampled flows, a RIB, and the special-purpose registry. Ground truth
+//! never enters here. [`PipelineEngine::run`] walks any [`TrafficView`]
+//! serially; [`PipelineEngine::run_sharded`] runs the same steps over
+//! each shard of a [`ShardedTrafficStats`] in parallel and folds the
+//! per-shard funnels and sets. Because every step only reads its own
+//! block's dst/src aggregates — and sharding co-locates both halves of a
+//! block — per-shard runs partition the work exactly, and the folded
+//! result is bit-identical to the serial run.
 
-use crate::pipeline::{Funnel, PipelineConfig, PipelineResult};
+use crate::pipeline::{PipelineConfig, PipelineResult};
 use mt_flow::{DstRef, HostSet, ShardedTrafficStats, SrcRef, TrafficView};
 use mt_obs::{Counter, Histogram, MetricsRegistry, DEFAULT_TIME_BUCKETS};
 use mt_types::{Asn, Block24, Block24Set, PrefixTrie, RibIndex, SpecialRegistry};
-use parking_lot::Mutex;
 use std::cell::OnceCell;
 use std::time::Instant;
 
-/// A stage's decision for one candidate block.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Verdict {
-    /// The block stays a candidate.
-    Keep,
-    /// The block leaves the funnel at this stage.
-    Drop,
+/// One filtering step of the funnel. Step semantics (see DESIGN.md for
+/// the mapping to the paper's funnel):
+///
+/// 1. **TCP** (`tcp`) — a block with no sampled TCP cannot be
+///    fingerprinted; dropped.
+/// 2. **Average packet size** (`avg_size`) — blocks whose block-level
+///    average TCP size exceeds the threshold are dropped (the
+///    Section 4.1 fingerprint).
+/// 3. **Source address unseen** (`clean_origin`) — hosts seen
+///    originating traffic are disqualified; a block whose origination
+///    exceeds the spoofing tolerance *and* retains no clean receiving
+///    host is dropped. Blocks with both originators and clean receivers
+///    stay and are later classified gray.
+/// 4. **Private / multicast / reserved** (`special`) — RFC 6890 space
+///    is dropped.
+/// 5. **Globally routed** (`routed`) — blocks outside the window's RIB
+///    are dropped.
+/// 6. **Volume** (`volume`) — blocks whose estimated true packet rate
+///    exceeds the per-day cap are dropped (asymmetric-routing decoys:
+///    CDN ACK streams look like IBR but are orders of magnitude
+///    heavier).
+/// 7. **Classification** — surviving blocks become **dark** (every
+///    TCP-receiving host is clean and nothing originated), **unclean**
+///    (no originators, but some host received large TCP), or **gray**
+///    (some host originated while another stayed clean).
+#[derive(Debug, Clone, Copy)]
+enum Step {
+    Tcp,
+    AvgSize,
+    CleanOrigin,
+    Special,
+    Routed,
+    Volume,
 }
 
-/// Run-wide environment shared by all stages.
-pub struct StageEnv<'a> {
-    /// The routed-prefix table for the observation window.
-    pub rib: &'a PrefixTrie<Asn>,
-    /// Flat LPM index compiled from [`rib`](Self::rib) once per run —
-    /// the hot-path view the per-block stages query. Plain arrays, so
-    /// sharing `&StageEnv` across shard workers stays `Sync`.
-    pub rib_index: RibIndex<Asn>,
-    /// RFC 6890 special-purpose registry.
-    pub special: &'a SpecialRegistry,
-    /// Pipeline thresholds.
-    pub config: &'a PipelineConfig,
+/// The six filter steps, in funnel order.
+const STEPS: [Step; 6] = [
+    Step::Tcp,
+    Step::AvgSize,
+    Step::CleanOrigin,
+    Step::Special,
+    Step::Routed,
+    Step::Volume,
+];
+
+impl Step {
+    /// Stable stage name: the funnel's [`StageCount::name`] and the
+    /// `stage` label of every `mt_pipeline_*` series.
+    fn name(self) -> &'static str {
+        match self {
+            Step::Tcp => "tcp",
+            Step::AvgSize => "avg_size",
+            Step::CleanOrigin => "clean_origin",
+            Step::Special => "special",
+            Step::Routed => "routed",
+            Step::Volume => "volume",
+        }
+    }
+
+    /// Whether `ctx.block` survives this step.
+    fn keeps(self, ctx: &BlockCtx<'_>, env: &Env<'_>) -> bool {
+        match self {
+            Step::Tcp => ctx.dst.tcp_packets > 0,
+            Step::AvgSize => ctx
+                .dst
+                .avg_tcp_size()
+                .is_some_and(|avg| avg <= env.config.avg_size_threshold),
+            Step::CleanOrigin => !ctx.clean_hosts(env).is_empty(),
+            Step::Special => !env.special.is_special_block(ctx.block),
+            Step::Routed => env.rib_index.contains_addr(ctx.block.base()),
+            Step::Volume => ctx.dst.total_packets() as f64 <= env.volume_cap,
+        }
+    }
+}
+
+/// Candidate accounting for one stage of the funnel.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct StageCount {
+    /// The stage's name (`tcp`, `avg_size`, `clean_origin`, `special`,
+    /// `routed`, `volume`).
+    pub name: &'static str,
+    /// Blocks that reached this stage: the previous stage's `kept`
+    /// (for the first stage, [`Funnel::seen`]).
+    pub entered: u64,
+    /// Blocks that survived it; `entered - kept` is the stage's drop
+    /// count.
+    pub kept: u64,
+}
+
+/// Per-stage candidate accounting (the funnel of Figure 2).
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct Funnel {
+    seen: u64,
+    stages: [StageCount; 6],
+}
+
+impl Default for Funnel {
+    /// A zeroed funnel.
+    fn default() -> Self {
+        Funnel {
+            seen: 0,
+            stages: STEPS.map(|step| StageCount {
+                name: step.name(),
+                entered: 0,
+                kept: 0,
+            }),
+        }
+    }
+}
+
+impl Funnel {
+    /// /24s with any sampled traffic toward them.
+    pub fn seen(&self) -> u64 {
+        self.seen
+    }
+
+    /// The per-stage counters, in funnel order.
+    pub fn stages(&self) -> &[StageCount; 6] {
+        &self.stages
+    }
+
+    /// Adds another funnel's counts into this one.
+    pub fn absorb(&mut self, other: &Funnel) {
+        self.seen += other.seen;
+        for (mine, theirs) in self.stages.iter_mut().zip(&other.stages) {
+            mine.entered += theirs.entered;
+            mine.kept += theirs.kept;
+        }
+    }
+}
+
+/// Run-wide environment shared by all steps.
+struct Env<'a> {
+    /// Flat LPM index compiled from the window's RIB once per run.
+    /// Plain arrays, so sharing `&Env` across shard workers stays
+    /// `Sync`.
+    rib_index: RibIndex<Asn>,
+    special: &'a SpecialRegistry,
+    config: &'a PipelineConfig,
     /// Step-6 cap on *sampled* packets, already scaled by window length
     /// and sampling rate.
-    pub volume_cap: f64,
+    volume_cap: f64,
 }
 
 /// One destination /24 under evaluation, with lazily derived host sets.
 ///
-/// The source-side lookup and the originating/clean host computations
-/// are memoized so they run at most once per block no matter how many
-/// stages (or the final classification) consult them — and not at all
-/// for blocks dropped before step 3, matching the original loop's cost
-/// profile.
-pub struct BlockCtx<'a> {
-    /// The block under evaluation.
-    pub block: Block24,
+/// The source-side lookup and the originating host set are memoized so
+/// they run at most once per block no matter how many steps (or the
+/// final classification) consult them — and not at all for blocks
+/// dropped before step 3.
+struct BlockCtx<'a> {
+    block: Block24,
     /// Receive-side aggregates for the block (a cheap by-value view —
     /// the columnar backend has no materialized struct to borrow).
-    pub dst: DstRef<'a>,
+    dst: DstRef<'a>,
     src_lookup: &'a dyn Fn(Block24) -> Option<SrcRef>,
     src: OnceCell<Option<SrcRef>>,
     originating: OnceCell<HostSet>,
 }
 
 impl<'a> BlockCtx<'a> {
-    /// Builds a context around one block's aggregates.
-    pub fn new(
+    fn new(
         block: Block24,
         dst: DstRef<'a>,
         src_lookup: &'a dyn Fn(Block24) -> Option<SrcRef>,
@@ -92,132 +194,27 @@ impl<'a> BlockCtx<'a> {
     }
 
     /// Send-side aggregates of this block, if it originated anything.
-    pub fn src(&self) -> Option<SrcRef> {
+    fn src(&self) -> Option<SrcRef> {
         *self.src.get_or_init(|| (self.src_lookup)(self.block))
     }
 
     /// Hosts disqualified as originators: the block's originating hosts
     /// if its sampled origination exceeds the spoofing tolerance,
     /// otherwise none (light origination is forgiven as spoofed blame).
-    pub fn originating(&self, env: &StageEnv) -> &HostSet {
-        self.originating.get_or_init(|| {
-            let origin_pkts = self.src().map(|s| s.packets).unwrap_or(0);
-            if origin_pkts > env.config.spoof_tolerance_packets {
-                self.src().map(|s| s.originating).unwrap_or(HostSet::EMPTY)
-            } else {
-                HostSet::EMPTY
-            }
+    fn originating(&self, env: &Env) -> &HostSet {
+        self.originating.get_or_init(|| match self.src() {
+            Some(s) if s.packets > env.config.spoof_tolerance_packets => s.originating,
+            _ => HostSet::EMPTY,
         })
     }
 
     /// Hosts that received only small TCP and are not disqualified as
     /// originators — the "clean receiving hosts" of step 3.
-    pub fn clean_hosts(&self, env: &StageEnv) -> HostSet {
+    fn clean_hosts(&self, env: &Env) -> HostSet {
         self.dst
             .received_tcp
             .difference(&self.dst.received_big_tcp)
             .difference(self.originating(env))
-    }
-}
-
-/// One filtering step of the inference funnel.
-pub trait Stage: Send + Sync {
-    /// Stable stage name, used for funnel accounting and reporting.
-    fn name(&self) -> &'static str;
-
-    /// Decides whether `ctx.block` survives this stage.
-    fn apply(&self, ctx: &BlockCtx<'_>, env: &StageEnv<'_>) -> Verdict;
-}
-
-fn verdict(keep: bool) -> Verdict {
-    if keep {
-        Verdict::Keep
-    } else {
-        Verdict::Drop
-    }
-}
-
-/// Step 1: a block with no sampled TCP cannot be fingerprinted.
-pub struct TcpStage;
-
-impl Stage for TcpStage {
-    fn name(&self) -> &'static str {
-        "tcp"
-    }
-
-    fn apply(&self, ctx: &BlockCtx<'_>, _env: &StageEnv<'_>) -> Verdict {
-        verdict(ctx.dst.tcp_packets > 0)
-    }
-}
-
-/// Step 2: the block-level average TCP size must stay at or under the
-/// fingerprint threshold (Section 4.1).
-pub struct AvgSizeStage;
-
-impl Stage for AvgSizeStage {
-    fn name(&self) -> &'static str {
-        "avg_size"
-    }
-
-    fn apply(&self, ctx: &BlockCtx<'_>, env: &StageEnv<'_>) -> Verdict {
-        match ctx.dst.avg_tcp_size() {
-            Some(avg) => verdict(avg <= env.config.avg_size_threshold),
-            None => Verdict::Drop,
-        }
-    }
-}
-
-/// Step 3: after disqualifying originating hosts (beyond the spoofing
-/// tolerance), at least one clean receiving host must remain.
-pub struct CleanOriginStage;
-
-impl Stage for CleanOriginStage {
-    fn name(&self) -> &'static str {
-        "clean_origin"
-    }
-
-    fn apply(&self, ctx: &BlockCtx<'_>, env: &StageEnv<'_>) -> Verdict {
-        verdict(!ctx.clean_hosts(env).is_empty())
-    }
-}
-
-/// Step 4: RFC 6890 special-purpose space is dropped.
-pub struct SpecialStage;
-
-impl Stage for SpecialStage {
-    fn name(&self) -> &'static str {
-        "special"
-    }
-
-    fn apply(&self, ctx: &BlockCtx<'_>, env: &StageEnv<'_>) -> Verdict {
-        verdict(!env.special.is_special_block(ctx.block))
-    }
-}
-
-/// Step 5: the block must be globally routed during the window.
-pub struct RoutedStage;
-
-impl Stage for RoutedStage {
-    fn name(&self) -> &'static str {
-        "routed"
-    }
-
-    fn apply(&self, ctx: &BlockCtx<'_>, env: &StageEnv<'_>) -> Verdict {
-        verdict(env.rib_index.contains_addr(ctx.block.base()))
-    }
-}
-
-/// Step 6: the estimated true packet rate must stay under the per-day
-/// cap (asymmetric-routing decoys).
-pub struct VolumeStage;
-
-impl Stage for VolumeStage {
-    fn name(&self) -> &'static str {
-        "volume"
-    }
-
-    fn apply(&self, ctx: &BlockCtx<'_>, env: &StageEnv<'_>) -> Verdict {
-        verdict(ctx.dst.total_packets() as f64 <= env.volume_cap)
     }
 }
 
@@ -227,128 +224,96 @@ impl Stage for VolumeStage {
 struct EngineMetrics {
     runs: Counter,
     seen: Counter,
-    stage_entered: Vec<Counter>,
-    stage_kept: Vec<Counter>,
+    stage_entered: [Counter; 6],
+    stage_kept: [Counter; 6],
     run_time: Histogram,
-    stage_time: Vec<Histogram>,
+    stage_time: [Histogram; 6],
 }
 
 impl EngineMetrics {
-    fn register(registry: &MetricsRegistry, stage_names: &[&'static str]) -> Self {
-        let mut stage_entered = Vec::with_capacity(stage_names.len());
-        let mut stage_kept = Vec::with_capacity(stage_names.len());
-        let mut stage_time = Vec::with_capacity(stage_names.len());
-        for name in stage_names {
-            let labels = [("stage", *name)];
-            stage_entered.push(registry.counter_with(
-                "mt_pipeline_stage_entered_total",
-                &labels,
-                "Candidate /24s that reached this funnel stage.",
-            ));
-            stage_kept.push(registry.counter_with(
-                "mt_pipeline_stage_kept_total",
-                &labels,
-                "Candidate /24s that survived this funnel stage.",
-            ));
-            stage_time.push(registry.histogram_with(
-                "mt_pipeline_stage_nanoseconds",
-                &labels,
-                &DEFAULT_TIME_BUCKETS,
-                "Wall-clock time spent inside this stage per engine run.",
-            ));
-        }
+    fn register(registry: &MetricsRegistry) -> Self {
+        let labels = |step: Step| [("stage", step.name())];
         EngineMetrics {
             runs: registry.counter("mt_pipeline_runs_total", "Completed engine runs."),
             seen: registry.counter(
                 "mt_pipeline_blocks_seen_total",
                 "Destination /24s entering the funnel, summed over runs.",
             ),
-            stage_entered,
-            stage_kept,
+            stage_entered: STEPS.map(|step| {
+                registry.counter_with(
+                    "mt_pipeline_stage_entered_total",
+                    &labels(step),
+                    "Candidate /24s that reached this funnel stage.",
+                )
+            }),
+            stage_kept: STEPS.map(|step| {
+                registry.counter_with(
+                    "mt_pipeline_stage_kept_total",
+                    &labels(step),
+                    "Candidate /24s that survived this funnel stage.",
+                )
+            }),
             run_time: registry.histogram(
                 "mt_pipeline_run_nanoseconds",
                 &DEFAULT_TIME_BUCKETS,
                 "Wall-clock time of one full engine run.",
             ),
-            stage_time,
+            stage_time: STEPS.map(|step| {
+                registry.histogram_with(
+                    "mt_pipeline_stage_nanoseconds",
+                    &labels(step),
+                    &DEFAULT_TIME_BUCKETS,
+                    "Wall-clock time spent inside this stage per engine run.",
+                )
+            }),
         }
     }
 
-    fn publish(&self, funnel: &Funnel, run_nanos: u64, stage_nanos: &[u64]) {
+    fn publish(&self, funnel: &Funnel, run_nanos: u64, stage_nanos: &[u64; 6]) {
         self.runs.inc();
-        self.seen.add(funnel.seen());
-        for (i, stage) in funnel.stages().iter().enumerate() {
+        self.seen.add(funnel.seen);
+        for (i, stage) in funnel.stages.iter().enumerate() {
             self.stage_entered[i].add(stage.entered);
             self.stage_kept[i].add(stage.kept);
+            self.stage_time[i].observe(stage_nanos[i]);
         }
         self.run_time.observe(run_nanos);
-        for (h, nanos) in self.stage_time.iter().zip(stage_nanos) {
-            h.observe(*nanos);
-        }
     }
 }
 
-/// An ordered stage vector plus the traversal and accounting machinery.
+/// Runs the funnel serially or shard-parallel, optionally publishing
+/// every run into a metrics registry.
+#[derive(Default)]
 pub struct PipelineEngine {
-    stages: Vec<Box<dyn Stage>>,
     metrics: Option<EngineMetrics>,
 }
 
-impl Default for PipelineEngine {
-    fn default() -> Self {
-        Self::standard()
-    }
-}
-
 impl PipelineEngine {
-    /// The paper's standard six filter stages, in funnel order.
+    /// The paper's funnel, with no registry attached.
     pub fn standard() -> Self {
-        Self::with_stages(vec![
-            Box::new(TcpStage),
-            Box::new(AvgSizeStage),
-            Box::new(CleanOriginStage),
-            Box::new(SpecialStage),
-            Box::new(RoutedStage),
-            Box::new(VolumeStage),
-        ])
-    }
-
-    /// An engine over a custom stage vector (ablations, extra filters).
-    pub fn with_stages(stages: Vec<Box<dyn Stage>>) -> Self {
-        assert!(!stages.is_empty(), "engine needs at least one stage");
-        PipelineEngine {
-            stages,
-            metrics: None,
-        }
+        PipelineEngine { metrics: None }
     }
 
     /// Attaches a metrics registry: every subsequent run publishes its
     /// funnel into `mt_pipeline_*` counters and records run / per-stage
-    /// wall-clock histograms. The legacy [`Funnel`] in the returned
+    /// wall-clock histograms. The [`Funnel`] in the returned
     /// [`PipelineResult`] is unchanged — the registry is a derived view
     /// of the same counts. Without a registry attached, runs take no
     /// timestamps and touch no atomics.
     pub fn with_registry(mut self, registry: &MetricsRegistry) -> Self {
-        self.metrics = Some(EngineMetrics::register(registry, &self.stage_names()));
+        self.metrics = Some(EngineMetrics::register(registry));
         self
     }
 
-    /// The stage names, in order.
-    pub fn stage_names(&self) -> Vec<&'static str> {
-        self.stages.iter().map(|s| s.name()).collect()
-    }
-
     fn env<'a>(
-        &self,
-        rib: &'a PrefixTrie<Asn>,
+        rib: &PrefixTrie<Asn>,
         special: &'a SpecialRegistry,
         sampling_rate: u32,
         days: u32,
         config: &'a PipelineConfig,
-    ) -> StageEnv<'a> {
+    ) -> Env<'a> {
         assert!(days > 0, "observation window must cover at least one day");
-        StageEnv {
-            rib,
+        Env {
             rib_index: RibIndex::build(rib),
             special,
             config,
@@ -357,10 +322,17 @@ impl PipelineEngine {
         }
     }
 
-    /// Runs the stage vector over every destination block of `stats`.
+    /// Runs the funnel over every destination block of `stats` on the
+    /// calling thread.
     ///
-    /// Accepts any [`TrafficView`] — flat or sharded — and walks it on
-    /// the calling thread.
+    /// * `stats` — merged sampled traffic of the observation window
+    ///   (one or more vantage points, one or more days), flat or
+    ///   sharded;
+    /// * `rib` — the routed-prefix table for the window;
+    /// * `sampling_rate` — the vantage points' packet sampling rate,
+    ///   used to scale sampled counts back to volume estimates;
+    /// * `days` — window length in days (volume normalisation);
+    /// * `config` — thresholds.
     pub fn run<V: TrafficView>(
         &self,
         stats: &V,
@@ -370,12 +342,22 @@ impl PipelineEngine {
         config: &PipelineConfig,
     ) -> PipelineResult {
         let special = SpecialRegistry::new();
-        let env = self.env(rib, &special, sampling_rate, days, config);
-        self.run_view(stats, &env)
+        let env = Self::env(rib, &special, sampling_rate, days, config);
+        // check: allow(determinism, "wall-clock only feeds the metrics histograms; no pipeline decision or output reads it")
+        let started = self.metrics.as_ref().map(|_| Instant::now());
+        let part = run_view_sparse(stats, &env, self.metrics.is_some());
+        self.publish(started, &part.funnel, &part.stage_nanos);
+        PipelineResult {
+            dark: Block24Set::from_iter(part.dark),
+            unclean: Block24Set::from_iter(part.unclean),
+            gray: Block24Set::from_iter(part.gray),
+            funnel: part.funnel,
+        }
     }
 
-    /// Runs the stage vector over each shard of `stats` with `threads`
-    /// workers, folding the per-shard funnels and block sets.
+    /// Runs the funnel over each shard of `stats` with `threads`
+    /// workers, folding the per-shard funnels and block sets in shard
+    /// order.
     ///
     /// Shards partition the destination blocks and carry the matching
     /// source blocks, so per-shard runs see exactly the serial run's
@@ -394,24 +376,27 @@ impl PipelineEngine {
         // check: allow(determinism, "wall-clock only feeds the metrics histograms; no pipeline decision or output reads it")
         let started = self.metrics.as_ref().map(|_| Instant::now());
         let special = SpecialRegistry::new();
-        let env = self.env(rib, &special, sampling_rate, days, config);
-        let shards = stats.shards();
-        let slots: Vec<Mutex<Option<ShardRun>>> = shards.iter().map(|_| Mutex::new(None)).collect();
-        let chunk = shards.len().div_ceil(threads).max(1);
-        let env_ref = &env;
+        let env = &Self::env(rib, &special, sampling_rate, days, config);
         let timed = self.metrics.is_some();
-        crossbeam::thread::scope(|scope| {
-            for (shard_chunk, slot_chunk) in shards.chunks(chunk).zip(slots.chunks(chunk)) {
-                scope.spawn(move |_| {
-                    for (shard, slot) in shard_chunk.iter().zip(slot_chunk) {
-                        // lock: core.engine_slot
-                        *slot.lock() = Some(self.run_view_sparse(shard, env_ref, timed));
-                    }
-                });
-            }
-        })
-        // check: allow(no_panic, "scope() errs only if a worker panicked; re-raising on the coordinator is intended")
-        .expect("pipeline shard worker panicked");
+        let shards = stats.shards();
+        let chunk = shards.len().div_ceil(threads).max(1);
+        let parts: Vec<ShardRun> = std::thread::scope(|scope| {
+            let workers: Vec<_> = shards
+                .chunks(chunk)
+                .map(|shard_chunk| {
+                    scope.spawn(move || {
+                        shard_chunk
+                            .iter()
+                            .map(|shard| run_view_sparse(shard, env, timed))
+                            .collect::<Vec<_>>()
+                    })
+                })
+                .collect();
+            workers
+                .into_iter()
+                .flat_map(|w| w.join().unwrap_or_else(|e| std::panic::resume_unwind(e)))
+                .collect()
+        });
 
         // Fold into three dense sets allocated once; the per-shard
         // results stay sparse so fold cost scales with the population,
@@ -420,12 +405,10 @@ impl PipelineEngine {
             dark: Block24Set::new(),
             unclean: Block24Set::new(),
             gray: Block24Set::new(),
-            funnel: Funnel::with_stages(self.stage_names()),
+            funnel: Funnel::default(),
         };
-        let mut stage_nanos = vec![0u64; self.stages.len()];
-        for slot in slots {
-            // check: allow(no_panic, "the scope above writes every slot exactly once before joining")
-            let part = slot.into_inner().expect("filled");
+        let mut stage_nanos = [0u64; 6];
+        for part in parts {
             for b in part.dark {
                 folded.dark.insert(b);
             }
@@ -436,89 +419,70 @@ impl PipelineEngine {
                 folded.gray.insert(b);
             }
             folded.funnel.absorb(&part.funnel);
-            for (total, part) in stage_nanos.iter_mut().zip(&part.stage_nanos) {
+            for (total, part) in stage_nanos.iter_mut().zip(part.stage_nanos) {
                 *total += part;
             }
         }
-        if let (Some(metrics), Some(started)) = (&self.metrics, started) {
-            let run_nanos = u64::try_from(started.elapsed().as_nanos()).unwrap_or(u64::MAX);
-            metrics.publish(&folded.funnel, run_nanos, &stage_nanos);
-        }
+        self.publish(started, &folded.funnel, &stage_nanos);
         folded
     }
 
-    fn run_view<V: TrafficView>(&self, stats: &V, env: &StageEnv<'_>) -> PipelineResult {
-        // check: allow(determinism, "wall-clock only feeds the metrics histograms; no pipeline decision or output reads it")
-        let started = self.metrics.as_ref().map(|_| Instant::now());
-        let part = self.run_view_sparse(stats, env, self.metrics.is_some());
+    fn publish(&self, started: Option<Instant>, funnel: &Funnel, stage_nanos: &[u64; 6]) {
         if let (Some(metrics), Some(started)) = (&self.metrics, started) {
             let run_nanos = u64::try_from(started.elapsed().as_nanos()).unwrap_or(u64::MAX);
-            metrics.publish(&part.funnel, run_nanos, &part.stage_nanos);
+            metrics.publish(funnel, run_nanos, stage_nanos);
         }
-        PipelineResult {
-            dark: Block24Set::from_iter(part.dark),
-            unclean: Block24Set::from_iter(part.unclean),
-            gray: Block24Set::from_iter(part.gray),
-            funnel: part.funnel,
+    }
+}
+
+/// The traversal core: classified blocks are collected as sparse lists
+/// so per-shard workers avoid allocating (and the fold avoids scanning)
+/// dense bitsets per shard. With `timed` set (a registry is attached),
+/// per-stage wall-clock nanoseconds accumulate into `stage_nanos`;
+/// otherwise no timestamps are taken.
+fn run_view_sparse<V: TrafficView>(stats: &V, env: &Env<'_>, timed: bool) -> ShardRun {
+    let mut funnel = Funnel::default();
+    let mut dark = Vec::new();
+    let mut unclean = Vec::new();
+    let mut gray = Vec::new();
+    let mut stage_nanos = [0u64; 6];
+    let src_lookup = |block: Block24| stats.src(block);
+
+    'blocks: for (block, d) in stats.iter_dst() {
+        funnel.seen += 1;
+        let ctx = BlockCtx::new(block, d, &src_lookup);
+        for (i, step) in STEPS.into_iter().enumerate() {
+            let keep = if timed {
+                // check: allow(determinism, "wall-clock only feeds the metrics histograms; no pipeline decision or output reads it")
+                let t0 = Instant::now();
+                let keep = step.keeps(&ctx, env);
+                stage_nanos[i] += u64::try_from(t0.elapsed().as_nanos()).unwrap_or(u64::MAX);
+                keep
+            } else {
+                step.keeps(&ctx, env)
+            };
+            funnel.stages[i].entered += 1;
+            if !keep {
+                continue 'blocks;
+            }
+            funnel.stages[i].kept += 1;
+        }
+        // Step 7: classification of the surviving candidate.
+        if !ctx.originating(env).is_empty() {
+            gray.push(block);
+        } else if !d.received_big_tcp.is_empty() {
+            unclean.push(block);
+        } else {
+            dark.push(block);
         }
     }
 
-    /// The traversal core: classified blocks are collected as sparse
-    /// lists so per-shard workers avoid allocating (and the fold avoids
-    /// scanning) dense bitsets per shard. With `timed` set (a registry
-    /// is attached), per-stage wall-clock nanoseconds accumulate into
-    /// `stage_nanos`; otherwise no timestamps are taken.
-    fn run_view_sparse<V: TrafficView>(
-        &self,
-        stats: &V,
-        env: &StageEnv<'_>,
-        timed: bool,
-    ) -> ShardRun {
-        let mut funnel = Funnel::with_stages(self.stage_names());
-        let mut dark = Vec::new();
-        let mut unclean = Vec::new();
-        let mut gray = Vec::new();
-        let mut stage_nanos = vec![0u64; if timed { self.stages.len() } else { 0 }];
-        let src_lookup = |block: Block24| stats.src(block);
-
-        'blocks: for (block, d) in stats.iter_dst() {
-            funnel.note_seen();
-            let ctx = BlockCtx::new(block, d, &src_lookup);
-            for (i, stage) in self.stages.iter().enumerate() {
-                let decision = if timed {
-                    // check: allow(determinism, "wall-clock only feeds the metrics histograms; no pipeline decision or output reads it")
-                    let t0 = Instant::now();
-                    let v = stage.apply(&ctx, env);
-                    stage_nanos[i] += u64::try_from(t0.elapsed().as_nanos()).unwrap_or(u64::MAX);
-                    v
-                } else {
-                    stage.apply(&ctx, env)
-                };
-                match decision {
-                    Verdict::Keep => funnel.note_kept(i),
-                    Verdict::Drop => {
-                        funnel.note_dropped(i);
-                        continue 'blocks;
-                    }
-                }
-            }
-            // Step 7: classification of the surviving candidate.
-            if !ctx.originating(env).is_empty() {
-                gray.push(block);
-            } else if !d.received_big_tcp.is_empty() {
-                unclean.push(block);
-            } else {
-                dark.push(block);
-            }
-        }
-
-        ShardRun {
-            dark,
-            unclean,
-            gray,
-            funnel,
-            stage_nanos,
-        }
+    ShardRun {
+        dark,
+        unclean,
+        gray,
+        funnel,
+        stage_nanos,
     }
 }
 
@@ -528,16 +492,17 @@ struct ShardRun {
     unclean: Vec<Block24>,
     gray: Vec<Block24>,
     funnel: Funnel,
-    /// Per-stage elapsed nanoseconds; empty when the run is untimed.
-    stage_nanos: Vec<u64>,
+    /// Per-stage elapsed nanoseconds; zero when the run is untimed.
+    stage_nanos: [u64; 6],
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use mt_flow::FlowRecord;
+    use mt_flow::{FlowRecord, TrafficStats};
     use mt_types::{Prefix, SimTime};
 
+    /// Builds a record; `size` is per-packet bytes.
     fn flow(src: &str, dst: &str, proto: u8, packets: u64, size: u64) -> FlowRecord {
         FlowRecord {
             start: SimTime(0),
@@ -576,24 +541,244 @@ mod tests {
         records
     }
 
+    /// One funnel scenario: its inputs, the classified blocks, and the
+    /// stage each remaining block leaves the funnel at.
+    struct Row {
+        name: &'static str,
+        records: Vec<FlowRecord>,
+        rib: &'static [&'static str],
+        config: PipelineConfig,
+        sampling_rate: u32,
+        days: u32,
+        dark: &'static [&'static str],
+        unclean: &'static [&'static str],
+        gray: &'static [&'static str],
+        /// One entry per dropped block, in funnel order.
+        dropped_at: &'static [&'static str],
+    }
+
+    impl Default for Row {
+        fn default() -> Self {
+            Row {
+                name: "",
+                records: Vec::new(),
+                rib: &["20.0.0.0/8"],
+                config: PipelineConfig::default(),
+                sampling_rate: 1,
+                days: 1,
+                dark: &[],
+                unclean: &[],
+                gray: &[],
+                dropped_at: &[],
+            }
+        }
+    }
+
     #[test]
-    fn engine_matches_legacy_run_exactly() {
+    fn each_step_keeps_and_drops_what_it_should() {
+        let scan = |dst: &str, proto: u8, packets: u64, size: u64| {
+            flow("9.9.9.9", dst, proto, packets, size)
+        };
+        let heavy = || vec![scan("20.1.1.1", 6, 2_000, 40)];
+        let rows = [
+            Row {
+                name: "clean block is dark",
+                records: vec![scan("20.1.1.1", 6, 10, 40), scan("20.1.1.77", 6, 5, 44)],
+                dark: &["20.1.1.0/24"],
+                ..Row::default()
+            },
+            Row {
+                name: "UDP-only block fails step 1",
+                records: vec![scan("20.1.1.1", 17, 10, 100)],
+                dropped_at: &["tcp"],
+                ..Row::default()
+            },
+            Row {
+                name: "large average fails step 2",
+                records: vec![scan("20.1.1.1", 6, 10, 1500)],
+                dropped_at: &["avg_size"],
+                ..Row::default()
+            },
+            Row {
+                name: "an average of exactly 44 bytes survives step 2 (threshold is <=)",
+                records: vec![scan("20.1.1.1", 6, 10, 44)],
+                dark: &["20.1.1.0/24"],
+                ..Row::default()
+            },
+            Row {
+                // Host 50 talks back; the scanner's own block is fully
+                // originating and leaves at step 3.
+                name: "originating block with a clean host is gray",
+                records: vec![
+                    scan("20.1.1.1", 6, 10, 40),
+                    flow("20.1.1.50", "9.9.9.9", 6, 3, 40),
+                ],
+                rib: &["20.0.0.0/8", "9.0.0.0/8"],
+                gray: &["20.1.1.0/24"],
+                dropped_at: &["clean_origin"],
+                ..Row::default()
+            },
+            Row {
+                // The only scanned host is also the one originating.
+                name: "fully originating blocks fail step 3",
+                records: vec![
+                    scan("20.1.1.50", 6, 10, 40),
+                    flow("20.1.1.50", "9.9.9.9", 6, 3, 40),
+                ],
+                rib: &["20.0.0.0/8", "9.0.0.0/8"],
+                dropped_at: &["clean_origin", "clean_origin"],
+                ..Row::default()
+            },
+            Row {
+                name: "two spoofed packets make a strict run gray",
+                records: vec![
+                    scan("20.1.1.1", 6, 10, 40),
+                    flow("20.1.1.50", "9.9.9.9", 6, 2, 40),
+                ],
+                rib: &["20.0.0.0/8", "9.0.0.0/8"],
+                gray: &["20.1.1.0/24"],
+                dropped_at: &["clean_origin"],
+                ..Row::default()
+            },
+            Row {
+                name: "a spoofing tolerance of 2 forgives them",
+                records: vec![
+                    scan("20.1.1.1", 6, 10, 40),
+                    flow("20.1.1.50", "9.9.9.9", 6, 2, 40),
+                ],
+                rib: &["20.0.0.0/8", "9.0.0.0/8"],
+                config: PipelineConfig {
+                    spoof_tolerance_packets: 2,
+                    ..PipelineConfig::default()
+                },
+                dark: &["20.1.1.0/24"],
+                dropped_at: &["clean_origin"],
+                ..Row::default()
+            },
+            Row {
+                name: "special space fails step 4",
+                records: vec![scan("10.1.1.1", 6, 10, 40)],
+                rib: &["0.0.0.0/0"],
+                dropped_at: &["special"],
+                ..Row::default()
+            },
+            Row {
+                name: "unrouted space fails step 5",
+                records: vec![scan("21.1.1.1", 6, 10, 40)],
+                dropped_at: &["routed"],
+                ..Row::default()
+            },
+            Row {
+                name: "heavy block fails step 6",
+                records: heavy(),
+                dropped_at: &["volume"],
+                ..Row::default()
+            },
+            Row {
+                // 2 000 sampled at rate 10 over 7 days ≈ 2 857 true/day > 1 700.
+                name: "volume cap scaled by sampling rate and a week",
+                records: heavy(),
+                sampling_rate: 10,
+                days: 7,
+                dropped_at: &["volume"],
+                ..Row::default()
+            },
+            Row {
+                name: "the same count over a fortnight is within the cap",
+                records: heavy(),
+                sampling_rate: 10,
+                days: 14,
+                dark: &["20.1.1.0/24"],
+                ..Row::default()
+            },
+            Row {
+                // Host 1 gets clean SYNs; host 2 got one large TCP
+                // packet, but the block average stays under 44.
+                name: "mixed sizes become unclean",
+                records: vec![scan("20.1.1.1", 6, 100, 40), scan("20.1.1.2", 6, 1, 200)],
+                unclean: &["20.1.1.0/24"],
+                ..Row::default()
+            },
+        ];
+        let engine = PipelineEngine::standard();
+        for row in rows {
+            let stats = TrafficStats::from_records(&row.records);
+            let r = engine.run(
+                &stats,
+                &rib_with(row.rib),
+                row.sampling_rate,
+                row.days,
+                &row.config,
+            );
+            let blocks = |set: &Block24Set| set.iter().map(|b| b.to_string()).collect::<Vec<_>>();
+            assert_eq!(blocks(&r.dark), row.dark, "{}: dark", row.name);
+            assert_eq!(blocks(&r.unclean), row.unclean, "{}: unclean", row.name);
+            assert_eq!(blocks(&r.gray), row.gray, "{}: gray", row.name);
+            let dropped_at: Vec<&str> = r
+                .funnel
+                .stages()
+                .iter()
+                .flat_map(|s| std::iter::repeat_n(s.name, (s.entered - s.kept) as usize))
+                .collect();
+            assert_eq!(dropped_at, row.dropped_at, "{}: dropped at", row.name);
+            assert_eq!(
+                r.funnel.seen() as usize,
+                r.classified() + row.dropped_at.len(),
+                "{}: every seen block is classified or dropped once",
+                row.name
+            );
+        }
+    }
+
+    #[test]
+    fn funnel_is_monotone() {
         let rib = rib_with(&["20.0.0.0/8", "9.0.0.0/8"]);
-        let stats = mt_flow::TrafficStats::from_records(&mixed_records());
-        let config = PipelineConfig::default();
-        let legacy = crate::pipeline::run(&stats, &rib, 2, 3, &config);
-        let engine = PipelineEngine::standard().run(&stats, &rib, 2, 3, &config);
-        assert_eq!(engine.dark, legacy.dark);
-        assert_eq!(engine.unclean, legacy.unclean);
-        assert_eq!(engine.gray, legacy.gray);
-        assert_eq!(engine.funnel, legacy.funnel);
+        let mut records = Vec::new();
+        for i in 0..50u32 {
+            records.push(flow(
+                "9.9.9.9",
+                &format!("20.1.{i}.1"),
+                if i % 5 == 0 { 17 } else { 6 },
+                10 + u64::from(i) * 60,
+                if i % 3 == 0 { 1500 } else { 40 },
+            ));
+        }
+        let stats = TrafficStats::from_records(&records);
+        let r = PipelineEngine::standard().run(&stats, &rib, 1, 1, &PipelineConfig::default());
+        // Each stage only sees the previous stage's survivors.
+        let mut expect_entered = r.funnel.seen();
+        for stage in r.funnel.stages() {
+            assert_eq!(stage.entered, expect_entered, "stage {}", stage.name);
+            assert!(stage.kept <= stage.entered);
+            expect_entered = stage.kept;
+        }
+        assert_eq!(r.classified() as u64, expect_entered);
+    }
+
+    #[test]
+    fn absorb_folds_counts() {
+        let mut a = Funnel {
+            seen: 1,
+            ..Funnel::default()
+        };
+        a.stages[0].entered = 1;
+        a.stages[0].kept = 1;
+        let mut b = Funnel {
+            seen: 1,
+            ..Funnel::default()
+        };
+        b.stages[0].entered = 1;
+        a.absorb(&b);
+        assert_eq!(a.seen(), 2);
+        assert_eq!(a.stages()[0].entered, 2);
+        assert_eq!(a.stages()[0].kept, 1);
     }
 
     #[test]
     fn sharded_run_is_bit_identical_to_serial() {
         let rib = rib_with(&["20.0.0.0/8", "9.0.0.0/8"]);
         let records = mixed_records();
-        let flat = mt_flow::TrafficStats::from_records(&records);
+        let flat = TrafficStats::from_records(&records);
         let config = PipelineConfig::default();
         let engine = PipelineEngine::standard();
         let serial = engine.run(&flat, &rib, 1, 1, &config);
@@ -613,7 +798,7 @@ mod tests {
     fn registry_mirrors_funnel_across_serial_and_sharded_runs() {
         let rib = rib_with(&["20.0.0.0/8", "9.0.0.0/8"]);
         let records = mixed_records();
-        let flat = mt_flow::TrafficStats::from_records(&records);
+        let flat = TrafficStats::from_records(&records);
         let sharded = ShardedTrafficStats::from_records(8, &records);
         let config = PipelineConfig::default();
 
@@ -629,7 +814,7 @@ mod tests {
             Some(serial.funnel.seen() + par.funnel.seen())
         );
         for (s, p) in serial.funnel.stages().iter().zip(par.funnel.stages()) {
-            let labels = [("stage", s.name.as_str())];
+            let labels = [("stage", s.name)];
             assert_eq!(
                 snap.scalar("mt_pipeline_stage_entered_total", &labels),
                 Some(s.entered + p.entered),
@@ -661,47 +846,21 @@ mod tests {
     }
 
     #[test]
-    fn custom_stage_vector_accounts_its_own_funnel() {
-        // An engine with only the TCP and routed stages: no size or
-        // volume filtering, so heavy TCP blocks survive.
-        let engine = PipelineEngine::with_stages(vec![Box::new(TcpStage), Box::new(RoutedStage)]);
-        let rib = rib_with(&["20.0.0.0/8"]);
-        let stats = mt_flow::TrafficStats::from_records(&[
-            flow("9.9.9.9", "20.1.1.1", 6, 5_000, 1400),
-            flow("9.9.9.9", "21.1.1.1", 17, 10, 40),
-        ]);
-        let r = engine.run(&stats, &rib, 1, 1, &PipelineConfig::default());
-        assert_eq!(r.funnel.stages().len(), 2);
-        assert_eq!(r.funnel.seen(), 2);
-        assert_eq!(r.funnel.kept_after("tcp"), Some(1));
-        assert_eq!(r.funnel.kept_after("routed"), Some(1));
-        assert_eq!(r.funnel.kept_after("volume"), None);
-        assert_eq!(r.unclean.len(), 1, "no avg-size stage to reject it");
-    }
-
-    #[test]
     fn stage_context_memoizes_src_lookup() {
-        let stats = mt_flow::TrafficStats::from_records(&[
+        let stats = TrafficStats::from_records(&[
             flow("20.1.1.9", "9.9.9.9", 6, 3, 40),
             flow("9.9.9.9", "20.1.1.1", 6, 3, 40),
         ]);
-        let block: Block24 = mt_types::Block24::containing("20.1.1.1".parse().unwrap());
-        let d = mt_flow::TrafficView::dst(&stats, block).unwrap();
+        let block = Block24::containing("20.1.1.1".parse().unwrap());
+        let d = TrafficView::dst(&stats, block).unwrap();
         let calls = std::cell::Cell::new(0u32);
         let lookup = |b: Block24| {
             calls.set(calls.get() + 1);
-            mt_flow::TrafficView::src(&stats, b)
+            TrafficView::src(&stats, b)
         };
         let config = PipelineConfig::default();
-        let rib = rib_with(&["20.0.0.0/8"]);
         let special = SpecialRegistry::new();
-        let env = StageEnv {
-            rib: &rib,
-            rib_index: RibIndex::build(&rib),
-            special: &special,
-            config: &config,
-            volume_cap: 1e9,
-        };
+        let env = PipelineEngine::env(&rib_with(&["20.0.0.0/8"]), &special, 1, 1, &config);
         let ctx = BlockCtx::new(block, d, &lookup);
         assert_eq!(calls.get(), 0, "lookup is lazy");
         let _ = ctx.originating(&env);

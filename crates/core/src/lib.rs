@@ -6,14 +6,16 @@
 //! special-purpose registry, the [`engine::PipelineEngine`] executes the
 //! filtering/classification stages of Section 4.2 and returns the
 //! inferred **dark** (meta-telescope prefix), **unclean**, and **gray**
-//! /24 sets plus per-stage funnel accounting (Figure 2). [`pipeline::run`]
-//! is the serial compatibility wrapper over the standard stage vector;
+//! /24 sets plus per-stage funnel accounting (Figure 2).
+//! [`engine::PipelineEngine::run`] walks the stats serially;
 //! [`engine::PipelineEngine::run_sharded`] evaluates shards in parallel
 //! with bit-identical results.
 //!
 //! Around the pipeline:
-//! - [`engine`] — the [`engine::Stage`] trait, the standard six stage
-//!   implementations, and the serial/sharded traversal machinery;
+//! - [`engine`] — the funnel's six filter steps, its [`Funnel`]
+//!   accounting, and the serial/sharded traversals;
+//! - [`pipeline`] — the thresholds ([`PipelineConfig`]) and the output
+//!   ([`PipelineResult`]);
 //! - [`classifier`] — the packet-size fingerprint calibration of
 //!   Section 4.1 / Table 3 (median vs average feature, threshold sweep,
 //!   confusion matrices);
@@ -46,6 +48,6 @@ pub mod spoofing;
 pub mod stability;
 
 pub use classifier::{ClassifierFeature, ConfusionMatrix};
-pub use engine::{BlockCtx, PipelineEngine, Stage, StageEnv, Verdict};
-pub use pipeline::{Funnel, PipelineConfig, PipelineResult, StageCount};
+pub use engine::{Funnel, PipelineEngine, StageCount};
+pub use pipeline::{PipelineConfig, PipelineResult};
 pub use spoofing::SpoofTolerance;

@@ -1,57 +1,12 @@
-//! The inference pipeline façade (Section 4.2, Figure 2).
+//! The pipeline's thresholds and output (Section 4.2, Figure 2).
 //!
-//! Since the staged-engine refactor, the seven-step loop lives in
-//! [`crate::engine`]: each filter of the funnel is a
-//! [`Stage`](crate::engine::Stage) and the traversal/accounting
-//! machinery is the [`PipelineEngine`](crate::engine::PipelineEngine).
-//! This module keeps the stable surface around it:
-//!
-//! - [`PipelineConfig`] — the tunable thresholds;
-//! - [`Funnel`] — ordered per-stage candidate accounting. Once a flat
-//!   struct with one hard-coded field per step, it is now a vector of
-//!   [`StageCount`]s (entered/kept per stage, so drop reasons fall out
-//!   directly) while the legacy accessors ([`Funnel::seen`],
-//!   [`Funnel::after_tcp`], …, [`Funnel::after_volume`]) and the legacy
-//!   flat JSON encoding are preserved for existing reports;
-//! - [`PipelineResult`] — the inferred **dark** (meta-telescope
-//!   prefix), **unclean**, and **gray** /24 sets plus the funnel;
-//! - [`run`] — a thin compatibility wrapper that executes the standard
-//!   six-stage engine serially over any [`TrafficView`]. Its outputs
-//!   are bit-identical to the pre-refactor loop, and to
-//!   [`PipelineEngine::run_sharded`](crate::engine::PipelineEngine::run_sharded)
-//!   over the same traffic.
-//!
-//! The pipeline consumes only *observable* inputs: per-/24 aggregates of
-//! sampled flows, a RIB, and the special-purpose registry. Ground truth
-//! never enters here. Step semantics (see DESIGN.md for the mapping to
-//! the paper's funnel):
-//!
-//! 1. **TCP** (`tcp`) — a block with no sampled TCP cannot be
-//!    fingerprinted; dropped.
-//! 2. **Average packet size** (`avg_size`) — blocks whose block-level
-//!    average TCP size exceeds the threshold are dropped (the
-//!    Section 4.1 fingerprint).
-//! 3. **Source address unseen** (`clean_origin`) — hosts seen
-//!    originating traffic are disqualified; a block whose origination
-//!    exceeds the spoofing tolerance *and* retains no clean receiving
-//!    host is dropped. Blocks with both originators and clean receivers
-//!    stay and are later classified gray.
-//! 4. **Private / multicast / reserved** (`special`) — RFC 6890 space
-//!    is dropped.
-//! 5. **Globally routed** (`routed`) — blocks outside the day's RIB are
-//!    dropped.
-//! 6. **Volume** (`volume`) — blocks whose estimated true packet rate
-//!    exceeds the per-day cap are dropped (asymmetric-routing decoys:
-//!    CDN ACK streams look like IBR but are orders of magnitude
-//!    heavier).
-//! 7. **Classification** — surviving blocks become **dark** (every
-//!    TCP-receiving host is clean and nothing originated), **unclean**
-//!    (no originators, but some host received large TCP), or **gray**
-//!    (some host originated while another stayed clean).
+//! The funnel itself — its steps, its accounting, and both traversals —
+//! lives in [`crate::engine`]; run it with
+//! [`PipelineEngine::standard().run(..)`](crate::engine::PipelineEngine::run).
 
-use mt_flow::TrafficView;
-use mt_types::{Asn, Block24Set, PrefixTrie};
-use serde::{Deserialize, Error, Map, Serialize, Value};
+use crate::engine::Funnel;
+use mt_types::Block24Set;
+use serde::{Deserialize, Serialize};
 
 /// Tunable pipeline parameters.
 #[derive(Debug, Clone, Serialize, Deserialize)]
@@ -78,259 +33,6 @@ impl Default for PipelineConfig {
     }
 }
 
-/// The standard six filter stages of the paper's funnel, in order.
-pub const STANDARD_STAGES: [&str; 6] = [
-    "tcp",
-    "avg_size",
-    "clean_origin",
-    "special",
-    "routed",
-    "volume",
-];
-
-/// Candidate accounting for one stage of the funnel.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct StageCount {
-    /// The stage's name ([`crate::engine::Stage::name`]).
-    pub name: String,
-    /// Blocks that reached this stage.
-    pub entered: u64,
-    /// Blocks that survived it; `entered - kept` is the stage's drop
-    /// count.
-    pub kept: u64,
-}
-
-/// Ordered per-stage candidate accounting (the funnel of Figure 2).
-///
-/// Serialization note: a funnel over the [`STANDARD_STAGES`] encodes as
-/// the legacy flat object (`{"seen": …, "after_tcp": …, …,
-/// "after_volume": …}`); because a block dropped at stage *i* never
-/// enters stage *i + 1*, each stage's `entered` equals the previous
-/// stage's `kept` and the flat form is lossless. Custom stage vectors
-/// encode as `{"seen": …, "stages": [{"name", "entered", "kept"}, …]}`.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct Funnel {
-    seen: u64,
-    stages: Vec<StageCount>,
-}
-
-impl Default for Funnel {
-    /// A zeroed funnel over the [`STANDARD_STAGES`].
-    fn default() -> Self {
-        Funnel::with_stages(STANDARD_STAGES)
-    }
-}
-
-impl Funnel {
-    /// A zeroed funnel over the given ordered stage names.
-    pub fn with_stages<I, S>(names: I) -> Self
-    where
-        I: IntoIterator<Item = S>,
-        S: Into<String>,
-    {
-        Funnel {
-            seen: 0,
-            stages: names
-                .into_iter()
-                .map(|name| StageCount {
-                    name: name.into(),
-                    entered: 0,
-                    kept: 0,
-                })
-                .collect(),
-        }
-    }
-
-    /// /24s with any sampled traffic toward them.
-    pub fn seen(&self) -> u64 {
-        self.seen
-    }
-
-    /// The per-stage counters, in funnel order.
-    pub fn stages(&self) -> &[StageCount] {
-        &self.stages
-    }
-
-    /// Blocks surviving the named stage, if the funnel has it.
-    pub fn kept_after(&self, name: &str) -> Option<u64> {
-        self.stages.iter().find(|s| s.name == name).map(|s| s.kept)
-    }
-
-    fn kept_or_zero(&self, name: &str) -> u64 {
-        self.kept_after(name).unwrap_or(0)
-    }
-
-    /// Remaining after step 1 (received TCP). Legacy accessor for the
-    /// `tcp` stage.
-    pub fn after_tcp(&self) -> u64 {
-        self.kept_or_zero("tcp")
-    }
-
-    /// Remaining after step 2 (average size). Legacy accessor for the
-    /// `avg_size` stage.
-    pub fn after_avg(&self) -> u64 {
-        self.kept_or_zero("avg_size")
-    }
-
-    /// Remaining after step 3 (a clean receiving host exists). Legacy
-    /// accessor for the `clean_origin` stage.
-    pub fn after_origin(&self) -> u64 {
-        self.kept_or_zero("clean_origin")
-    }
-
-    /// Remaining after step 4 (not special-purpose). Legacy accessor
-    /// for the `special` stage.
-    pub fn after_special(&self) -> u64 {
-        self.kept_or_zero("special")
-    }
-
-    /// Remaining after step 5 (globally routed). Legacy accessor for
-    /// the `routed` stage.
-    pub fn after_routed(&self) -> u64 {
-        self.kept_or_zero("routed")
-    }
-
-    /// Remaining after step 6 (volume cap). Legacy accessor for the
-    /// `volume` stage.
-    pub fn after_volume(&self) -> u64 {
-        self.kept_or_zero("volume")
-    }
-
-    pub(crate) fn note_seen(&mut self) {
-        self.seen += 1;
-    }
-
-    pub(crate) fn note_kept(&mut self, stage: usize) {
-        self.stages[stage].entered += 1;
-        self.stages[stage].kept += 1;
-    }
-
-    pub(crate) fn note_dropped(&mut self, stage: usize) {
-        self.stages[stage].entered += 1;
-    }
-
-    /// Adds another funnel's counts into this one. The two must share
-    /// the same ordered stage names — per-shard funnels over the same
-    /// engine always do.
-    ///
-    /// # Panics
-    ///
-    /// Panics when the stage vectors differ.
-    pub fn absorb(&mut self, other: &Funnel) {
-        assert_eq!(
-            self.stages.len(),
-            other.stages.len(),
-            "absorbing funnels with different stage vectors"
-        );
-        self.seen += other.seen;
-        for (mine, theirs) in self.stages.iter_mut().zip(&other.stages) {
-            assert_eq!(
-                mine.name, theirs.name,
-                "absorbing funnels with different stage vectors"
-            );
-            mine.entered += theirs.entered;
-            mine.kept += theirs.kept;
-        }
-    }
-
-    fn is_standard(&self) -> bool {
-        self.stages.len() == STANDARD_STAGES.len()
-            && self
-                .stages
-                .iter()
-                .zip(STANDARD_STAGES)
-                .all(|(s, name)| s.name == name)
-    }
-}
-
-impl Serialize for Funnel {
-    fn to_value(&self) -> Value {
-        let mut map = Map::new();
-        map.insert("seen".to_string(), Value::U64(self.seen));
-        if self.is_standard() {
-            for (stage, legacy) in self.stages.iter().zip(LEGACY_KEYS) {
-                map.insert(legacy.to_string(), Value::U64(stage.kept));
-            }
-        } else {
-            let stages = self
-                .stages
-                .iter()
-                .map(|s| {
-                    let mut entry = Map::new();
-                    entry.insert("name".to_string(), Value::String(s.name.clone()));
-                    entry.insert("entered".to_string(), Value::U64(s.entered));
-                    entry.insert("kept".to_string(), Value::U64(s.kept));
-                    Value::Object(entry)
-                })
-                .collect();
-            map.insert("stages".to_string(), Value::Array(stages));
-        }
-        Value::Object(map)
-    }
-}
-
-/// Legacy flat field names, index-aligned with [`STANDARD_STAGES`].
-const LEGACY_KEYS: [&str; 6] = [
-    "after_tcp",
-    "after_avg",
-    "after_origin",
-    "after_special",
-    "after_routed",
-    "after_volume",
-];
-
-impl Deserialize for Funnel {
-    fn from_value(value: &Value) -> Result<Self, Error> {
-        let obj = match value {
-            Value::Object(map) => map,
-            _ => return Err(Error("Funnel: expected object".to_string())),
-        };
-        let field_u64 = |map: &Map, key: &str| -> Result<u64, Error> {
-            map.get(key)
-                .and_then(Value::as_u64)
-                .ok_or_else(|| Error(format!("Funnel.{key}: expected unsigned integer")))
-        };
-        let seen = field_u64(obj, "seen")?;
-        if let Some(stages_value) = obj.get("stages") {
-            let entries = match stages_value {
-                Value::Array(entries) => entries,
-                _ => return Err(Error("Funnel.stages: expected array".to_string())),
-            };
-            let mut stages = Vec::with_capacity(entries.len());
-            for entry in entries {
-                let entry = match entry {
-                    Value::Object(map) => map,
-                    _ => return Err(Error("Funnel.stages[]: expected object".to_string())),
-                };
-                stages.push(StageCount {
-                    name: entry
-                        .get("name")
-                        .and_then(Value::as_str)
-                        .ok_or_else(|| Error("Funnel.stages[].name: expected string".to_string()))?
-                        .to_string(),
-                    entered: field_u64(entry, "entered")?,
-                    kept: field_u64(entry, "kept")?,
-                });
-            }
-            return Ok(Funnel { seen, stages });
-        }
-        // Legacy flat form: reconstruct `entered` from the previous
-        // stage's `kept` (stage i only sees survivors of stage i - 1).
-        let mut entered = seen;
-        let mut stages = Vec::with_capacity(STANDARD_STAGES.len());
-        for (name, legacy) in STANDARD_STAGES.iter().zip(LEGACY_KEYS) {
-            let kept = field_u64(obj, legacy)?;
-            stages.push(StageCount {
-                name: (*name).to_string(),
-                entered,
-                kept,
-            });
-            entered = kept;
-        }
-        Ok(Funnel { seen, stages })
-    }
-}
-
 /// The pipeline's output.
 #[derive(Debug, Clone)]
 pub struct PipelineResult {
@@ -349,315 +51,5 @@ impl PipelineResult {
     /// Total classified candidates (dark + unclean + gray).
     pub fn classified(&self) -> usize {
         self.dark.len() + self.unclean.len() + self.gray.len()
-    }
-}
-
-/// Runs the standard six-stage pipeline over aggregated stats.
-///
-/// Compatibility wrapper over
-/// [`PipelineEngine::standard`](crate::engine::PipelineEngine::standard):
-/// same outputs as the original hard-coded loop, now accepting any
-/// [`TrafficView`] (flat [`mt_flow::TrafficStats`] or
-/// [`mt_flow::ShardedTrafficStats`]).
-///
-/// * `stats` — merged sampled traffic of the observation window (one or
-///   more vantage points, one or more days);
-/// * `rib` — the routed-prefix table for the window;
-/// * `sampling_rate` — the vantage points' packet sampling rate, used to
-///   scale sampled counts back to volume estimates;
-/// * `days` — window length in days (volume normalisation);
-/// * `config` — thresholds.
-pub fn run<V: TrafficView>(
-    stats: &V,
-    rib: &PrefixTrie<Asn>,
-    sampling_rate: u32,
-    days: u32,
-    config: &PipelineConfig,
-) -> PipelineResult {
-    crate::engine::PipelineEngine::standard().run(stats, rib, sampling_rate, days, config)
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use mt_flow::{FlowRecord, TrafficStats};
-    use mt_types::{Block24, Ipv4, Prefix, SimTime};
-
-    /// Builds a record; `size` is per-packet bytes.
-    fn flow(src: &str, dst: &str, proto: u8, packets: u64, size: u64) -> FlowRecord {
-        FlowRecord {
-            start: SimTime(0),
-            src: src.parse().unwrap(),
-            dst: dst.parse().unwrap(),
-            src_port: 40_000,
-            dst_port: 23,
-            protocol: proto,
-            tcp_flags: 2,
-            packets,
-            octets: packets * size,
-        }
-    }
-
-    fn rib_with(prefixes: &[&str]) -> PrefixTrie<Asn> {
-        prefixes
-            .iter()
-            .map(|p| (p.parse::<Prefix>().unwrap(), Asn(65_000)))
-            .collect()
-    }
-
-    fn run_default(records: &[FlowRecord], rib: &PrefixTrie<Asn>) -> PipelineResult {
-        let stats = TrafficStats::from_records(records);
-        run(&stats, rib, 1, 1, &PipelineConfig::default())
-    }
-
-    #[test]
-    fn clean_block_is_dark() {
-        let rib = rib_with(&["20.0.0.0/8"]);
-        let r = run_default(
-            &[
-                flow("9.9.9.9", "20.1.1.1", 6, 10, 40),
-                flow("9.9.9.9", "20.1.1.77", 6, 5, 44),
-            ],
-            &rib,
-        );
-        assert_eq!(r.dark.len(), 1);
-        assert!(r.dark.contains(Block24::containing(Ipv4::new(20, 1, 1, 0))));
-        assert_eq!(r.funnel.seen(), 1);
-        assert_eq!(r.funnel.after_volume(), 1);
-    }
-
-    #[test]
-    fn udp_only_block_fails_step1() {
-        let rib = rib_with(&["20.0.0.0/8"]);
-        let r = run_default(&[flow("9.9.9.9", "20.1.1.1", 17, 10, 100)], &rib);
-        assert_eq!(r.classified(), 0);
-        assert_eq!(r.funnel.seen(), 1);
-        assert_eq!(r.funnel.after_tcp(), 0);
-    }
-
-    #[test]
-    fn large_average_fails_step2() {
-        let rib = rib_with(&["20.0.0.0/8"]);
-        let r = run_default(&[flow("9.9.9.9", "20.1.1.1", 6, 10, 1500)], &rib);
-        assert_eq!(r.classified(), 0);
-        assert_eq!(r.funnel.after_tcp(), 1);
-        assert_eq!(r.funnel.after_avg(), 0);
-    }
-
-    #[test]
-    fn boundary_average_survives_step2() {
-        let rib = rib_with(&["20.0.0.0/8"]);
-        // Exactly 44 bytes average: kept (threshold is ≤).
-        let r = run_default(&[flow("9.9.9.9", "20.1.1.1", 6, 10, 44)], &rib);
-        assert_eq!(r.dark.len(), 1);
-    }
-
-    #[test]
-    fn originating_block_with_clean_host_is_gray() {
-        let rib = rib_with(&["20.0.0.0/8", "9.0.0.0/8"]);
-        let r = run_default(
-            &[
-                flow("9.9.9.9", "20.1.1.1", 6, 10, 40), // scan to host 1
-                flow("20.1.1.50", "9.9.9.9", 6, 3, 40), // host 50 talks back
-            ],
-            &rib,
-        );
-        assert_eq!(r.gray.len(), 1);
-        assert_eq!(r.dark.len(), 0);
-    }
-
-    #[test]
-    fn fully_originating_block_fails_step3() {
-        let rib = rib_with(&["20.0.0.0/8", "9.0.0.0/8"]);
-        // The only scanned host is also the one originating.
-        let r = run_default(
-            &[
-                flow("9.9.9.9", "20.1.1.50", 6, 10, 40),
-                flow("20.1.1.50", "9.9.9.9", 6, 3, 40),
-            ],
-            &rib,
-        );
-        assert_eq!(r.classified(), 0);
-        assert_eq!(r.funnel.after_avg(), 2, "both blocks had small TCP");
-        // The scanner's own block (receiving the reply) is fully
-        // originating too, so nothing survives step 3.
-        assert_eq!(r.funnel.after_origin(), 0);
-    }
-
-    #[test]
-    fn spoof_tolerance_forgives_light_origination() {
-        let rib = rib_with(&["20.0.0.0/8", "9.0.0.0/8"]);
-        let records = [
-            flow("9.9.9.9", "20.1.1.1", 6, 10, 40),
-            flow("20.1.1.50", "9.9.9.9", 6, 2, 40), // 2 spoofed packets
-        ];
-        let stats = TrafficStats::from_records(&records);
-        let strict = run(&stats, &rib, 1, 1, &PipelineConfig::default());
-        assert!(strict.dark.is_empty());
-        assert_eq!(strict.gray.len(), 1);
-        let tolerant = run(
-            &stats,
-            &rib,
-            1,
-            1,
-            &PipelineConfig {
-                spoof_tolerance_packets: 2,
-                ..PipelineConfig::default()
-            },
-        );
-        assert_eq!(tolerant.dark.len(), 1);
-    }
-
-    #[test]
-    fn special_space_fails_step4() {
-        let rib = rib_with(&["0.0.0.0/0"]);
-        let r = run_default(&[flow("9.9.9.9", "10.1.1.1", 6, 10, 40)], &rib);
-        assert_eq!(r.classified(), 0);
-        assert_eq!(r.funnel.after_origin(), 1);
-        assert_eq!(r.funnel.after_special(), 0);
-    }
-
-    #[test]
-    fn unrouted_space_fails_step5() {
-        let rib = rib_with(&["20.0.0.0/8"]);
-        let r = run_default(&[flow("9.9.9.9", "21.1.1.1", 6, 10, 40)], &rib);
-        assert_eq!(r.classified(), 0);
-        assert_eq!(r.funnel.after_special(), 1);
-        assert_eq!(r.funnel.after_routed(), 0);
-    }
-
-    #[test]
-    fn heavy_block_fails_step6() {
-        let rib = rib_with(&["20.0.0.0/8"]);
-        let records = [flow("9.9.9.9", "20.1.1.1", 6, 2_000, 40)];
-        let r = run_default(&records, &rib);
-        assert_eq!(r.classified(), 0);
-        assert_eq!(r.funnel.after_routed(), 1);
-        assert_eq!(r.funnel.after_volume(), 0);
-    }
-
-    #[test]
-    fn volume_cap_scales_with_sampling_and_days() {
-        let rib = rib_with(&["20.0.0.0/8"]);
-        let records = [flow("9.9.9.9", "20.1.1.1", 6, 2_000, 40)];
-        let stats = TrafficStats::from_records(&records);
-        // 2 000 sampled at rate 10 over 7 days → ≈ 2 857 true/day > 1 700.
-        let week = run(&stats, &rib, 10, 7, &PipelineConfig::default());
-        assert_eq!(week.classified(), 0);
-        // Over 14 days the same count is within the cap.
-        let fortnight = run(&stats, &rib, 10, 14, &PipelineConfig::default());
-        assert_eq!(fortnight.dark.len(), 1);
-    }
-
-    #[test]
-    fn mixed_sizes_become_unclean() {
-        let rib = rib_with(&["20.0.0.0/8"]);
-        // Host 1 gets clean SYNs; host 2 got one large TCP packet, but
-        // the block average stays under 44.
-        let r = run_default(
-            &[
-                flow("9.9.9.9", "20.1.1.1", 6, 100, 40),
-                flow("9.9.9.9", "20.1.1.2", 6, 1, 200),
-            ],
-            &rib,
-        );
-        assert_eq!(r.unclean.len(), 1);
-        assert_eq!(r.dark.len(), 0);
-    }
-
-    #[test]
-    fn funnel_is_monotone() {
-        let rib = rib_with(&["20.0.0.0/8", "9.0.0.0/8"]);
-        let mut records = Vec::new();
-        for i in 0..50u32 {
-            records.push(flow(
-                "9.9.9.9",
-                &format!("20.1.{i}.1"),
-                if i % 5 == 0 { 17 } else { 6 },
-                10 + u64::from(i) * 60,
-                if i % 3 == 0 { 1500 } else { 40 },
-            ));
-        }
-        let r = run_default(&records, &rib);
-        let f = &r.funnel;
-        assert!(f.seen() >= f.after_tcp());
-        assert!(f.after_tcp() >= f.after_avg());
-        assert!(f.after_avg() >= f.after_origin());
-        assert!(f.after_origin() >= f.after_special());
-        assert!(f.after_special() >= f.after_routed());
-        assert!(f.after_routed() >= f.after_volume());
-        assert_eq!(r.classified() as u64, f.after_volume());
-        // Each stage only sees the previous stage's survivors.
-        let mut expect_entered = f.seen();
-        for stage in f.stages() {
-            assert_eq!(stage.entered, expect_entered, "stage {}", stage.name);
-            assert!(stage.kept <= stage.entered);
-            expect_entered = stage.kept;
-        }
-    }
-
-    #[test]
-    fn funnel_serde_uses_legacy_flat_keys() {
-        let rib = rib_with(&["20.0.0.0/8", "9.0.0.0/8"]);
-        let r = run_default(
-            &[
-                flow("9.9.9.9", "20.1.1.1", 6, 10, 40),
-                flow("9.9.9.9", "20.2.2.2", 17, 10, 40),
-                flow("20.3.3.3", "9.9.9.9", 6, 3, 40),
-            ],
-            &rib,
-        );
-        let json = serde_json::to_string(&r.funnel).unwrap();
-        for key in ["seen", "after_tcp", "after_avg", "after_origin"] {
-            assert!(
-                json.contains(&format!("\"{key}\"")),
-                "missing {key}: {json}"
-            );
-        }
-        assert!(
-            !json.contains("stages"),
-            "standard funnel stays flat: {json}"
-        );
-        let back: Funnel = serde_json::from_str(&json).unwrap();
-        assert_eq!(back, r.funnel);
-    }
-
-    #[test]
-    fn custom_funnel_serde_roundtrips() {
-        let mut funnel = Funnel::with_stages(["tcp", "volume"]);
-        funnel.note_seen();
-        funnel.note_seen();
-        funnel.note_kept(0);
-        funnel.note_dropped(0);
-        funnel.note_dropped(1);
-        let json = serde_json::to_string(&funnel).unwrap();
-        assert!(
-            json.contains("stages"),
-            "custom funnel uses stage array: {json}"
-        );
-        let back: Funnel = serde_json::from_str(&json).unwrap();
-        assert_eq!(back, funnel);
-    }
-
-    #[test]
-    fn absorb_folds_counts() {
-        let mut a = Funnel::default();
-        a.note_seen();
-        a.note_kept(0);
-        let mut b = Funnel::default();
-        b.note_seen();
-        b.note_dropped(0);
-        a.absorb(&b);
-        assert_eq!(a.seen(), 2);
-        assert_eq!(a.stages()[0].entered, 2);
-        assert_eq!(a.after_tcp(), 1);
-    }
-
-    #[test]
-    #[should_panic(expected = "different stage vectors")]
-    fn absorb_rejects_mismatched_stage_vectors() {
-        let mut a = Funnel::default();
-        let b = Funnel::with_stages(["tcp"]);
-        a.absorb(&b);
     }
 }

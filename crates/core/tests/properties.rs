@@ -44,21 +44,21 @@ proptest! {
         records in proptest::collection::vec(arb_record(), 1..150),
     ) {
         let stats = TrafficStats::from_records(&records);
-        let r = pipeline::run(&stats, &rib(), 1, 1, &pipeline::PipelineConfig::default());
+        let r = PipelineEngine::standard().run(&stats, &rib(), 1, 1, &pipeline::PipelineConfig::default());
         // Disjoint classes.
         prop_assert_eq!(r.dark.intersection_len(&r.unclean), 0);
         prop_assert_eq!(r.dark.intersection_len(&r.gray), 0);
         prop_assert_eq!(r.unclean.intersection_len(&r.gray), 0);
+        // Funnel is monotone: each stage enters exactly the previous
+        // stage's survivors and keeps at most what entered.
+        let mut entered = r.funnel.seen();
+        for s in r.funnel.stages() {
+            prop_assert_eq!(s.entered, entered, "stage {}", s.name);
+            prop_assert!(s.kept <= s.entered);
+            entered = s.kept;
+        }
         // Classes cover exactly the post-volume survivors.
-        prop_assert_eq!(r.classified() as u64, r.funnel.after_volume());
-        // Funnel is monotone.
-        let f = &r.funnel;
-        prop_assert!(f.seen() >= f.after_tcp());
-        prop_assert!(f.after_tcp() >= f.after_avg());
-        prop_assert!(f.after_avg() >= f.after_origin());
-        prop_assert!(f.after_origin() >= f.after_special());
-        prop_assert!(f.after_special() >= f.after_routed());
-        prop_assert!(f.after_routed() >= f.after_volume());
+        prop_assert_eq!(r.classified() as u64, entered);
     }
 
     #[test]
@@ -72,11 +72,10 @@ proptest! {
         let flat = TrafficStats::from_records(&records);
         let rib = rib();
         let pc = pipeline::PipelineConfig::default();
-        let serial = pipeline::run(&flat, &rib, 1, 1, &pc);
+        let serial = PipelineEngine::standard().run(&flat, &rib, 1, 1, &pc);
         let engine = PipelineEngine::standard();
         for shards in [1usize, 4, 16] {
-            let mut sharded = ShardedTrafficStats::new(shards);
-            sharded.par_ingest(&records, shards.min(4));
+            let sharded = ShardedTrafficStats::from_records(shards, &records);
             for threads in [1usize, 4] {
                 let par = engine.run_sharded(&sharded, &rib, 1, 1, &pc, threads);
                 prop_assert_eq!(&par.dark, &serial.dark, "dark: shards={} threads={}", shards, threads);
@@ -93,7 +92,7 @@ proptest! {
     ) {
         let stats = TrafficStats::from_records(&records);
         let rib = rib();
-        let full = pipeline::run(&stats, &rib, 1, 1, &pipeline::PipelineConfig {
+        let full = PipelineEngine::standard().run(&stats, &rib, 1, 1, &pipeline::PipelineConfig {
             // A huge volume cap isolates the subset relation from the
             // volume filter (the baseline has none).
             volume_threshold_per_day: f64::MAX,
@@ -115,7 +114,7 @@ proptest! {
     ) {
         let stats = TrafficStats::from_records(&records);
         let rib = rib();
-        let run_with = |tol| pipeline::run(&stats, &rib, 1, 1, &pipeline::PipelineConfig {
+        let run_with = |tol| PipelineEngine::standard().run(&stats, &rib, 1, 1, &pipeline::PipelineConfig {
             spoof_tolerance_packets: tol,
             ..pipeline::PipelineConfig::default()
         });
@@ -134,13 +133,14 @@ proptest! {
     ) {
         let stats = TrafficStats::from_records(&records);
         let rib = rib();
-        let run_with = |t: u16| pipeline::run(&stats, &rib, 1, 1, &pipeline::PipelineConfig {
+        let run_with = |t: u16| PipelineEngine::standard().run(&stats, &rib, 1, 1, &pipeline::PipelineConfig {
             avg_size_threshold: f64::from(t),
             ..pipeline::PipelineConfig::default()
         });
         let low = run_with(t1);
         let high = run_with(t1 + extra);
-        prop_assert!(high.funnel.after_avg() >= low.funnel.after_avg());
+        // Stage 2 (`avg_size`) keeps more under a looser threshold.
+        prop_assert!(high.funnel.stages()[1].kept >= low.funnel.stages()[1].kept);
     }
 
     #[test]
@@ -154,8 +154,8 @@ proptest! {
             volume_threshold_per_day: f64::MAX,
             ..pipeline::PipelineConfig::default()
         };
-        let a = pipeline::run(&stats, &rib, 1, 1, &pc);
-        let b = pipeline::run(&stats, &rib, 10_000, 1, &pc);
+        let a = PipelineEngine::standard().run(&stats, &rib, 1, 1, &pc);
+        let b = PipelineEngine::standard().run(&stats, &rib, 10_000, 1, &pc);
         prop_assert_eq!(a.dark, b.dark);
         prop_assert_eq!(a.gray, b.gray);
     }

@@ -32,7 +32,7 @@
 use std::sync::Arc;
 
 use crate::record::FlowRecord;
-use crate::stats::{DstRef, SrcRef, TrafficStats, TrafficView};
+use crate::stats::{DstRef, HostSet, SrcRef, TrafficStats, TrafficView};
 use mt_types::{Block24, FxHashMap, Slot24Index};
 use mt_wire::IpProtocol;
 
@@ -112,6 +112,13 @@ fn get_bit(words: &[u64], i: usize) -> bool {
 #[inline]
 fn set_host(col: &mut [u64], row: usize, host: u8) {
     col[row * 4 + (host / 64) as usize] |= 1 << (host % 64);
+}
+
+/// Unions `hosts` into the 256-bit set stored at `row` of a column.
+fn or_hosts(col: &mut [u64], row: usize, hosts: HostSet) {
+    for (word, bits) in col[row * 4..row * 4 + 4].iter_mut().zip(hosts.to_words()) {
+        *word |= bits;
+    }
 }
 
 /// Reads the 256-bit host set stored at `row` back out of a column.
@@ -279,6 +286,56 @@ impl ColumnarStats {
         set_bit(&mut self.s_touched, row);
         self.s_packets[row] += r.packets;
         set_host(&mut self.s_originating, row, r.src.host_in_block24());
+    }
+
+    /// Folds one block's destination aggregates into its row (or the
+    /// overflow when slotless) — the view-level mirror of
+    /// [`ingest_dst_half`](Self::ingest_dst_half), without totals.
+    pub(crate) fn merge_dst_view(&mut self, block: Block24, d: DstRef<'_>) {
+        let Some(slot) = self.slots.slot_of(block) else {
+            self.ovf.merge_dst_view(block, d);
+            return;
+        };
+        let row = self.owned_row(slot);
+        set_bit(&mut self.d_touched, row);
+        self.d_tcp_packets[row] += d.tcp_packets;
+        self.d_tcp_octets[row] += d.tcp_octets;
+        self.d_udp_packets[row] += d.udp_packets;
+        self.d_icmp_packets[row] += d.icmp_packets;
+        self.d_other_packets[row] += d.other_packets;
+        for (col, hosts) in [
+            (&mut self.d_received, d.received),
+            (&mut self.d_received_tcp, d.received_tcp),
+            (&mut self.d_received_big_tcp, d.received_big_tcp),
+        ] {
+            or_hosts(col, row, hosts);
+        }
+        if !d.tcp_sizes.is_empty() {
+            let sizes = self.d_tcp_sizes.entry(row as u32).or_default();
+            for &(size, count) in d.tcp_sizes {
+                bump_histogram(sizes, size, count);
+            }
+        }
+    }
+
+    /// Folds one block's source aggregates into its row (or the
+    /// overflow when slotless).
+    pub(crate) fn merge_src_view(&mut self, block: Block24, s: SrcRef) {
+        let Some(slot) = self.slots.slot_of(block) else {
+            self.ovf.merge_src_view(block, s);
+            return;
+        };
+        let row = self.owned_row(slot);
+        set_bit(&mut self.s_touched, row);
+        self.s_packets[row] += s.packets;
+        or_hosts(&mut self.s_originating, row, s.originating);
+    }
+
+    /// Adds record totals that arrived without their records.
+    pub(crate) fn add_totals(&mut self, flows: u64, packets: u64, octets: u64) {
+        self.total_flows += flows;
+        self.total_packets += packets;
+        self.total_octets += octets;
     }
 
     /// Columnar mirror of [`DstBlockStats::ingest`]

@@ -1,5 +1,5 @@
-//! Sharded per-/24 traffic accumulators for parallel ingest and
-//! parallel pipeline evaluation.
+//! Sharded per-/24 traffic accumulators for parallel pipeline
+//! evaluation.
 //!
 //! [`ShardedTrafficStats`] splits the /24 key space over `N` fixed
 //! shards. Two layouts exist ([`StatsLayout`]):
@@ -20,19 +20,16 @@
 //! self-contained [`TrafficView`] over its slice of the key space, and
 //! the pipeline can run per shard with no cross-shard reads.
 //!
-//! Parallel ingest ([`ShardedTrafficStats::par_ingest`]) is lock-free
-//! single-writer: each thread owns a contiguous range of shards, scans
-//! the full record slice, and applies only the updates belonging to its
-//! shards (the destination half of a record goes to `shard(dst)`, the
-//! source half to `shard(src)`, record totals ride with the destination
-//! half). Threads never touch each other's shards, so no synchronization
-//! beyond the scoped join is needed, and the result is bit-identical to
-//! serial ingest because per-block accumulation is order-independent.
+//! Ingest is single-writer per accumulator: stream workers each fold
+//! batches into their own per-day [`ShardedTrafficStats`], and the
+//! window close merges them shard-wise; per-block accumulation is
+//! order-independent, so the merge equals a serial ingest bit for bit.
 //!
 //! [`ShardedTrafficStats::into_unsharded`] reassembles a flat
 //! [`TrafficStats`] for call sites that still want one; since shard key
 //! spaces are disjoint this moves (map layout) or materializes
 //! (columnar layout) blocks instead of re-merging them.
+//! [`ShardedTrafficStats::from_unsharded`] is its inverse.
 
 use std::sync::Arc;
 
@@ -82,6 +79,31 @@ impl StatsShard {
         match self {
             StatsShard::Map(s) => s.ingest_src_half(r),
             StatsShard::Columnar(c) => c.ingest_src_half(r),
+        }
+    }
+
+    fn merge_dst_view(&mut self, block: Block24, d: DstRef<'_>) {
+        match self {
+            StatsShard::Map(s) => s.merge_dst_view(block, d),
+            StatsShard::Columnar(c) => c.merge_dst_view(block, d),
+        }
+    }
+
+    fn merge_src_view(&mut self, block: Block24, s: SrcRef) {
+        match self {
+            StatsShard::Map(m) => m.merge_src_view(block, s),
+            StatsShard::Columnar(c) => c.merge_src_view(block, s),
+        }
+    }
+
+    fn add_totals(&mut self, flows: u64, packets: u64, octets: u64) {
+        match self {
+            StatsShard::Map(s) => {
+                s.total_flows += flows;
+                s.total_packets += packets;
+                s.total_octets += octets;
+            }
+            StatsShard::Columnar(c) => c.add_totals(flows, packets, octets),
         }
     }
 
@@ -186,23 +208,6 @@ impl Default for ShardedTrafficStats {
     }
 }
 
-/// The shard owning `block` — a free function so `par_ingest` workers
-/// can route without borrowing the whole accumulator.
-fn shard_of_block(
-    layout: &StatsLayout,
-    rows_per_shard: u32,
-    num_shards: usize,
-    block: Block24,
-) -> usize {
-    match layout {
-        StatsLayout::Map => block.0 as usize % num_shards,
-        StatsLayout::Columnar(slots) => match slots.slot_of(block) {
-            Some(slot) => ((slot / rows_per_shard) as usize).min(num_shards - 1),
-            None => block.0 as usize % num_shards,
-        },
-    }
-}
-
 impl ShardedTrafficStats {
     /// Creates an empty map-layout accumulator with `num_shards` shards
     /// and the default per-host size threshold.
@@ -265,7 +270,14 @@ impl ShardedTrafficStats {
 
     /// The shard owning `block`.
     pub fn shard_of(&self, block: Block24) -> usize {
-        shard_of_block(&self.layout, self.rows_per_shard, self.shards.len(), block)
+        let n = self.shards.len();
+        match &self.layout {
+            StatsLayout::Map => block.0 as usize % n,
+            StatsLayout::Columnar(slots) => match slots.slot_of(block) {
+                Some(slot) => ((slot / self.rows_per_shard) as usize).min(n - 1),
+                None => block.0 as usize % n,
+            },
+        }
     }
 
     /// The per-shard accumulators, in shard order.
@@ -314,59 +326,6 @@ impl ShardedTrafficStats {
         s
     }
 
-    /// Ingests a record slice with `threads` worker threads.
-    ///
-    /// Lock-free single-writer scheme: each thread owns a contiguous
-    /// range of shards and scans the whole slice, applying only the
-    /// updates whose target shard it owns. Every thread reads all
-    /// records, so this trades `threads × scan` read bandwidth for
-    /// zero synchronization on the write side — a good trade while
-    /// hashing and histogram upkeep dominate the scan. The result is
-    /// bit-identical to serial ingest of the same slice, under either
-    /// layout.
-    pub fn par_ingest(&mut self, records: &[FlowRecord], threads: usize) {
-        let n = self.shards.len();
-        let threads = threads.clamp(1, n);
-        if threads == 1 {
-            for r in records {
-                self.ingest(r);
-            }
-            return;
-        }
-        let layout = self.layout.clone();
-        let rows_per_shard = self.rows_per_shard;
-        let base = n / threads;
-        let extra = n % threads;
-        crossbeam::thread::scope(|scope| {
-            let layout = &layout;
-            let mut rest: &mut [StatsShard] = &mut self.shards;
-            let mut start = 0usize;
-            for t in 0..threads {
-                let len = base + usize::from(t < extra);
-                let (chunk, tail) = rest.split_at_mut(len);
-                rest = tail;
-                let lo = start;
-                start += len;
-                scope.spawn(move |_| {
-                    for r in records {
-                        let dst = Block24(r.dst.block24_index());
-                        let dst_shard = shard_of_block(layout, rows_per_shard, n, dst);
-                        if (lo..lo + len).contains(&dst_shard) {
-                            chunk[dst_shard - lo].ingest_dst_half(r, None);
-                        }
-                        let src = Block24(r.src.block24_index());
-                        let src_shard = shard_of_block(layout, rows_per_shard, n, src);
-                        if (lo..lo + len).contains(&src_shard) {
-                            chunk[src_shard - lo].ingest_src_half(r);
-                        }
-                    }
-                });
-            }
-        })
-        // check: allow(no_panic, "scope() errs only if a worker panicked; re-raising on the coordinator is intended")
-        .expect("sharded ingest worker panicked");
-    }
-
     /// Merges another sharded accumulator shard-by-shard. Both sides
     /// must have the same shard count and the same layout (same shard
     /// function; for columnar layouts, the same slot-index fingerprint).
@@ -393,62 +352,6 @@ impl ShardedTrafficStats {
         }
     }
 
-    /// Reduces flat per-part stats (e.g. one [`TrafficStats`] per day or
-    /// per vantage point) into a map-layout sharded accumulator, with
-    /// `threads` workers each building its own shards.
-    ///
-    /// Thread `t` owns a range of shards; for each shard it walks every
-    /// part and merges in just the blocks that hash to that shard. Totals
-    /// of each part are attributed to shard 0 so shard sums equal the
-    /// serial merge. Unlike a tree reduction over clones, no block is
-    /// ever copied more than once and no intermediate clones are made.
-    pub fn from_parts_parallel(
-        parts: &[TrafficStats],
-        num_shards: usize,
-        threads: usize,
-    ) -> ShardedTrafficStats {
-        let size_threshold = parts
-            .first()
-            .map_or(crate::stats::DEFAULT_SIZE_THRESHOLD, |p| p.size_threshold());
-        // Fail fast on the calling thread rather than inside a worker,
-        // where the panic message would be masked by the scope join.
-        assert!(
-            parts.iter().all(|p| p.size_threshold() == size_threshold),
-            "merging stats with different host-size thresholds"
-        );
-        let mut out = Self::with_size_threshold(num_shards, size_threshold);
-        let n = num_shards;
-        let threads = threads.clamp(1, n);
-        let base = n / threads;
-        let extra = n % threads;
-        crossbeam::thread::scope(|scope| {
-            let mut rest: &mut [StatsShard] = &mut out.shards;
-            let mut start = 0usize;
-            for t in 0..threads {
-                let len = base + usize::from(t < extra);
-                let (chunk, tail) = rest.split_at_mut(len);
-                rest = tail;
-                let lo = start;
-                start += len;
-                scope.spawn(move |_| {
-                    for (offset, shard) in chunk.iter_mut().enumerate() {
-                        let s = lo + offset;
-                        let StatsShard::Map(shard) = shard else {
-                            // check: allow(no_panic, "with_size_threshold above always builds the map layout")
-                            unreachable!("from_parts_parallel builds map-layout shards");
-                        };
-                        for part in parts {
-                            shard.merge_projection(part, |block| block as usize % n == s, s == 0);
-                        }
-                    }
-                });
-            }
-        })
-        // check: allow(no_panic, "scope() errs only if a worker panicked; re-raising on the coordinator is intended")
-        .expect("sharded reduce worker panicked");
-        out
-    }
-
     /// Reassembles a flat [`TrafficStats`] (escape hatch for call sites
     /// that need the unsharded representation). Shard key spaces are
     /// disjoint, so map-layout blocks are moved, not re-merged;
@@ -463,6 +366,24 @@ impl ShardedTrafficStats {
         for shard in shards {
             out.absorb_disjoint(shard);
         }
+        out
+    }
+
+    /// Splits a flat accumulator over `num_shards` shards of `layout` —
+    /// the inverse of [`into_unsharded`](Self::into_unsharded), which
+    /// lets a running combination resume from persisted stats. Record
+    /// totals ride with shard 0, so the shard sums equal the flat ones.
+    pub fn from_unsharded(stats: &TrafficStats, num_shards: usize, layout: StatsLayout) -> Self {
+        let mut out = Self::with_layout(num_shards, stats.size_threshold(), layout);
+        for (block, d) in TrafficView::iter_dst(stats) {
+            let shard = out.shard_of(block);
+            out.shards[shard].merge_dst_view(block, d);
+        }
+        for (block, s) in TrafficView::iter_src(stats) {
+            let shard = out.shard_of(block);
+            out.shards[shard].merge_src_view(block, s);
+        }
+        out.shards[0].add_totals(stats.total_flows, stats.total_packets, stats.total_octets);
         out
     }
 }
@@ -627,32 +548,6 @@ mod tests {
     }
 
     #[test]
-    fn par_ingest_matches_serial_for_all_thread_counts() {
-        let records = sample_records();
-        let flat = TrafficStats::from_records(&records);
-        for threads in [1, 2, 4, 8] {
-            let mut sharded = ShardedTrafficStats::new(8);
-            sharded.par_ingest(&records, threads);
-            assert_equivalent(&sharded, &flat);
-        }
-    }
-
-    #[test]
-    fn columnar_par_ingest_matches_serial_for_all_thread_counts() {
-        let records = sample_records();
-        let flat = TrafficStats::from_records(&records);
-        for threads in [1, 2, 4, 8] {
-            let mut sharded = ShardedTrafficStats::with_layout(
-                8,
-                crate::stats::DEFAULT_SIZE_THRESHOLD,
-                sample_layout(),
-            );
-            sharded.par_ingest(&records, threads);
-            assert_equivalent(&sharded, &flat);
-        }
-    }
-
-    #[test]
     fn sweeps_route_like_flat_ingest() {
         let records = sample_records();
         let mut flat = TrafficStats::new();
@@ -760,16 +655,27 @@ mod tests {
     }
 
     #[test]
-    fn from_parts_parallel_matches_serial_merge() {
+    fn from_unsharded_inverts_into_unsharded_under_both_layouts() {
         let records = sample_records();
-        let parts: Vec<TrafficStats> = records.chunks(97).map(TrafficStats::from_records).collect();
-        let mut serial = TrafficStats::new();
-        for p in &parts {
-            serial.merge(p);
-        }
-        for threads in [1, 2, 4] {
-            let sharded = ShardedTrafficStats::from_parts_parallel(&parts, 8, threads);
-            assert_equivalent(&sharded, &serial);
+        let flat = TrafficStats::from_records(&records);
+        for layout in [StatsLayout::Map, sample_layout()] {
+            for shards in [1, 3, 16] {
+                let sharded = ShardedTrafficStats::from_unsharded(&flat, shards, layout.clone());
+                assert_equivalent(&sharded, &flat);
+                // It merges with stats ingested record by record, shard
+                // for shard: the restored state can keep accumulating.
+                let threshold = crate::stats::DEFAULT_SIZE_THRESHOLD;
+                let mut ingested =
+                    ShardedTrafficStats::with_layout(shards, threshold, layout.clone());
+                for r in &records {
+                    ingested.ingest(r);
+                }
+                let mut twice = sharded.clone();
+                twice.merge(&ingested);
+                let mut doubled = flat.clone();
+                doubled.merge(&flat);
+                assert_equivalent(&twice, &doubled);
+            }
         }
     }
 }

@@ -595,7 +595,7 @@ impl TrafficStats {
     }
 
     /// Merges another accumulator into this one (multi-day windows,
-    /// multi-vantage-point unions, parallel shard reduction). Both sides
+    /// multi-vantage-point unions, shard-wise window merges). Both sides
     /// must share the same size threshold.
     pub fn merge(&mut self, other: &TrafficStats) {
         assert_eq!(
@@ -658,47 +658,17 @@ impl TrafficStats {
     }
 
     /// Merges one destination row view into the accumulator — the
-    /// import half of the column-slice interchange (`crate::export`).
+    /// import half of the column-slice interchange (`crate::export`)
+    /// and of `ShardedTrafficStats::from_unsharded`.
     pub(crate) fn merge_dst_view(&mut self, block: Block24, d: DstRef<'_>) {
         self.per_dst.entry(block.0).or_default().merge_ref(d);
     }
 
     /// Merges one source row view into the accumulator — the import
-    /// half of the column-slice interchange (`crate::export`).
+    /// half of the column-slice interchange (`crate::export`) and of
+    /// `ShardedTrafficStats::from_unsharded`.
     pub(crate) fn merge_src_view(&mut self, block: Block24, s: SrcRef) {
         self.per_src.entry(block.0).or_default().merge_ref(s);
-    }
-
-    /// Merges only the blocks of `other` whose index satisfies `keep`,
-    /// optionally including `other`'s record totals. Lets a sharded
-    /// reduction project each input onto one shard's key space; exactly
-    /// one shard per input must take the totals so shard sums stay equal
-    /// to the serial merge.
-    pub(crate) fn merge_projection(
-        &mut self,
-        other: &TrafficStats,
-        keep: impl Fn(u32) -> bool,
-        include_totals: bool,
-    ) {
-        assert_eq!(
-            self.size_threshold, other.size_threshold,
-            "merging stats with different host-size thresholds"
-        );
-        if include_totals {
-            self.total_flows += other.total_flows;
-            self.total_packets += other.total_packets;
-            self.total_octets += other.total_octets;
-        }
-        for (&b, s) in &other.per_dst {
-            if keep(b) {
-                self.per_dst.entry(b).or_default().merge(s);
-            }
-        }
-        for (&b, s) in &other.per_src {
-            if keep(b) {
-                self.per_src.entry(b).or_default().merge(s);
-            }
-        }
     }
 }
 

@@ -217,8 +217,9 @@ struct StoreRuntime {
 
 impl StoreRuntime {
     /// Brings up the persistence sink and the query cache: cold-loads
-    /// whatever earlier runs persisted, then persists every window the
-    /// scheduler closes from here on.
+    /// whatever earlier runs persisted, resumes the service's
+    /// combination from it, then persists every window the scheduler
+    /// closes from here on.
     fn open<F: Fn(Day) -> PrefixTrie<Asn>>(
         cfg: StoreConfig,
         service: &MultiStreamService<F>,
@@ -229,6 +230,12 @@ impl StoreRuntime {
         let slots = Arc::clone(&cfg.slots);
         let results = ResultsStore::open(cfg).map_err(to_io)?;
         let (index, _cold) = QueryIndex::cold_load(&results).map_err(to_io)?;
+        // The combination continues from the persisted summary, so the
+        // next close's combined verdicts cover the whole history.
+        let summary = index.summary();
+        if let (Some(first), Some(last)) = (summary.first_day, summary.last_day) {
+            service.resume(&summary.to_stats(&slots), first, last);
+        }
         let index = Arc::new(RwLock::new(index));
         let windows_persisted = reg.counter(
             "mt_store_windows_persisted_total",

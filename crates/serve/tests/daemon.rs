@@ -2,12 +2,13 @@
 //! HTTP endpoints, and the graceful-drain accounting identities.
 
 use mt_serve::replay::{self, await_decoded, http_get, http_request, Workload};
-use mt_serve::{Daemon, ServeConfig};
-use mt_store::StoreConfig;
+use mt_serve::{Daemon, ServeConfig, ServeOutput};
+use mt_store::{StoreConfig, SummaryData, Verdicts};
 use mt_stream::{HealthSnapshot, StreamConfig};
-use mt_types::{Day, RibIndex, SimDuration, Slot24Index};
+use mt_types::{Day, Ipv4, RibIndex, SimDuration, Slot24Index};
 use std::io::{Read, Write};
 use std::net::{TcpStream, UdpSocket};
+use std::path::Path;
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -322,6 +323,67 @@ fn v1_endpoints_without_a_store_are_not_found() {
     runner.join().expect("join").expect("run");
 }
 
+/// Binds a daemon over the store in `dir`, sends each stream over its
+/// own TCP connection, waits until `decoded` records arrived, and
+/// drains.
+fn ingest_into_store(dir: &Path, streams: &[Vec<Vec<u8>>], decoded: u64) -> ServeOutput {
+    let mut cfg = serve_config(SimDuration::days(10));
+    cfg.store = Some(StoreConfig {
+        dir: dir.to_path_buf(),
+        slots: default_slots(),
+    });
+    let daemon = Daemon::bind(cfg, |_| replay::default_rib()).expect("bind");
+    let tcp_to = daemon.tcp_addr().expect("tcp on");
+    let http = daemon.http_addr().expect("http on");
+    let handle = daemon.shutdown_handle().expect("handle");
+    let runner = std::thread::spawn(move || daemon.run());
+    for messages in streams {
+        replay::send_tcp(tcp_to, messages).expect("send stream");
+    }
+    await_decoded(http, decoded).expect("decoded");
+    handle.shutdown();
+    runner.join().expect("join").expect("run")
+}
+
+/// Each exporter's messages for `days`, one stream per exporter.
+fn streams(w: &Workload, days: std::ops::Range<u32>) -> Vec<Vec<Vec<u8>>> {
+    (0..w.exporters)
+        .map(|e| {
+            let mut seq = 0;
+            days.clone()
+                .flat_map(|d| w.encode_day(e, Day(d), &mut seq, 25))
+                .collect()
+        })
+        .collect()
+}
+
+/// Cold-loads the store in `dir` and answers `/v1/block` for each
+/// address.
+fn block_bodies(dir: &Path, addrs: &[Ipv4]) -> Vec<String> {
+    let mut cfg = serve_config(SimDuration::days(10));
+    cfg.store = Some(StoreConfig {
+        dir: dir.to_path_buf(),
+        slots: default_slots(),
+    });
+    let daemon = Daemon::bind(cfg, |_| replay::default_rib()).expect("bind");
+    let http = daemon.http_addr().expect("http on");
+    let handle = daemon.shutdown_handle().expect("handle");
+    let runner = std::thread::spawn(move || daemon.run());
+    let bodies = addrs
+        .iter()
+        .map(|a| http_get(http, &format!("/v1/block/{a}")).expect("get").1)
+        .collect();
+    handle.shutdown();
+    runner.join().expect("join").expect("run");
+    bodies
+}
+
+fn summary_verdicts(dir: &Path) -> Verdicts {
+    SummaryData::decode(&std::fs::read(dir.join("summary.mts")).expect("summary"))
+        .expect("decodes")
+        .verdicts
+}
+
 #[test]
 fn store_endpoints_serve_persisted_windows_across_a_restart() {
     let dir = temp_store_dir("e2e");
@@ -334,27 +396,7 @@ fn store_endpoints_serve_persisted_windows_across_a_restart() {
 
     // First run: ingest the whole fleet, then drain. Every closed
     // window lands in the store via the scheduler sink.
-    let mut cfg = serve_config(SimDuration::days(10));
-    cfg.store = Some(StoreConfig {
-        dir: dir.clone(),
-        slots: default_slots(),
-    });
-    let daemon = Daemon::bind(cfg, |_| replay::default_rib()).expect("bind");
-    let tcp_to = daemon.tcp_addr().expect("tcp on");
-    let http = daemon.http_addr().expect("http on");
-    let handle = daemon.shutdown_handle().expect("handle");
-    let runner = std::thread::spawn(move || daemon.run());
-
-    for e in 0..w.exporters {
-        let mut seq = 0;
-        let messages: Vec<Vec<u8>> = (0..w.days)
-            .flat_map(|d| w.encode_day(e, Day(d), &mut seq, 25))
-            .collect();
-        replay::send_tcp(tcp_to, &messages).expect("send stream");
-    }
-    await_decoded(http, w.total_flows()).expect("decoded");
-    handle.shutdown();
-    let out = runner.join().expect("join").expect("run");
+    let out = ingest_into_store(&dir, &streams(&w, 0..w.days), w.total_flows());
     assert_eq!(out.stream.windows.len(), w.days as usize);
 
     // The store holds one file per closed day plus the summary.
@@ -441,7 +483,56 @@ fn store_endpoints_serve_persisted_windows_across_a_restart() {
     handle.shutdown();
     let out = runner.join().expect("join").expect("run");
     assert_eq!(out.http_requests, 9, "every query counted");
+
+    // Third run: two more days plus a replay of one day-1 record. The
+    // combination resumes from the persisted summary, and the replay
+    // is dropped late instead of reopening a persisted day.
+    let replayed = Workload {
+        flows_per_exporter_day: 1,
+        ..w
+    }
+    .encode_day(0, Day(1), &mut 0, 1);
+    assert_eq!(replayed.len(), 1, "one message, one record");
+    let mut resumed = streams(&w, w.days..w.days + 2);
+    resumed.push(replayed);
+    let fresh_flows = 2 * (w.exporters * w.flows_per_exporter_day) as u64;
+    let out = ingest_into_store(&dir, &resumed, fresh_flows + 1);
+    assert_eq!(out.stream.health.dropped_late, 1, "the replayed record");
+    assert_eq!(out.stream.windows.len(), 2, "only the new days closed");
+
+    // The reference: one uninterrupted run over all five days.
+    let reference = temp_store_dir("e2e-reference");
+    let all_days = w.days + 2;
+    ingest_into_store(
+        &reference,
+        &streams(&w, 0..all_days),
+        w.total_flows() + fresh_flows,
+    );
+
+    // Both stores answer every block alike, and carry the same combined
+    // verdicts: the restarted daemon's result covers the whole history.
+    let mut addrs: Vec<Ipv4> = (0..w.exporters)
+        .flat_map(|e| (0..all_days).flat_map(move |d| w.day_flows(e, Day(d))))
+        .map(|f| f.dst)
+        .collect();
+    addrs.sort_unstable();
+    addrs.dedup_by_key(|a| a.0 >> 8);
+    let sample: Vec<Ipv4> = addrs.iter().step_by(10).copied().collect();
+    let restarted = block_bodies(&dir, &sample);
+    for (addr, (got, want)) in sample
+        .iter()
+        .zip(restarted.iter().zip(block_bodies(&reference, &sample)))
+    {
+        assert_eq!(got, &want, "/v1/block/{addr}");
+    }
+    assert!(
+        restarted[0].contains(&format!("\"windows\":{all_days}")),
+        "{}",
+        restarted[0]
+    );
+    assert_eq!(summary_verdicts(&dir), summary_verdicts(&reference));
     std::fs::remove_dir_all(&dir).ok();
+    std::fs::remove_dir_all(&reference).ok();
 }
 
 #[test]

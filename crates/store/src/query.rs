@@ -362,7 +362,7 @@ mod tests {
 
     use super::*;
     use crate::store::StoreConfig;
-    use mt_core::pipeline::Funnel;
+    use mt_core::Funnel;
     use mt_flow::ColumnSlices;
     use mt_types::{Asn, PrefixTrie, RibIndex};
     use proptest::prelude::*;

@@ -69,7 +69,7 @@ use crate::service::{
 use crate::window::{Gate, WindowTracker};
 use mt_flow::sharded::DEFAULT_SHARDS;
 use mt_flow::stats::DEFAULT_SIZE_THRESHOLD;
-use mt_flow::{FlowRecord, ShardedTrafficStats, StatsLayout};
+use mt_flow::{FlowRecord, ShardedTrafficStats, StatsLayout, TrafficStats};
 use mt_obs::{Counter, MetricsRegistry};
 use mt_types::{Asn, Day, FxHashMap, PrefixTrie};
 use mt_wire::ipfix::IpfixFlow;
@@ -321,6 +321,21 @@ impl<F: Fn(Day) -> PrefixTrie<Asn>> MultiStreamService<F> {
     /// [`WindowSink`]); callable any time before the first close.
     pub fn set_window_sink(&self, sink: WindowSink) {
         crate::sync::lock(&self.closer).scheduler.set_sink(sink); // lock: stream.closer
+    }
+
+    /// Resumes from what an earlier run persisted: `stats` is the merged
+    /// traffic of windows `first..=last`. The combination continues from
+    /// it (rebuilt in this service's layout), and the window gate starts
+    /// past `last`, so a replayed record for an already-persisted day is
+    /// counted as dropped late instead of reopening its window. Call it
+    /// before any lane pushes.
+    pub fn resume(&self, stats: &TrafficStats, first: Day, last: Day) {
+        let cumulative =
+            ShardedTrafficStats::from_unsharded(stats, DEFAULT_SHARDS, self.shared.layout.clone());
+        let mut closer = crate::sync::lock(&self.closer); // lock: stream.closer
+        closer.scheduler.resume(cumulative, first, last);
+        let mut gate = crate::sync::lock(&self.shared.gate); // lock: stream.gate
+        gate.tracker.resume_after(last);
     }
 
     /// Windows closed so far.
@@ -969,26 +984,65 @@ mod tests {
         }
     }
 
-    #[test]
-    fn columnar_layout_streams_bit_identical_to_map_layout() {
-        // Slot index over the destination space only: the 9.9.9.9
-        // sources have no slot and exercise the overflow path. The
-        // oracle folds into the map layout, so a columnar run that
-        // matches it matches the map-layout runs of the other tests.
+    /// A columnar layout whose slot index covers the destination space
+    /// only: the 9.9.9.9 sources have no slot and exercise the overflow
+    /// path.
+    fn columnar_layout() -> StatsLayout {
         let slot_trie: PrefixTrie<()> = [("20.0.0.0/8".parse::<Prefix>().unwrap(), ())]
             .into_iter()
             .collect();
-        let slots = Arc::new(mt_types::Slot24Index::build(&mt_types::RibIndex::build(
-            &slot_trie,
-        )));
+        StatsLayout::Columnar(Arc::new(mt_types::Slot24Index::build(
+            &mt_types::RibIndex::build(&slot_trie),
+        )))
+    }
+
+    #[test]
+    fn columnar_layout_streams_bit_identical_to_map_layout() {
+        // The oracle folds into the map layout, so a columnar run that
+        // matches it matches the map-layout runs of the other tests.
         let days = days(3);
         for lanes in LANES {
             let cfg = StreamConfig {
-                layout: StatsLayout::Columnar(Arc::clone(&slots)),
+                layout: columnar_layout(),
                 ..hour_late(3)
             };
             let out = run(cfg.clone(), lanes, &days, Transport::Chunks(1460));
             assert_matches_batch(&out, &days, &cfg, &format!("columnar, {lanes} lanes"));
+        }
+    }
+
+    #[test]
+    fn resumed_run_continues_the_combination() {
+        // A second service resumes from the merged stats of the first
+        // run's days, as the daemon does from its store. Its reports,
+        // appended to the first run's, answer to the oracle of one
+        // uninterrupted run; a replayed record for a resumed day is
+        // dropped late instead of reopening its window.
+        let days = days(4);
+        let (before, after) = days.split_at(2);
+        for (name, layout) in [("map", StatsLayout::Map), ("columnar", columnar_layout())] {
+            for lanes in LANES {
+                let what = format!("resumed, {name} layout, {lanes} lanes");
+                let cfg = StreamConfig {
+                    layout: layout.clone(),
+                    ..hour_late(2)
+                };
+                let first = run(cfg.clone(), lanes, before, Transport::Chunks(1460));
+                let (svc, mut p) = MultiStreamService::start(cfg.clone(), lanes, |_| rib());
+                let persisted = TrafficStats::from_records(&before.concat());
+                svc.resume(&persisted, Day(0), Day(1));
+                let mut seq = 0;
+                for m in messages(&[record(Day(1), 3, 0x1400_0100, 1)], &mut seq, 1) {
+                    p[lanes - 1].push_chunk("replay", &m);
+                }
+                feed_days(&mut p, after, &mut seq, Transport::Chunks(1460));
+                let mut out = svc.finish(p);
+                out.health.check_invariants().expect("final invariants");
+                assert_eq!(out.health.dropped_late, 1, "{what}: the replay");
+                out.windows.splice(0..0, first.windows);
+                out.combined.splice(0..0, first.combined);
+                assert_matches_batch(&out, &days, &cfg, &what);
+            }
         }
     }
 

@@ -114,6 +114,18 @@ impl<F: Fn(Day) -> PrefixTrie<Asn>> WindowScheduler<F> {
         }
     }
 
+    /// Continues the multi-day combination from state an earlier run
+    /// persisted: `cumulative` holds the merged stats of every window in
+    /// `first..=last`. The union RIB is refolded from `first` at the
+    /// next close, and later windows must close after `last`.
+    pub fn resume(&mut self, cumulative: ShardedTrafficStats, first: Day, last: Day) {
+        assert!(self.last_day.is_none(), "resume precedes the first close");
+        self.cumulative = Some(cumulative);
+        self.first_day = Some(first);
+        self.last_day = Some(last);
+        self.next_rib_day = first;
+    }
+
     /// Installs an observer invoked after every window close with the
     /// window's stats, ports, and both pipeline results.
     pub fn set_sink(&mut self, sink: WindowSink) {

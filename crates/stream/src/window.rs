@@ -122,6 +122,16 @@ impl WindowTracker {
         Gate::Accept { day, late }
     }
 
+    /// Advances the watermark to the end of `day`, closing every window
+    /// up to and including it: a record for a day an earlier run
+    /// already closed is dropped, never reopened.
+    pub fn resume_after(&mut self, day: Day) {
+        let t = day.end() + self.allowed_lateness;
+        if self.max_event.is_none_or(|m| t > m) {
+            self.max_event = Some(t);
+        }
+    }
+
     /// Removes and returns the open days whose windows became closable
     /// under the current watermark, in ascending day order. The caller
     /// must emit them in that order so multi-day combination stays

@@ -13,7 +13,7 @@
 //!
 //! - **Stable row ids within a window.** Rebuilding the index from the
 //!   same RIB yields the same block ↔ slot mapping, so shards built
-//!   independently (ingest workers, `par_ingest` threads) agree on row
+//!   independently (ingest workers, a restarted service) agree on row
 //!   numbering without coordination. The [`Slot24Index::fingerprint`]
 //!   hash makes the agreement checkable: merges assert equal
 //!   fingerprints instead of trusting the caller.

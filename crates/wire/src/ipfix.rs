@@ -348,122 +348,6 @@ impl Collector {
     }
 }
 
-/// Streaming transport: IPFIX messages concatenated on a byte stream
-/// (the file/TCP transport of RFC 7011 §10.4). Messages are
-/// self-delimiting via the length field in their header, so no extra
-/// framing is needed — the reader peeks the 16-byte header, then reads
-/// the remainder.
-pub mod stream {
-    use super::{Collector, IpfixFlow, Result, WireError};
-    use std::io::{self, Read, Write};
-
-    /// Writes messages to a byte stream.
-    #[derive(Debug)]
-    pub struct MessageWriter<W: Write> {
-        inner: W,
-        sequence: u32,
-        domain: u32,
-        /// Messages written so far.
-        pub messages: u64,
-    }
-
-    impl<W: Write> MessageWriter<W> {
-        /// Creates a writer for one observation domain.
-        pub fn new(inner: W, domain: u32) -> Self {
-            MessageWriter {
-                inner,
-                sequence: 0,
-                domain,
-                messages: 0,
-            }
-        }
-
-        /// Encodes and writes `flows` as one or more messages stamped
-        /// `export_time`.
-        pub fn write_flows(&mut self, flows: &[IpfixFlow], export_time: u32) -> io::Result<()> {
-            for msg in
-                super::encode_messages(flows, export_time, self.domain, &mut self.sequence, 800)
-            {
-                self.inner.write_all(&msg)?;
-                self.messages += 1;
-            }
-            Ok(())
-        }
-
-        /// Flushes and returns the underlying writer.
-        pub fn finish(mut self) -> io::Result<W> {
-            self.inner.flush()?;
-            Ok(self.inner)
-        }
-    }
-
-    /// Reads messages from a byte stream and decodes their flows.
-    #[derive(Debug)]
-    pub struct MessageReader<R: Read> {
-        inner: R,
-        collector: Collector,
-        /// Reusable message buffer: one allocation grown to the largest
-        /// message seen, instead of a fresh `Vec` per message.
-        scratch: Vec<u8>,
-        /// Messages consumed so far.
-        pub messages: u64,
-    }
-
-    impl<R: Read> MessageReader<R> {
-        /// Creates a reader with a fresh template collector.
-        pub fn new(inner: R) -> Self {
-            MessageReader {
-                inner,
-                collector: Collector::new(),
-                scratch: Vec::new(),
-                messages: 0,
-            }
-        }
-
-        /// The underlying template collector (skip/error counters).
-        pub fn collector(&self) -> &Collector {
-            &self.collector
-        }
-
-        /// Reads the next message, appending its flows to `out`.
-        /// `Ok(false)` at clean end of stream.
-        pub fn read_message(&mut self, out: &mut Vec<IpfixFlow>) -> Result<bool> {
-            let mut header = [0u8; 16];
-            // Clean EOF only if zero bytes remain.
-            let mut filled = 0;
-            while filled < header.len() {
-                match self.inner.read(&mut header[filled..]) {
-                    Ok(0) if filled == 0 => return Ok(false),
-                    Ok(0) => return Err(WireError::Truncated),
-                    Ok(n) => filled += n,
-                    Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
-                    Err(_) => return Err(WireError::Truncated),
-                }
-            }
-            let length = u16::from_be_bytes([header[2], header[3]]) as usize;
-            if length < 16 {
-                return Err(WireError::Malformed);
-            }
-            self.scratch.clear();
-            self.scratch.resize(length, 0);
-            self.scratch[..16].copy_from_slice(&header);
-            self.inner
-                .read_exact(&mut self.scratch[16..])
-                .map_err(|_| WireError::Truncated)?;
-            self.collector.decode_message(&self.scratch, out)?;
-            self.messages += 1;
-            Ok(true)
-        }
-
-        /// Reads the whole stream into a flow list.
-        pub fn read_all(&mut self) -> Result<Vec<IpfixFlow>> {
-            let mut out = Vec::new();
-            while self.read_message(&mut out)? {}
-            Ok(out)
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -780,47 +664,6 @@ mod tests {
         let mut out = Vec::new();
         assert_eq!(collector.decode_datagram(&datagram, &mut out).unwrap(), 1);
         assert!(out.is_empty());
-    }
-
-    #[test]
-    fn stream_roundtrip_multiple_batches() {
-        let mut buf = Vec::new();
-        {
-            let mut w = stream::MessageWriter::new(&mut buf, 7);
-            w.write_flows(&(0..5).map(sample_flow).collect::<Vec<_>>(), 100)
-                .unwrap();
-            w.write_flows(&[], 101).unwrap(); // heartbeat: templates only
-            w.write_flows(&(5..9).map(sample_flow).collect::<Vec<_>>(), 102)
-                .unwrap();
-            w.finish().unwrap();
-        }
-        let mut r = stream::MessageReader::new(&buf[..]);
-        let flows = r.read_all().unwrap();
-        assert_eq!(flows, (0..9).map(sample_flow).collect::<Vec<_>>());
-        assert_eq!(r.messages, 3);
-    }
-
-    #[test]
-    fn stream_reader_detects_torn_tail() {
-        let mut buf = Vec::new();
-        {
-            let mut w = stream::MessageWriter::new(&mut buf, 7);
-            w.write_flows(&[sample_flow(0)], 100).unwrap();
-            w.finish().unwrap();
-        }
-        buf.truncate(buf.len() - 3);
-        let mut r = stream::MessageReader::new(&buf[..]);
-        assert_eq!(r.read_all().unwrap_err(), WireError::Truncated);
-        // A tear inside the header is also truncation, not clean EOF.
-        let mut r = stream::MessageReader::new(&buf[..7]);
-        assert_eq!(r.read_all().unwrap_err(), WireError::Truncated);
-    }
-
-    #[test]
-    fn stream_empty_is_clean_eof() {
-        let mut r = stream::MessageReader::new(&[][..]);
-        assert_eq!(r.read_all().unwrap(), Vec::new());
-        assert_eq!(r.messages, 0);
     }
 
     #[test]

@@ -10,7 +10,7 @@
 
 use metatelescope::core::federate::{federate, Contribution, FederationPolicy};
 use metatelescope::core::stability::StabilityTracker;
-use metatelescope::core::{eval, pipeline};
+use metatelescope::core::{eval, pipeline, PipelineEngine};
 use metatelescope::flow::stats::DEFAULT_SIZE_THRESHOLD;
 use metatelescope::flow::TrafficView;
 use metatelescope::netmodel::{Internet, InternetConfig};
@@ -38,7 +38,7 @@ fn main() {
             .vantages
             .iter()
             .map(|vo| {
-                let result = pipeline::run(&vo.stats, &rib, rate, 1, &pc);
+                let result = PipelineEngine::standard().run(&vo.stats, &rib, rate, 1, &pc);
                 let mut vetoed = Block24Set::new();
                 for (block, src) in vo.stats.iter_src() {
                     // A handful of sampled packets could be spoofed;

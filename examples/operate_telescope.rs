@@ -8,7 +8,7 @@
 //! cargo run --release --example operate_telescope
 //! ```
 
-use metatelescope::core::{combine, eval, pipeline, SpoofTolerance};
+use metatelescope::core::{combine, eval, pipeline, PipelineEngine, SpoofTolerance};
 use metatelescope::flow::stats::DEFAULT_SIZE_THRESHOLD;
 use metatelescope::flow::TrafficStats;
 use metatelescope::netmodel::{Internet, InternetConfig};
@@ -63,7 +63,7 @@ fn main() {
     );
     let rib = combine::rib_union(&net, Day(0), WINDOW_DAYS);
     let rate = net.vantage_points[0].sampling_rate;
-    let result = pipeline::run(
+    let result = PipelineEngine::standard().run(
         &stats,
         &rib,
         rate,

@@ -9,6 +9,7 @@
 
 use metatelescope::core::analysis::PortMatrix;
 use metatelescope::core::pipeline;
+use metatelescope::core::PipelineEngine;
 use metatelescope::flow::stats::DEFAULT_SIZE_THRESHOLD;
 use metatelescope::netmodel::{Internet, InternetConfig};
 use metatelescope::traffic::{
@@ -35,14 +36,15 @@ fn main() {
         }
     }
     let rib = net.rib(day);
-    let dark = pipeline::run(
-        &merged.unwrap(),
-        &rib,
-        net.vantage_points[0].sampling_rate,
-        1,
-        &pipeline::PipelineConfig::default(),
-    )
-    .dark;
+    let dark = PipelineEngine::standard()
+        .run(
+            &merged.unwrap(),
+            &rib,
+            net.vantage_points[0].sampling_rate,
+            1,
+            &pipeline::PipelineConfig::default(),
+        )
+        .dark;
     println!("meta-telescope: {} /24s\n", dark.len());
 
     // Second pass: count TCP destination ports toward the inferred set,

@@ -6,7 +6,7 @@
 //! cargo run --release --example quickstart
 //! ```
 
-use metatelescope::core::{analysis, eval, pipeline};
+use metatelescope::core::{analysis, eval, pipeline, PipelineEngine};
 use metatelescope::flow::stats::DEFAULT_SIZE_THRESHOLD;
 use metatelescope::flow::TrafficView;
 use metatelescope::netmodel::{Internet, InternetConfig};
@@ -42,7 +42,7 @@ fn main() {
         ce1.stats.dst_block_count()
     );
     let rib = net.rib(day);
-    let result = pipeline::run(
+    let result = PipelineEngine::standard().run(
         &ce1.stats,
         &rib,
         ce1.vp.sampling_rate,

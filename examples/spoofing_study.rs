@@ -7,7 +7,7 @@
 //! cargo run --release --example spoofing_study
 //! ```
 
-use metatelescope::core::{combine, pipeline, SpoofTolerance};
+use metatelescope::core::{combine, pipeline, PipelineEngine, SpoofTolerance};
 use metatelescope::flow::stats::DEFAULT_SIZE_THRESHOLD;
 use metatelescope::flow::TrafficStats;
 use metatelescope::netmodel::{Internet, InternetConfig};
@@ -39,7 +39,7 @@ fn main() {
         let stats = merged.as_ref().unwrap();
         let rib = combine::rib_union(&net, Day(0), d + 1);
 
-        let strict = pipeline::run(
+        let strict = PipelineEngine::standard().run(
             &stats.clone(),
             &rib,
             rate,
@@ -47,7 +47,7 @@ fn main() {
             &pipeline::PipelineConfig::default(),
         );
         let tol = SpoofTolerance::estimate(stats, net.unrouted_octets(), 0.9999);
-        let tolerant = pipeline::run(
+        let tolerant = PipelineEngine::standard().run(
             &stats.clone(),
             &rib,
             rate,

@@ -13,7 +13,7 @@
 //! reduced flow volume: full-IPv4 slot space, both layouts, equal
 //! results.
 
-use metatelescope::core::pipeline::{self, PipelineConfig};
+use metatelescope::core::pipeline::PipelineConfig;
 use metatelescope::core::PipelineEngine;
 use metatelescope::flow::{
     ColumnarStats, FlowRecord, ShardedTrafficStats, StatsLayout, TrafficStats, TrafficView,
@@ -187,8 +187,8 @@ proptest! {
 
         let map = TrafficStats::from_records(&records);
         let col = ColumnarStats::from_records(Arc::clone(&slots), &records);
-        let r_map = pipeline::run(&map, &rib, 15, 1, &pc);
-        let r_col = pipeline::run(&col, &rib, 15, 1, &pc);
+        let r_map = PipelineEngine::standard().run(&map, &rib, 15, 1, &pc);
+        let r_col = PipelineEngine::standard().run(&col, &rib, 15, 1, &pc);
         prop_assert_eq!(&r_map.dark, &r_col.dark);
         prop_assert_eq!(&r_map.unclean, &r_col.unclean);
         prop_assert_eq!(&r_map.gray, &r_col.gray);
@@ -202,7 +202,9 @@ proptest! {
         ] {
             let mut sharded =
                 ShardedTrafficStats::with_layout(shards, map.size_threshold(), layout);
-            sharded.par_ingest(&records, threads);
+            for r in &records {
+                sharded.ingest(r);
+            }
             let r = engine.run_sharded(&sharded, &rib, 15, 1, &pc, threads);
             prop_assert_eq!(&r_map.dark, &r.dark);
             prop_assert_eq!(&r_map.unclean, &r.unclean);
@@ -256,10 +258,12 @@ fn full_profile_day_window_smoke() {
     let threads = 3;
 
     let mut map = ShardedTrafficStats::with_layout(8, 100, StatsLayout::Map);
-    map.par_ingest(&records, threads);
     let mut col =
         ShardedTrafficStats::with_layout(8, 100, StatsLayout::Columnar(Arc::clone(&slots)));
-    col.par_ingest(&records, threads);
+    for r in &records {
+        map.ingest(r);
+        col.ingest(r);
+    }
 
     assert_views_equal(&map, &col);
     let r_map = engine.run_sharded(&map, &rib, 15, 1, &pc, threads);

@@ -2,7 +2,7 @@
 //! capture → inference pipeline → evaluation. Asserts the qualitative
 //! results the paper reports, on the small test scenario.
 
-use metatelescope::core::{analysis, classifier, eval, pipeline, SpoofTolerance};
+use metatelescope::core::{analysis, classifier, eval, pipeline, PipelineEngine, SpoofTolerance};
 use metatelescope::flow::stats::DEFAULT_SIZE_THRESHOLD;
 use metatelescope::netmodel::{AuxDatasets, Internet, InternetConfig};
 use metatelescope::traffic::{generate_day, CaptureSet, SpoofSpace, TrafficConfig};
@@ -39,7 +39,7 @@ fn pipeline_recovers_dark_space_with_high_precision() {
     let pc = pipeline::PipelineConfig::default();
 
     let ce1 = capture.vantage("CE1").unwrap();
-    let r = pipeline::run(&ce1.stats, &rib, ce1.vp.sampling_rate, 1, &pc);
+    let r = PipelineEngine::standard().run(&ce1.stats, &rib, ce1.vp.sampling_rate, 1, &pc);
     let gt = eval::GroundTruthReport::evaluate(&r.dark, &w.net, Day(0), 1);
     assert!(
         r.dark.len() > 500,
@@ -57,11 +57,13 @@ fn pipeline_recovers_dark_space_with_high_precision() {
         gt.recall()
     );
     // The funnel is monotone and ends where classification starts.
-    let f = &r.funnel;
-    assert!(f.seen() >= f.after_tcp() && f.after_tcp() >= f.after_avg());
-    assert!(f.after_avg() >= f.after_origin() && f.after_origin() >= f.after_special());
-    assert!(f.after_special() >= f.after_routed() && f.after_routed() >= f.after_volume());
-    assert_eq!(r.classified() as u64, f.after_volume());
+    let mut entered = r.funnel.seen();
+    for s in r.funnel.stages() {
+        assert_eq!(s.entered, entered, "stage {}", s.name);
+        assert!(s.kept <= s.entered);
+        entered = s.kept;
+    }
+    assert_eq!(r.classified() as u64, entered);
 }
 
 #[test]
@@ -73,7 +75,9 @@ fn larger_vantage_points_infer_more() {
     let pc = pipeline::PipelineConfig::default();
     let dark_of = |code: &str| {
         let vo = capture.vantage(code).unwrap();
-        pipeline::run(&vo.stats, &rib, vo.vp.sampling_rate, 1, &pc).dark
+        PipelineEngine::standard()
+            .run(&vo.stats, &rib, vo.vp.sampling_rate, 1, &pc)
+            .dark
     };
     let ce1 = dark_of("CE1");
     let se1 = dark_of("SE1");
@@ -100,14 +104,14 @@ fn combining_vantage_points_is_conservative() {
     let mut best_single = 0usize;
     let mut merged: Option<metatelescope::flow::ShardedTrafficStats> = None;
     for vo in &capture.vantages {
-        let r = pipeline::run(&vo.stats, &rib, vo.vp.sampling_rate, 1, &pc);
+        let r = PipelineEngine::standard().run(&vo.stats, &rib, vo.vp.sampling_rate, 1, &pc);
         best_single = best_single.max(r.dark.len());
         match &mut merged {
             None => merged = Some(vo.stats.clone()),
             Some(m) => m.merge(&vo.stats),
         }
     }
-    let all = pipeline::run(&merged.unwrap(), &rib, rate, 1, &pc);
+    let all = PipelineEngine::standard().run(&merged.unwrap(), &rib, rate, 1, &pc);
     assert!(all.dark.len() > 100, "All still infers plenty");
     assert!(
         all.dark.len() < best_single,
@@ -198,7 +202,7 @@ fn activity_datasets_bound_false_positives_and_scrub() {
     let rib = w.net.rib(Day(0));
     let pc = pipeline::PipelineConfig::default();
     let ce1 = capture.vantage("CE1").unwrap();
-    let r = pipeline::run(&ce1.stats, &rib, ce1.vp.sampling_rate, 1, &pc);
+    let r = PipelineEngine::standard().run(&ce1.stats, &rib, ce1.vp.sampling_rate, 1, &pc);
     let aux = AuxDatasets::generate(&w.net);
     let check = eval::ActivityCheck::run(&r.dark, &aux);
     assert!(check.fp_share() < 0.2, "FP share {:.3}", check.fp_share());
@@ -227,9 +231,10 @@ fn spoofing_tolerance_recovers_polluted_blocks() {
     let rib = metatelescope::core::combine::rib_union(&w.net, Day(0), 3);
     let rate = w.net.vantage_points[0].sampling_rate;
 
-    let strict = pipeline::run(&stats, &rib, rate, 3, &pipeline::PipelineConfig::default());
+    let strict =
+        PipelineEngine::standard().run(&stats, &rib, rate, 3, &pipeline::PipelineConfig::default());
     let tol = SpoofTolerance::estimate(&stats, w.net.unrouted_octets(), 0.9999);
-    let tolerant = pipeline::run(
+    let tolerant = PipelineEngine::standard().run(
         &stats,
         &rib,
         rate,
@@ -257,7 +262,7 @@ fn inference_summary_spans_ases_and_countries() {
     let capture = w.capture_day(Day(0), &spoof);
     let rib = w.net.rib(Day(0));
     let ce1 = capture.vantage("CE1").unwrap();
-    let r = pipeline::run(
+    let r = PipelineEngine::standard().run(
         &ce1.stats,
         &rib,
         ce1.vp.sampling_rate,

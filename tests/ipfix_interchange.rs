@@ -4,6 +4,7 @@
 //! the IXP's exporter and the analysis box.
 
 use metatelescope::core::pipeline;
+use metatelescope::core::PipelineEngine;
 use metatelescope::flow::{FlowRecord, TrafficStats};
 use metatelescope::netmodel::{Internet, InternetConfig, VantagePoint};
 use metatelescope::traffic::{
@@ -112,14 +113,14 @@ fn ipfix_roundtrip_preserves_pipeline_output() {
     // The pipeline result is identical on both sides of the wire.
     let rib = net.rib(Day(0));
     let pc = pipeline::PipelineConfig::default();
-    let a = pipeline::run(
+    let a = PipelineEngine::standard().run(
         &TrafficStats::from_records(&records),
         &rib,
         vp.sampling_rate,
         1,
         &pc,
     );
-    let b = pipeline::run(
+    let b = PipelineEngine::standard().run(
         &TrafficStats::from_records(&back),
         &rib,
         vp.sampling_rate,

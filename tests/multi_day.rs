@@ -2,7 +2,7 @@
 //! spoofing decay and its tolerance fix (Figure 9), sub-sampling
 //! behaviour (Figure 10), and multi-day telescope coverage (Table 4).
 
-use metatelescope::core::{combine, eval, pipeline, SpoofTolerance};
+use metatelescope::core::{combine, eval, pipeline, PipelineEngine, SpoofTolerance};
 use metatelescope::flow::sampling::thin_records;
 use metatelescope::flow::stats::DEFAULT_SIZE_THRESHOLD;
 use metatelescope::flow::{FlowRecord, TrafficStats};
@@ -33,17 +33,18 @@ fn day_stats(net: &Internet, cfg: &TrafficConfig, day: Day, code: &str) -> Traff
 
 fn dark_of(net: &Internet, stats: &TrafficStats, days_window: (Day, u32), tol: u64) -> Block24Set {
     let rib = combine::rib_union(net, days_window.0, days_window.1);
-    pipeline::run(
-        stats,
-        &rib,
-        net.vantage_points[0].sampling_rate,
-        days_window.1,
-        &pipeline::PipelineConfig {
-            spoof_tolerance_packets: tol,
-            ..pipeline::PipelineConfig::default()
-        },
-    )
-    .dark
+    PipelineEngine::standard()
+        .run(
+            stats,
+            &rib,
+            net.vantage_points[0].sampling_rate,
+            days_window.1,
+            &pipeline::PipelineConfig {
+                spoof_tolerance_packets: tol,
+                ..pipeline::PipelineConfig::default()
+            },
+        )
+        .dark
 }
 
 #[test]
@@ -179,7 +180,7 @@ fn subsampling_degrades_inference_gracefully() {
         let thinned = thin_records(&rec.out, factor, &mut StdRng::seed_from_u64(9));
         let stats = TrafficStats::from_records(&thinned);
         let effective_rate = vp.sampling_rate * factor;
-        let r = pipeline::run(&stats, &rib, effective_rate, 1, &pc);
+        let r = PipelineEngine::standard().run(&stats, &rib, effective_rate, 1, &pc);
         series.push(r.dark.len());
     }
     assert!(series[0] > 100, "baseline inference works: {series:?}");

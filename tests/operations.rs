@@ -5,7 +5,7 @@
 
 use metatelescope::core::federate::{federate, Contribution, FederationPolicy};
 use metatelescope::core::stability::StabilityTracker;
-use metatelescope::core::{combine, eval, pipeline};
+use metatelescope::core::{eval, pipeline, PipelineEngine};
 use metatelescope::flow::stats::DEFAULT_SIZE_THRESHOLD;
 use metatelescope::flow::{FlowKey, FlowMeter, MeteredPacket, TrafficStats};
 use metatelescope::netmodel::rib_io;
@@ -72,7 +72,8 @@ fn metered_packets_drive_the_pipeline_like_records_do() {
     ]
     .into_iter()
     .collect();
-    let result = pipeline::run(&direct, &rib, 1, 1, &pipeline::PipelineConfig::default());
+    let result =
+        PipelineEngine::standard().run(&direct, &rib, 1, 1, &pipeline::PipelineConfig::default());
     // 20.0.1.0/24 is clean-dark; 20.0.0.0/24 has the responding host 50
     // → gray; 9.9.9.0/24 is fully originating → dropped.
     assert_eq!(result.dark.len(), 1);
@@ -94,8 +95,8 @@ fn rib_snapshots_survive_disk_roundtrips_into_the_pipeline() {
     let reloaded = rib_io::read_rib(&dump[..]).unwrap();
 
     let pc = pipeline::PipelineConfig::default();
-    let a = pipeline::run(&ce1.stats, &rib, ce1.vp.sampling_rate, 1, &pc);
-    let b = pipeline::run(&ce1.stats, &reloaded, ce1.vp.sampling_rate, 1, &pc);
+    let a = PipelineEngine::standard().run(&ce1.stats, &rib, ce1.vp.sampling_rate, 1, &pc);
+    let b = PipelineEngine::standard().run(&ce1.stats, &reloaded, ce1.vp.sampling_rate, 1, &pc);
     assert_eq!(a.dark, b.dark);
     assert_eq!(a.funnel, b.funnel);
 }
@@ -112,7 +113,7 @@ fn federation_beats_the_weakest_contributor() {
     let mut contributions = Vec::new();
     let mut worst_precision = 1.0f64;
     for vo in &capture.vantages {
-        let r = pipeline::run(&vo.stats, &rib, vo.vp.sampling_rate, 1, &pc);
+        let r = PipelineEngine::standard().run(&vo.stats, &rib, vo.vp.sampling_rate, 1, &pc);
         let gt = eval::GroundTruthReport::evaluate(&r.dark, &net, Day(0), 1);
         if r.dark.len() > 50 {
             worst_precision = worst_precision.min(gt.precision());
@@ -145,7 +146,8 @@ fn stability_tracking_and_monitor_list_compile() {
         let mut capture = CaptureSet::new(&net, day, &spoof, DEFAULT_SIZE_THRESHOLD, false);
         generate_day(&net, &cfg, day, &mut capture);
         let ce1 = capture.vantage("CE1").unwrap();
-        let r = pipeline::run(&ce1.stats, &net.rib(day), ce1.vp.sampling_rate, 1, &pc);
+        let r =
+            PipelineEngine::standard().run(&ce1.stats, &net.rib(day), ce1.vp.sampling_rate, 1, &pc);
         tracker.record(day, r.dark);
     }
     let stable = tracker.always_inferred();
@@ -166,31 +168,4 @@ fn stability_tracking_and_monitor_list_compile() {
     // Stability costs little precision.
     let gt = eval::GroundTruthReport::evaluate(&stable, &net, Day(0), 3);
     assert!(gt.precision() > 0.9, "precision {:.3}", gt.precision());
-}
-
-#[test]
-fn parallel_helpers_match_sequential_on_real_capture() {
-    let (net, cfg) = world();
-    let spoof = SpoofSpace::new(&net, cfg.spoof_routed_bias);
-    let mut capture = CaptureSet::new(&net, Day(0), &spoof, DEFAULT_SIZE_THRESHOLD, false);
-    generate_day(&net, &cfg, Day(0), &mut capture);
-    let rib = net.rib(Day(0));
-    let pc = pipeline::PipelineConfig::default();
-    let rate = net.vantage_points[0].sampling_rate;
-
-    let stats: Vec<TrafficStats> = capture
-        .vantages
-        .into_iter()
-        .map(|v| v.into_stats())
-        .collect();
-    let refs: Vec<&TrafficStats> = stats.iter().collect();
-    let parallel = combine::run_pipelines_parallel(&refs, &rib, rate, 1, &pc, 2);
-    for (s, p) in stats.iter().zip(&parallel) {
-        let seq = pipeline::run(s, &rib, rate, 1, &pc);
-        assert_eq!(seq.dark, p.dark);
-    }
-    let merged_par = combine::merge_stats_parallel(stats.clone(), 2);
-    let merged_seq = combine::merge_stats(stats);
-    assert_eq!(merged_par.total_packets, merged_seq.total_packets);
-    assert_eq!(merged_par.dst_block_count(), merged_seq.dst_block_count());
 }

@@ -202,7 +202,7 @@ fn seven_day_stream_matches_batch_at(lanes: usize) {
         "decoded = ingested + dropped (nothing shed or rejected here)"
     );
 
-    // And the registry mirrors the legacy funnels: summing every run's
+    // And the registry mirrors the funnels: summing every run's
     // funnel (one per window close, one per combined refresh) must give
     // exactly the mt_pipeline_* counters the engine published.
     let snap = out.registry.snapshot();
@@ -217,8 +217,8 @@ fn seven_day_stream_matches_batch_at(lanes: usize) {
         .chain(out.combined.iter().map(|c| &c.result.funnel));
     for funnel in funnels {
         for s in funnel.stages() {
-            *entered.entry(s.name.clone()).or_insert(0) += s.entered;
-            *kept.entry(s.name.clone()).or_insert(0) += s.kept;
+            *entered.entry(s.name.to_owned()).or_insert(0) += s.entered;
+            *kept.entry(s.name.to_owned()).or_insert(0) += s.kept;
         }
     }
     for (stage, want) in &entered {
