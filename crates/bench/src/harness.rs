@@ -1,4 +1,4 @@
-//! Shared machinery for the `repro` and `stream-demo` binaries:
+//! Shared machinery for the `repro` binary:
 //! scenario setup, the multi-day orchestration that collects everything
 //! the paper's tables and figures need, and auxiliary emission sinks.
 

@@ -9,9 +9,9 @@
 //!     --udp 127.0.0.1:4739 --tcp 127.0.0.1:4740 --http 127.0.0.1:9178
 //! ```
 //!
-//! Optional artifacts mirror `stream-demo`: `--health-json PATH` and
-//! `--metrics-text PATH` write the final health document and Prometheus
-//! exposition after the drain. `--store-dir PATH` persists every closed
+//! Optional artifacts: `--health-json PATH` and `--metrics-text PATH`
+//! write the final health document and Prometheus exposition after the
+//! drain. `--store-dir PATH` persists every closed
 //! window (plus the merged summary) to a results store there and serves
 //! `GET /v1/block/...` and `GET /v1/windows/...` from it — windows
 //! written by a previous run answer queries immediately on restart.

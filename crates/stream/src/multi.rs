@@ -6,29 +6,30 @@
 //! N *lanes* ([`LaneProducer`], one per event loop; a single in-process
 //! producer is the `lanes = 1` case) and M *ingest workers*. Workers do
 //! only the order-*independent* part — folding records into per-day
-//! [`ShardedTrafficStats`] — so which worker picks up which batch
-//! cannot affect results: each accumulates its share into its own
-//! per-day stats, and at window close the per-worker parts are merged
-//! in worker-index order (merging is commutative content-wise; the
-//! fixed order makes the walk itself deterministic too).
+//! [`ShardedTrafficStats`] and each batch's port tally into a per-day
+//! port histogram — so which worker picks up which batch cannot affect
+//! results: each accumulates its share into its own per-day part, and
+//! at window close the per-worker parts are merged in worker-index
+//! order (merging is commutative content-wise; the fixed order makes
+//! the walk itself deterministic too).
 //!
 //! Each lane owns what never needs cross-lane order: its collector
 //! sessions (a peer's bytes arrive on one lane at a time —
-//! kernel-hashed UDP, connection-pinned TCP), its decode scratch, and
-//! its [`BatchPool`]. Everything whose order matters is shared behind
-//! four locks with a fixed acquisition order (**closer → gate →
-//! workers → progress**, the DESIGN.md catalogue order; each may also
-//! be taken alone):
+//! kernel-hashed UDP, connection-pinned TCP), its decode and port-tally
+//! scratch, and its [`BatchPool`]. Everything whose order matters is
+//! shared behind four locks with a fixed acquisition order (**closer →
+//! gate → workers → progress**, the DESIGN.md catalogue order; each may
+//! also be taken alone):
 //!
 //! - the **closer** ([`Mutex`]): the [`WindowScheduler`] and the
 //!   accumulated reports — serializing closes keeps days ascending no
 //!   matter which lane's watermark advance triggered them;
 //! - the **gate** ([`Mutex`]): the [`WindowTracker`] (one global
-//!   watermark), per-exporter gate counters, per-day destination-port
-//!   ledgers, and the shed / rejected compensation counters;
-//! - the **workers** (one [`Mutex`] each): a worker's per-day
-//!   accumulators, taken by the worker per batch and by the closer's
-//!   merge;
+//!   watermark), per-exporter gate counters, and the shed / rejected
+//!   counts — gate decisions only;
+//! - the **workers** (one [`Mutex`] each): a worker's per-day parts
+//!   (stats and port histogram), taken by the worker per batch and by
+//!   the closer's merge;
 //! - **progress** ([`Mutex`] + [`Condvar`]): per-day pushed/processed
 //!   record counts for the close barrier, plus run totals.
 //!
@@ -41,14 +42,9 @@
 //! taken at close is final: the barrier (`processed == pushed`, with
 //! both cells under the progress lock) provably waits for every batch
 //! that was gated before the close decision, including ones a lane had
-//! gated but not yet enqueued. The one wrinkle is a push the queue
-//! sheds (`DropNewest`) or rejects (closed): those records were already
-//! counted, so the lane *compensates* — subtracting the batch's ports
-//! under the gate lock first, then its count under the progress lock,
-//! then waking the barrier. The order matters: the barrier cannot pass
-//! before the pushed-count decrement (the shed batch was never
-//! processed), so a closer that passes it always sees the ports ledger
-//! already compensated.
+//! gated but not yet enqueued. A batch the queue sheds (`DropNewest`)
+//! or rejects (closed) is backed out of `pushed` and wakes the barrier;
+//! it never reaches a worker, so neither its stats nor its ports do.
 //!
 //! The result is the keystone property at any lane count: the merged
 //! window stats equal a batch ingest of exactly the gated record set,
@@ -83,6 +79,16 @@ struct LaneBatch {
     lane: usize,
     day: Day,
     records: Vec<FlowRecord>,
+    /// The records' destination-port packet histogram, tallied by the
+    /// lane so the worker folds one short list, not every record's port.
+    ports: Vec<(u16, u64)>,
+}
+
+/// One worker's accumulation for one open day.
+struct DayPart {
+    stats: ShardedTrafficStats,
+    /// Destination-port packet histogram of the folded records.
+    ports: FxHashMap<u16, u64>,
 }
 
 /// Per-exporter window-gate counters, kept under the gate lock so the
@@ -99,9 +105,6 @@ struct GateExporter {
 /// Order-sensitive gate state shared by every lane.
 struct GateState {
     tracker: WindowTracker,
-    /// Destination-port packet histogram per open window; counts
-    /// exactly the records `progress.per_day[day].pushed` counts.
-    window_ports: FxHashMap<Day, FxHashMap<u16, u64>>,
     /// Per-exporter gate counters, keyed by session name.
     exporters: BTreeMap<String, GateExporter>,
     /// Records shed by queue backpressure (`DropNewest` only).
@@ -114,7 +117,7 @@ struct GateState {
 #[derive(Debug, Clone, Copy, Default)]
 struct DayProgress {
     /// Records gated into this day (counted before enqueue; shed and
-    /// rejected pushes are compensated back out).
+    /// rejected pushes are backed out).
     pushed: u64,
     /// Records folded into worker accumulators for this day.
     processed: u64,
@@ -135,25 +138,28 @@ struct LaneShared {
     /// return each buffer to the pool of the lane that filled it.
     pools: Vec<BatchPool>,
     /// Per-worker per-day accumulators, indexed by worker.
-    workers: Vec<Mutex<FxHashMap<Day, ShardedTrafficStats>>>,
+    workers: Vec<Mutex<FxHashMap<Day, DayPart>>>,
     /// Per-worker `mt_ingest_records_total` counters.
     ingest_counters: Vec<Counter>,
     gate: Mutex<GateState>,
     progress: Mutex<ProgressState>,
-    /// Signals progress advances (and compensating decrements) to the
-    /// close barrier.
+    /// Signals progress advances (and backed-out pushes) to the close
+    /// barrier.
     drained: Condvar,
     layout: StatsLayout,
 }
 
 impl LaneShared {
     /// An empty window accumulator in the configured layout.
-    fn empty_stats(&self) -> ShardedTrafficStats {
-        ShardedTrafficStats::with_layout(
-            DEFAULT_SHARDS,
-            DEFAULT_SIZE_THRESHOLD,
-            self.layout.clone(),
-        )
+    fn empty_part(&self) -> DayPart {
+        DayPart {
+            stats: ShardedTrafficStats::with_layout(
+                DEFAULT_SHARDS,
+                DEFAULT_SIZE_THRESHOLD,
+                self.layout.clone(),
+            ),
+            ports: FxHashMap::default(),
+        }
     }
 }
 
@@ -240,7 +246,6 @@ impl<F: Fn(Day) -> PrefixTrie<Asn>> MultiStreamService<F> {
             ingest_counters,
             gate: Mutex::new(GateState {
                 tracker: WindowTracker::new(cfg.allowed_lateness),
-                window_ports: FxHashMap::default(),
                 exporters: BTreeMap::new(),
                 dropped_backpressure: 0,
                 rejected_closed: 0,
@@ -436,11 +441,16 @@ impl<F: Fn(Day) -> PrefixTrie<Asn>> MultiStreamService<F> {
     /// Ends the run: takes the lanes back (their loops are done),
     /// flushes in-flight records, closes every remaining open window in
     /// day order, stops the workers, and returns the run's full output.
+    ///
+    /// Panics unless `lanes` is exactly this service's set: a lane left
+    /// live could push after the final snapshot, into a closed queue.
     pub fn finish(mut self, lanes: Vec<LaneProducer<F>>) -> StreamOutput {
-        assert_eq!(
-            lanes.len(),
-            self.collectors.len(),
-            "every lane must be returned before finish"
+        // Lanes are not `Clone`, so the right count of lanes this
+        // service owns is all of them.
+        assert!(
+            lanes.len() == self.collectors.len()
+                && lanes.iter().all(|l| Arc::ptr_eq(&l.shared, &self.shared)),
+            "every lane of this service must be returned before finish"
         );
         drop(lanes); // producers retired; nothing pushes from here on
         {
@@ -522,12 +532,11 @@ impl<F: Fn(Day) -> PrefixTrie<Asn>> LaneProducer<F> {
             return;
         }
         // Gate phase, under the gate lock: watermark decisions, the
-        // per-exporter counters, the per-day port ledgers, and — via
-        // the nested progress lock — the per-day pushed counts. All of
-        // it lands before the batch is visible anywhere else, which is
-        // what makes the close barrier exact (module docs).
-        type DayBatch = (Vec<FlowRecord>, Vec<(u16, u64)>);
-        let mut by_day: BTreeMap<Day, DayBatch> = BTreeMap::new();
+        // per-exporter counters, and — via the nested progress lock —
+        // the per-day pushed counts. All of it lands before the batch is
+        // visible anywhere else, which is what makes the close barrier
+        // exact (module docs).
+        let mut by_day: BTreeMap<Day, Vec<FlowRecord>> = BTreeMap::new();
         {
             let mut g = crate::sync::lock(&self.shared.gate); // lock: stream.gate
             let gs = &mut *g;
@@ -542,37 +551,24 @@ impl<F: Fn(Day) -> PrefixTrie<Asn>> LaneProducer<F> {
                         }
                         by_day
                             .entry(day)
-                            .or_insert_with(|| (self.shared.pools[self.lane].take(), Vec::new()))
-                            .0
+                            .or_insert_with(|| self.shared.pools[self.lane].take())
                             .push(r);
                     }
                     Gate::TooLate { .. } => ex.dropped += 1,
                 }
             }
-            for (day, (records, comp)) in &mut by_day {
-                // Tally the batch's destination ports into the window
-                // ledger now, and keep a copy for compensation: the
-                // record buffer moves into the queue, so a shed push
-                // could not re-derive what to subtract.
-                self.port_scratch.clear();
-                for r in records.iter() {
-                    *self.port_scratch.entry(r.dst_port).or_default() += r.packets;
-                }
-                let ports = gs.window_ports.entry(*day).or_default();
-                for (&port, &packets) in &self.port_scratch {
-                    *ports.entry(port).or_default() += packets;
-                }
-                comp.extend(self.port_scratch.drain());
-            }
             let mut p = crate::sync::lock(&self.shared.progress); // lock: stream.progress
-            for (day, (records, _)) in &by_day {
+            for (day, records) in &by_day {
                 let n = records.len() as u64;
                 p.per_day.entry(*day).or_default().pushed += n;
                 p.total_pushed += n;
             }
         }
         self.decode_buf = decoded;
-        for (day, (records, comp)) in by_day {
+        for (day, records) in by_day {
+            for r in &records {
+                *self.port_scratch.entry(r.dst_port).or_default() += r.packets;
+            }
             let n = records.len() as u64;
             let outcome = self.shared.queue.push_lane(
                 self.lane,
@@ -580,38 +576,28 @@ impl<F: Fn(Day) -> PrefixTrie<Asn>> LaneProducer<F> {
                     lane: self.lane,
                     day,
                     records,
+                    ports: self.port_scratch.drain().collect(),
                 },
             );
             match outcome {
                 PushOutcome::Accepted => {}
-                PushOutcome::Shed => self.compensate(day, n, &comp, false),
-                PushOutcome::Closed => self.compensate(day, n, &comp, true),
+                PushOutcome::Shed => self.back_out(day, n, false),
+                PushOutcome::Closed => self.back_out(day, n, true),
             }
         }
         self.maybe_close();
     }
 
-    /// Backs a shed or rejected batch out of the gate-time accounting:
-    /// ports first (gate lock), then the pushed count (progress lock),
-    /// then a barrier wake — in that order, so a closer that passes the
-    /// barrier always sees the ports ledger already compensated.
-    fn compensate(&self, day: Day, n: u64, comp: &[(u16, u64)], closed: bool) {
+    /// Backs a shed or rejected batch's records out of the pushed
+    /// counts and wakes the barrier, which would otherwise wait for
+    /// records no worker will fold.
+    fn back_out(&self, day: Day, n: u64, closed: bool) {
         {
             let mut g = crate::sync::lock(&self.shared.gate); // lock: stream.gate
             if closed {
                 g.rejected_closed += n;
             } else {
                 g.dropped_backpressure += n;
-            }
-            if let Some(ports) = g.window_ports.get_mut(&day) {
-                for &(port, packets) in comp {
-                    if let Some(v) = ports.get_mut(&port) {
-                        *v = v.saturating_sub(packets);
-                        if *v == 0 {
-                            ports.remove(&port);
-                        }
-                    }
-                }
             }
         }
         let mut p = crate::sync::lock(&self.shared.progress); // lock: stream.progress
@@ -665,7 +651,7 @@ fn close_window<F: Fn(Day) -> PrefixTrie<Asn>>(
 ) {
     // Per-day barrier: every record gated into `day` is in some
     // worker's accumulator. `pushed` is final (the tracker already
-    // rejects the day), and compensating decrements wake this wait.
+    // rejects the day), and backed-out pushes wake this wait.
     let records = {
         let g = crate::sync::lock(&shared.progress); // lock: stream.progress
         let mut g = crate::sync::wait_while(&shared.drained, g, |p| {
@@ -675,17 +661,22 @@ fn close_window<F: Fn(Day) -> PrefixTrie<Asn>>(
         });
         g.per_day.remove(&day).map_or(0, |dp| dp.pushed)
     };
-    let mut merged: Option<ShardedTrafficStats> = None;
+    let mut merged: Option<DayPart> = None;
     for w in &shared.workers {
         let part = crate::sync::lock(w).remove(&day); // lock: stream.workers
         if let Some(part) = part {
             match &mut merged {
                 None => merged = Some(part),
-                Some(m) => m.merge(&part),
+                Some(m) => {
+                    m.stats.merge(&part.stats);
+                    for (port, packets) in part.ports {
+                        *m.ports.entry(port).or_default() += packets;
+                    }
+                }
             }
         }
     }
-    let stats = merged.unwrap_or_else(|| shared.empty_stats());
+    let DayPart { stats, ports } = merged.unwrap_or_else(|| shared.empty_part());
     for (i, load) in stats.shard_loads().into_iter().enumerate() {
         let shard = i.to_string();
         registry
@@ -696,11 +687,7 @@ fn close_window<F: Fn(Day) -> PrefixTrie<Asn>>(
             )
             .set(load as u64);
     }
-    let mut ports: Vec<(u16, u64)> = crate::sync::lock(&shared.gate) // lock: stream.gate
-        .window_ports
-        .remove(&day)
-        .map(|m| m.into_iter().collect())
-        .unwrap_or_default();
+    let mut ports: Vec<(u16, u64)> = ports.into_iter().collect();
     ports.sort_unstable();
     let (window, combined) = closer
         .scheduler
@@ -710,19 +697,20 @@ fn close_window<F: Fn(Day) -> PrefixTrie<Asn>>(
     windows_closed.inc();
 }
 
-/// Ingest worker loop: pop batches, fold records into this worker's
-/// per-day accumulator, return the buffer to the owning lane's pool,
-/// and report per-day progress for the close barrier.
+/// Ingest worker loop: pop batches, fold records and their port tally
+/// into this worker's per-day part, return the buffer to the owning
+/// lane's pool, and report per-day progress for the close barrier.
 fn ingest_worker(shared: &LaneShared, index: usize) {
     while let Some(batch) = shared.queue.pop() {
         let n = batch.records.len() as u64;
         {
             let mut days = crate::sync::lock(&shared.workers[index]); // lock: stream.workers
-            let stats = days
-                .entry(batch.day)
-                .or_insert_with(|| shared.empty_stats());
+            let part = days.entry(batch.day).or_insert_with(|| shared.empty_part());
             for r in &batch.records {
-                stats.ingest(r);
+                part.stats.ingest(r);
+            }
+            for &(port, packets) in &batch.ports {
+                *part.ports.entry(port).or_default() += packets;
             }
         }
         shared.pools[batch.lane].put(batch.records);
@@ -773,8 +761,9 @@ mod tests {
 
     fn day_records(day: Day) -> Vec<FlowRecord> {
         (0..40u32)
-            .map(|i| {
-                record(
+            .map(|i| FlowRecord {
+                dst_port: [23, 445, 80][i as usize % 3],
+                ..record(
                     day,
                     u64::from(i) * 600,
                     0x1400_0100 + (i % 13) * 256 + day.0 * 7,
@@ -858,17 +847,34 @@ mod tests {
         }
     }
 
+    /// A closed window's day and port histogram, as its sink saw them.
+    type WindowPorts = (Day, Vec<(u16, u64)>);
+    type SeenPorts = Arc<Mutex<Vec<WindowPorts>>>;
+
+    /// Installs a sink that collects every closed window's ports.
+    fn collect_ports<F: Fn(Day) -> PrefixTrie<Asn>>(svc: &MultiStreamService<F>) -> SeenPorts {
+        let seen = SeenPorts::default();
+        let sink = Arc::clone(&seen);
+        svc.set_window_sink(Box::new(move |w| {
+            sink.lock().unwrap().push((w.day, w.ports.to_vec()));
+        }));
+        seen
+    }
+
     /// Starts a `lanes`-lane service, feeds `days` through
-    /// [`feed_days`], and finishes.
+    /// [`feed_days`], and finishes, returning the windows' ports too.
     fn run(
         cfg: StreamConfig,
         lanes: usize,
         days: &[Vec<FlowRecord>],
         transport: Transport,
-    ) -> StreamOutput {
+    ) -> (StreamOutput, Vec<WindowPorts>) {
         let (svc, mut producers) = MultiStreamService::start(cfg, lanes, |_| rib());
+        let seen = collect_ports(&svc);
         feed_days(&mut producers, days, &mut 0, transport);
-        svc.finish(producers)
+        let out = svc.finish(producers);
+        let ports = std::mem::take(&mut *seen.lock().unwrap());
+        (out, ports)
     }
 
     fn assert_results_equal(a: &PipelineResult, b: &PipelineResult, what: &str) {
@@ -881,9 +887,11 @@ mod tests {
     /// The reference every run is held to: the serial batch pipeline
     /// (`from_records` + `run_sharded`, always on the map layout) over
     /// each day alone, and over days `0..=d` for the combination after
-    /// each close.
+    /// each close; and each window's sink-side `ports` (from
+    /// [`collect_ports`]) equal to the batch histogram of its day.
     fn assert_matches_batch(
         out: &StreamOutput,
+        ports: &[WindowPorts],
         days: &[Vec<FlowRecord>],
         cfg: &StreamConfig,
         what: &str,
@@ -895,12 +903,22 @@ mod tests {
         };
         assert_eq!(out.windows.len(), days.len(), "{what}: windows");
         assert_eq!(out.combined.len(), days.len(), "{what}: combined refreshes");
+        assert_eq!(ports.len(), days.len(), "{what}: sink calls");
         let mut so_far: Vec<FlowRecord> = Vec::new();
         for (d, records) in days.iter().enumerate() {
             let span = d as u32 + 1;
             let (w, c) = (&out.windows[d], &out.combined[d]);
             assert_eq!(w.day, Day(d as u32), "{what}: closes are ascending");
             assert_eq!(w.records, records.len() as u64, "{what}: day {d} records");
+            let mut batch_ports: BTreeMap<u16, u64> = BTreeMap::new();
+            for r in records {
+                *batch_ports.entry(r.dst_port).or_default() += r.packets;
+            }
+            assert_eq!(
+                ports[d],
+                (w.day, batch_ports.into_iter().collect()),
+                "{what}: day {d} ports"
+            );
             assert_results_equal(&w.result, &batch(records, 1), &format!("{what}: day {d}"));
             so_far.extend_from_slice(records);
             assert_eq!((c.first, c.days), (Day(0), span), "{what}: combined span");
@@ -928,6 +946,7 @@ mod tests {
                 let what = format!("{lanes} lanes, {threads} ingest threads");
                 let cfg = hour_late(threads);
                 let (svc, mut producers) = MultiStreamService::start(cfg.clone(), lanes, |_| rib());
+                let seen = collect_ports(&svc);
                 assert_eq!(svc.lanes(), lanes);
                 // Awkward chunk sizes exercise framing.
                 feed_days(&mut producers, &days, &mut 0, Transport::Chunks(97));
@@ -940,7 +959,7 @@ mod tests {
                 out.health.check_invariants().expect("final invariants");
                 assert_eq!(out.health.dropped_late, 0);
                 assert_eq!(out.health.dropped_backpressure, 0);
-                assert_matches_batch(&out, &days, &cfg, &what);
+                assert_matches_batch(&out, &seen.lock().unwrap(), &days, &cfg, &what);
             }
         }
     }
@@ -953,9 +972,10 @@ mod tests {
         let days = days(3);
         let cfg = hour_late(2);
         for lanes in LANES {
-            let out = run(cfg.clone(), lanes, &days, Transport::Datagrams);
+            let (out, ports) = run(cfg.clone(), lanes, &days, Transport::Datagrams);
             out.health.check_invariants().unwrap();
-            assert_matches_batch(&out, &days, &cfg, &format!("datagrams, {lanes} lanes"));
+            let what = format!("datagrams, {lanes} lanes");
+            assert_matches_batch(&out, &ports, &days, &cfg, &what);
         }
     }
 
@@ -1006,8 +1026,9 @@ mod tests {
                 layout: columnar_layout(),
                 ..hour_late(3)
             };
-            let out = run(cfg.clone(), lanes, &days, Transport::Chunks(1460));
-            assert_matches_batch(&out, &days, &cfg, &format!("columnar, {lanes} lanes"));
+            let (out, ports) = run(cfg.clone(), lanes, &days, Transport::Chunks(1460));
+            let what = format!("columnar, {lanes} lanes");
+            assert_matches_batch(&out, &ports, &days, &cfg, &what);
         }
     }
 
@@ -1027,8 +1048,9 @@ mod tests {
                     layout: layout.clone(),
                     ..hour_late(2)
                 };
-                let first = run(cfg.clone(), lanes, before, Transport::Chunks(1460));
+                let (first, mut ports) = run(cfg.clone(), lanes, before, Transport::Chunks(1460));
                 let (svc, mut p) = MultiStreamService::start(cfg.clone(), lanes, |_| rib());
+                let seen = collect_ports(&svc);
                 let persisted = TrafficStats::from_records(&before.concat());
                 svc.resume(&persisted, Day(0), Day(1));
                 let mut seq = 0;
@@ -1041,7 +1063,8 @@ mod tests {
                 assert_eq!(out.health.dropped_late, 1, "{what}: the replay");
                 out.windows.splice(0..0, first.windows);
                 out.combined.splice(0..0, first.combined);
-                assert_matches_batch(&out, &days, &cfg, &what);
+                ports.append(&mut seen.lock().unwrap());
+                assert_matches_batch(&out, &ports, &days, &cfg, &what);
             }
         }
     }
@@ -1088,8 +1111,9 @@ mod tests {
         reversed[0].reverse();
         let cfg = StreamConfig::default();
         for lanes in LANES {
-            let out = run(cfg.clone(), lanes, &reversed, Transport::Chunks(1460));
-            assert_matches_batch(&out, &in_order, &cfg, &format!("reversed, {lanes} lanes"));
+            let (out, ports) = run(cfg.clone(), lanes, &reversed, Transport::Chunks(1460));
+            let what = format!("reversed, {lanes} lanes");
+            assert_matches_batch(&out, &ports, &in_order, &cfg, &what);
             assert!(out.health.late > 0, "reversal produced late records");
             assert_eq!(out.health.dropped_late, 0);
         }
@@ -1200,6 +1224,7 @@ mod tests {
             ..StreamConfig::default()
         };
         let (svc, producers) = MultiStreamService::start(cfg.clone(), lanes, |_| rib());
+        let seen = collect_ports(&svc);
         let producers: Vec<LaneProducer<_>> = std::thread::scope(|s| {
             let handles: Vec<_> = producers
                 .into_iter()
@@ -1221,7 +1246,8 @@ mod tests {
         mid.check_invariants().expect("mid-run invariants");
         let out = svc.finish(producers);
         out.health.check_invariants().expect("final invariants");
-        assert_matches_batch(&out, &days(4), &cfg, "four concurrent lanes");
+        let ports = seen.lock().unwrap();
+        assert_matches_batch(&out, &ports, &days(4), &cfg, "four concurrent lanes");
     }
 
     #[test]
@@ -1303,6 +1329,7 @@ mod tests {
                 ..StreamConfig::default()
             };
             let (svc, mut p) = MultiStreamService::start(cfg, lanes, |_| rib());
+            let seen = collect_ports(&svc);
             let mut seq = 0;
             let mut pushed = 0u64;
             // Flood until the queue demonstrably shed: a loaded test
@@ -1333,6 +1360,11 @@ mod tests {
                 pushed,
                 "every record is either ingested or counted shed"
             );
+            // One packet per record: the window's ports count exactly
+            // the kept records, so shed batches contributed nothing.
+            let ports = seen.lock().unwrap();
+            let port_packets: u64 = ports[0].1.iter().map(|&(_, packets)| packets).sum();
+            assert_eq!(port_packets, kept, "shed batches add no ports");
             // One record per batch here, so the queue's shed count
             // equals the record-level backpressure count the gate
             // compensated.
@@ -1343,5 +1375,17 @@ mod tests {
                 "each lane holds at most its one-batch quota"
             );
         }
+    }
+
+    #[test]
+    #[should_panic(expected = "every lane of this service must be returned")]
+    fn finish_rejects_another_services_lanes() {
+        // The right number of lanes, but not this service's: its own
+        // lanes would stay live and push into the closed queue after
+        // the final health snapshot.
+        let rib_of = |_: Day| rib();
+        let (svc, _own) = MultiStreamService::start(StreamConfig::default(), 2, rib_of);
+        let (_other, foreign) = MultiStreamService::start(StreamConfig::default(), 2, rib_of);
+        svc.finish(foreign);
     }
 }
