@@ -29,8 +29,8 @@
 //!   rebuild back to map-layout stats that merge bit-identically;
 //! - [`sharded`] — both representations split over fixed shards
 //!   (`/24 % N` for the map layout, contiguous slot ranges for the
-//!   columnar layout) for lock-free parallel ingest and per-shard
-//!   parallel pipeline evaluation.
+//!   columnar layout) for parallel ingest, one shard folded at a time,
+//!   and per-shard parallel pipeline evaluation.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

@@ -20,10 +20,13 @@
 //! self-contained [`TrafficView`] over its slice of the key space, and
 //! the pipeline can run per shard with no cross-shard reads.
 //!
-//! Ingest is single-writer per accumulator: stream workers each fold
-//! batches into their own per-day [`ShardedTrafficStats`], and the
-//! window close merges them shard-wise; per-block accumulation is
-//! order-independent, so the merge equals a serial ingest bit for bit.
+//! A shard can also be folded alone: a stream keeps one open day's
+//! shards each behind its own lock, routes every record half with
+//! [`StatsLayout::shard_of`] and folds it through
+//! [`StatsShard::ingest_dst_half`] / [`StatsShard::ingest_src_half`],
+//! then rebuilds the day with [`ShardedTrafficStats::from_shards`].
+//! Per-block accumulation is order-independent, so however the folds
+//! interleave the result equals a serial ingest bit for bit.
 //!
 //! [`ShardedTrafficStats::into_unsharded`] reassembles a flat
 //! [`TrafficStats`] for call sites that still want one; since shard key
@@ -53,6 +56,34 @@ pub enum StatsLayout {
     Columnar(Arc<Slot24Index>),
 }
 
+impl StatsLayout {
+    /// The shard owning `block` when the key space is split over
+    /// `num_shards` shards — the one routing rule, used for destination
+    /// and source keys alike.
+    pub fn shard_of(&self, num_shards: usize, block: Block24) -> usize {
+        self.route(num_shards, self.rows_per_shard(num_shards), block)
+    }
+
+    /// Slots per columnar shard (0 under the map layout); at least 1 so
+    /// `slot / rows_per_shard` is defined even for an empty index.
+    fn rows_per_shard(&self, num_shards: usize) -> u32 {
+        match self {
+            StatsLayout::Map => 0,
+            StatsLayout::Columnar(slots) => slots.num_slots().div_ceil(num_shards as u32).max(1),
+        }
+    }
+
+    fn route(&self, num_shards: usize, rows_per_shard: u32, block: Block24) -> usize {
+        match self {
+            StatsLayout::Map => block.0 as usize % num_shards,
+            StatsLayout::Columnar(slots) => match slots.slot_of(block) {
+                Some(slot) => ((slot / rows_per_shard) as usize).min(num_shards - 1),
+                None => block.0 as usize % num_shards,
+            },
+        }
+    }
+}
+
 /// One shard of a [`ShardedTrafficStats`]: either layout's accumulator,
 /// viewed uniformly through [`TrafficView`].
 #[derive(Debug, Clone)]
@@ -68,14 +99,19 @@ pub enum StatsShard {
 }
 
 impl StatsShard {
-    fn ingest_dst_half(&mut self, r: &FlowRecord, sweep_seed: Option<u64>) {
+    /// Folds the destination half of `r` (record totals plus its
+    /// destination block, a host sweep when `sweep_seed` is set) into
+    /// this shard, which must own the destination block.
+    pub fn ingest_dst_half(&mut self, r: &FlowRecord, sweep_seed: Option<u64>) {
         match self {
             StatsShard::Map(s) => s.ingest_dst_half(r, sweep_seed),
             StatsShard::Columnar(c) => c.ingest_dst_half(r, sweep_seed),
         }
     }
 
-    fn ingest_src_half(&mut self, r: &FlowRecord) {
+    /// Folds the source half of `r` into this shard, which must own
+    /// the source block.
+    pub fn ingest_src_half(&mut self, r: &FlowRecord) {
         match self {
             StatsShard::Map(s) => s.ingest_src_half(r),
             StatsShard::Columnar(c) => c.ingest_src_half(r),
@@ -225,37 +261,47 @@ impl ShardedTrafficStats {
     /// Creates an empty accumulator with an explicit storage layout.
     pub fn with_layout(num_shards: usize, size_threshold: u16, layout: StatsLayout) -> Self {
         assert!(num_shards > 0, "need at least one shard");
-        let (shards, rows_per_shard) = match &layout {
-            StatsLayout::Map => (
-                (0..num_shards)
-                    .map(|_| StatsShard::Map(TrafficStats::with_size_threshold(size_threshold)))
-                    .collect(),
-                0,
-            ),
-            StatsLayout::Columnar(slots) => {
-                // At least 1 so `slot / rows_per_shard` is defined even
-                // for an empty index (every slot range is then empty).
-                let rows_per_shard = slots.num_slots().div_ceil(num_shards as u32).max(1);
-                let shards = (0..num_shards as u32)
-                    .map(|i| {
-                        let row_base = (i * rows_per_shard).min(slots.num_slots());
-                        let rows = rows_per_shard.min(slots.num_slots() - row_base);
-                        StatsShard::Columnar(ColumnarStats::slice(
-                            Arc::clone(slots),
-                            size_threshold,
-                            row_base,
-                            rows,
-                        ))
-                    })
-                    .collect();
-                (shards, rows_per_shard)
-            }
+        let rows_per_shard = layout.rows_per_shard(num_shards);
+        let shards = match &layout {
+            StatsLayout::Map => (0..num_shards)
+                .map(|_| StatsShard::Map(TrafficStats::with_size_threshold(size_threshold)))
+                .collect(),
+            StatsLayout::Columnar(slots) => (0..num_shards as u32)
+                .map(|i| {
+                    let row_base = (i * rows_per_shard).min(slots.num_slots());
+                    let rows = rows_per_shard.min(slots.num_slots() - row_base);
+                    StatsShard::Columnar(ColumnarStats::slice(
+                        Arc::clone(slots),
+                        size_threshold,
+                        row_base,
+                        rows,
+                    ))
+                })
+                .collect(),
         };
         ShardedTrafficStats {
             shards,
             layout,
             rows_per_shard,
         }
+    }
+
+    /// Rebuilds an accumulator from the shards of one built with
+    /// `layout` ([`into_shards`](Self::into_shards)), in shard order.
+    /// Shard key spaces are disjoint, so nothing is merged.
+    pub fn from_shards(layout: StatsLayout, shards: Vec<StatsShard>) -> Self {
+        assert!(!shards.is_empty(), "need at least one shard");
+        ShardedTrafficStats {
+            rows_per_shard: layout.rows_per_shard(shards.len()),
+            shards,
+            layout,
+        }
+    }
+
+    /// The per-shard accumulators, in shard order, each to be folded
+    /// alone (see the module docs).
+    pub fn into_shards(self) -> Vec<StatsShard> {
+        self.shards
     }
 
     /// Number of shards the key space is split over.
@@ -268,16 +314,9 @@ impl ShardedTrafficStats {
         &self.layout
     }
 
-    /// The shard owning `block`.
+    /// The shard owning `block` ([`StatsLayout::shard_of`]).
     pub fn shard_of(&self, block: Block24) -> usize {
-        let n = self.shards.len();
-        match &self.layout {
-            StatsLayout::Map => block.0 as usize % n,
-            StatsLayout::Columnar(slots) => match slots.slot_of(block) {
-                Some(slot) => ((slot / self.rows_per_shard) as usize).min(n - 1),
-                None => block.0 as usize % n,
-            },
-        }
+        StatsLayout::route(&self.layout, self.shards.len(), self.rows_per_shard, block)
     }
 
     /// The per-shard accumulators, in shard order.
@@ -288,7 +327,8 @@ impl ShardedTrafficStats {
     /// Destination blocks held per shard, in shard order — the load
     /// signal behind the `mt_flow_shard_blocks` gauges: a skewed vector
     /// flags a pathological key (map layout) or announcement (columnar
-    /// layout) distribution before it shows up as one hot ingest worker.
+    /// layout) distribution, whose cost at ingest shows as ingest
+    /// workers queueing on one hot shard lock.
     pub fn shard_loads(&self) -> Vec<usize> {
         self.shards
             .iter()

@@ -52,8 +52,9 @@
 //! [`mt_core::PipelineEngine::run_sharded`] over the same records. The
 //! chain of reasons: window membership is a pure function of a record's
 //! event time (its day); per-/24 accumulation is order-independent
-//! (counters add, host sets union), so any partition of a window's
-//! records across ingest workers merges to the exact batch accumulator;
+//! (counters add, host sets union), so however the ingest workers'
+//! folds into a window's one accumulator interleave, the result is the
+//! exact batch accumulator;
 //! and the sharded pipeline is itself bit-identical to the serial one.
 //! The integration test `streaming_equivalence` asserts this end to end
 //! at 1 and 3 lanes, including under shuffled arrival within the

@@ -5,21 +5,26 @@
 //!
 //! N *lanes* ([`LaneProducer`], one per event loop; a single in-process
 //! producer is the `lanes = 1` case) and M *ingest workers*. Workers do
-//! only the order-*independent* part — folding records into per-day
-//! [`ShardedTrafficStats`] and each batch's port tally into a per-day
-//! port histogram — so which worker picks up which batch cannot affect
-//! results: each accumulates its share into its own per-day part, and
-//! at window close the per-worker parts are merged in worker-index
-//! order (merging is commutative content-wise; the fixed order makes
-//! the walk itself deterministic too).
+//! only the order-*independent* part — folding records into the day's
+//! per-/24 stats and each batch's port tally into the day's port
+//! histogram — so which worker picks up which batch cannot affect
+//! results. Each open day has exactly one accumulator, shared by every
+//! worker: its [`DEFAULT_SHARDS`] stats shards each sit behind their own
+//! lock. A worker buckets a batch's record indices per shard with
+//! [`StatsLayout::shard_of`] (destination and source halves apart) and
+//! then folds one touched shard at a time, so workers meet only where
+//! two of them fold into the same shard at once. At window close the
+//! closer takes the day's accumulator out of the open-day map and owns
+//! it alone: its shards *are* the window's [`ShardedTrafficStats`], and
+//! nothing is merged.
 //!
 //! Each lane owns what never needs cross-lane order: its collector
 //! sessions (a peer's bytes arrive on one lane at a time —
 //! kernel-hashed UDP, connection-pinned TCP), its decode and port-tally
 //! scratch, and its [`BatchPool`]. Everything whose order matters is
-//! shared behind four locks with a fixed acquisition order (**closer →
-//! gate → workers → progress**, the DESIGN.md catalogue order; each may
-//! also be taken alone):
+//! shared behind five locks with a fixed acquisition order (**closer →
+//! gate → days → shard → progress**, the DESIGN.md catalogue order; each
+//! may also be taken alone):
 //!
 //! - the **closer** ([`Mutex`]): the [`WindowScheduler`] and the
 //!   accumulated reports — serializing closes keeps days ascending no
@@ -27,11 +32,18 @@
 //! - the **gate** ([`Mutex`]): the [`WindowTracker`] (one global
 //!   watermark), per-exporter gate counters, and the shed / rejected
 //!   counts — gate decisions only;
-//! - the **workers** (one [`Mutex`] each): a worker's per-day parts
-//!   (stats and port histogram), taken by the worker per batch and by
-//!   the closer's merge;
+//! - the **days** ([`Mutex`]): the open-day map — each open day's port
+//!   histogram and the handle to its shards, taken briefly by a worker
+//!   per batch (to fold the ports and clone the handle) and by the
+//!   closer to take the day out;
+//! - the **shards** (one [`Mutex`] per shard of each open day): a
+//!   shard's stats, taken by a worker once per touched shard per batch
+//!   and, uncontended, by the closer to move the stats out;
 //! - **progress** ([`Mutex`] + [`Condvar`]): per-day pushed/processed
 //!   record counts for the close barrier, plus run totals.
+//!
+//! No thread holds two shard locks, and none nests any two of days,
+//! shard and progress: a worker takes each alone, in turn.
 //!
 //! # Why no accepted record can be lost or double-counted
 //!
@@ -46,11 +58,19 @@
 //! or rejects (closed) is backed out of `pushed` and wakes the barrier;
 //! it never reaches a worker, so neither its stats nor its ports do.
 //!
-//! The result is the keystone property at any lane count: the merged
-//! window stats equal a batch ingest of exactly the gated record set,
-//! bit for bit — this module's tests pin it against the serial batch
-//! pipeline at lanes ∈ {1, 2, 4}, `tests/streaming_equivalence.rs` over
-//! seven days of netmodel traffic, and `tests/serve_equivalence.rs`
+//! A worker finishes a batch — ports under the days lock, every record
+//! half under its shard's lock — and drops its handle to the day's
+//! shards *before* it adds the batch to `processed`. So once the
+//! barrier passes, every gated record of the day is in the one
+//! accumulator, no worker holds its handle, and none will take it again
+//! (no later batch for the day exists): the closer's take-out is the
+//! last touch.
+//!
+//! The result is the keystone property at any lane and worker count:
+//! the window stats equal a batch ingest of exactly the gated record
+//! set, bit for bit — this module's tests pin it against the serial
+//! batch pipeline at lanes ∈ {1, 2, 4}, `tests/streaming_equivalence.rs`
+//! over seven days of netmodel traffic, and `tests/serve_equivalence.rs`
 //! through real sockets at loops ∈ {1, 2, 4}.
 
 use crate::batch::BatchPool;
@@ -65,12 +85,12 @@ use crate::service::{
 use crate::window::{Gate, WindowTracker};
 use mt_flow::sharded::DEFAULT_SHARDS;
 use mt_flow::stats::DEFAULT_SIZE_THRESHOLD;
-use mt_flow::{FlowRecord, ShardedTrafficStats, StatsLayout, TrafficStats};
-use mt_obs::{Counter, MetricsRegistry};
-use mt_types::{Asn, Day, FxHashMap, PrefixTrie};
+use mt_flow::{FlowRecord, ShardedTrafficStats, StatsLayout, StatsShard, TrafficStats};
+use mt_obs::{Counter, Histogram, MetricsRegistry, DEFAULT_TIME_BUCKETS};
+use mt_types::{Asn, Block24, Day, FxHashMap, PrefixTrie};
 use mt_wire::ipfix::IpfixFlow;
 use std::collections::BTreeMap;
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard};
 use std::thread::JoinHandle;
 
 /// One unit of ingest work, tagged with the producer lane whose
@@ -84,11 +104,23 @@ struct LaneBatch {
     ports: Vec<(u16, u64)>,
 }
 
-/// One worker's accumulation for one open day.
-struct DayPart {
-    stats: ShardedTrafficStats,
-    /// Destination-port packet histogram of the folded records.
+/// One open day's accumulator, shared by every ingest worker.
+struct OpenDay {
+    /// Destination-port packet histogram of the folded batches.
     ports: FxHashMap<u16, u64>,
+    /// The day's stats shards, in shard order, each behind its own lock.
+    shards: Arc<[Mutex<StatsShard>]>,
+}
+
+impl OpenDay {
+    fn new(layout: StatsLayout) -> Self {
+        let stats =
+            ShardedTrafficStats::with_layout(DEFAULT_SHARDS, DEFAULT_SIZE_THRESHOLD, layout);
+        OpenDay {
+            ports: FxHashMap::default(),
+            shards: stats.into_shards().into_iter().map(Mutex::new).collect(),
+        }
+    }
 }
 
 /// Per-exporter window-gate counters, kept under the gate lock so the
@@ -137,10 +169,12 @@ struct LaneShared {
     /// Per-lane buffer pools: each lane takes from its own, and workers
     /// return each buffer to the pool of the lane that filled it.
     pools: Vec<BatchPool>,
-    /// Per-worker per-day accumulators, indexed by worker.
-    workers: Vec<Mutex<FxHashMap<Day, DayPart>>>,
+    /// The open-day map: each open day's one accumulator.
+    days: Mutex<FxHashMap<Day, OpenDay>>,
     /// Per-worker `mt_ingest_records_total` counters.
     ingest_counters: Vec<Counter>,
+    /// Shard-lock acquisitions that found the lock held.
+    shard_contended: Counter,
     gate: Mutex<GateState>,
     progress: Mutex<ProgressState>,
     /// Signals progress advances (and backed-out pushes) to the close
@@ -149,26 +183,18 @@ struct LaneShared {
     layout: StatsLayout,
 }
 
-impl LaneShared {
-    /// An empty window accumulator in the configured layout.
-    fn empty_part(&self) -> DayPart {
-        DayPart {
-            stats: ShardedTrafficStats::with_layout(
-                DEFAULT_SHARDS,
-                DEFAULT_SIZE_THRESHOLD,
-                self.layout.clone(),
-            ),
-            ports: FxHashMap::default(),
-        }
-    }
-}
-
-/// Close-path state: the scheduler plus the run's accumulated reports,
-/// behind the closer lock so windows close strictly ascending.
+/// Close-path state: the scheduler, the run's accumulated reports and
+/// the close's metric handles, behind the closer lock so windows close
+/// strictly ascending.
 struct CloserState<F> {
     scheduler: WindowScheduler<F>,
     windows: Vec<WindowReport>,
     combined: Vec<CombinedReport>,
+    registry: Arc<MetricsRegistry>,
+    windows_closed: Counter,
+    /// `mt_stream_close_nanoseconds` for the barrier, assemble and
+    /// schedule steps of a close.
+    close_time: [Histogram; 3],
 }
 
 /// The coordinator handle of a streaming run: health
@@ -195,8 +221,6 @@ pub struct LaneProducer<F> {
     collector: Arc<Mutex<StreamCollector>>,
     shared: Arc<LaneShared>,
     closer: Arc<Mutex<CloserState<F>>>,
-    registry: Arc<MetricsRegistry>,
-    windows_closed_counter: Counter,
     /// Reusable decode buffer: one allocation serves every chunk.
     decode_buf: Vec<IpfixFlow>,
     /// Reusable per-batch port-histogram scratch.
@@ -240,10 +264,12 @@ impl<F: Fn(Day) -> PrefixTrie<Asn>> MultiStreamService<F> {
             pools: (0..lanes)
                 .map(|_| BatchPool::new(cfg.queue_capacity + 2))
                 .collect(),
-            workers: (0..cfg.ingest_threads)
-                .map(|_| Mutex::new(FxHashMap::default()))
-                .collect(),
+            days: Mutex::new(FxHashMap::default()),
             ingest_counters,
+            shard_contended: registry.counter(
+                "mt_stream_shard_lock_contended_total",
+                "Shard-lock acquisitions by ingest workers that found the lock held.",
+            ),
             gate: Mutex::new(GateState {
                 tracker: WindowTracker::new(cfg.allowed_lateness),
                 exporters: BTreeMap::new(),
@@ -269,15 +295,25 @@ impl<F: Fn(Day) -> PrefixTrie<Asn>> MultiStreamService<F> {
             },
         )
         .with_registry(&registry);
-        let closer = Arc::new(Mutex::new(CloserState {
-            scheduler,
-            windows: Vec::new(),
-            combined: Vec::new(),
-        }));
         let windows_closed_counter = registry.counter(
             "mt_window_closed_total",
             "Windows closed and run through the pipeline.",
         );
+        let closer = Arc::new(Mutex::new(CloserState {
+            scheduler,
+            windows: Vec::new(),
+            combined: Vec::new(),
+            registry: Arc::clone(&registry),
+            windows_closed: windows_closed_counter.clone(),
+            close_time: ["barrier", "assemble", "schedule"].map(|step| {
+                registry.histogram_with(
+                    "mt_stream_close_nanoseconds",
+                    &[("step", step)],
+                    &DEFAULT_TIME_BUCKETS,
+                    "Wall-clock time of one step of a window close.",
+                )
+            }),
+        }));
         let collectors: Vec<Arc<Mutex<StreamCollector>>> = (0..lanes)
             .map(|_| Arc::new(Mutex::new(StreamCollector::new())))
             .collect();
@@ -287,8 +323,6 @@ impl<F: Fn(Day) -> PrefixTrie<Asn>> MultiStreamService<F> {
                 collector: Arc::clone(&collectors[lane]),
                 shared: Arc::clone(&shared),
                 closer: Arc::clone(&closer),
-                registry: Arc::clone(&registry),
-                windows_closed_counter: windows_closed_counter.clone(),
                 decode_buf: Vec::new(),
                 port_scratch: FxHashMap::default(),
             })
@@ -464,13 +498,7 @@ impl<F: Fn(Day) -> PrefixTrie<Asn>> MultiStreamService<F> {
                                                               // lock: stream.gate
             let open = crate::sync::lock(&self.shared.gate).tracker.drain_open();
             for day in open {
-                close_window(
-                    &self.shared,
-                    &mut closer,
-                    &self.registry,
-                    &self.windows_closed_counter,
-                    day,
-                );
+                close_window(&self.shared, &mut closer, day);
             }
             (
                 std::mem::take(&mut closer.windows),
@@ -482,6 +510,8 @@ impl<F: Fn(Day) -> PrefixTrie<Asn>> MultiStreamService<F> {
             // check: allow(no_panic, "join() errs only if the worker panicked; re-raising on the coordinator is intended")
             h.join().expect("ingest worker panicked");
         }
+        // Every open day's accumulator was taken by its close.
+        debug_assert!(crate::sync::lock(&self.shared.days).is_empty()); // lock: stream.days
         let health = self.health();
         debug_assert_eq!(health.in_flight, 0, "finish is a quiescent point");
         StreamOutput {
@@ -626,33 +656,26 @@ impl<F: Fn(Day) -> PrefixTrie<Asn>> LaneProducer<F> {
                                                           // lock: stream.gate
         let days = crate::sync::lock(&self.shared.gate).tracker.take_closable();
         for day in days {
-            close_window(
-                &self.shared,
-                &mut closer,
-                &self.registry,
-                &self.windows_closed_counter,
-                day,
-            );
+            close_window(&self.shared, &mut closer, day);
         }
     }
 }
 
-/// Closes one window: waits out the per-day barrier, merges the
-/// per-worker accumulators in worker-index order, and hands the window
-/// to the scheduler. Callers hold the closer lock (so closes stay
-/// serialized and ascending) and must have taken `day` from the
-/// tracker already.
+/// Closes one window: waits out the per-day barrier, takes the day's
+/// accumulator out of the open-day map, and hands the window to the
+/// scheduler. Callers hold the closer lock (so closes stay serialized
+/// and ascending) and must have taken `day` from the tracker already.
 fn close_window<F: Fn(Day) -> PrefixTrie<Asn>>(
     shared: &LaneShared,
     closer: &mut CloserState<F>,
-    registry: &MetricsRegistry,
-    windows_closed: &Counter,
     day: Day,
 ) {
-    // Per-day barrier: every record gated into `day` is in some
-    // worker's accumulator. `pushed` is final (the tracker already
-    // rejects the day), and backed-out pushes wake this wait.
+    let [barrier, assemble, schedule] = &closer.close_time;
+    // Per-day barrier: every record gated into `day` is in the day's
+    // accumulator. `pushed` is final (the tracker already rejects the
+    // day), and backed-out pushes wake this wait.
     let records = {
+        let _span = barrier.start_span();
         let g = crate::sync::lock(&shared.progress); // lock: stream.progress
         let mut g = crate::sync::wait_while(&shared.drained, g, |p| {
             p.per_day
@@ -661,25 +684,21 @@ fn close_window<F: Fn(Day) -> PrefixTrie<Asn>>(
         });
         g.per_day.remove(&day).map_or(0, |dp| dp.pushed)
     };
-    let mut merged: Option<DayPart> = None;
-    for w in &shared.workers {
-        let part = crate::sync::lock(w).remove(&day); // lock: stream.workers
-        if let Some(part) = part {
-            match &mut merged {
-                None => merged = Some(part),
-                Some(m) => {
-                    m.stats.merge(&part.stats);
-                    for (port, packets) in part.ports {
-                        *m.ports.entry(port).or_default() += packets;
-                    }
-                }
-            }
-        }
-    }
-    let DayPart { stats, ports } = merged.unwrap_or_else(|| shared.empty_part());
+    let span = assemble.start_span();
+    let open = crate::sync::lock(&shared.days).remove(&day); // lock: stream.days
+    let OpenDay { ports, shards } = open.unwrap_or_else(|| OpenDay::new(shared.layout.clone()));
+    debug_assert_eq!(Arc::strong_count(&shards), 1, "a worker holds a closed day");
+    // A mutex yields its value only past the poisoning check, which
+    // `sync::lock` owns; no worker holds the day, so none of these waits.
+    let shards = shards.iter().map(|cell| {
+        let mut shard = crate::sync::lock(cell); // lock: stream.shard
+        std::mem::replace(&mut *shard, StatsShard::Map(TrafficStats::new()))
+    });
+    let stats = ShardedTrafficStats::from_shards(shared.layout.clone(), shards.collect());
     for (i, load) in stats.shard_loads().into_iter().enumerate() {
         let shard = i.to_string();
-        registry
+        closer
+            .registry
             .gauge_with(
                 "mt_flow_shard_blocks",
                 &[("shard", shard.as_str())],
@@ -689,30 +708,66 @@ fn close_window<F: Fn(Day) -> PrefixTrie<Asn>>(
     }
     let mut ports: Vec<(u16, u64)> = ports.into_iter().collect();
     ports.sort_unstable();
+    drop(span);
+    let _span = schedule.start_span();
     let (window, combined) = closer
         .scheduler
         .close_with_ports(day, records, stats, &ports);
     closer.windows.push(window);
     closer.combined.push(combined);
-    windows_closed.inc();
+    closer.windows_closed.inc();
 }
 
-/// Ingest worker loop: pop batches, fold records and their port tally
-/// into this worker's per-day part, return the buffer to the owning
-/// lane's pool, and report per-day progress for the close barrier.
+/// Like [`crate::sync::lock`], but first tries the lock and counts a
+/// miss on `misses` before blocking.
+fn lock_contended<'a, T>(mutex: &'a Mutex<T>, misses: &Counter) -> MutexGuard<'a, T> {
+    mutex.try_lock().unwrap_or_else(|_| {
+        misses.inc();
+        crate::sync::lock(mutex) // lock: generic
+    })
+}
+
+/// Ingest worker loop: pop batches, fold each batch's port tally and
+/// records into its day's one accumulator, return the buffer to the
+/// owning lane's pool, and report per-day progress for the close
+/// barrier.
 fn ingest_worker(shared: &LaneShared, index: usize) {
+    // Per shard, the indices of the batch's records whose destination
+    // (`.0`) or source (`.1`) block it owns; reused batch to batch.
+    let mut owned: Vec<(Vec<usize>, Vec<usize>)> = vec![Default::default(); DEFAULT_SHARDS];
+    let layout = &shared.layout;
+    let shard_of = |ip| layout.shard_of(DEFAULT_SHARDS, Block24::containing(ip));
     while let Some(batch) = shared.queue.pop() {
         let n = batch.records.len() as u64;
-        {
-            let mut days = crate::sync::lock(&shared.workers[index]); // lock: stream.workers
-            let part = days.entry(batch.day).or_insert_with(|| shared.empty_part());
-            for r in &batch.records {
-                part.stats.ingest(r);
-            }
+        let shards = {
+            let mut days = crate::sync::lock(&shared.days); // lock: stream.days
+            let open = days
+                .entry(batch.day)
+                .or_insert_with(|| OpenDay::new(layout.clone()));
             for &(port, packets) in &batch.ports {
-                *part.ports.entry(port).or_default() += packets;
+                *open.ports.entry(port).or_default() += packets;
+            }
+            Arc::clone(&open.shards)
+        };
+        for (i, r) in batch.records.iter().enumerate() {
+            owned[shard_of(r.dst)].0.push(i);
+            owned[shard_of(r.src)].1.push(i);
+        }
+        for (cell, (dst, src)) in shards.iter().zip(&mut owned) {
+            if dst.is_empty() && src.is_empty() {
+                continue;
+            }
+            let mut shard = lock_contended(cell, &shared.shard_contended); // lock: stream.shard
+            for i in dst.drain(..) {
+                shard.ingest_dst_half(&batch.records[i], None);
+            }
+            for i in src.drain(..) {
+                shard.ingest_src_half(&batch.records[i]);
             }
         }
+        // Dropped before `processed` moves, so a passed barrier leaves
+        // the closer the day's only handle (module docs).
+        drop(shards);
         shared.pools[batch.lane].put(batch.records);
         // Counted before the progress update so the close barrier
         // (processed == pushed) also implies the ingest counters are
@@ -799,19 +854,20 @@ mod tests {
     /// How [`feed_days`] hands a lane its bytes.
     #[derive(Clone, Copy)]
     enum Transport {
-        /// The lane's share of a day as one byte stream cut every N
-        /// bytes, so pieces straddle message boundaries.
+        /// The lane's share of a day as one byte stream of 7-record
+        /// messages cut every N bytes, so pieces straddle message
+        /// boundaries.
         Chunks(usize),
-        /// One message per UDP datagram.
-        Datagrams,
+        /// One message of N records per UDP datagram.
+        Datagrams(usize),
     }
 
     /// The single-threaded driver the lane-agnostic cases share. Each
-    /// day's messages (7 records apiece) are dealt round-robin to the
-    /// lanes — lane `l` is exporter `CE{l}`, a peer lands on one lane at
-    /// a time — and the lanes take turns, one piece each, until the day
-    /// is through. One thread drives every lane, so the gate sequence
-    /// (and with it every late/dropped count) is deterministic.
+    /// day's messages are dealt round-robin to the lanes — lane `l` is
+    /// exporter `CE{l}`, a peer lands on one lane at a time — and the
+    /// lanes take turns, one piece each, until the day is through. One
+    /// thread drives every lane, so the gate sequence (and with it every
+    /// late/dropped count) is deterministic.
     fn feed_days<F: Fn(Day) -> PrefixTrie<Asn>>(
         producers: &mut [LaneProducer<F>],
         days: &[Vec<FlowRecord>],
@@ -819,13 +875,17 @@ mod tests {
         transport: Transport,
     ) {
         let lanes = producers.len();
+        let per_message = match transport {
+            Transport::Chunks(_) => 7,
+            Transport::Datagrams(n) => n,
+        };
         for records in days {
             let mut shares: Vec<Vec<Vec<u8>>> = vec![Vec::new(); lanes];
-            for (i, m) in messages(records, seq, 7).into_iter().enumerate() {
+            for (i, m) in messages(records, seq, per_message).into_iter().enumerate() {
                 shares[i % lanes].push(m);
             }
             let pieces: Vec<Vec<Vec<u8>>> = match transport {
-                Transport::Datagrams => shares,
+                Transport::Datagrams(_) => shares,
                 Transport::Chunks(n) => shares
                     .into_iter()
                     .map(|msgs| msgs.concat().chunks(n).map(<[u8]>::to_vec).collect())
@@ -840,7 +900,7 @@ mod tests {
                     let name = format!("CE{lane}");
                     match transport {
                         Transport::Chunks(_) => p.push_chunk(&name, piece),
-                        Transport::Datagrams => assert!(p.push_datagram(&name, piece)),
+                        Transport::Datagrams(_) => assert!(p.push_datagram(&name, piece)),
                     }
                 }
             }
@@ -972,7 +1032,7 @@ mod tests {
         let days = days(3);
         let cfg = hour_late(2);
         for lanes in LANES {
-            let (out, ports) = run(cfg.clone(), lanes, &days, Transport::Datagrams);
+            let (out, ports) = run(cfg.clone(), lanes, &days, Transport::Datagrams(7));
             out.health.check_invariants().unwrap();
             let what = format!("datagrams, {lanes} lanes");
             assert_matches_batch(&out, &ports, &days, &cfg, &what);
@@ -1022,12 +1082,97 @@ mod tests {
         // matches it matches the map-layout runs of the other tests.
         let days = days(3);
         for lanes in LANES {
-            let cfg = StreamConfig {
-                layout: columnar_layout(),
-                ..hour_late(3)
-            };
-            let (out, ports) = run(cfg.clone(), lanes, &days, Transport::Chunks(1460));
-            let what = format!("columnar, {lanes} lanes");
+            for threads in [1, 3, 4] {
+                let cfg = StreamConfig {
+                    layout: columnar_layout(),
+                    ..hour_late(threads)
+                };
+                let (out, ports) = run(cfg.clone(), lanes, &days, Transport::Chunks(1460));
+                let what = format!("columnar, {lanes} lanes, {threads} ingest threads");
+                assert_matches_batch(&out, &ports, &days, &cfg, &what);
+            }
+        }
+    }
+
+    /// Days of 400 records whose destination and source /24s all fall
+    /// in one map-layout shard (the source 9.9.9.9's); returns it too.
+    fn one_shard_days(n: u32) -> (usize, Vec<Vec<FlowRecord>>) {
+        let shard_of = |ip| StatsLayout::Map.shard_of(DEFAULT_SHARDS, Block24::containing(ip));
+        let shard = shard_of(Ipv4::new(9, 9, 9, 9));
+        let days = (0..n)
+            .map(|d| {
+                (0..400u32)
+                    .map(|i| {
+                        let block = 0x14_0000 + 16 * (i % 29 + d) + shard as u32;
+                        let r = FlowRecord {
+                            dst_port: [23, 445, 80][i as usize % 3],
+                            ..record(
+                                Day(d),
+                                u64::from(i) * 200,
+                                block << 8 | (i % 251),
+                                1 + u64::from(i % 4),
+                            )
+                        };
+                        assert_eq!((shard_of(r.dst), shard_of(r.src)), (shard, shard));
+                        r
+                    })
+                    .collect()
+            })
+            .collect();
+        (shard, days)
+    }
+
+    /// Yields until `cond` holds: synchronises on state, and fails
+    /// after a minute instead of hanging if the state never comes.
+    fn wait_for(what: &str, mut cond: impl FnMut() -> bool) {
+        let deadline = std::time::Instant::now() + std::time::Duration::from_secs(60);
+        while !cond() {
+            assert!(
+                std::time::Instant::now() < deadline,
+                "timed out waiting for {what}"
+            );
+            std::thread::yield_now();
+        }
+    }
+
+    #[test]
+    fn workers_contending_for_one_shard_match_batch() {
+        // Four workers fold 40-record datagram batches whose every record
+        // half lands in one shard, so they queue on that shard's lock.
+        // The test also holds the lock itself while a batch arrives, so
+        // the contention counter moves under any scheduling.
+        let (shard, days) = one_shard_days(3);
+        let cfg = hour_late(4);
+        for lanes in LANES {
+            let what = format!("one hot shard, {lanes} lanes");
+            let (svc, mut p) = MultiStreamService::start(cfg.clone(), lanes, |_| rib());
+            let seen = collect_ports(&svc);
+            let mut seq = 0;
+            let day0 = messages(&days[0], &mut seq, 40);
+            assert!(p[0].push_datagram("CE0", &day0[0]));
+            // Once the first batch is folded, day 0's accumulator is in
+            // the open-day map.
+            wait_for("the first batch folded", || svc.health().ingested == 40);
+            let held = Arc::clone(&svc.shared.days.lock().unwrap()[&Day(0)].shards);
+            let guard = held[shard].lock().unwrap();
+            assert!(p[lanes - 1].push_datagram("CE0", &day0[1]));
+            wait_for("a worker to miss the held lock", || {
+                svc.shared.shard_contended.get() > 0
+            });
+            drop(guard);
+            drop(held);
+            for m in &day0[2..] {
+                assert!(p[0].push_datagram("CE0", m));
+            }
+            feed_days(&mut p, &days[1..], &mut seq, Transport::Datagrams(40));
+            let out = svc.finish(p);
+            out.health.check_invariants().expect("final invariants");
+            let contended = out
+                .registry
+                .snapshot()
+                .scalar("mt_stream_shard_lock_contended_total", &[]);
+            assert!(contended > Some(0), "{what}: contention counted");
+            let ports = seen.lock().unwrap();
             assert_matches_batch(&out, &ports, &days, &cfg, &what);
         }
     }

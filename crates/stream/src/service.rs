@@ -19,8 +19,8 @@ pub struct StreamConfig {
     /// Storage layout of the window accumulators: hashmap-backed shards
     /// (the default) or columnar slot-range shards over a fixed
     /// announced-space index. With the columnar layout the slot index
-    /// must cover every day's announced space (window close asserts
-    /// matching fingerprints when merging worker accumulators).
+    /// must cover every day's announced space (the combination asserts
+    /// matching fingerprints when it merges each closed window).
     pub layout: StatsLayout,
     /// Ingest worker threads.
     pub ingest_threads: usize,
