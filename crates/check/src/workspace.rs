@@ -271,10 +271,34 @@ fn classify(rel_path: &str) -> (String, Role) {
     (crate_name, role)
 }
 
+/// Keywords that open an item (or a `let`) after a `#[cfg(test)]`
+/// gate; anything else gated is a struct field, a struct-literal field
+/// or an expression statement.
+const ITEM_KEYWORDS: [&str; 16] = [
+    "mod",
+    "fn",
+    "impl",
+    "struct",
+    "enum",
+    "union",
+    "trait",
+    "type",
+    "const",
+    "static",
+    "use",
+    "extern",
+    "unsafe",
+    "async",
+    "macro_rules",
+    "let",
+];
+
 /// Finds byte ranges of `#[cfg(test)]` items: the attribute tokens
 /// through the close of the item's brace block. Works for `mod tests`
 /// and for individually-gated items; attributes and doc comments
-/// between the gate and the item are skipped.
+/// between the gate and the item are skipped. A gated field or
+/// expression statement ends at the first `,` or `;` outside its own
+/// brackets, or where its enclosing block or list closes.
 fn find_test_regions(src: &str, tokens: &[Token]) -> Vec<(usize, usize)> {
     let code: Vec<&Token> = tokens
         .iter()
@@ -302,6 +326,41 @@ fn find_test_regions(src: &str, tokens: &[Token]) -> Vec<(usize, usize)> {
                     _ => {}
                 }
                 j += 1;
+            }
+            // Past further attributes and a visibility, what is gated?
+            let mut k = j;
+            loop {
+                // `#[..]`, or the group of `pub(..)`.
+                if (is(k, "#") && is(k + 1, "[")) || (is(k, "pub") && is(k + 1, "(")) {
+                    k = skip_group(&code, src, k + 1);
+                } else if is(k, "pub") {
+                    k += 1;
+                } else {
+                    break;
+                }
+            }
+            let is_item = code
+                .get(k)
+                .is_some_and(|t| ITEM_KEYWORDS.contains(&t.text(src)));
+            if !is_item {
+                let mut depth = 0usize;
+                while let Some(t) = code.get(j) {
+                    match t.text(src) {
+                        "(" | "[" | "{" => depth += 1,
+                        ")" | "]" | "}" if depth == 0 => {
+                            j -= 1; // the enclosing list or block closes
+                            break;
+                        }
+                        ")" | "]" | "}" => depth -= 1,
+                        "," | ";" if depth == 0 => break,
+                        _ => {}
+                    }
+                    j += 1;
+                }
+                let end = code.get(j).map(|t| t.end).unwrap_or_else(|| src.len());
+                regions.push((attr_start, end));
+                i = j + 1;
+                continue;
             }
             // Skip to the gated item's opening brace, then match it.
             while j < code.len() && !is(j, "{") {
@@ -336,6 +395,24 @@ fn find_test_regions(src: &str, tokens: &[Token]) -> Vec<(usize, usize)> {
         }
     }
     regions
+}
+
+/// The index just past the bracket group opening at `open`.
+fn skip_group(code: &[&Token], src: &str, open: usize) -> usize {
+    let mut depth = 0usize;
+    for (k, t) in code.iter().enumerate().skip(open) {
+        match t.text(src) {
+            "(" | "[" | "{" => depth += 1,
+            ")" | "]" | "}" => {
+                depth -= 1;
+                if depth == 0 {
+                    return k + 1;
+                }
+            }
+            _ => {}
+        }
+    }
+    code.len()
 }
 
 /// A set of source files plus the design document.
@@ -462,6 +539,20 @@ mod tests {
         assert!(!f.in_test_region(a));
         assert!(f.in_test_region(b));
         assert!(!f.in_test_region(c));
+    }
+
+    #[test]
+    fn a_gated_field_or_statement_covers_only_itself() {
+        let src = "struct S {\n    a: u8,\n    #[cfg(test)]\n    pub(crate) hook: Box<dyn Fn(u8, u8)>,\n}\n\
+                   impl S {\n    fn new() -> S {\n        S {\n            a: 1,\n            #[cfg(test)]\n            hook: Box::new(|_, _| {}),\n        }\n    }\n\
+                   fn run(&mut self) {\n        #[cfg(test)]\n        (self.hook)(1, 2);\n        x.unwrap();\n    }\n}\n";
+        let f = SourceFile::new("crates/demo/src/lib.rs", src.to_owned());
+        for gated in ["pub(crate) hook", "hook: Box::new", "(self.hook)"] {
+            assert!(f.in_test_region(src.find(gated).unwrap()), "{gated}");
+        }
+        for live in ["impl S", "a: 1", "x.unwrap"] {
+            assert!(!f.in_test_region(src.find(live).unwrap()), "{live}");
+        }
     }
 
     #[test]

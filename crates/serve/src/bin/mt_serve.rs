@@ -168,7 +168,15 @@ fn main() {
         });
     }
 
-    let out = daemon.run().expect("event loop");
+    // Every way `run` ends has finished the service first, so the open
+    // windows are persisted even when it reports an error.
+    let out = match daemon.run() {
+        Ok(out) => out,
+        Err(e) => {
+            eprintln!("mt-serve: {e}");
+            std::process::exit(1);
+        }
+    };
 
     println!(
         "\nmt-serve: {} datagrams ({} rejected), {} tcp connections, {} http requests",

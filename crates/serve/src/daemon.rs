@@ -50,20 +50,26 @@
 //!
 //! ## Shutdown protocol
 //!
-//! A [`ShutdownHandle`] trigger or SIGTERM (when
-//! [`ServeConfig::catch_sigterm`] is set) wakes the control loop via a
-//! self-pipe. The control loop then broadcasts the shutdown to every
-//! ingest loop's wake pipe; each loop independently (1) stops
-//! accepting: its listener is deregistered and closed; (2) drains:
-//! bounded `epoll_wait` sweeps keep serving its open connections and
-//! its UDP socket until no byte moves in either direction for a few
-//! sweeps in a row, or nothing is left open; (3) closes what remains.
-//! The control loop drains its in-flight HTTP responses the same way,
-//! joins the ingest threads, collects their lanes, and finishes the
-//! service —
+//! The daemon has one way to end. Every loop — the control loop on the
+//! caller's thread and each ingest loop on a scoped thread — fires the
+//! one shutdown trigger ([`ShutdownHandle::shutdown`]: set the latch,
+//! wake every loop) when it leaves its serve phase, whatever the
+//! reason: a [`ShutdownHandle`], SIGTERM (when
+//! [`ServeConfig::catch_sigterm`] is set, its handler writes into the
+//! control loop's wake pipe), an I/O error, or a panic (through a drop
+//! guard); a loop whose thread cannot be spawned counts as failed. So
+//! one loop's exit stops them all. Each loop then drains on its own:
+//! (1) it adopts the connections already in its listener's backlog and
+//! closes the listener; (2) bounded `epoll_wait` sweeps keep serving
+//! its open connections and its UDP socket until no byte moves in
+//! either direction for a few sweeps in a row, or nothing is left
+//! open; (3) it closes what remains. [`Daemon::run`] joins every loop —
+//! the loops are borrowed, so their lanes stay the daemon's whatever
+//! their threads did — and finishes the service:
 //! [`MultiStreamService::finish`] flushes the queue, folds the tail,
-//! closes every open window, and returns the quiescent
+//! closes and persists every open window, and returns the quiescent
 //! [`mt_stream::StreamOutput`] whose ledger identities hold exactly.
+//! Only then does `run` return the first loop error, if there was one.
 
 use crate::http;
 use crate::reactor::{Handler, Next, Reactor, Step};
@@ -78,8 +84,7 @@ use std::os::unix::io::{AsRawFd, RawFd};
 use std::os::unix::net::UnixStream;
 use std::str::FromStr;
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Arc, RwLock, RwLockReadGuard, RwLockWriteGuard};
-use std::thread::JoinHandle;
+use std::sync::{Arc, PoisonError, RwLock, RwLockReadGuard, RwLockWriteGuard};
 
 /// Histogram bounds for per-push ingest latency, in nanoseconds: fine
 /// enough around the sub-100µs hot path for meaningful p50/p99, topping
@@ -179,24 +184,47 @@ pub struct ServeOutput {
     pub event_loops: usize,
 }
 
-/// A trigger that asks a running daemon to drain and exit; safe to
-/// fire from any thread. [`Daemon::shutdown_handle`] makes as many as
+/// The daemon's one shutdown trigger: the latch and every loop's wake
+/// pipe. Safe to fire from any thread, and fired by every loop that
+/// leaves its serve phase. [`Daemon::shutdown_handle`] makes as many as
 /// are wanted.
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 pub struct ShutdownHandle {
-    shutdown: Arc<AtomicBool>,
-    wake_tx: UnixStream,
+    latch: Arc<AtomicBool>,
+    wakes: Arc<[UnixStream]>,
 }
 
 impl ShutdownHandle {
-    /// Requests shutdown and wakes the control loop (which broadcasts
-    /// to the ingest loops).
+    /// Requests shutdown and wakes every loop. Only the first call
+    /// writes: a loop sees one wake byte, whoever fired.
     pub fn shutdown(&self) {
-        // ordering: Release pairs with the loops' Acquire loads; the
-        // flag is a latch that only ever goes false→true.
-        self.shutdown.store(true, Ordering::Release);
-        let _ = (&self.wake_tx).write(b"S");
+        // ordering: AcqRel; the Release half pairs with the loops'
+        // Acquire loads. The latch only ever goes false→true.
+        if !self.latch.swap(true, Ordering::AcqRel) {
+            for mut tx in self.wakes.iter() {
+                let _ = tx.write(b"S");
+            }
+        }
     }
+}
+
+/// Fires the trigger when dropped, so a loop fires it on every way out
+/// of its serve phase, unwinding included.
+struct FireOnExit<'a>(&'a ShutdownHandle);
+
+impl Drop for FireOnExit<'_> {
+    fn drop(&mut self) {
+        self.0.shutdown();
+    }
+}
+
+/// One loop's whole run: serve, fire the trigger, drain. Returns the
+/// first error of the two phases.
+fn serve_then_drain<H: Handler>(l: &mut Reactor<H>, trigger: &ShutdownHandle) -> io::Result<()> {
+    let fire = FireOnExit(trigger);
+    let served = l.serve();
+    drop(fire);
+    served.and(l.drain())
 }
 
 /// The daemon's handle on a configured results store: the shared query
@@ -302,20 +330,12 @@ impl StoreRuntime {
 /// lock: the store cache stays serviceable even if a panic unwound
 /// mid-update.
 fn lock_shared(l: &RwLock<QueryIndex>) -> RwLockReadGuard<'_, QueryIndex> {
-    // lock: generic
-    match l.read() {
-        Ok(g) => g,
-        Err(poisoned) => poisoned.into_inner(),
-    }
+    l.read().unwrap_or_else(PoisonError::into_inner) // lock: generic
 }
 
 /// Takes the index lock exclusively, with the same poison recovery.
 fn lock_exclusive(l: &RwLock<QueryIndex>) -> RwLockWriteGuard<'_, QueryIndex> {
-    // lock: generic
-    match l.write() {
-        Ok(g) => g,
-        Err(poisoned) => poisoned.into_inner(),
-    }
+    l.write().unwrap_or_else(PoisonError::into_inner) // lock: generic
 }
 
 /// The ingest loops' handler: IPFIX over this loop's UDP socket and
@@ -356,9 +376,9 @@ impl<F: Fn(Day) -> PrefixTrie<Asn>> Handler for Ipfix<F> {
                         self.datagrams_rejected.inc();
                     }
                 }
-                Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
                 // `WouldBlock`: the socket is empty. Any other error
-                // also ends this round.
+                // (a nonblocking read never sees `EINTR`) also ends
+                // this round.
                 Err(_) => return moved,
             }
         }
@@ -586,20 +606,18 @@ impl<F: Fn(Day) -> PrefixTrie<Asn>> Http<F> {
 }
 
 /// The collection daemon. Bind with [`Daemon::bind`], then [`run`] on
-/// a dedicated thread; `run` returns when a shutdown trigger arrives
-/// and every loop's drain completes.
+/// a dedicated thread; `run` returns once any loop has left its serve
+/// phase (a shutdown trigger, SIGTERM, or a loop's failure), every
+/// loop has drained, and the service is finished.
 ///
 /// [`run`]: Daemon::run
 pub struct Daemon<F: Fn(Day) -> PrefixTrie<Asn>> {
     /// The ingest loops, one per lane of the service.
     loops: Vec<Reactor<Ipfix<F>>>,
-    /// Their wake pipes' write ends, for the shutdown broadcast.
-    loop_wake_tx: Vec<UnixStream>,
     /// The control loop (runs on the caller's thread); its handler owns
     /// the service.
     control: Reactor<Http<F>>,
-    wake_tx: UnixStream,
-    shutdown: Arc<AtomicBool>,
+    shutdown: ShutdownHandle,
     udp_addr: Option<SocketAddr>,
     tcp_addr: Option<SocketAddr>,
     http_addr: Option<SocketAddr>,
@@ -661,7 +679,7 @@ impl<F: Fn(Day) -> PrefixTrie<Asn>> Daemon<F> {
     pub fn bind(cfg: ServeConfig, rib_of: F) -> io::Result<Daemon<F>> {
         let loops = resolve_loops(cfg.event_loops);
         let (service, lanes) = MultiStreamService::start(cfg.stream.clone(), loops, rib_of);
-        let shutdown = Arc::new(AtomicBool::new(false));
+        let latch = Arc::new(AtomicBool::new(false));
         let reg = Arc::clone(service.registry());
 
         // The loops share these cells (every loop holds a handle to the
@@ -707,7 +725,7 @@ impl<F: Fn(Day) -> PrefixTrie<Asn>> Daemon<F> {
         // One ingest loop per lane, each with its own poller, wake
         // pipe, and per-loop metric series.
         let mut ingest = Vec::with_capacity(loops);
-        let mut loop_wake_tx = Vec::with_capacity(loops);
+        let mut wakes = Vec::with_capacity(loops + 1);
         for (i, ((lane, udp), tcp)) in lanes
             .into_iter()
             .zip(udp_socks)
@@ -735,10 +753,9 @@ impl<F: Fn(Day) -> PrefixTrie<Asn>> Daemon<F> {
                     "Wall time to push one socket read (datagram or stream chunk) into the service, by event loop.",
                 ),
             };
-            let (reactor, wake_tx) =
-                Reactor::new(handler, tcp, Arc::clone(&shutdown), &reg, &label)?;
+            let (reactor, wake_tx) = Reactor::new(handler, tcp, Arc::clone(&latch), &reg, &label)?;
             ingest.push(reactor);
-            loop_wake_tx.push(wake_tx);
+            wakes.push(wake_tx);
         }
 
         let http = cfg.http.map(TcpListener::bind).transpose()?;
@@ -756,18 +773,19 @@ impl<F: Fn(Day) -> PrefixTrie<Asn>> Daemon<F> {
             http_store,
             http_other,
         };
-        let (mut control, wake_tx) =
-            Reactor::new(handler, http, Arc::clone(&shutdown), &reg, "control")?;
+        let (control, wake_tx) = Reactor::new(handler, http, Arc::clone(&latch), &reg, "control")?;
         if cfg.catch_sigterm {
-            control.add_wake(sys::install_sigterm_pipe()?)?;
+            sys::install_sigterm_pipe(wake_tx.try_clone()?)?;
         }
+        wakes.push(wake_tx);
 
         Ok(Daemon {
             loops: ingest,
-            loop_wake_tx,
             control,
-            wake_tx,
-            shutdown,
+            shutdown: ShutdownHandle {
+                latch,
+                wakes: wakes.into(),
+            },
             udp_addr,
             tcp_addr,
             http_addr,
@@ -800,10 +818,7 @@ impl<F: Fn(Day) -> PrefixTrie<Asn>> Daemon<F> {
 
     /// A trigger other threads can use to stop the daemon.
     pub fn shutdown_handle(&self) -> io::Result<ShutdownHandle> {
-        Ok(ShutdownHandle {
-            shutdown: Arc::clone(&self.shutdown),
-            wake_tx: self.wake_tx.try_clone()?,
-        })
+        Ok(self.shutdown.clone())
     }
 
     /// The live streaming service (health snapshots mid-run).
@@ -813,46 +828,33 @@ impl<F: Fn(Day) -> PrefixTrie<Asn>> Daemon<F> {
 }
 
 impl<F: Fn(Day) -> PrefixTrie<Asn> + Send + 'static> Daemon<F> {
-    /// Runs the daemon: spawns one thread per ingest loop, serves the
-    /// control loop on the calling thread until shutdown, then drains
-    /// everything and finishes the service.
+    /// Runs the daemon: one scoped thread per ingest loop, the control
+    /// loop on the calling thread. Whatever ends the first serve phase
+    /// ends them all; then every loop drains and is joined, the service
+    /// is finished (the open windows close and persist), and only then
+    /// is the first loop error, if any, returned.
     pub fn run(mut self) -> io::Result<ServeOutput> {
-        let event_loops = self.loops.len();
-        let threads: Vec<JoinHandle<io::Result<LaneProducer<F>>>> = self
-            .loops
-            .drain(..)
-            .enumerate()
-            .map(|(i, mut l)| {
-                std::thread::Builder::new()
+        let result = std::thread::scope(|s| {
+            let mut threads = Vec::with_capacity(self.loops.len());
+            for (i, l) in self.loops.iter_mut().enumerate() {
+                let spawned = std::thread::Builder::new()
                     .name(format!("mt-serve-loop-{i}"))
-                    .spawn(move || {
-                        l.serve()?;
-                        l.drain()?;
-                        Ok(l.handler.lane)
-                    })
-            })
-            .collect::<io::Result<_>>()?;
-
-        self.control.serve()?;
-        // Broadcast the shutdown to every ingest loop (the SIGTERM path
-        // arrives here with the flag still unset).
-        // ordering: Release pairs with the loops' Acquire loads.
-        self.shutdown.store(true, Ordering::Release);
-        for tx in &mut self.loop_wake_tx {
-            let _ = tx.write(b"S");
-        }
-        // Answer in-flight probes while the ingest loops drain in
-        // parallel, then collect the lanes.
-        self.control.drain()?;
-        let mut lanes = Vec::with_capacity(threads.len());
-        for t in threads {
-            let lane = t
-                .join()
-                .map_err(|_| io::Error::other("ingest loop panicked"))??;
-            lanes.push(lane);
-        }
+                    .spawn_scoped(s, || serve_then_drain(l, &self.shutdown));
+                // A loop that never started has left its serve phase.
+                threads.push(spawned.inspect_err(|_| self.shutdown.shutdown()));
+            }
+            let control = serve_then_drain(&mut self.control, &self.shutdown);
+            // Every loop is joined; the first error is kept.
+            let panicked = |_| Err(io::Error::other("ingest loop panicked"));
+            threads
+                .into_iter()
+                .map(|t| t.and_then(|h| h.join().unwrap_or_else(panicked)))
+                .fold(control, Result::and)
+        });
+        let event_loops = self.loops.len();
+        let lanes = self.loops.into_iter().map(|l| l.handler.lane).collect();
         let http = self.control.handler;
-        Ok(ServeOutput {
+        let out = ServeOutput {
             datagrams: self.datagrams.get(),
             datagrams_rejected: self.datagrams_rejected.get(),
             tcp_connections: self.tcp_conns.get(),
@@ -862,7 +864,8 @@ impl<F: Fn(Day) -> PrefixTrie<Asn> + Send + 'static> Daemon<F> {
                 + http.http_other.get(),
             event_loops,
             stream: http.service.finish(lanes),
-        })
+        };
+        result.map(|()| out)
     }
 }
 
@@ -871,6 +874,8 @@ mod tests {
     use super::*;
     use crate::replay::{self, http_get};
     use mt_types::{RibIndex, Slot24Index};
+    use std::path::PathBuf;
+    use std::sync::mpsc;
     use std::time::Duration;
 
     /// A store on a fresh directory over [`replay::default_rib`].
@@ -924,6 +929,142 @@ mod tests {
 
         handle.shutdown();
         runner.join().expect("join").expect("run");
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    type Rib = fn(Day) -> PrefixTrie<Asn>;
+
+    /// How an armed serve-phase fault ends the loop it sits in.
+    #[derive(Clone, Copy, Debug)]
+    enum Failure {
+        Err,
+        Panic,
+    }
+
+    /// A one-shot serve-phase fault: once `armed` is set, the loop's
+    /// next sweep fails `how`.
+    fn serve_fault(armed: &Arc<AtomicBool>, how: Failure) -> crate::reactor::tests::Fault {
+        let armed = Arc::clone(armed);
+        Box::new(move |site| {
+            // ordering: Acquire pairs with the test thread's Release
+            // store; the flag is the only thing handed across.
+            if site != "serve" || !armed.swap(false, Ordering::Acquire) {
+                return Ok(());
+            }
+            match how {
+                Failure::Err => Err(io::Error::other("injected loop failure")),
+                Failure::Panic => panic!("injected loop panic"),
+            }
+        })
+    }
+
+    /// A TCP-only daemon over a fresh store whose windows stay open
+    /// until the daemon finishes.
+    fn store_daemon(tag: &str, event_loops: usize) -> (Daemon<Rib>, PathBuf) {
+        let store = fresh_store(tag);
+        let dir = store.dir.clone();
+        let cfg = ServeConfig {
+            udp: None,
+            event_loops,
+            stream: StreamConfig {
+                ingest_threads: 2,
+                allowed_lateness: mt_types::SimDuration::days(10),
+                ..StreamConfig::default()
+            },
+            store: Some(store),
+            ..ServeConfig::default()
+        };
+        let rib_of: Rib = |_| replay::default_rib();
+        (Daemon::bind(cfg, rib_of).expect("bind"), dir)
+    }
+
+    /// Sends one exporter's day 0 over TCP and waits until all of it is
+    /// decoded; day 0 stays an open window.
+    fn ingest_day_zero(tcp: SocketAddr, http: SocketAddr) {
+        let w = replay::Workload {
+            exporters: 1,
+            days: 1,
+            flows_per_exporter_day: 300,
+            seed: 0xE817,
+        };
+        replay::send_tcp(tcp, w.encode_day(0, Day(0), &mut 0, 25)).expect("send day");
+        replay::await_decoded(http, w.total_flows()).expect("decoded");
+    }
+
+    /// Runs `daemon` on its own thread; the receiver yields what `run`
+    /// returned.
+    fn run_in_background<F>(daemon: Daemon<F>) -> mpsc::Receiver<io::Result<ServeOutput>>
+    where
+        F: Fn(Day) -> PrefixTrie<Asn> + Send + 'static,
+    {
+        let (tx, rx) = mpsc::channel();
+        std::thread::spawn(move || tx.send(daemon.run()).ok());
+        rx
+    }
+
+    /// No shutdown trigger is ever fired here: the failed loop alone
+    /// must end the run, and the open window must still be persisted.
+    #[test]
+    fn a_failed_ingest_loop_still_persists_open_windows() {
+        for (how, want) in [
+            (Failure::Err, "injected loop failure"),
+            (Failure::Panic, "ingest loop panicked"),
+        ] {
+            let (mut daemon, dir) = store_daemon(&format!("ingestfail-{how:?}"), 1);
+            let tcp = daemon.tcp_addr().expect("tcp on");
+            let http = daemon.http_addr().expect("http on");
+            let armed = Arc::new(AtomicBool::new(false));
+            daemon.loops[0].fault = serve_fault(&armed, how);
+            let ran = run_in_background(daemon);
+
+            ingest_day_zero(tcp, http);
+            // ordering: Release pairs with the fault's Acquire swap.
+            armed.store(true, Ordering::Release);
+            // A new connection wakes the loop into its failing sweep.
+            let _wake = TcpStream::connect(tcp).expect("connect");
+
+            let err = ran
+                .recv_timeout(Duration::from_secs(30))
+                .unwrap_or_else(|_| panic!("{how:?}: run did not end on its own"))
+                .expect_err("the loop's failure is the run's error");
+            assert_eq!(err.to_string(), want, "{how:?}");
+            assert!(
+                dir.join("window-00000.mtw").exists(),
+                "{how:?}: the open day was persisted"
+            );
+            std::fs::remove_dir_all(&dir).ok();
+        }
+    }
+
+    #[test]
+    fn a_failed_control_loop_stops_the_ingest_loops() {
+        let (mut daemon, dir) = store_daemon("controlfail", 2);
+        let tcp = daemon.tcp_addr().expect("tcp on");
+        let http = daemon.http_addr().expect("http on");
+        let armed = Arc::new(AtomicBool::new(false));
+        daemon.control.fault = serve_fault(&armed, Failure::Err);
+        let ran = run_in_background(daemon);
+
+        ingest_day_zero(tcp, http);
+        // ordering: Release pairs with the fault's Acquire swap.
+        armed.store(true, Ordering::Release);
+        // The request wakes the control loop into its failing sweep;
+        // whether it is still answered does not matter here.
+        let _ = http_get(http, "/health");
+
+        let err = ran
+            .recv_timeout(Duration::from_secs(30))
+            .expect("run ended")
+            .expect_err("the control loop's failure is the run's error");
+        assert_eq!(err.to_string(), "injected loop failure");
+        assert!(
+            TcpStream::connect(tcp).is_err(),
+            "no ingest loop is left listening"
+        );
+        assert!(
+            dir.join("window-00000.mtw").exists(),
+            "the open day was persisted"
+        );
         std::fs::remove_dir_all(&dir).ok();
     }
 

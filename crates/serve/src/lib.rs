@@ -20,11 +20,13 @@
 //!   results store's `GET /v1/block/{addr}` and
 //!   `GET /v1/windows/{day}/verdicts` queries, answered by a minimal
 //!   responder on a control loop of its own, never on an ingest loop.
-//! - **Graceful shutdown**: on SIGTERM or a [`ShutdownHandle`] trigger
-//!   the daemon stops accepting, drains kernel buffers and the ingest
-//!   queue, closes the final windows, and returns a quiescent
-//!   [`StreamOutput`](mt_stream::StreamOutput) whose ledger identities
-//!   hold exactly.
+//! - **One exit path**: SIGTERM, a [`ShutdownHandle`] trigger, or any
+//!   event loop that fails or panics stops every loop. Each drains
+//!   (adopting connections already in its backlog), then the service
+//!   finishes — the final windows close and persist — and `run` returns
+//!   a quiescent [`StreamOutput`](mt_stream::StreamOutput) whose ledger
+//!   identities hold exactly, or, after the same steps, the first loop
+//!   error.
 //!
 //! Records delivered over sockets produce window verdicts bit-identical
 //! to an in-process batch run — each event loop is just a producer

@@ -1,16 +1,17 @@
 //! The daemon's one event loop.
 //!
 //! A [`Reactor`] owns everything the ingest loops and the control loop
-//! have in common: the [`Poller`], the wake pipes, the shutdown latch,
+//! have in common: the [`Poller`], the wake pipe, the shutdown latch,
 //! the optional listener, the token → connection table, the per-loop
-//! `open_connections`/`loop_events` series, and the two phases — serve
-//! until shutdown ([`Reactor::serve`]) and drain to quiescence
-//! ([`Reactor::drain`]). What a readiness event *means* is the
+//! `open_connections`/`loop_events`/`connection_errors` series, and the
+//! two phases — serve until shutdown ([`Reactor::serve`]) and drain to
+//! quiescence ([`Reactor::drain`]). What a readiness event *means* is the
 //! [`Handler`]'s business: the type parameter is dispatched statically,
 //! so nothing sits between `epoll_wait` and the bytes' consumer.
 //!
-//! Per-connection setup errors (`set_nonblocking`/`Poller::add` failing
-//! for one accepted socket) are fatal to the loop.
+//! A per-connection setup error (`set_nonblocking`/`Poller::add`
+//! failing for one accepted socket) drops that socket and counts it in
+//! `mt_serve_connection_errors_total`; the loop keeps accepting.
 
 use crate::sys::{Event, Interest, Poller};
 use mt_obs::{Counter, Gauge, MetricsRegistry};
@@ -85,9 +86,10 @@ pub(crate) trait Handler {
 pub(crate) struct Reactor<H: Handler> {
     pub(crate) handler: H,
     poller: Poller,
-    /// Read ends of the wake pipes, all registered under one token.
-    wakes: Vec<UnixStream>,
-    shutdown: Arc<AtomicBool>,
+    /// Read end of the wake pipe (the shutdown trigger's, and on the
+    /// control loop also the SIGTERM handler's).
+    wake: UnixStream,
+    latch: Arc<AtomicBool>,
     listener: Option<TcpListener>,
     conns: FxHashMap<u64, (TcpStream, H::Conn)>,
     next_token: u64,
@@ -95,17 +97,22 @@ pub(crate) struct Reactor<H: Handler> {
     quiet: u32,
     open_conns: Gauge,
     loop_events: Counter,
+    conn_errors: Counter,
+    /// Fault injection, asked after each serve-phase sweep (`"serve"`)
+    /// and before each connection setup (`"accept"`).
+    #[cfg(test)]
+    pub(crate) fault: tests::Fault,
 }
 
 impl<H: Handler> Reactor<H> {
     /// Builds a loop around `handler`, registering its datagram socket
-    /// and `listener` (made nonblocking here), and the loop's two
+    /// and `listener` (made nonblocking here), and the loop's three
     /// series under `loop="<label>"`. Also returns the write end of
     /// the loop's wake pipe.
     pub(crate) fn new(
         handler: H,
         listener: Option<TcpListener>,
-        shutdown: Arc<AtomicBool>,
+        latch: Arc<AtomicBool>,
         reg: &MetricsRegistry,
         label: &str,
     ) -> io::Result<(Reactor<H>, UnixStream)> {
@@ -117,13 +124,15 @@ impl<H: Handler> Reactor<H> {
             listener.set_nonblocking(true)?;
             poller.add(listener.as_raw_fd(), TOK_LISTENER, Interest::READ)?;
         }
-        let (wake_rx, wake_tx) = UnixStream::pair()?;
+        let (wake, wake_tx) = UnixStream::pair()?;
+        wake.set_nonblocking(true)?;
         wake_tx.set_nonblocking(true)?;
-        let mut reactor = Reactor {
+        poller.add(wake.as_raw_fd(), TOK_WAKE, Interest::READ)?;
+        let reactor = Reactor {
             handler,
             poller,
-            wakes: Vec::new(),
-            shutdown,
+            wake,
+            latch,
             listener,
             conns: FxHashMap::default(),
             next_token: FIRST_CONN_TOKEN,
@@ -138,18 +147,15 @@ impl<H: Handler> Reactor<H> {
                 &[("loop", label)],
                 "Readiness events handled, by event loop.",
             ),
+            conn_errors: reg.counter_with(
+                "mt_serve_connection_errors_total",
+                &[("loop", label)],
+                "Accepted connections dropped because their setup failed, by event loop.",
+            ),
+            #[cfg(test)]
+            fault: Box::new(|_| Ok(())),
         };
-        reactor.add_wake(wake_rx)?;
         Ok((reactor, wake_tx))
-    }
-
-    /// Registers one more wake source (the SIGTERM self-pipe): a byte
-    /// on it ends the serve phase like a byte on the wake pipe.
-    pub(crate) fn add_wake(&mut self, rx: UnixStream) -> io::Result<()> {
-        rx.set_nonblocking(true)?;
-        self.poller.add(rx.as_raw_fd(), TOK_WAKE, Interest::READ)?;
-        self.wakes.push(rx);
-        Ok(())
     }
 
     /// The serve phase: wait and dispatch until a wake byte or the
@@ -160,22 +166,29 @@ impl<H: Handler> Reactor<H> {
         loop {
             let woken = self.sweep(&mut events, -1)?;
             self.loop_events.add(events.len() as u64);
-            // ordering: Acquire pairs with the shutdown path's Release;
+            #[cfg(test)]
+            (self.fault)("serve")?;
+            // ordering: Acquire pairs with the trigger's Release;
             // a trigger racing the wake byte is still caught here.
-            if woken || self.shutdown.load(Ordering::Acquire) {
+            if woken || self.latch.load(Ordering::Acquire) {
                 return Ok(());
             }
         }
     }
 
-    /// The drain phase: stop accepting, keep sweeping while bytes move
-    /// in either direction — until [`DRAIN_QUIET_SWEEPS`] sweeps in a
-    /// row move none, or nothing is left that could — then close what
-    /// remains.
+    /// The drain phase: adopt what the backlog already holds and stop
+    /// accepting, keep sweeping while bytes move in either direction —
+    /// until [`DRAIN_QUIET_SWEEPS`] sweeps in a row move none, or
+    /// nothing is left that could — then close what remains. The wake
+    /// pipe is deregistered first: a late wake byte is no progress and
+    /// must not stand in for a quiet sweep's wait.
     pub(crate) fn drain(&mut self) -> io::Result<()> {
-        if let Some(listener) = self.listener.take() {
-            let _ = self.poller.delete(listener.as_raw_fd());
-        }
+        let _ = self.poller.delete(self.wake.as_raw_fd());
+        // A connection whose handshake finished before the shutdown is
+        // owed its bytes; closing the listener over it would reset it.
+        self.accept_pending();
+        // Closing the listener also drops it out of the poller.
+        self.listener = None;
         let mut events = Vec::with_capacity(256);
         self.quiet = 0;
         while self.quiet < DRAIN_QUIET_SWEEPS
@@ -202,12 +215,10 @@ impl<H: Handler> Reactor<H> {
                     woken = true;
                     // Emptied so later sweeps see only new wakeups.
                     let mut sink = [0u8; 64];
-                    for rx in &mut self.wakes {
-                        while matches!(rx.read(&mut sink), Ok(n) if n > 0) {}
-                    }
+                    while matches!(self.wake.read(&mut sink), Ok(n) if n > 0) {}
                 }
                 TOK_DATAGRAM => moved += self.handler.on_datagrams(),
-                TOK_LISTENER => self.accept_pending()?,
+                TOK_LISTENER => self.accept_pending(),
                 token => moved += self.conn_ready(token, ev.writable),
             }
         }
@@ -219,28 +230,36 @@ impl<H: Handler> Reactor<H> {
         Ok(woken)
     }
 
-    /// Accepts every pending connection on the listener.
-    fn accept_pending(&mut self) -> io::Result<()> {
-        let Some(listener) = &self.listener else {
-            return Ok(());
-        };
-        loop {
+    /// Accepts every pending connection on the listener. A socket
+    /// whose setup fails is dropped and counted; the rest are adopted.
+    fn accept_pending(&mut self) {
+        while let Some(listener) = &self.listener {
             match listener.accept() {
                 Ok((sock, peer)) => {
-                    sock.set_nonblocking(true)?;
-                    let token = self.next_token;
-                    self.next_token += 1;
-                    self.poller.add(sock.as_raw_fd(), token, Interest::READ)?;
-                    self.conns
-                        .insert(token, (sock, self.handler.on_accept(peer)));
-                    self.open_conns.set(self.conns.len() as u64);
+                    if self.adopt(sock, peer).is_err() {
+                        self.conn_errors.inc();
+                    }
                 }
-                Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
                 // `WouldBlock`: the backlog is empty. Anything else
-                // ends the round too; the listener stays registered.
-                Err(_) => return Ok(()),
+                // ends the round too; the listener stays registered
+                // (level-triggered), so the next sweep resumes.
+                Err(_) => return,
             }
         }
+    }
+
+    /// Registers one accepted socket and hands its peer to the handler.
+    fn adopt(&mut self, sock: TcpStream, peer: SocketAddr) -> io::Result<()> {
+        #[cfg(test)]
+        (self.fault)("accept")?;
+        sock.set_nonblocking(true)?;
+        let token = self.next_token;
+        self.next_token += 1;
+        self.poller.add(sock.as_raw_fd(), token, Interest::READ)?;
+        self.conns
+            .insert(token, (sock, self.handler.on_accept(peer)));
+        self.open_conns.set(self.conns.len() as u64);
+        Ok(())
     }
 
     /// Hands one connection's readiness to the handler and applies its
@@ -251,8 +270,8 @@ impl<H: Handler> Reactor<H> {
         };
         let step = self.handler.on_ready(sock, conn);
         match step.next {
+            // Closing the socket also drops it out of the poller.
             Next::Close => {
-                let _ = self.poller.delete(sock.as_raw_fd());
                 self.conns.remove(&token);
                 self.open_conns.set(self.conns.len() as u64);
             }
@@ -269,12 +288,15 @@ impl<H: Handler> Reactor<H> {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use std::io::Write;
     use std::net::UdpSocket;
     use std::sync::mpsc;
     use std::time::Duration;
+
+    /// A fault hook: given the site, `Err` fails the step there.
+    pub(crate) type Fault = Box<dyn FnMut(&str) -> io::Result<()> + Send>;
 
     /// Size of the response a `!` asks for: several times what loopback
     /// socket buffers hold, so the write blocks mid-response.
@@ -546,6 +568,55 @@ mod tests {
         let mut echoed = [0u8; 1];
         keep.read_exact(&mut echoed).unwrap();
         assert_eq!(&echoed, b"x");
+    }
+
+    #[test]
+    fn one_bad_accepted_socket_does_not_end_its_loop() {
+        let mut rig = rig(Echo::default());
+        // The first accepted socket's setup fails; every later one's
+        // succeeds.
+        let mut armed = true;
+        rig.reactor.fault = Box::new(move |site| match site {
+            "accept" if std::mem::take(&mut armed) => Err(io::Error::other("setup")),
+            _ => Ok(()),
+        });
+        let mut dropped = TcpStream::connect(rig.addr).unwrap();
+        rig.reactor
+            .sweep(&mut Vec::new(), 5_000)
+            .expect("one bad socket is not a loop error");
+        assert!(rig.reactor.conns.is_empty());
+        assert_eq!(rig.series("mt_serve_connection_errors_total"), 1);
+        assert_eq!(
+            dropped.read(&mut [0u8; 8]).unwrap(),
+            0,
+            "closed, not leaked"
+        );
+
+        // The loop keeps accepting, and the next client is served.
+        let mut client = rig.connect();
+        client.write_all(b"x").unwrap();
+        rig.reactor.sweep(&mut Vec::new(), 5_000).unwrap();
+        let mut echoed = [0u8; 1];
+        client.read_exact(&mut echoed).unwrap();
+        assert_eq!(&echoed, b"x");
+        assert_eq!(rig.series("mt_serve_connection_errors_total"), 1);
+    }
+
+    #[test]
+    fn a_connection_queued_before_shutdown_is_drained() {
+        // The handshake is done and the bytes are sent, but no sweep
+        // has accepted the connection: it sits in the listener's
+        // backlog when the drain begins.
+        let mut rig = rig(Echo::default());
+        let mut client = TcpStream::connect(rig.addr).unwrap();
+        client.write_all(b"late").unwrap();
+        rig.reactor.drain().unwrap();
+        assert_eq!(rig.reactor.handler.accepted, 1, "adopted, not reset");
+        let mut echoed = Vec::new();
+        client
+            .read_to_end(&mut echoed)
+            .expect("the drain closes the connection cleanly");
+        assert_eq!(echoed, b"late");
     }
 
     #[test]

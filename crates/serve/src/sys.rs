@@ -301,18 +301,15 @@ extern "C" fn sigterm_handler(_sig: c_int) {
     }
 }
 
-/// Installs a SIGTERM handler that writes one byte to a self-pipe and
-/// returns the read end, for registration on the event loop. The write
-/// end is intentionally leaked — the handler may fire at any point for
-/// the rest of the process's life.
+/// Installs a SIGTERM handler that writes one byte to `tx`, the
+/// nonblocking write end of a self-pipe whose read end an event loop
+/// watches. `tx` is intentionally leaked — the handler may fire at any
+/// point for the rest of the process's life.
 ///
-/// Installing twice returns a fresh pipe and repoints the handler at
-/// it; the previous write end stays open (leaked) so a concurrently
-/// delivered signal can never hit a closed fd.
-pub fn install_sigterm_pipe() -> io::Result<UnixStream> {
-    let (rx, tx) = UnixStream::pair()?;
-    rx.set_nonblocking(true)?;
-    tx.set_nonblocking(true)?;
+/// Installing twice repoints the handler at the new pipe; the previous
+/// write end stays open (leaked) so a concurrently delivered signal can
+/// never hit a closed fd.
+pub fn install_sigterm_pipe(tx: UnixStream) -> io::Result<()> {
     {
         use std::os::unix::io::IntoRawFd;
         // ordering: Relaxed — published before signal() installs the
@@ -326,7 +323,7 @@ pub fn install_sigterm_pipe() -> io::Result<UnixStream> {
     if prev == usize::MAX {
         return Err(io::Error::last_os_error());
     }
-    Ok(rx)
+    Ok(())
 }
 
 /// Delivers SIGTERM to the current process — test hook for the
@@ -446,7 +443,9 @@ mod tests {
 
     #[test]
     fn sigterm_pipe_wakes() {
-        let mut rx = install_sigterm_pipe().unwrap();
+        let (mut rx, tx) = UnixStream::pair().unwrap();
+        tx.set_nonblocking(true).unwrap();
+        install_sigterm_pipe(tx).unwrap();
         raise_sigterm();
         // The byte may take a scheduling quantum to land; poll briefly.
         let poller = Poller::new().unwrap();

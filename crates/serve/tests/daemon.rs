@@ -552,9 +552,9 @@ fn shutdown_races_with_inflight_sends_and_still_balances() {
     let handle = daemon.shutdown_handle().expect("handle");
     let runner = std::thread::spawn(move || daemon.run());
 
-    // TCP first: the connections get accepted while the loop is still
-    // live (UDP sends buy them time), so the drain phase only has to
-    // finish streams it already knows about.
+    // TCP first, then UDP. A connection still in its listener's backlog
+    // when the trigger fires is adopted by the drain, not reset, so
+    // nothing waits for the accepts to land.
     for e in 0..w.exporters {
         let mut seq = 0;
         let messages: Vec<Vec<u8>> = (0..w.days)
@@ -573,7 +573,6 @@ fn shutdown_races_with_inflight_sends_and_still_balances() {
             replay::send_udp(udp_to, &messages).expect("send datagrams");
         }
     }
-    std::thread::sleep(Duration::from_millis(50)); // let accepts land
     handle.shutdown();
     let out = runner.join().expect("join").expect("run");
 

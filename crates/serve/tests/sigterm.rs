@@ -39,8 +39,6 @@ fn sigterm_drains_and_closes_the_final_window() {
             replay::send_tcp(tcp_to, &messages).expect("send stream");
         }
     }
-    std::thread::sleep(std::time::Duration::from_millis(50));
-
     // The real signal, delivered to this process: the handler's only
     // action is one write to the self-pipe, which wakes the loop.
     sys::raise_sigterm();

@@ -478,7 +478,7 @@ impl<F: Fn(Day) -> PrefixTrie<Asn>> MultiStreamService<F> {
     ///
     /// Panics unless `lanes` is exactly this service's set: a lane left
     /// live could push after the final snapshot, into a closed queue.
-    pub fn finish(mut self, lanes: Vec<LaneProducer<F>>) -> StreamOutput {
+    pub fn finish(self, lanes: Vec<LaneProducer<F>>) -> StreamOutput {
         // Lanes are not `Clone`, so the right count of lanes this
         // service owns is all of them.
         assert!(
@@ -505,11 +505,6 @@ impl<F: Fn(Day) -> PrefixTrie<Asn>> MultiStreamService<F> {
                 std::mem::take(&mut closer.combined),
             )
         };
-        self.shared.queue.close();
-        for h in self.handles.drain(..) {
-            // check: allow(no_panic, "join() errs only if the worker panicked; re-raising on the coordinator is intended")
-            h.join().expect("ingest worker panicked");
-        }
         // Every open day's accumulator was taken by its close.
         debug_assert!(crate::sync::lock(&self.shared.days).is_empty()); // lock: stream.days
         let health = self.health();
@@ -518,7 +513,24 @@ impl<F: Fn(Day) -> PrefixTrie<Asn>> MultiStreamService<F> {
             windows,
             combined,
             health,
-            registry: self.registry,
+            registry: Arc::clone(&self.registry),
+        }
+        // Dropping `self` stops the workers, all idle past the barrier.
+    }
+}
+
+impl<F> Drop for MultiStreamService<F> {
+    /// Closes the queue and joins the ingest workers: at the end of
+    /// [`finish`](Self::finish), and on every path that drops a service
+    /// unfinished (a caller that fails or unwinds between `start` and
+    /// `finish`), so no worker outlives its service parked on an open
+    /// queue.
+    fn drop(&mut self) {
+        self.shared.queue.close();
+        for h in self.handles.drain(..) {
+            // A worker's panic was reported on its own thread; a drop
+            // must not raise a second one.
+            let _ = h.join();
         }
     }
 }
