@@ -146,9 +146,10 @@ impl StatsShard {
     fn merge(&mut self, other: &StatsShard) {
         match (self, other) {
             (StatsShard::Map(a), StatsShard::Map(b)) => a.merge(b),
+            // Asserts that both sides share one slot index.
             (StatsShard::Columnar(a), StatsShard::Columnar(b)) => a.merge(b),
-            // check: allow(no_panic, "merge() asserts layout equality before zipping shards, so mixed pairs cannot occur")
-            _ => unreachable!("shard layout mismatch"),
+            // check: allow(no_panic, "rejecting a map ↔ columnar merge is ShardedTrafficStats::merge's contract, mirroring its shard-count assert")
+            _ => panic!("merging sharded stats with different layouts"),
         }
     }
 }
@@ -375,18 +376,8 @@ impl ShardedTrafficStats {
             other.shards.len(),
             "merging sharded stats with different shard counts"
         );
-        match (&self.layout, &other.layout) {
-            (StatsLayout::Map, StatsLayout::Map) => {}
-            (StatsLayout::Columnar(a), StatsLayout::Columnar(b)) => {
-                assert_eq!(
-                    a.fingerprint(),
-                    b.fingerprint(),
-                    "merging columnar sharded stats built over different slot indexes"
-                );
-            }
-            // check: allow(no_panic, "rejecting a map ↔ columnar merge is this method's contract, mirroring the shard-count assert")
-            _ => panic!("merging sharded stats with different layouts"),
-        }
+        // Each shard pair checks the layouts agree before it merges, so
+        // a mismatch panics at the first pair, with nothing merged.
         for (mine, theirs) in self.shards.iter_mut().zip(&other.shards) {
             mine.merge(theirs);
         }
@@ -397,14 +388,12 @@ impl ShardedTrafficStats {
     /// disjoint, so map-layout blocks are moved, not re-merged;
     /// columnar shards are materialized row by row.
     pub fn into_unsharded(self) -> TrafficStats {
-        let mut shards = self.shards.into_iter().map(|shard| match shard {
-            StatsShard::Map(s) => s,
-            StatsShard::Columnar(c) => TrafficStats::from_view(&c),
-        });
-        // check: allow(no_panic, "with_layout asserts num_shards > 0, so the iterator is never empty")
-        let mut out = shards.next().expect("at least one shard");
-        for shard in shards {
-            out.absorb_disjoint(shard);
+        let mut out = TrafficStats::with_size_threshold(TrafficView::size_threshold(&self));
+        for shard in self.shards {
+            out.absorb_disjoint(match shard {
+                StatsShard::Map(s) => s,
+                StatsShard::Columnar(c) => TrafficStats::from_view(&c),
+            });
         }
         out
     }
@@ -610,6 +599,37 @@ mod tests {
         }
         assert_equivalent(&sharded, &flat);
         assert_equivalent(&columnar, &flat);
+    }
+
+    #[test]
+    fn shard_by_shard_folds_match_routed_ingest_under_both_layouts() {
+        // A caller that folds each shard apart (the stream's ingest
+        // workers): take the shards out, route each record half with
+        // `StatsLayout::shard_of`, fold it into that shard alone, and
+        // put the shards back.
+        let records = sample_records();
+        let flat = TrafficStats::from_records(&records);
+        let threshold = crate::stats::DEFAULT_SIZE_THRESHOLD;
+        for layout in [StatsLayout::Map, sample_layout()] {
+            for num_shards in [1, 3, 16] {
+                let empty = ShardedTrafficStats::with_layout(num_shards, threshold, layout.clone());
+                let mut shards = empty.into_shards();
+                let shard_of = |ip| layout.shard_of(num_shards, Block24::containing(ip));
+                for r in &records {
+                    shards[shard_of(r.dst)].ingest_dst_half(r, None);
+                    shards[shard_of(r.src)].ingest_src_half(r);
+                }
+                let folded = ShardedTrafficStats::from_shards(layout.clone(), shards);
+                let mut routed =
+                    ShardedTrafficStats::with_layout(num_shards, threshold, layout.clone());
+                for r in &records {
+                    routed.ingest(r);
+                }
+                assert_equivalent(&folded, &flat);
+                assert_equivalent(&routed, &flat);
+                assert_eq!(folded.shard_loads(), routed.shard_loads());
+            }
+        }
     }
 
     #[test]

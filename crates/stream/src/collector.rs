@@ -165,10 +165,10 @@ impl StreamCollector {
     /// contact, and appends the flows decoded from it to `out` — a
     /// long-running producer reuses one allocation across chunks.
     pub fn feed_into(&mut self, exporter: &str, chunk: &[u8], out: &mut Vec<IpfixFlow>) {
-        self.sessions
-            .entry(exporter.to_owned())
-            .or_default()
-            .feed(chunk, out);
+        match self.sessions.get_mut(exporter) {
+            Some(session) => session.feed(chunk, out),
+            None => self.open(exporter).feed(chunk, out),
+        }
     }
 
     /// Feeds one UDP datagram from `exporter` (whole messages only),
@@ -180,10 +180,16 @@ impl StreamCollector {
         datagram: &[u8],
         out: &mut Vec<IpfixFlow>,
     ) -> bool {
-        self.sessions
-            .entry(exporter.to_owned())
-            .or_default()
-            .feed_datagram(datagram, out)
+        match self.sessions.get_mut(exporter) {
+            Some(session) => session.feed_datagram(datagram, out),
+            None => self.open(exporter).feed_datagram(datagram, out),
+        }
+    }
+
+    /// Opens `exporter`'s session on first contact; the only place its
+    /// name is copied.
+    fn open(&mut self, exporter: &str) -> &mut ExporterSession {
+        self.sessions.entry(exporter.to_owned()).or_default()
     }
 
     /// The session of one exporter, if it has sent anything.

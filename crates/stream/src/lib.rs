@@ -32,10 +32,11 @@
 //! - [`multi`] — the assembled service, [`MultiStreamService`]: byte
 //!   chunks in on N producer *lanes* ([`LaneProducer`]; an in-process
 //!   caller takes one lane, the sharded daemon one per event loop), a
-//!   shared window gate, ingest parallelised over worker threads, and
-//!   per-window and combined
-//!   [`mt_core::pipeline::PipelineResult`]s out. Its module docs are
-//!   the crate's threading model and ordering argument.
+//!   shared window gate, ingest parallelised over worker threads into
+//!   one record per open day (the day's map-layout shards, its port
+//!   histogram and its close-barrier counts), and per-window and
+//!   combined [`mt_core::pipeline::PipelineResult`]s out. Its module
+//!   docs are the crate's threading model and ordering argument.
 //! - [`service`] — the service's vocabulary: [`StreamConfig`],
 //!   [`StreamOutput`], and [`HealthSnapshot`]. Every run carries an
 //!   [`mt_obs::MetricsRegistry`]; the collector/queue/gate counters

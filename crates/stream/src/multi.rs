@@ -22,28 +22,30 @@
 //! sessions (a peer's bytes arrive on one lane at a time —
 //! kernel-hashed UDP, connection-pinned TCP), its decode and port-tally
 //! scratch, and its [`BatchPool`]. Everything whose order matters is
-//! shared behind five locks with a fixed acquisition order (**closer →
-//! gate → days → shard → progress**, the DESIGN.md catalogue order; each
-//! may also be taken alone):
+//! shared behind four locks with a fixed acquisition order (**closer →
+//! gate → days → shard**, the DESIGN.md catalogue order; each may also
+//! be taken alone):
 //!
 //! - the **closer** ([`Mutex`]): the [`WindowScheduler`] and the
 //!   accumulated reports — serializing closes keeps days ascending no
 //!   matter which lane's watermark advance triggered them;
 //! - the **gate** ([`Mutex`]): the [`WindowTracker`] (one global
 //!   watermark), per-exporter gate counters, and the shed / rejected
-//!   counts — gate decisions only;
-//! - the **days** ([`Mutex`]): the open-day map — each open day's port
-//!   histogram and the handle to its shards, taken briefly by a worker
-//!   per batch (to fold the ports and clone the handle) and by the
-//!   closer to take the day out;
+//!   counts — gate decisions only; it nests the days lock to count the
+//!   gated records into their days;
+//! - the **days** ([`Mutex`] + [`Condvar`]): the open-day map, one
+//!   record per open day — its port histogram, the handle to its shards,
+//!   and the close barrier's `pushed` / `processed` counts. Taken under
+//!   the gate to count gated records, by a worker twice per batch (fold
+//!   the ports and clone the handle; count the batch processed), and by
+//!   the closer, which waits on it for the barrier and takes the day out
+//!   in the same hold;
 //! - the **shards** (one [`Mutex`] per shard of each open day): a
 //!   shard's stats, taken by a worker once per touched shard per batch
-//!   and, uncontended, by the closer to move the stats out;
-//! - **progress** ([`Mutex`] + [`Condvar`]): per-day pushed/processed
-//!   record counts for the close barrier, plus run totals.
+//!   and, uncontended, by the closer to move the stats out.
 //!
-//! No thread holds two shard locks, and none nests any two of days,
-//! shard and progress: a worker takes each alone, in turn.
+//! No thread holds two shard locks, and none nests days and shard: a
+//! worker takes each alone, in turn.
 //!
 //! # Why no accepted record can be lost or double-counted
 //!
@@ -51,20 +53,21 @@
 //! lock* — before the batch is enqueued. `take_closable` runs under the
 //! same lock, and once it removes a day every later `observe` for that
 //! day returns `TooLate` (the watermark only advances), so the count
-//! taken at close is final: the barrier (`processed == pushed`, with
-//! both cells under the progress lock) provably waits for every batch
-//! that was gated before the close decision, including ones a lane had
-//! gated but not yet enqueued. A batch the queue sheds (`DropNewest`)
-//! or rejects (closed) is backed out of `pushed` and wakes the barrier;
-//! it never reaches a worker, so neither its stats nor its ports do.
+//! taken at close is final: the barrier (`processed == pushed`, both in
+//! the day's one record) provably waits for every batch that was gated
+//! before the close decision, including ones a lane had gated but not
+//! yet enqueued. A batch the queue sheds (`DropNewest`) or rejects
+//! (closed) is backed out of `pushed` and wakes the barrier; it never
+//! reaches a worker, so neither its stats nor its ports do.
 //!
 //! A worker finishes a batch — ports under the days lock, every record
 //! half under its shard's lock — and drops its handle to the day's
 //! shards *before* it adds the batch to `processed`. So once the
-//! barrier passes, every gated record of the day is in the one
-//! accumulator, no worker holds its handle, and none will take it again
-//! (no later batch for the day exists): the closer's take-out is the
-//! last touch.
+//! barrier passes, every gated record of the day is in the day's
+//! shards, no worker holds their handle, and none will take it again
+//! (no later batch for the day exists): the closer removes the day's
+//! record in the hold in which the barrier passed, and that is the last
+//! touch.
 //!
 //! The result is the keystone property at any lane and worker count:
 //! the window stats equal a batch ingest of exactly the gated record
@@ -84,7 +87,6 @@ use crate::service::{
 };
 use crate::window::{Gate, WindowTracker};
 use mt_flow::sharded::DEFAULT_SHARDS;
-use mt_flow::stats::DEFAULT_SIZE_THRESHOLD;
 use mt_flow::{FlowRecord, ShardedTrafficStats, StatsLayout, StatsShard, TrafficStats};
 use mt_obs::{Counter, Histogram, MetricsRegistry, DEFAULT_TIME_BUCKETS};
 use mt_types::{Asn, Block24, Day, FxHashMap, PrefixTrie};
@@ -104,21 +106,30 @@ struct LaneBatch {
     ports: Vec<(u16, u64)>,
 }
 
-/// One open day's accumulator, shared by every ingest worker.
+/// One open day: its accumulator, shared by every ingest worker, and
+/// the close barrier's counts.
 struct OpenDay {
     /// Destination-port packet histogram of the folded batches.
     ports: FxHashMap<u16, u64>,
-    /// The day's stats shards, in shard order, each behind its own lock.
+    /// The day's map-layout stats shards, in shard order, each behind
+    /// its own lock.
     shards: Arc<[Mutex<StatsShard>]>,
+    /// Records gated into this day (counted before enqueue; shed and
+    /// rejected pushes are backed out).
+    pushed: u64,
+    /// Records folded into this day's shards.
+    processed: u64,
 }
 
 impl OpenDay {
-    fn new(layout: StatsLayout) -> Self {
-        let stats =
-            ShardedTrafficStats::with_layout(DEFAULT_SHARDS, DEFAULT_SIZE_THRESHOLD, layout);
+    fn new() -> Self {
         OpenDay {
             ports: FxHashMap::default(),
-            shards: stats.into_shards().into_iter().map(Mutex::new).collect(),
+            shards: (0..DEFAULT_SHARDS)
+                .map(|_| Mutex::new(StatsShard::Map(TrafficStats::new())))
+                .collect(),
+            pushed: 0,
+            processed: 0,
         }
     }
 }
@@ -145,42 +156,22 @@ struct GateState {
     rejected_closed: u64,
 }
 
-/// One day's epoch-barrier cells.
-#[derive(Debug, Clone, Copy, Default)]
-struct DayProgress {
-    /// Records gated into this day (counted before enqueue; shed and
-    /// rejected pushes are backed out).
-    pushed: u64,
-    /// Records folded into worker accumulators for this day.
-    processed: u64,
-}
-
-/// The close barrier's state: per-day and total pushed/processed.
-#[derive(Default)]
-struct ProgressState {
-    per_day: FxHashMap<Day, DayProgress>,
-    total_pushed: u64,
-    total_processed: u64,
-}
-
 /// State shared between the lanes and the ingest workers.
 struct LaneShared {
     queue: BoundedQueue<LaneBatch>,
     /// Per-lane buffer pools: each lane takes from its own, and workers
     /// return each buffer to the pool of the lane that filled it.
     pools: Vec<BatchPool>,
-    /// The open-day map: each open day's one accumulator.
+    /// The open-day map: each open day's one record.
     days: Mutex<FxHashMap<Day, OpenDay>>,
     /// Per-worker `mt_ingest_records_total` counters.
     ingest_counters: Vec<Counter>,
     /// Shard-lock acquisitions that found the lock held.
     shard_contended: Counter,
     gate: Mutex<GateState>,
-    progress: Mutex<ProgressState>,
-    /// Signals progress advances (and backed-out pushes) to the close
-    /// barrier.
+    /// Wakes the close barrier, which waits on `days`: a batch counted
+    /// processed, or a push backed out.
     drained: Condvar,
-    layout: StatsLayout,
 }
 
 /// Close-path state: the scheduler, the run's accumulated reports and
@@ -276,9 +267,7 @@ impl<F: Fn(Day) -> PrefixTrie<Asn>> MultiStreamService<F> {
                 dropped_backpressure: 0,
                 rejected_closed: 0,
             }),
-            progress: Mutex::new(ProgressState::default()),
             drained: Condvar::new(),
-            layout: cfg.layout.clone(),
         });
         let handles = (0..cfg.ingest_threads)
             .map(|i| {
@@ -364,22 +353,23 @@ impl<F: Fn(Day) -> PrefixTrie<Asn>> MultiStreamService<F> {
 
     /// Resumes from what an earlier run persisted: `stats` is the merged
     /// traffic of windows `first..=last`. The combination continues from
-    /// it (rebuilt in this service's layout), and the window gate starts
-    /// past `last`, so a replayed record for an already-persisted day is
-    /// counted as dropped late instead of reopening its window. Call it
-    /// before any lane pushes.
+    /// it (split over the stream's map-layout shards), and the window
+    /// gate starts past `last`, so a replayed record for an
+    /// already-persisted day is counted as dropped late instead of
+    /// reopening its window. Call it before any lane pushes.
     pub fn resume(&self, stats: &TrafficStats, first: Day, last: Day) {
         let cumulative =
-            ShardedTrafficStats::from_unsharded(stats, DEFAULT_SHARDS, self.shared.layout.clone());
+            ShardedTrafficStats::from_unsharded(stats, DEFAULT_SHARDS, StatsLayout::Map);
         let mut closer = crate::sync::lock(&self.closer); // lock: stream.closer
         closer.scheduler.resume(cumulative, first, last);
         let mut gate = crate::sync::lock(&self.shared.gate); // lock: stream.gate
         gate.tracker.resume_after(last);
     }
 
-    /// Windows closed so far.
+    /// Windows closed so far, read from the `mt_window_closed_total`
+    /// counter: it answers at once, even while a close runs.
     pub fn windows_closed(&self) -> usize {
-        crate::sync::lock(&self.closer).windows.len() // lock: stream.closer
+        self.windows_closed_counter.get() as usize
     }
 
     /// Takes a [`HealthSnapshot`] of the whole stack and republishes
@@ -472,9 +462,10 @@ impl<F: Fn(Day) -> PrefixTrie<Asn>> MultiStreamService<F> {
         snapshot
     }
 
-    /// Ends the run: takes the lanes back (their loops are done),
-    /// flushes in-flight records, closes every remaining open window in
-    /// day order, stops the workers, and returns the run's full output.
+    /// Ends the run: takes the lanes back (their loops are done), closes
+    /// every remaining open window in day order (each close waits for
+    /// its day's in-flight records), stops the workers, and returns the
+    /// run's full output.
     ///
     /// Panics unless `lanes` is exactly this service's set: a lane left
     /// live could push after the final snapshot, into a closed queue.
@@ -486,13 +477,10 @@ impl<F: Fn(Day) -> PrefixTrie<Asn>> MultiStreamService<F> {
                 && lanes.iter().all(|l| Arc::ptr_eq(&l.shared, &self.shared)),
             "every lane of this service must be returned before finish"
         );
-        drop(lanes); // producers retired; nothing pushes from here on
-        {
-            let g = crate::sync::lock(&self.shared.progress); // lock: stream.progress
-            let _g = crate::sync::wait_while(&self.shared.drained, g, |p| {
-                p.total_processed < p.total_pushed
-            });
-        }
+        // Producers retired; nothing pushes from here on. Each close
+        // waits out its own day's barrier, so every accepted record is
+        // folded once the last open day is closed.
+        drop(lanes);
         let (windows, combined) = {
             let mut closer = crate::sync::lock(&self.closer); // lock: stream.closer
                                                               // lock: stream.gate
@@ -543,7 +531,8 @@ impl<F: Fn(Day) -> PrefixTrie<Asn>> LaneProducer<F> {
 
     /// Feeds one chunk of `exporter`'s IPFIX byte stream — this lane's
     /// half of the work (framing, decoding) runs without any shared
-    /// lock; gating and closing take the shared locks briefly.
+    /// lock; gating and closing take the shared locks briefly, and a
+    /// chunk that decodes no record takes none.
     pub fn push_chunk(&mut self, exporter: &str, chunk: &[u8]) {
         let mut decoded = std::mem::take(&mut self.decode_buf);
         decoded.clear();
@@ -569,20 +558,23 @@ impl<F: Fn(Day) -> PrefixTrie<Asn>> LaneProducer<F> {
     /// closes any windows the advancing watermark allows.
     fn ingest_decoded(&mut self, exporter: &str, decoded: Vec<IpfixFlow>) {
         if decoded.is_empty() {
+            // No record moves the watermark: nothing to gate or close.
             self.decode_buf = decoded;
-            self.maybe_close();
             return;
         }
         // Gate phase, under the gate lock: watermark decisions, the
-        // per-exporter counters, and — via the nested progress lock —
-        // the per-day pushed counts. All of it lands before the batch is
-        // visible anywhere else, which is what makes the close barrier
-        // exact (module docs).
+        // per-exporter counters, the gated days' pushed counts (under
+        // the nested days lock), and whether a window became closable.
+        // The counts land before the batch is visible anywhere else,
+        // which is what makes the close barrier exact (module docs).
         let mut by_day: BTreeMap<Day, Vec<FlowRecord>> = BTreeMap::new();
-        {
+        let closable = {
             let mut g = crate::sync::lock(&self.shared.gate); // lock: stream.gate
             let gs = &mut *g;
-            let ex = gs.exporters.entry(exporter.to_owned()).or_default();
+            let ex = match gs.exporters.get_mut(exporter) {
+                Some(ex) => ex,
+                None => gs.exporters.entry(exporter.to_owned()).or_default(),
+            };
             ex.flows += decoded.len() as u64;
             for f in &decoded {
                 let r = FlowRecord::from_ipfix(f);
@@ -599,13 +591,14 @@ impl<F: Fn(Day) -> PrefixTrie<Asn>> LaneProducer<F> {
                     Gate::TooLate { .. } => ex.dropped += 1,
                 }
             }
-            let mut p = crate::sync::lock(&self.shared.progress); // lock: stream.progress
+            let mut days = crate::sync::lock(&self.shared.days); // lock: stream.days
             for (day, records) in &by_day {
-                let n = records.len() as u64;
-                p.per_day.entry(*day).or_default().pushed += n;
-                p.total_pushed += n;
+                days.entry(*day).or_insert_with(OpenDay::new).pushed += records.len() as u64;
             }
-        }
+            drop(days);
+            let first_open = gs.tracker.open_days().next();
+            first_open.is_some_and(|d| gs.tracker.is_closed(d))
+        };
         self.decode_buf = decoded;
         for (day, records) in by_day {
             for r in &records {
@@ -627,11 +620,20 @@ impl<F: Fn(Day) -> PrefixTrie<Asn>> LaneProducer<F> {
                 PushOutcome::Closed => self.back_out(day, n, true),
             }
         }
-        self.maybe_close();
+        if closable {
+            // Racing lanes are harmless: the take under the closer
+            // re-checks, and the loser finds nothing left to take.
+            let mut closer = crate::sync::lock(&self.closer); // lock: stream.closer
+                                                              // lock: stream.gate
+            let days = crate::sync::lock(&self.shared.gate).tracker.take_closable();
+            for day in days {
+                close_window(&self.shared, &mut closer, day);
+            }
+        }
     }
 
-    /// Backs a shed or rejected batch's records out of the pushed
-    /// counts and wakes the barrier, which would otherwise wait for
+    /// Backs a shed or rejected batch's records out of its day's pushed
+    /// count and wakes the barrier, which would otherwise wait for
     /// records no worker will fold.
     fn back_out(&self, day: Day, n: u64, closed: bool) {
         {
@@ -642,41 +644,19 @@ impl<F: Fn(Day) -> PrefixTrie<Asn>> LaneProducer<F> {
                 g.dropped_backpressure += n;
             }
         }
-        let mut p = crate::sync::lock(&self.shared.progress); // lock: stream.progress
-        if let Some(dp) = p.per_day.get_mut(&day) {
-            dp.pushed = dp.pushed.saturating_sub(n);
+        // lock: stream.days
+        if let Some(open) = crate::sync::lock(&self.shared.days).get_mut(&day) {
+            open.pushed = open.pushed.saturating_sub(n);
         }
-        p.total_pushed = p.total_pushed.saturating_sub(n);
-        drop(p);
         self.shared.drained.notify_all();
-    }
-
-    /// Closes every window the current watermark allows. The cheap
-    /// peek avoids taking the closer lock on the hot path; the
-    /// take-under-closer re-check makes racing lanes harmless (the
-    /// loser finds nothing left to take).
-    fn maybe_close(&mut self) {
-        let closable = {
-            let g = crate::sync::lock(&self.shared.gate); // lock: stream.gate
-            let first_open = g.tracker.open_days().next();
-            first_open.is_some_and(|d| g.tracker.is_closed(d))
-        };
-        if !closable {
-            return;
-        }
-        let mut closer = crate::sync::lock(&self.closer); // lock: stream.closer
-                                                          // lock: stream.gate
-        let days = crate::sync::lock(&self.shared.gate).tracker.take_closable();
-        for day in days {
-            close_window(&self.shared, &mut closer, day);
-        }
     }
 }
 
-/// Closes one window: waits out the per-day barrier, takes the day's
-/// accumulator out of the open-day map, and hands the window to the
-/// scheduler. Callers hold the closer lock (so closes stay serialized
-/// and ascending) and must have taken `day` from the tracker already.
+/// Closes one window: waits out the per-day barrier and takes the day's
+/// record out of the open-day map in the same hold, then hands the
+/// window to the scheduler. Callers hold the closer lock (so closes stay
+/// serialized and ascending) and must have taken `day` from the tracker
+/// already.
 fn close_window<F: Fn(Day) -> PrefixTrie<Asn>>(
     shared: &LaneShared,
     closer: &mut CloserState<F>,
@@ -684,21 +664,23 @@ fn close_window<F: Fn(Day) -> PrefixTrie<Asn>>(
 ) {
     let [barrier, assemble, schedule] = &closer.close_time;
     // Per-day barrier: every record gated into `day` is in the day's
-    // accumulator. `pushed` is final (the tracker already rejects the
-    // day), and backed-out pushes wake this wait.
-    let records = {
+    // shards. `pushed` is final (the tracker already rejects the day),
+    // and backed-out pushes wake this wait.
+    let open = {
         let _span = barrier.start_span();
-        let g = crate::sync::lock(&shared.progress); // lock: stream.progress
-        let mut g = crate::sync::wait_while(&shared.drained, g, |p| {
-            p.per_day
-                .get(&day)
-                .is_some_and(|dp| dp.processed < dp.pushed)
-        });
-        g.per_day.remove(&day).map_or(0, |dp| dp.pushed)
+        let mut days = crate::sync::lock(&shared.days); // lock: stream.days
+        while days.get(&day).is_some_and(|o| o.processed < o.pushed) {
+            days = crate::sync::wait(&shared.drained, days);
+        }
+        days.remove(&day)
     };
     let span = assemble.start_span();
-    let open = crate::sync::lock(&shared.days).remove(&day); // lock: stream.days
-    let OpenDay { ports, shards } = open.unwrap_or_else(|| OpenDay::new(shared.layout.clone()));
+    let OpenDay {
+        ports,
+        shards,
+        pushed: records,
+        ..
+    } = open.unwrap_or_else(OpenDay::new);
     debug_assert_eq!(Arc::strong_count(&shards), 1, "a worker holds a closed day");
     // A mutex yields its value only past the poisoning check, which
     // `sync::lock` owns; no worker holds the day, so none of these waits.
@@ -706,7 +688,7 @@ fn close_window<F: Fn(Day) -> PrefixTrie<Asn>>(
         let mut shard = crate::sync::lock(cell); // lock: stream.shard
         std::mem::replace(&mut *shard, StatsShard::Map(TrafficStats::new()))
     });
-    let stats = ShardedTrafficStats::from_shards(shared.layout.clone(), shards.collect());
+    let stats = ShardedTrafficStats::from_shards(StatsLayout::Map, shards.collect());
     for (i, load) in stats.shard_loads().into_iter().enumerate() {
         let shard = i.to_string();
         closer
@@ -741,21 +723,18 @@ fn lock_contended<'a, T>(mutex: &'a Mutex<T>, misses: &Counter) -> MutexGuard<'a
 
 /// Ingest worker loop: pop batches, fold each batch's port tally and
 /// records into its day's one accumulator, return the buffer to the
-/// owning lane's pool, and report per-day progress for the close
+/// owning lane's pool, and count the batch processed for the close
 /// barrier.
 fn ingest_worker(shared: &LaneShared, index: usize) {
     // Per shard, the indices of the batch's records whose destination
     // (`.0`) or source (`.1`) block it owns; reused batch to batch.
     let mut owned: Vec<(Vec<usize>, Vec<usize>)> = vec![Default::default(); DEFAULT_SHARDS];
-    let layout = &shared.layout;
-    let shard_of = |ip| layout.shard_of(DEFAULT_SHARDS, Block24::containing(ip));
+    let shard_of = |ip| StatsLayout::Map.shard_of(DEFAULT_SHARDS, Block24::containing(ip));
     while let Some(batch) = shared.queue.pop() {
         let n = batch.records.len() as u64;
         let shards = {
             let mut days = crate::sync::lock(&shared.days); // lock: stream.days
-            let open = days
-                .entry(batch.day)
-                .or_insert_with(|| OpenDay::new(layout.clone()));
+            let open = days.entry(batch.day).or_insert_with(OpenDay::new);
             for &(port, packets) in &batch.ports {
                 *open.ports.entry(port).or_default() += packets;
             }
@@ -781,15 +760,14 @@ fn ingest_worker(shared: &LaneShared, index: usize) {
         // the closer the day's only handle (module docs).
         drop(shards);
         shared.pools[batch.lane].put(batch.records);
-        // Counted before the progress update so the close barrier
+        // Counted before `processed` moves so the close barrier
         // (processed == pushed) also implies the ingest counters are
         // complete — health at quiescent points stays exact.
         shared.ingest_counters[index].add(n);
-        let mut p = crate::sync::lock(&shared.progress); // lock: stream.progress
-        let dp = p.per_day.entry(batch.day).or_default();
-        dp.processed += n;
-        p.total_processed += n;
-        drop(p);
+        // lock: stream.days
+        if let Some(open) = crate::sync::lock(&shared.days).get_mut(&batch.day) {
+            open.processed += n;
+        }
         shared.drained.notify_all();
     }
 }
@@ -802,6 +780,8 @@ mod tests {
     use mt_core::PipelineEngine;
     use mt_types::{Ipv4, Prefix, SimDuration};
     use mt_wire::ipfix;
+    use std::sync::mpsc;
+    use std::time::Duration;
 
     /// Every lane-agnostic case runs at each of these lane counts.
     const LANES: [usize; 3] = [1, 2, 4];
@@ -1076,36 +1056,6 @@ mod tests {
         }
     }
 
-    /// A columnar layout whose slot index covers the destination space
-    /// only: the 9.9.9.9 sources have no slot and exercise the overflow
-    /// path.
-    fn columnar_layout() -> StatsLayout {
-        let slot_trie: PrefixTrie<()> = [("20.0.0.0/8".parse::<Prefix>().unwrap(), ())]
-            .into_iter()
-            .collect();
-        StatsLayout::Columnar(Arc::new(mt_types::Slot24Index::build(
-            &mt_types::RibIndex::build(&slot_trie),
-        )))
-    }
-
-    #[test]
-    fn columnar_layout_streams_bit_identical_to_map_layout() {
-        // The oracle folds into the map layout, so a columnar run that
-        // matches it matches the map-layout runs of the other tests.
-        let days = days(3);
-        for lanes in LANES {
-            for threads in [1, 3, 4] {
-                let cfg = StreamConfig {
-                    layout: columnar_layout(),
-                    ..hour_late(threads)
-                };
-                let (out, ports) = run(cfg.clone(), lanes, &days, Transport::Chunks(1460));
-                let what = format!("columnar, {lanes} lanes, {threads} ingest threads");
-                assert_matches_batch(&out, &ports, &days, &cfg, &what);
-            }
-        }
-    }
-
     /// Days of 400 records whose destination and source /24s all fall
     /// in one map-layout shard (the source 9.9.9.9's); returns it too.
     fn one_shard_days(n: u32) -> (usize, Vec<Vec<FlowRecord>>) {
@@ -1134,10 +1084,14 @@ mod tests {
         (shard, days)
     }
 
+    /// How long a test waits for a state before it fails instead of
+    /// hanging.
+    const DEADLINE: Duration = Duration::from_secs(60);
+
     /// Yields until `cond` holds: synchronises on state, and fails
-    /// after a minute instead of hanging if the state never comes.
+    /// after [`DEADLINE`] instead of hanging if the state never comes.
     fn wait_for(what: &str, mut cond: impl FnMut() -> bool) {
-        let deadline = std::time::Instant::now() + std::time::Duration::from_secs(60);
+        let deadline = std::time::Instant::now() + DEADLINE;
         while !cond() {
             assert!(
                 std::time::Instant::now() < deadline,
@@ -1198,31 +1152,26 @@ mod tests {
         // dropped late instead of reopening its window.
         let days = days(4);
         let (before, after) = days.split_at(2);
-        for (name, layout) in [("map", StatsLayout::Map), ("columnar", columnar_layout())] {
-            for lanes in LANES {
-                let what = format!("resumed, {name} layout, {lanes} lanes");
-                let cfg = StreamConfig {
-                    layout: layout.clone(),
-                    ..hour_late(2)
-                };
-                let (first, mut ports) = run(cfg.clone(), lanes, before, Transport::Chunks(1460));
-                let (svc, mut p) = MultiStreamService::start(cfg.clone(), lanes, |_| rib());
-                let seen = collect_ports(&svc);
-                let persisted = TrafficStats::from_records(&before.concat());
-                svc.resume(&persisted, Day(0), Day(1));
-                let mut seq = 0;
-                for m in messages(&[record(Day(1), 3, 0x1400_0100, 1)], &mut seq, 1) {
-                    p[lanes - 1].push_chunk("replay", &m);
-                }
-                feed_days(&mut p, after, &mut seq, Transport::Chunks(1460));
-                let mut out = svc.finish(p);
-                out.health.check_invariants().expect("final invariants");
-                assert_eq!(out.health.dropped_late, 1, "{what}: the replay");
-                out.windows.splice(0..0, first.windows);
-                out.combined.splice(0..0, first.combined);
-                ports.append(&mut seen.lock().unwrap());
-                assert_matches_batch(&out, &ports, &days, &cfg, &what);
+        let cfg = hour_late(2);
+        for lanes in LANES {
+            let what = format!("resumed, {lanes} lanes");
+            let (first, mut ports) = run(cfg.clone(), lanes, before, Transport::Chunks(1460));
+            let (svc, mut p) = MultiStreamService::start(cfg.clone(), lanes, |_| rib());
+            let seen = collect_ports(&svc);
+            let persisted = TrafficStats::from_records(&before.concat());
+            svc.resume(&persisted, Day(0), Day(1));
+            let mut seq = 0;
+            for m in messages(&[record(Day(1), 3, 0x1400_0100, 1)], &mut seq, 1) {
+                p[lanes - 1].push_chunk("replay", &m);
             }
+            feed_days(&mut p, after, &mut seq, Transport::Chunks(1460));
+            let mut out = svc.finish(p);
+            out.health.check_invariants().expect("final invariants");
+            assert_eq!(out.health.dropped_late, 1, "{what}: the replay");
+            out.windows.splice(0..0, first.windows);
+            out.combined.splice(0..0, first.combined);
+            ports.append(&mut seen.lock().unwrap());
+            assert_matches_batch(&out, &ports, &days, &cfg, &what);
         }
     }
 
@@ -1257,6 +1206,81 @@ mod tests {
                 "the dropped straggler is not in the window"
             );
         }
+    }
+
+    #[test]
+    fn a_chunk_that_decodes_nothing_takes_no_shared_lock() {
+        // Garbage and a message's first bytes decode no record, so they
+        // cannot move the watermark: the lane answers them while the
+        // test holds the gate, and the message's rest still decodes.
+        for lanes in LANES {
+            let (svc, mut p) = MultiStreamService::start(hour_late(1), lanes, |_| rib());
+            let message = messages(&day_records(Day(0)), &mut 0, 50).concat();
+            let (head, rest) = message.split_at(10);
+            let lane = &mut p[lanes - 1];
+            let returned = std::thread::scope(|s| {
+                let gate = svc.shared.gate.lock().unwrap();
+                let (done_tx, done_rx) = mpsc::channel();
+                s.spawn(move || {
+                    lane.push_chunk("A", &[0xff; 64]);
+                    lane.push_chunk("A", head);
+                    done_tx.send(()).unwrap();
+                });
+                // On timeout the gate is released all the same, so the
+                // lane returns and the scope's join completes.
+                let returned = done_rx.recv_timeout(DEADLINE).is_ok();
+                drop(gate);
+                returned
+            });
+            assert!(returned, "the lane waited on the gate at {lanes} lanes");
+            p[lanes - 1].push_chunk("A", rest);
+            let out = svc.finish(p);
+            out.health.check_invariants().expect("final invariants");
+            assert_eq!(
+                out.health.decoded, 40,
+                "the message decodes at {lanes} lanes"
+            );
+            assert_eq!(out.windows[0].records, 40);
+        }
+    }
+
+    #[test]
+    fn windows_closed_answers_during_a_close() {
+        // A sink blocked on a channel holds day 0's close open under the
+        // closer lock; the count answers all the same.
+        let (svc, mut p) = MultiStreamService::start(hour_late(1), 1, |_| rib());
+        let (entered_tx, entered_rx) = mpsc::channel();
+        let (release_tx, release_rx) = mpsc::channel::<()>();
+        svc.set_window_sink(Box::new(move |_| {
+            let _ = entered_tx.send(());
+            let _ = release_rx.recv();
+        }));
+        let mut seq = 0;
+        let chunks: Vec<Vec<u8>> = [0, 2]
+            .into_iter()
+            .flat_map(|d| messages(&day_records(Day(d)), &mut seq, 50))
+            .collect();
+        let lane = &mut p[0];
+        let svc_ref = &svc;
+        std::thread::scope(|s| {
+            // Dropped on every way out of this closure, a failed check's
+            // unwind included: the sink returns, and the joins complete.
+            let release = release_tx;
+            s.spawn(move || {
+                for c in &chunks {
+                    lane.push_chunk("A", c);
+                }
+            });
+            entered_rx
+                .recv_timeout(DEADLINE)
+                .expect("day 0's close reached the sink");
+            let (count_tx, count_rx) = mpsc::channel();
+            s.spawn(move || count_tx.send(svc_ref.windows_closed()));
+            assert_eq!(count_rx.recv_timeout(DEADLINE), Ok(0), "answered mid-close");
+            release.send(()).unwrap();
+        });
+        assert_eq!(svc.windows_closed(), 1, "counted once the close is done");
+        assert_eq!(svc.finish(p).windows.len(), 2);
     }
 
     #[test]

@@ -7,21 +7,15 @@
 use crate::queue::{OverflowPolicy, QueueStats};
 use crate::scheduler::{CombinedReport, WindowReport};
 use mt_core::pipeline::PipelineConfig;
-use mt_flow::StatsLayout;
 use mt_obs::MetricsRegistry;
 use mt_types::SimDuration;
 use serde::{Deserialize, Serialize};
 use std::sync::Arc;
 
-/// Configuration of the whole streaming stack.
+/// Configuration of the whole streaming stack. Its window accumulators
+/// are always map-layout ([`mt_flow::StatsLayout::Map`]) shards.
 #[derive(Debug, Clone)]
 pub struct StreamConfig {
-    /// Storage layout of the window accumulators: hashmap-backed shards
-    /// (the default) or columnar slot-range shards over a fixed
-    /// announced-space index. With the columnar layout the slot index
-    /// must cover every day's announced space (the combination asserts
-    /// matching fingerprints when it merges each closed window).
-    pub layout: StatsLayout,
     /// Ingest worker threads.
     pub ingest_threads: usize,
     /// Worker threads for each window's `run_sharded`.
@@ -42,7 +36,6 @@ pub struct StreamConfig {
 impl Default for StreamConfig {
     fn default() -> Self {
         StreamConfig {
-            layout: StatsLayout::Map,
             ingest_threads: 2,
             pipeline_threads: 2,
             queue_capacity: 64,

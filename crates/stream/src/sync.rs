@@ -22,19 +22,3 @@ pub(crate) fn wait<'a, T>(condvar: &Condvar, guard: MutexGuard<'a, T>) -> MutexG
     // check: allow(no_panic, "poisoning means a holder panicked; re-raising on the next toucher is the crate-wide policy stated at module level")
     condvar.wait(guard).expect("stream lock poisoned")
 }
-
-/// Blocks on `condvar` until `cond` turns false, re-raising any panic
-/// that poisoned the lock.
-pub(crate) fn wait_while<'a, T, F>(
-    condvar: &Condvar,
-    guard: MutexGuard<'a, T>,
-    cond: F,
-) -> MutexGuard<'a, T>
-where
-    F: FnMut(&mut T) -> bool,
-{
-    condvar
-        .wait_while(guard, cond)
-        // check: allow(no_panic, "poisoning means a holder panicked; re-raising on the next toucher is the crate-wide policy stated at module level")
-        .expect("stream lock poisoned")
-}
