@@ -204,19 +204,19 @@ impl WindowData {
 
     /// Serialises the window: header plus payload, checksummed.
     pub fn encode(&self) -> Vec<u8> {
-        let mut payload = Vec::with_capacity(64 + 64 * self.columns.rows());
-        codec::put_varint(&mut payload, self.records);
-        encode_columns(&mut payload, &self.columns);
-        self.verdicts.encode(&mut payload);
-        encode_ports(&mut payload, &self.ports);
+        let mut out = with_header_room(64 + 64 * self.columns.rows());
+        codec::put_varint(&mut out, self.records);
+        encode_columns(&mut out, &self.columns);
+        self.verdicts.encode(&mut out);
+        encode_ports(&mut out, &self.ports);
         seal(
+            out,
             KIND_WINDOW,
             self.day.0,
             1,
             self.fingerprint,
             self.num_slots,
             self.columns.size_threshold,
-            payload,
         )
     }
 
@@ -365,23 +365,23 @@ impl SummaryData {
 
     /// Serialises the summary: header plus payload, checksummed.
     pub fn encode(&self) -> Vec<u8> {
-        let mut payload = Vec::with_capacity(64 + 64 * self.columns.rows());
-        codec::put_varint(&mut payload, u64::from(self.windows));
-        codec::put_varint(&mut payload, self.records);
-        codec::put_u32(&mut payload, self.last_day.map_or(0, |d| d.0));
-        encode_columns(&mut payload, &self.columns);
-        self.verdicts.encode(&mut payload);
-        encode_dated_list(&mut payload, &self.first_dark_slots);
-        encode_dated_list(&mut payload, &self.first_dark_blocks);
-        encode_ports(&mut payload, &self.ports);
+        let mut out = with_header_room(64 + 64 * self.columns.rows());
+        codec::put_varint(&mut out, u64::from(self.windows));
+        codec::put_varint(&mut out, self.records);
+        codec::put_u32(&mut out, self.last_day.map_or(0, |d| d.0));
+        encode_columns(&mut out, &self.columns);
+        self.verdicts.encode(&mut out);
+        encode_dated_list(&mut out, &self.first_dark_slots);
+        encode_dated_list(&mut out, &self.first_dark_blocks);
+        encode_ports(&mut out, &self.ports);
         seal(
+            out,
             KIND_SUMMARY,
             self.first_day.map_or(0, |d| d.0),
             self.span_days,
             self.fingerprint,
             self.num_slots,
             self.columns.size_threshold,
-            payload,
         )
     }
 
@@ -500,39 +500,49 @@ impl Header {
     }
 }
 
-/// Assembles header + payload and stamps both checksums.
+/// An encode buffer with the header's bytes reserved at its front: the
+/// payload is written after them and [`seal`] stamps the header in
+/// place, so the payload is never copied.
+fn with_header_room(payload_capacity: usize) -> Vec<u8> {
+    let mut out = Vec::with_capacity(HEADER_LEN + payload_capacity);
+    out.resize(HEADER_LEN, 0);
+    out
+}
+
+/// Stamps the header into the reserved front of `out` (from
+/// [`with_header_room`]), over the payload after it, then [`reseal`]s
+/// it for both checksums.
 fn seal(
+    mut out: Vec<u8>,
     kind: u8,
     day: u32,
     span_days: u32,
     fingerprint: u64,
     num_slots: u32,
     size_threshold: u16,
-    payload: Vec<u8>,
 ) -> Vec<u8> {
-    let mut out = Vec::with_capacity(HEADER_LEN + payload.len());
-    out.extend_from_slice(&MAGIC);
-    codec::put_u32(&mut out, VERSION);
-    out.push(kind);
-    out.extend_from_slice(&[0, 0, 0]);
-    codec::put_u32(&mut out, day);
-    codec::put_u32(&mut out, span_days);
-    codec::put_u64(&mut out, fingerprint);
-    codec::put_u32(&mut out, num_slots);
-    codec::put_u16(&mut out, size_threshold);
-    codec::put_u16(&mut out, 0);
-    codec::put_u64(&mut out, payload.len() as u64);
-    codec::put_u64(&mut out, codec::fnv1a64(&payload));
-    let header_fnv = codec::fnv1a64(&out[..56]);
-    codec::put_u64(&mut out, header_fnv);
-    out.extend_from_slice(&payload);
+    let mut header = Vec::with_capacity(HEADER_LEN);
+    header.extend_from_slice(&MAGIC);
+    codec::put_u32(&mut header, VERSION);
+    header.push(kind);
+    header.extend_from_slice(&[0, 0, 0]);
+    codec::put_u32(&mut header, day);
+    codec::put_u32(&mut header, span_days);
+    codec::put_u64(&mut header, fingerprint);
+    codec::put_u32(&mut header, num_slots);
+    codec::put_u16(&mut header, size_threshold);
+    codec::put_u16(&mut header, 0);
+    codec::put_u64(&mut header, (out.len() - HEADER_LEN) as u64);
+    out[..header.len()].copy_from_slice(&header);
+    reseal(&mut out);
     out
 }
 
-/// Recomputes both checksums over a (possibly edited) encoded file.
-/// Test tooling for corruption vectors: flip payload bytes, reseal the
-/// header, and the payload checksum stays honest while the content is
-/// wrong — proving decode catches structural damage, not just fnv.
+/// Recomputes both checksums over a (possibly edited) encoded file:
+/// the last step of every encode. Also test tooling for corruption
+/// vectors: flip payload bytes, reseal the header, and the payload
+/// checksum stays honest while the content is wrong — proving decode
+/// catches structural damage, not just fnv.
 pub fn reseal(bytes: &mut [u8]) {
     if bytes.len() < HEADER_LEN {
         return;

@@ -88,7 +88,7 @@ use crate::service::{
 use crate::window::{Gate, WindowTracker};
 use mt_flow::sharded::DEFAULT_SHARDS;
 use mt_flow::{FlowRecord, ShardedTrafficStats, StatsLayout, StatsShard, TrafficStats};
-use mt_obs::{Counter, Histogram, MetricsRegistry, DEFAULT_TIME_BUCKETS};
+use mt_obs::{Counter, Gauge, Histogram, MetricsRegistry, DEFAULT_TIME_BUCKETS};
 use mt_types::{Asn, Block24, Day, FxHashMap, PrefixTrie};
 use mt_wire::ipfix::IpfixFlow;
 use std::collections::BTreeMap;
@@ -181,7 +181,8 @@ struct CloserState<F> {
     scheduler: WindowScheduler<F>,
     windows: Vec<WindowReport>,
     combined: Vec<CombinedReport>,
-    registry: Arc<MetricsRegistry>,
+    /// `mt_flow_shard_blocks`, one gauge per shard.
+    shard_blocks: [Gauge; DEFAULT_SHARDS],
     windows_closed: Counter,
     /// `mt_stream_close_nanoseconds` for the barrier, assemble and
     /// schedule steps of a close.
@@ -292,7 +293,13 @@ impl<F: Fn(Day) -> PrefixTrie<Asn>> MultiStreamService<F> {
             scheduler,
             windows: Vec::new(),
             combined: Vec::new(),
-            registry: Arc::clone(&registry),
+            shard_blocks: std::array::from_fn(|i| {
+                registry.gauge_with(
+                    "mt_flow_shard_blocks",
+                    &[("shard", i.to_string().as_str())],
+                    "Destination /24s held by this shard at the last window close.",
+                )
+            }),
             windows_closed: windows_closed_counter.clone(),
             close_time: ["barrier", "assemble", "schedule"].map(|step| {
                 registry.histogram_with(
@@ -689,16 +696,8 @@ fn close_window<F: Fn(Day) -> PrefixTrie<Asn>>(
         std::mem::replace(&mut *shard, StatsShard::Map(TrafficStats::new()))
     });
     let stats = ShardedTrafficStats::from_shards(StatsLayout::Map, shards.collect());
-    for (i, load) in stats.shard_loads().into_iter().enumerate() {
-        let shard = i.to_string();
-        closer
-            .registry
-            .gauge_with(
-                "mt_flow_shard_blocks",
-                &[("shard", shard.as_str())],
-                "Destination /24s held by this shard at the last window close.",
-            )
-            .set(load as u64);
+    for (gauge, load) in closer.shard_blocks.iter().zip(stats.shard_loads()) {
+        gauge.set(load as u64);
     }
     let mut ports: Vec<(u16, u64)> = ports.into_iter().collect();
     ports.sort_unstable();
@@ -979,6 +978,13 @@ mod tests {
                 &batch(&so_far, span),
                 &format!("{what}: combined over {span} days"),
             );
+        }
+        // The shard gauges hold the last close's per-shard block counts.
+        let snap = out.registry.snapshot();
+        let last = ShardedTrafficStats::from_records(DEFAULT_SHARDS, days.last().unwrap());
+        for (i, load) in last.shard_loads().into_iter().enumerate() {
+            let gauge = snap.scalar("mt_flow_shard_blocks", &[("shard", &i.to_string())]);
+            assert_eq!(gauge, Some(load as u64), "{what}: shard {i} gauge");
         }
     }
 
