@@ -137,11 +137,6 @@ impl SyntaxIndex {
         }
     }
 
-    /// Text of a code token by index.
-    pub fn text_of<'a>(&self, idx: usize, text: &'a str) -> &'a str {
-        self.code[idx].text(text)
-    }
-
     /// The innermost scope containing a byte offset. Total: the root
     /// scope contains every offset.
     pub fn innermost_scope(&self, offset: usize) -> usize {

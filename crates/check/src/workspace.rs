@@ -183,12 +183,6 @@ impl SourceFile {
         })
     }
 
-    /// Whether any pragma in the file suppresses `rule` (for
-    /// file-scoped rules such as crate hygiene).
-    pub fn suppressed_anywhere(&self, rule: &str) -> bool {
-        self.suppression_anywhere_for(rule).is_some()
-    }
-
     /// The pragma that [`SourceFile::suppressed`] would match for a
     /// violation of `rule` at `line`, for the suppression inventory.
     pub fn suppression_for(&self, rule: &str, line: usize) -> Option<&Pragma> {

@@ -32,9 +32,11 @@
 use std::sync::Arc;
 
 use crate::record::FlowRecord;
-use crate::stats::{DstRef, HostSet, SrcRef, TrafficStats, TrafficView};
+use crate::stats::{
+    add_protocol_counts, bump_histogram, sweep_hosts, tcp_marks, DstRef, HostSet, SrcRef,
+    TrafficStats, TrafficView,
+};
 use mt_types::{Block24, FxHashMap, Slot24Index};
-use mt_wire::IpProtocol;
 
 /// Empty histogram handed out for rows that saw no TCP traffic.
 const NO_SIZES: &[(u16, u64)] = &[];
@@ -264,14 +266,8 @@ impl ColumnarStats {
         self.total_octets += r.octets;
         set_bit(&mut self.d_touched, row);
         match sweep_seed {
-            None => self.ingest_dst_row(
-                row,
-                r.dst.host_in_block24(),
-                r.protocol,
-                r.packets,
-                r.octets,
-            ),
-            Some(seed) => self.ingest_dst_row_sweep(row, r.protocol, r.packets, r.octets, seed),
+            None => self.fold_dst_row(row, std::iter::once(r.dst.host_in_block24()), r),
+            Some(seed) => self.fold_dst_row(row, sweep_hosts(seed, r.packets), r),
         }
     }
 
@@ -338,69 +334,30 @@ impl ColumnarStats {
         self.total_octets += octets;
     }
 
-    /// Columnar mirror of [`DstBlockStats::ingest`]
-    /// (crate::stats::DstBlockStats::ingest).
-    fn ingest_dst_row(&mut self, row: usize, host: u8, protocol: u8, packets: u64, octets: u64) {
-        set_host(&mut self.d_received, row, host);
-        match IpProtocol::from_u8(protocol) {
-            Some(IpProtocol::Tcp) => {
-                self.d_tcp_packets[row] += packets;
-                self.d_tcp_octets[row] += octets;
-                set_host(&mut self.d_received_tcp, row, host);
-                // Averages beyond u16 range (jumbo frames) saturate
-                // into the top histogram bin instead of wrapping.
-                let size = u16::try_from(octets / packets).unwrap_or(u16::MAX);
-                if size > self.size_threshold {
-                    set_host(&mut self.d_received_big_tcp, row, host);
-                }
-                bump_histogram(
-                    self.d_tcp_sizes.entry(row as u32).or_default(),
-                    size,
-                    packets,
-                );
-            }
-            Some(IpProtocol::Udp) => self.d_udp_packets[row] += packets,
-            Some(IpProtocol::Icmp) => self.d_icmp_packets[row] += packets,
-            None => self.d_other_packets[row] += packets,
-        }
-    }
-
-    /// Columnar mirror of [`DstBlockStats::ingest_sweep`]
-    /// (crate::stats::DstBlockStats::ingest_sweep).
-    fn ingest_dst_row_sweep(
-        &mut self,
-        row: usize,
-        protocol: u8,
-        packets: u64,
-        octets: u64,
-        host_seed: u64,
-    ) {
-        let size = u16::try_from(octets / packets).unwrap_or(u16::MAX);
-        let is_tcp = protocol == u8::from(IpProtocol::Tcp);
-        for i in 0..packets.min(256) {
-            let host = (mt_types::mix::mix3(host_seed, i, 0x5eed) & 0xff) as u8;
+    /// Columnar mirror of `DstBlockStats::fold`: the record's packets
+    /// reached `hosts` of the block at `row`.
+    fn fold_dst_row(&mut self, row: usize, hosts: impl Iterator<Item = u8>, r: &FlowRecord) {
+        let (tcp, big) = tcp_marks(r, self.size_threshold);
+        for host in hosts {
             set_host(&mut self.d_received, row, host);
-            if is_tcp {
+            if tcp {
                 set_host(&mut self.d_received_tcp, row, host);
-                if size > self.size_threshold {
-                    set_host(&mut self.d_received_big_tcp, row, host);
-                }
+            }
+            if big {
+                set_host(&mut self.d_received_big_tcp, row, host);
             }
         }
-        match IpProtocol::from_u8(protocol) {
-            Some(IpProtocol::Tcp) => {
-                self.d_tcp_packets[row] += packets;
-                self.d_tcp_octets[row] += octets;
-                bump_histogram(
-                    self.d_tcp_sizes.entry(row as u32).or_default(),
-                    size,
-                    packets,
-                );
-            }
-            Some(IpProtocol::Udp) => self.d_udp_packets[row] += packets,
-            Some(IpProtocol::Icmp) => self.d_icmp_packets[row] += packets,
-            None => self.d_other_packets[row] += packets,
-        }
+        add_protocol_counts(
+            r,
+            [
+                &mut self.d_tcp_packets[row],
+                &mut self.d_tcp_octets[row],
+                &mut self.d_udp_packets[row],
+                &mut self.d_icmp_packets[row],
+                &mut self.d_other_packets[row],
+            ],
+            || self.d_tcp_sizes.entry(row as u32).or_default(),
+        );
     }
 
     /// Assembles the by-value view of a touched row.
@@ -494,15 +451,6 @@ impl ColumnarStats {
         self.total_flows += other.total_flows;
         self.total_packets += other.total_packets;
         self.total_octets += other.total_octets;
-    }
-}
-
-/// Adds `count` packets of `size` to a sorted `(size, count)` histogram
-/// — the same binary-search upsert the map backend uses.
-fn bump_histogram(sizes: &mut Vec<(u16, u64)>, size: u16, count: u64) {
-    match sizes.binary_search_by_key(&size, |&(s, _)| s) {
-        Ok(i) => sizes[i].1 += count,
-        Err(i) => sizes.insert(i, (size, count)),
     }
 }
 

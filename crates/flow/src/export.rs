@@ -3,7 +3,8 @@
 //!
 //! A [`TrafficView`] hands out borrowed per-/24 rows; persisting a
 //! closed window needs an owned, ordered, representation-independent
-//! snapshot of those rows. [`ColumnSlices`] is that snapshot: every
+//! snapshot of those rows. [`ColumnSlices`] is that snapshot, made of
+//! the map backend's own [`DstBlockStats`]/[`SrcBlockStats`] rows: every
 //! announced /24 keyed by its `Slot24Index` slot id (ascending), every
 //! unannounced straggler keyed by its raw `Block24` id in overflow
 //! lists, plus the window totals. The store codec (mt-store) serialises
@@ -11,119 +12,8 @@
 //! rebuilds a [`TrafficStats`] that merges bit-identically with live
 //! accumulators, which is what the store-equivalence invariant pins.
 
-use crate::stats::{DstRef, HostSet, SrcRef, TrafficStats, TrafficView};
+use crate::stats::{DstBlockStats, SrcBlockStats, TrafficStats, TrafficView};
 use mt_types::{Block24, Slot24Index};
-
-/// One destination /24 row, fully owned.
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub struct DstRowExport {
-    /// Sampled TCP packets.
-    pub tcp_packets: u64,
-    /// Sampled TCP octets.
-    pub tcp_octets: u64,
-    /// Sampled UDP packets.
-    pub udp_packets: u64,
-    /// Sampled ICMP packets.
-    pub icmp_packets: u64,
-    /// Sampled packets of other protocols.
-    pub other_packets: u64,
-    /// Hosts that received any sampled packet (raw 256-bit words).
-    pub received: [u64; 4],
-    /// Hosts that received sampled TCP.
-    pub received_tcp: [u64; 4],
-    /// Hosts that received big sampled TCP.
-    pub received_big_tcp: [u64; 4],
-    /// TCP packet-size histogram, sorted by size.
-    pub tcp_sizes: Vec<(u16, u64)>,
-}
-
-impl DstRowExport {
-    /// Copies a borrowed row view into an owned export row.
-    pub fn from_view(d: &DstRef<'_>) -> DstRowExport {
-        DstRowExport {
-            tcp_packets: d.tcp_packets,
-            tcp_octets: d.tcp_octets,
-            udp_packets: d.udp_packets,
-            icmp_packets: d.icmp_packets,
-            other_packets: d.other_packets,
-            received: d.received.to_words(),
-            received_tcp: d.received_tcp.to_words(),
-            received_big_tcp: d.received_big_tcp.to_words(),
-            tcp_sizes: d.tcp_size_histogram().to_vec(),
-        }
-    }
-
-    /// The borrowed [`TrafficView`]-shaped view of this row.
-    pub fn as_view(&self) -> DstRef<'_> {
-        DstRef {
-            tcp_packets: self.tcp_packets,
-            tcp_octets: self.tcp_octets,
-            udp_packets: self.udp_packets,
-            icmp_packets: self.icmp_packets,
-            other_packets: self.other_packets,
-            received: HostSet::from_words(self.received),
-            received_tcp: HostSet::from_words(self.received_tcp),
-            received_big_tcp: HostSet::from_words(self.received_big_tcp),
-            tcp_sizes: &self.tcp_sizes,
-        }
-    }
-
-    /// Folds another row for the same /24 into this one: counters add,
-    /// host-set words OR, size histograms merge by size.
-    pub fn merge(&mut self, other: &DstRowExport) {
-        self.tcp_packets += other.tcp_packets;
-        self.tcp_octets += other.tcp_octets;
-        self.udp_packets += other.udp_packets;
-        self.icmp_packets += other.icmp_packets;
-        self.other_packets += other.other_packets;
-        for w in 0..4 {
-            self.received[w] |= other.received[w];
-            self.received_tcp[w] |= other.received_tcp[w];
-            self.received_big_tcp[w] |= other.received_big_tcp[w];
-        }
-        for &(size, count) in &other.tcp_sizes {
-            match self.tcp_sizes.binary_search_by_key(&size, |&(s, _)| s) {
-                Ok(i) => self.tcp_sizes[i].1 += count,
-                Err(i) => self.tcp_sizes.insert(i, (size, count)),
-            }
-        }
-    }
-}
-
-/// One source /24 row, fully owned.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct SrcRowExport {
-    /// Sampled packets originated by the block.
-    pub packets: u64,
-    /// Hosts seen originating traffic (raw 256-bit words).
-    pub originating: [u64; 4],
-}
-
-impl SrcRowExport {
-    /// Copies a borrowed row view into an owned export row.
-    pub fn from_view(s: &SrcRef) -> SrcRowExport {
-        SrcRowExport {
-            packets: s.packets,
-            originating: s.originating.to_words(),
-        }
-    }
-
-    /// The borrowed [`TrafficView`]-shaped view of this row.
-    pub fn as_view(&self) -> SrcRef {
-        SrcRef {
-            packets: self.packets,
-            originating: HostSet::from_words(self.originating),
-        }
-    }
-
-    /// Folds another row for the same /24 into this one.
-    pub fn merge(&mut self, other: &SrcRowExport) {
-        self.packets += other.packets;
-        for w in 0..4 {
-            self.originating[w] |= other.originating[w];
-        }
-    }
-}
 
 /// An owned, slot-ordered snapshot of one window's traffic aggregates.
 ///
@@ -132,17 +22,19 @@ impl SrcRowExport {
 /// announced) land in the overflow lists keyed by raw `Block24` id.
 /// All four lists are sorted ascending by key, which makes merge a
 /// linear zip and gives the store codec monotone id streams to
-/// delta-encode.
+/// delta-encode. The rows are the accumulators' own
+/// [`DstBlockStats`]/[`SrcBlockStats`], so a snapshot merges with the
+/// rows' merge and the codec reads and writes their fields.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ColumnSlices {
     /// Destination rows for announced /24s: `(slot id, row)` ascending.
-    pub dst: Vec<(u32, DstRowExport)>,
+    pub dst: Vec<(u32, DstBlockStats)>,
     /// Source rows for announced /24s: `(slot id, row)` ascending.
-    pub src: Vec<(u32, SrcRowExport)>,
+    pub src: Vec<(u32, SrcBlockStats)>,
     /// Destination rows outside the slot index: `(Block24 id, row)`.
-    pub ovf_dst: Vec<(u32, DstRowExport)>,
+    pub ovf_dst: Vec<(u32, DstBlockStats)>,
     /// Source rows outside the slot index: `(Block24 id, row)`.
-    pub ovf_src: Vec<(u32, SrcRowExport)>,
+    pub ovf_src: Vec<(u32, SrcBlockStats)>,
     /// Ingest size threshold the rows were accumulated under.
     pub size_threshold: u16,
     /// Total sampled flow records.
@@ -175,14 +67,16 @@ impl ColumnSlices {
         out.total_packets = view.total_packets();
         out.total_octets = view.total_octets();
         for (block, d) in view.iter_dst() {
-            let row = DstRowExport::from_view(&d);
+            let mut row = DstBlockStats::default();
+            row.merge_ref(d);
             match slots.slot_of(block) {
                 Some(slot) => out.dst.push((slot, row)),
                 None => out.ovf_dst.push((block.0, row)),
             }
         }
         for (block, s) in view.iter_src() {
-            let row = SrcRowExport::from_view(&s);
+            let mut row = SrcBlockStats::default();
+            row.merge_ref(s);
             match slots.slot_of(block) {
                 Some(slot) => out.src.push((slot, row)),
                 None => out.ovf_src.push((block.0, row)),
@@ -201,16 +95,16 @@ impl ColumnSlices {
     pub fn to_stats(&self, slots: &Slot24Index) -> TrafficStats {
         let mut out = TrafficStats::with_size_threshold(self.size_threshold);
         for &(slot, ref row) in &self.dst {
-            out.merge_dst_view(slots.block_of(slot), row.as_view());
+            out.merge_dst_view(slots.block_of(slot), row.as_ref());
         }
         for &(slot, ref row) in &self.src {
-            out.merge_src_view(slots.block_of(slot), row.as_view());
+            out.merge_src_view(slots.block_of(slot), row.as_ref());
         }
         for &(id, ref row) in &self.ovf_dst {
-            out.merge_dst_view(Block24(id), row.as_view());
+            out.merge_dst_view(Block24(id), row.as_ref());
         }
         for &(id, ref row) in &self.ovf_src {
-            out.merge_src_view(Block24(id), row.as_view());
+            out.merge_src_view(Block24(id), row.as_ref());
         }
         out.total_flows = self.total_flows;
         out.total_packets = self.total_packets;
@@ -226,10 +120,10 @@ impl ColumnSlices {
             self.size_threshold, other.size_threshold,
             "merging column slices with different size thresholds"
         );
-        merge_rows(&mut self.dst, &other.dst, DstRowExport::merge);
-        merge_rows(&mut self.src, &other.src, |a, b| a.merge(b));
-        merge_rows(&mut self.ovf_dst, &other.ovf_dst, DstRowExport::merge);
-        merge_rows(&mut self.ovf_src, &other.ovf_src, |a, b| a.merge(b));
+        merge_rows(&mut self.dst, &other.dst, DstBlockStats::merge);
+        merge_rows(&mut self.src, &other.src, SrcBlockStats::merge);
+        merge_rows(&mut self.ovf_dst, &other.ovf_dst, DstBlockStats::merge);
+        merge_rows(&mut self.ovf_src, &other.ovf_src, SrcBlockStats::merge);
         self.total_flows += other.total_flows;
         self.total_packets += other.total_packets;
         self.total_octets += other.total_octets;

@@ -24,9 +24,10 @@
 //!   one dense row per *announced* /24 (row = `Slot24Index` slot),
 //!   sized for full-IPv4 windows where hashmap-per-block overheads
 //!   dominate;
-//! - [`export`] — owned, slot-ordered column slices: the interchange
-//!   snapshot the results store (mt-store) persists and reloads, with
-//!   rebuild back to map-layout stats that merge bit-identically;
+//! - [`export`] — owned, slot-ordered column slices of the same
+//!   [`DstBlockStats`]/[`SrcBlockStats`] rows: the snapshot the results
+//!   store (mt-store) persists and reloads, with rebuild back to
+//!   map-layout stats that merge bit-identically;
 //! - [`sharded`] — both representations split over fixed shards
 //!   (`/24 % N` for the map layout, contiguous slot ranges for the
 //!   columnar layout) for parallel ingest, one shard folded at a time,
@@ -44,7 +45,7 @@ pub mod sharded;
 pub mod stats;
 
 pub use columnar::ColumnarStats;
-pub use export::{ColumnSlices, DstRowExport, SrcRowExport};
+pub use export::ColumnSlices;
 pub use meter::{FlowKey, FlowMeter, MeteredPacket};
 pub use record::{FlowIntent, FlowRecord};
 pub use sampling::{binomial, Sampler};

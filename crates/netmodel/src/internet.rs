@@ -67,11 +67,6 @@ impl Announcement {
     pub fn is_dark(&self, offset: u32) -> bool {
         self.dark_bits[(offset / 64) as usize] & (1 << (offset % 64)) != 0
     }
-
-    /// Number of dark /24s in the announcement.
-    pub fn dark_count(&self) -> u32 {
-        self.dark_bits.iter().map(|w| w.count_ones()).sum()
-    }
 }
 
 /// A dedicated telescope range.
@@ -223,8 +218,8 @@ impl Allocator {
 
     /// Allocates `count` /24s aligned to `count` (a power of two),
     /// skipping forbidden octets and special-purpose space. Returns the
-    /// first block.
-    fn alloc(&mut self, count: u32) -> Option<Block24> {
+    /// prefix covering them.
+    fn alloc(&mut self, count: u32) -> Option<Prefix> {
         debug_assert!(count.is_power_of_two() && count <= 1 << 16);
         loop {
             // Align up.
@@ -248,7 +243,8 @@ impl Allocator {
                 continue;
             }
             self.cursor = aligned + count;
-            return Some(Block24(aligned));
+            let len = 24 - count.trailing_zeros() as u8;
+            return Some(Prefix::containing(Block24(aligned).base(), len));
         }
     }
 
@@ -285,13 +281,10 @@ impl Internet {
                 tc.num_blocks
             );
             let span = tc.num_blocks.next_power_of_two();
-            let first = alloc
+            let prefix = alloc
                 .alloc(span)
                 // check: allow(no_panic, "world construction fails fast on an over-subscribed config; a clear panic at setup is the contract")
                 .expect("address space exhausted placing telescope");
-            let len = 24 - span.trailing_zeros() as u8;
-            // check: allow(no_panic, "alloc returns spans aligned to their power-of-two size, so the base has no host bits")
-            let prefix = Prefix::new(first.base(), len).expect("aligned allocation");
             let mut ann = Announcement {
                 prefix,
                 as_idx,
@@ -308,7 +301,7 @@ impl Internet {
             telescopes.push(Telescope {
                 code: tc.code.clone(),
                 as_idx,
-                first_block: first,
+                first_block: Block24::containing(prefix.base()),
                 num_blocks: tc.num_blocks,
                 blocked_ports: tc.blocked_ports.clone(),
                 dynamic_active_fraction: tc.dynamic_active_fraction,
@@ -322,10 +315,7 @@ impl Internet {
                 let mut remaining = extra_blocks;
                 while remaining > 0 {
                     let span = remaining.min(256).next_power_of_two().min(256);
-                    if let Some(first) = alloc.alloc(span) {
-                        let len = 24 - span.trailing_zeros() as u8;
-                        // check: allow(no_panic, "alloc returns spans aligned to their power-of-two size, so the base has no host bits")
-                        let prefix = Prefix::new(first.base(), len).expect("aligned");
+                    if let Some(prefix) = alloc.alloc(span) {
                         let mut ann = Announcement {
                             prefix,
                             as_idx,
@@ -357,9 +347,7 @@ impl Internet {
                 if eligible && rng.random::<f64>() < config.legacy_slash8_fraction * 3.3 {
                     // ×3.3 compensates for conditioning on NA+edu/ent
                     // (~30% of ASes) so the overall fraction matches.
-                    if let Some(first) = alloc.alloc(1 << 16) {
-                        // check: allow(no_panic, "alloc returns spans aligned to their power-of-two size, so the base has no host bits")
-                        let prefix = Prefix::new(first.base(), 8).expect("aligned /8");
+                    if let Some(prefix) = alloc.alloc(1 << 16) {
                         let mut ann = Announcement {
                             prefix,
                             as_idx: i as u32,
@@ -394,11 +382,9 @@ impl Internet {
                 let pick = weighted_pick(&mut rng, &len_weights);
                 let len = config.prefix_len_weights[pick].0;
                 let span = 1u32 << (24 - len);
-                let Some(first) = alloc.alloc(span) else {
+                let Some(prefix) = alloc.alloc(span) else {
                     break;
                 };
-                // check: allow(no_panic, "alloc returns spans aligned to their power-of-two size, so the base has no host bits")
-                let prefix = Prefix::new(first.base(), len).expect("aligned");
                 let mut ann = Announcement {
                     prefix,
                     as_idx: i as u32,
@@ -644,11 +630,6 @@ impl Internet {
             active.union_with(&t.dynamic_active_on(day, self.seed));
         }
         active
-    }
-
-    /// The telescope covering `block`, if any.
-    pub fn telescope_of(&self, block: Block24) -> Option<&Telescope> {
-        self.telescopes.iter().find(|t| t.contains(block))
     }
 
     /// First octets of the configured never-announced /8s.

@@ -140,12 +140,6 @@ impl<'a> Reader<'a> {
         u32::try_from(v).map_err(|_| StoreError::Corrupt("value exceeds u32"))
     }
 
-    /// Reads a varint that must fit a u16.
-    pub fn varint_u16(&mut self) -> Result<u16, StoreError> {
-        let v = self.varint()?;
-        u16::try_from(v).map_err(|_| StoreError::Corrupt("value exceeds u16"))
-    }
-
     /// Reads a length prefix that claims at most one element per
     /// remaining byte — a cheap cap that stops a corrupt count from
     /// driving a huge allocation before the inevitable `Truncated`.

@@ -34,7 +34,7 @@
 use crate::codec::{self, Reader};
 use crate::error::StoreError;
 use mt_core::PipelineResult;
-use mt_flow::{ColumnSlices, DstRowExport, SrcRowExport, TrafficStats, TrafficView};
+use mt_flow::{ColumnSlices, DstBlockStats, HostSet, SrcBlockStats, TrafficStats, TrafficView};
 use mt_types::{Block24, Block24Set, Day, Slot24Index};
 
 /// File magic: "MTSTOR" plus the two-digit major layout generation.
@@ -653,7 +653,7 @@ fn decode_columns(
     Ok(c)
 }
 
-fn encode_dst_section(out: &mut Vec<u8>, rows: &[(u32, DstRowExport)]) {
+fn encode_dst_section(out: &mut Vec<u8>, rows: &[(u32, DstBlockStats)]) {
     let ids: Vec<u32> = rows.iter().map(|&(id, _)| id).collect();
     codec::put_delta_list(out, &ids);
     for (_, row) in rows {
@@ -672,13 +672,13 @@ fn encode_dst_section(out: &mut Vec<u8>, rows: &[(u32, DstRowExport)]) {
         codec::put_varint(out, row.other_packets);
     }
     for (_, row) in rows {
-        put_words(out, &row.received);
+        put_hosts(out, row.received);
     }
     for (_, row) in rows {
-        put_words(out, &row.received_tcp);
+        put_hosts(out, row.received_tcp);
     }
     for (_, row) in rows {
-        put_words(out, &row.received_big_tcp);
+        put_hosts(out, row.received_big_tcp);
     }
     // Sparse size histograms: most /24s see a handful of sizes, many
     // see none; store only rows that have one.
@@ -699,11 +699,11 @@ fn encode_dst_section(out: &mut Vec<u8>, rows: &[(u32, DstRowExport)]) {
     }
 }
 
-fn decode_dst_section(r: &mut Reader<'_>) -> Result<Vec<(u32, DstRowExport)>, StoreError> {
+fn decode_dst_section(r: &mut Reader<'_>) -> Result<Vec<(u32, DstBlockStats)>, StoreError> {
     let ids = r.delta_list()?;
-    let mut rows: Vec<(u32, DstRowExport)> = ids
+    let mut rows: Vec<(u32, DstBlockStats)> = ids
         .into_iter()
-        .map(|id| (id, DstRowExport::default()))
+        .map(|id| (id, DstBlockStats::default()))
         .collect();
     for row in rows.iter_mut() {
         row.1.tcp_packets = r.varint()?;
@@ -721,19 +721,21 @@ fn decode_dst_section(r: &mut Reader<'_>) -> Result<Vec<(u32, DstRowExport)>, St
         row.1.other_packets = r.varint()?;
     }
     for row in rows.iter_mut() {
-        row.1.received = get_words(r)?;
+        row.1.received = get_hosts(r)?;
     }
     for row in rows.iter_mut() {
-        row.1.received_tcp = get_words(r)?;
+        row.1.received_tcp = get_hosts(r)?;
     }
     for row in rows.iter_mut() {
-        row.1.received_big_tcp = get_words(r)?;
+        row.1.received_big_tcp = get_hosts(r)?;
     }
     let with_sizes = r.delta_list()?;
     for i in with_sizes {
         let row = rows
             .get_mut(i as usize)
             .ok_or(StoreError::Corrupt("size histogram for nonexistent row"))?;
+        // The size ids are a strictly ascending delta list, so the
+        // histogram keeps `tcp_sizes`' ascending-by-size invariant.
         let size_ids = r.delta_list()?;
         let mut sizes = Vec::with_capacity(size_ids.len());
         for sid in size_ids {
@@ -745,40 +747,46 @@ fn decode_dst_section(r: &mut Reader<'_>) -> Result<Vec<(u32, DstRowExport)>, St
     Ok(rows)
 }
 
-fn encode_src_section(out: &mut Vec<u8>, rows: &[(u32, SrcRowExport)]) {
+fn encode_src_section(out: &mut Vec<u8>, rows: &[(u32, SrcBlockStats)]) {
     let ids: Vec<u32> = rows.iter().map(|&(id, _)| id).collect();
     codec::put_delta_list(out, &ids);
-    for &(_, row) in rows {
+    for (_, row) in rows {
         codec::put_varint(out, row.packets);
     }
-    for &(_, row) in rows {
-        put_words(out, &row.originating);
+    for (_, row) in rows {
+        put_hosts(out, row.originating);
     }
 }
 
-fn decode_src_section(r: &mut Reader<'_>) -> Result<Vec<(u32, SrcRowExport)>, StoreError> {
+fn decode_src_section(r: &mut Reader<'_>) -> Result<Vec<(u32, SrcBlockStats)>, StoreError> {
     let ids = r.delta_list()?;
-    let mut rows: Vec<(u32, SrcRowExport)> = ids
+    let mut rows: Vec<(u32, SrcBlockStats)> = ids
         .into_iter()
-        .map(|id| (id, SrcRowExport::default()))
+        .map(|id| (id, SrcBlockStats::default()))
         .collect();
     for row in rows.iter_mut() {
         row.1.packets = r.varint()?;
     }
     for row in rows.iter_mut() {
-        row.1.originating = get_words(r)?;
+        row.1.originating = get_hosts(r)?;
     }
     Ok(rows)
 }
 
-fn put_words(out: &mut Vec<u8>, words: &[u64; 4]) {
-    for &w in words {
+/// A host set as its four raw u64 words.
+fn put_hosts(out: &mut Vec<u8>, hosts: HostSet) {
+    for w in hosts.to_words() {
         codec::put_u64(out, w);
     }
 }
 
-fn get_words(r: &mut Reader<'_>) -> Result<[u64; 4], StoreError> {
-    Ok([r.u64()?, r.u64()?, r.u64()?, r.u64()?])
+fn get_hosts(r: &mut Reader<'_>) -> Result<HostSet, StoreError> {
+    Ok(HostSet::from_words([
+        r.u64()?,
+        r.u64()?,
+        r.u64()?,
+        r.u64()?,
+    ]))
 }
 
 #[cfg(test)]

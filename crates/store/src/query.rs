@@ -318,7 +318,6 @@ impl QueryIndex {
                 .ok()
                 .map(|i| &c.ovf_dst[i].1),
         }?;
-        let view = row.as_view();
         let mut sizes: Vec<SizeCount> = row
             .tcp_sizes
             .iter()
@@ -332,7 +331,7 @@ impl QueryIndex {
             udp_packets: row.udp_packets,
             icmp_packets: row.icmp_packets,
             other_packets: row.other_packets,
-            hosts: view.received.len(),
+            hosts: row.received.len(),
             top_sizes: sizes,
         })
     }

@@ -11,7 +11,7 @@
 //! data. The merge gates (fingerprint, threshold, window order) get the
 //! same treatment: typed errors that leave the summary untouched.
 
-use mt_flow::{ColumnSlices, DstRowExport, SrcRowExport};
+use mt_flow::{ColumnSlices, DstBlockStats, HostSet, SrcBlockStats};
 use mt_store::{reseal, ResultsStore, StoreConfig, StoreError, SummaryData, Verdicts, WindowData};
 use mt_types::{Asn, Day, Ipv4, Prefix, PrefixTrie, RibIndex, Slot24Index};
 use proptest::prelude::*;
@@ -28,8 +28,8 @@ fn mix(mut x: u64) -> u64 {
     x ^ (x >> 31)
 }
 
-fn words(seed: u64) -> [u64; 4] {
-    [mix(seed), mix(seed ^ 1), mix(seed ^ 2), mix(seed ^ 3)]
+fn hosts(seed: u64) -> HostSet {
+    HostSet::from_words([mix(seed), mix(seed ^ 1), mix(seed ^ 2), mix(seed ^ 3)])
 }
 
 #[derive(Debug, Clone)]
@@ -151,40 +151,40 @@ fn ascending(picks: &[u32], bound: u32) -> Vec<u32> {
     v
 }
 
-fn dst_row(s: &DstSpec) -> DstRowExport {
+fn dst_row(s: &DstSpec) -> DstBlockStats {
     let mut sizes = s.sizes.clone();
     sizes.sort_unstable_by_key(|&(sz, _)| sz);
     sizes.dedup_by_key(|pair| pair.0);
-    DstRowExport {
+    DstBlockStats {
         tcp_packets: s.counters.0,
         tcp_octets: s.counters.1,
         udp_packets: s.counters.2,
         icmp_packets: s.counters.3,
         other_packets: s.counters.4,
-        received: words(s.wseed),
-        received_tcp: words(s.wseed ^ 0x5555),
-        received_big_tcp: words(s.wseed ^ 0xaaaa),
+        received: hosts(s.wseed),
+        received_tcp: hosts(s.wseed ^ 0x5555),
+        received_big_tcp: hosts(s.wseed ^ 0xaaaa),
         tcp_sizes: sizes,
     }
 }
 
-fn dst_rows(specs: &[DstSpec], bound: u32) -> Vec<(u32, DstRowExport)> {
-    let mut rows: Vec<(u32, DstRowExport)> =
+fn dst_rows(specs: &[DstSpec], bound: u32) -> Vec<(u32, DstBlockStats)> {
+    let mut rows: Vec<(u32, DstBlockStats)> =
         specs.iter().map(|s| (s.id % bound, dst_row(s))).collect();
     rows.sort_unstable_by_key(|&(id, _)| id);
     rows.dedup_by_key(|row| row.0);
     rows
 }
 
-fn src_rows(specs: &[(u32, u64, u64)], bound: u32) -> Vec<(u32, SrcRowExport)> {
-    let mut rows: Vec<(u32, SrcRowExport)> = specs
+fn src_rows(specs: &[(u32, u64, u64)], bound: u32) -> Vec<(u32, SrcBlockStats)> {
+    let mut rows: Vec<(u32, SrcBlockStats)> = specs
         .iter()
         .map(|&(id, packets, wseed)| {
             (
                 id % bound,
-                SrcRowExport {
+                SrcBlockStats {
                     packets,
-                    originating: words(wseed),
+                    originating: hosts(wseed),
                 },
             )
         })
@@ -310,32 +310,32 @@ fn sample_window() -> WindowData {
     columns.dst = vec![
         (
             3,
-            DstRowExport {
+            DstBlockStats {
                 tcp_packets: 10,
                 tcp_octets: 4000,
                 udp_packets: 2,
                 icmp_packets: 1,
                 other_packets: 0,
-                received: [0b1011, 0, 0, 0],
-                received_tcp: [0b0011, 0, 0, 0],
-                received_big_tcp: [0b0001, 0, 0, 0],
+                received: HostSet::from_words([0b1011, 0, 0, 0]),
+                received_tcp: HostSet::from_words([0b0011, 0, 0, 0]),
+                received_big_tcp: HostSet::from_words([0b0001, 0, 0, 0]),
                 tcp_sizes: vec![(40, 8), (1500, 2)],
             },
         ),
-        (7, DstRowExport::default()),
+        (7, DstBlockStats::default()),
     ];
     columns.src = vec![(
         3,
-        SrcRowExport {
+        SrcBlockStats {
             packets: 5,
-            originating: [1, 0, 0, 0],
+            originating: HostSet::from_words([1, 0, 0, 0]),
         },
     )];
     columns.ovf_dst = vec![(
         0x00c0_0002,
-        DstRowExport {
+        DstBlockStats {
             udp_packets: 9,
-            ..DstRowExport::default()
+            ..DstBlockStats::default()
         },
     )];
     columns.total_flows = 17;

@@ -1251,6 +1251,37 @@ mod tests {
     }
 
     #[test]
+    fn a_zero_packet_record_is_counted_not_folded() {
+        // A record that claims zero packets is no traffic: the collector
+        // counts it as a decode error and drops it, so the window is the
+        // batch of the other records. `finish` runs on its own thread
+        // under a deadline, so a worker that dies on the record fails
+        // the test instead of hanging the suite.
+        let cfg = StreamConfig::default();
+        for lanes in LANES {
+            let (svc, mut p) = MultiStreamService::start(cfg.clone(), lanes, |_| rib());
+            let seen = collect_ports(&svc);
+            let mut records = day_records(Day(0));
+            records.insert(20, record(Day(0), 3, 0x1400_0100, 0));
+            for m in messages(&records, &mut 0, 7) {
+                p[lanes - 1].push_chunk("Z", &m);
+            }
+            let (out_tx, out_rx) = mpsc::channel();
+            std::thread::spawn(move || {
+                let _ = out_tx.send(svc.finish(p));
+            });
+            let out = out_rx
+                .recv_timeout(DEADLINE)
+                .unwrap_or_else(|_| panic!("finish did not return at {lanes} lanes"));
+            let what = format!("zero-packet record, {lanes} lanes");
+            assert_eq!(out.health.decoded, 40, "{what}: decoded");
+            assert_eq!(out.health.exporters[0].decode_errors, 1, "{what}: counted");
+            let ports = std::mem::take(&mut *seen.lock().unwrap());
+            assert_matches_batch(&out, &ports, &days(1), &cfg, &what);
+        }
+    }
+
+    #[test]
     fn windows_closed_answers_during_a_close() {
         // A sink blocked on a channel holds day 0's close open under the
         // closer lock; the count answers all the same.

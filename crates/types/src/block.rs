@@ -51,8 +51,7 @@ impl Block24 {
 
     /// The /24 as a [`Prefix`].
     pub fn prefix(self) -> Prefix {
-        // check: allow(no_panic, "base() is the block index shifted left 8 bits, so the 8 host bits are zero")
-        Prefix::new(self.base(), 24).expect("a /24 base has no host bits set")
+        Prefix::containing(self.base(), 24)
     }
 }
 
@@ -245,9 +244,8 @@ impl Block24Set {
         while let Some(first) = iter.next() {
             // Extend the contiguous run.
             let mut last = first;
-            while iter.peek() == Some(&Block24(last.0 + 1)) {
-                // check: allow(no_panic, "the loop guard just peeked Some for this element")
-                last = iter.next().expect("peeked");
+            while let Some(next) = iter.next_if_eq(&Block24(last.0 + 1)) {
+                last = next;
             }
             // Emit aligned power-of-two chunks covering [first, last].
             let mut start = first.0;
@@ -265,11 +263,7 @@ impl Block24Set {
                     size /= 2;
                 }
                 let len = 24 - size.trailing_zeros() as u8;
-                out.push(
-                    Prefix::new(Block24(start).base(), len)
-                        // check: allow(no_panic, "size is a power of two dividing start, so start.base() is aligned to the emitted length")
-                        .expect("aligned chunk has no host bits"),
-                );
+                out.push(Prefix::containing(Block24(start).base(), len));
                 start += size;
                 if start == 0 {
                     break; // wrapped past the end of the space

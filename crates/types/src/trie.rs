@@ -167,11 +167,7 @@ impl<V> PrefixTrie<V> {
     fn walk<'a>(node: &'a Node<V>, acc: u32, depth: u8, out: &mut Vec<(Prefix, &'a V)>) {
         if let Some(v) = node.value.as_ref() {
             let base = if depth == 0 { 0 } else { acc << (32 - depth) };
-            out.push((
-                // check: allow(no_panic, "base is acc shifted left by 32-depth, so bits below the prefix length are zero by construction")
-                Prefix::new(Ipv4(base), depth).expect("trie paths have no host bits"),
-                v,
-            ));
+            out.push((Prefix::containing(Ipv4(base), depth), v));
         }
         for b in 0..2u32 {
             if let Some(child) = node.children[b as usize].as_deref() {

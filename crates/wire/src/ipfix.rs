@@ -189,7 +189,9 @@ pub struct Collector {
     known: std::collections::HashMap<u16, usize>,
     /// Template id → record length, for templates with a foreign layout.
     foreign: std::collections::HashMap<u16, usize>,
-    /// Count of data records skipped because their template was foreign.
+    /// Count of data records skipped: those of a foreign template, and
+    /// those claiming zero packets (a flow record describes at least
+    /// one packet, and the fold divides octets by packets).
     pub skipped_records: u64,
     /// Count of data sets skipped because their template was never seen.
     pub unknown_sets: u64,
@@ -336,7 +338,14 @@ impl Collector {
     fn decode_data_set(&mut self, template_id: u16, mut set: &[u8], out: &mut Vec<IpfixFlow>) {
         if let Some(&len) = self.known.get(&template_id) {
             while set.remaining() >= len {
-                out.push(IpfixFlow::decode(&mut set));
+                let flow = IpfixFlow::decode(&mut set);
+                // A flow record describes at least one packet: one that
+                // claims none has no mean size and is no traffic.
+                if flow.packets == 0 {
+                    self.skipped_records += 1;
+                } else {
+                    out.push(flow);
+                }
             }
         } else if let Some(&len) = self.foreign.get(&template_id) {
             if let Some(skipped) = set.remaining().checked_div(len) {
@@ -381,6 +390,19 @@ mod tests {
         }
         assert_eq!(out, flows);
         assert_eq!(collector.skipped_records, 0);
+    }
+
+    #[test]
+    fn a_zero_packet_record_is_skipped_and_counted() {
+        let mut flows: Vec<IpfixFlow> = (0..4).map(sample_flow).collect();
+        flows[2].packets = 0;
+        let mut collector = Collector::new();
+        let mut out = Vec::new();
+        for m in &encode_messages(&flows, 42, 7, &mut 0, 8) {
+            collector.decode_message(m, &mut out).unwrap();
+        }
+        assert_eq!(out, [flows[0], flows[1], flows[3]]);
+        assert_eq!(collector.skipped_records, 1);
     }
 
     #[test]
