@@ -261,9 +261,7 @@ impl ColumnarStats {
             return;
         };
         let row = self.owned_row(slot);
-        self.total_flows += 1;
-        self.total_packets += r.packets;
-        self.total_octets += r.octets;
+        self.add_totals(1, r.packets, r.octets);
         set_bit(&mut self.d_touched, row);
         match sweep_seed {
             None => self.fold_dst_row(row, std::iter::once(r.dst.host_in_block24()), r),
@@ -280,7 +278,7 @@ impl ColumnarStats {
         };
         let row = self.owned_row(slot);
         set_bit(&mut self.s_touched, row);
-        self.s_packets[row] += r.packets;
+        self.s_packets[row] = self.s_packets[row].saturating_add(r.packets);
         set_host(&mut self.s_originating, row, r.src.host_in_block24());
     }
 
@@ -294,11 +292,11 @@ impl ColumnarStats {
         };
         let row = self.owned_row(slot);
         set_bit(&mut self.d_touched, row);
-        self.d_tcp_packets[row] += d.tcp_packets;
-        self.d_tcp_octets[row] += d.tcp_octets;
-        self.d_udp_packets[row] += d.udp_packets;
-        self.d_icmp_packets[row] += d.icmp_packets;
-        self.d_other_packets[row] += d.other_packets;
+        self.d_tcp_packets[row] = self.d_tcp_packets[row].saturating_add(d.tcp_packets);
+        self.d_tcp_octets[row] = self.d_tcp_octets[row].saturating_add(d.tcp_octets);
+        self.d_udp_packets[row] = self.d_udp_packets[row].saturating_add(d.udp_packets);
+        self.d_icmp_packets[row] = self.d_icmp_packets[row].saturating_add(d.icmp_packets);
+        self.d_other_packets[row] = self.d_other_packets[row].saturating_add(d.other_packets);
         for (col, hosts) in [
             (&mut self.d_received, d.received),
             (&mut self.d_received_tcp, d.received_tcp),
@@ -323,15 +321,15 @@ impl ColumnarStats {
         };
         let row = self.owned_row(slot);
         set_bit(&mut self.s_touched, row);
-        self.s_packets[row] += s.packets;
+        self.s_packets[row] = self.s_packets[row].saturating_add(s.packets);
         or_hosts(&mut self.s_originating, row, s.originating);
     }
 
     /// Adds record totals that arrived without their records.
     pub(crate) fn add_totals(&mut self, flows: u64, packets: u64, octets: u64) {
-        self.total_flows += flows;
-        self.total_packets += packets;
-        self.total_octets += octets;
+        self.total_flows = self.total_flows.saturating_add(flows);
+        self.total_packets = self.total_packets.saturating_add(packets);
+        self.total_octets = self.total_octets.saturating_add(octets);
     }
 
     /// Columnar mirror of `DstBlockStats::fold`: the record's packets
@@ -412,22 +410,22 @@ impl ColumnarStats {
             "merging stats with different host-size thresholds"
         );
         for (a, b) in self.d_tcp_packets.iter_mut().zip(&other.d_tcp_packets) {
-            *a += b;
+            *a = a.saturating_add(*b);
         }
         for (a, b) in self.d_tcp_octets.iter_mut().zip(&other.d_tcp_octets) {
-            *a += b;
+            *a = a.saturating_add(*b);
         }
         for (a, b) in self.d_udp_packets.iter_mut().zip(&other.d_udp_packets) {
-            *a += b;
+            *a = a.saturating_add(*b);
         }
         for (a, b) in self.d_icmp_packets.iter_mut().zip(&other.d_icmp_packets) {
-            *a += b;
+            *a = a.saturating_add(*b);
         }
         for (a, b) in self.d_other_packets.iter_mut().zip(&other.d_other_packets) {
-            *a += b;
+            *a = a.saturating_add(*b);
         }
         for (a, b) in self.s_packets.iter_mut().zip(&other.s_packets) {
-            *a += b;
+            *a = a.saturating_add(*b);
         }
         for (col, other_col) in [
             (&mut self.d_received, &other.d_received),
@@ -448,9 +446,7 @@ impl ColumnarStats {
             }
         }
         self.ovf.merge(&other.ovf);
-        self.total_flows += other.total_flows;
-        self.total_packets += other.total_packets;
-        self.total_octets += other.total_octets;
+        self.add_totals(other.total_flows, other.total_packets, other.total_octets);
     }
 }
 
@@ -504,15 +500,15 @@ impl TrafficView for ColumnarStats {
     }
 
     fn total_flows(&self) -> u64 {
-        self.total_flows + self.ovf.total_flows
+        self.total_flows.saturating_add(self.ovf.total_flows)
     }
 
     fn total_packets(&self) -> u64 {
-        self.total_packets + self.ovf.total_packets
+        self.total_packets.saturating_add(self.ovf.total_packets)
     }
 
     fn total_octets(&self) -> u64 {
-        self.total_octets + self.ovf.total_octets
+        self.total_octets.saturating_add(self.ovf.total_octets)
     }
 }
 

@@ -124,9 +124,9 @@ impl ColumnSlices {
         merge_rows(&mut self.src, &other.src, SrcBlockStats::merge);
         merge_rows(&mut self.ovf_dst, &other.ovf_dst, DstBlockStats::merge);
         merge_rows(&mut self.ovf_src, &other.ovf_src, SrcBlockStats::merge);
-        self.total_flows += other.total_flows;
-        self.total_packets += other.total_packets;
-        self.total_octets += other.total_octets;
+        self.total_flows = self.total_flows.saturating_add(other.total_flows);
+        self.total_packets = self.total_packets.saturating_add(other.total_packets);
+        self.total_octets = self.total_octets.saturating_add(other.total_octets);
     }
 
     /// Total rows across the four lists.

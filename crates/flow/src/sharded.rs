@@ -134,11 +134,7 @@ impl StatsShard {
 
     fn add_totals(&mut self, flows: u64, packets: u64, octets: u64) {
         match self {
-            StatsShard::Map(s) => {
-                s.total_flows += flows;
-                s.total_packets += packets;
-                s.total_octets += octets;
-            }
+            StatsShard::Map(s) => s.add_totals(flows, packets, octets),
             StatsShard::Columnar(c) => c.add_totals(flows, packets, octets),
         }
     }
@@ -447,15 +443,24 @@ impl TrafficView for ShardedTrafficStats {
     }
 
     fn total_flows(&self) -> u64 {
-        self.shards.iter().map(TrafficView::total_flows).sum()
+        self.shards
+            .iter()
+            .map(TrafficView::total_flows)
+            .fold(0, u64::saturating_add)
     }
 
     fn total_packets(&self) -> u64 {
-        self.shards.iter().map(TrafficView::total_packets).sum()
+        self.shards
+            .iter()
+            .map(TrafficView::total_packets)
+            .fold(0, u64::saturating_add)
     }
 
     fn total_octets(&self) -> u64 {
-        self.shards.iter().map(TrafficView::total_octets).sum()
+        self.shards
+            .iter()
+            .map(TrafficView::total_octets)
+            .fold(0, u64::saturating_add)
     }
 }
 
@@ -628,6 +633,65 @@ mod tests {
                 assert_equivalent(&folded, &flat);
                 assert_equivalent(&routed, &flat);
                 assert_eq!(folded.shard_loads(), routed.shard_loads());
+            }
+        }
+    }
+
+    #[test]
+    fn a_huge_packet_count_saturates_instead_of_overflowing() {
+        // An exporter may claim any 64-bit count. Two such records for
+        // one /24 pin every counter they reach at `u64::MAX`, in the
+        // fold and again in a merge, under both backends and any shard
+        // count: saturation, unlike a wrap or a debug-build panic,
+        // leaves serial and sharded folds equal.
+        let huge = 1u64 << 63;
+        let records: Vec<FlowRecord> = [6, 6, 17, 17, 1]
+            .iter()
+            .map(|&proto| FlowRecord {
+                packets: huge,
+                octets: huge,
+                ..flow(0x0900_0001, 0x0a00_0005, proto, 1, 40)
+            })
+            .collect();
+        let flat = TrafficStats::from_records(&records);
+        let dst = flat.dst(Block24::containing(Ipv4(0x0a00_0005))).unwrap();
+        let counts = [
+            dst.tcp_packets,
+            dst.tcp_octets,
+            dst.udp_packets,
+            dst.total_packets(),
+            flat.src(Block24::containing(Ipv4(0x0900_0001)))
+                .unwrap()
+                .packets,
+            flat.total_packets,
+            flat.total_octets,
+        ];
+        assert_eq!(counts, [u64::MAX; 7]);
+        assert_eq!(dst.icmp_packets, huge, "one record: exact");
+        assert_eq!(dst.tcp_size_histogram(), [(1, u64::MAX)]);
+        assert_eq!(dst.as_ref().median_tcp_size(), Some(1));
+        let mut doubled = flat.clone();
+        doubled.merge(&flat);
+        assert_eq!(
+            doubled
+                .dst(Block24::containing(Ipv4(0x0a00_0005)))
+                .unwrap()
+                .icmp_packets,
+            u64::MAX
+        );
+        let threshold = crate::stats::DEFAULT_SIZE_THRESHOLD;
+        for layout in [StatsLayout::Map, sample_layout()] {
+            for shards in [1, 3, 16] {
+                let mut sharded =
+                    ShardedTrafficStats::with_layout(shards, threshold, layout.clone());
+                for r in &records {
+                    sharded.ingest(r);
+                }
+                assert_equivalent(&sharded, &flat);
+                let mut twice = sharded.clone();
+                twice.merge(&sharded);
+                assert_equivalent(&twice, &doubled);
+                assert_equivalent(&twice, &twice.clone().into_unsharded());
             }
         }
     }

@@ -209,7 +209,9 @@ pub struct DstRef<'a> {
 impl<'a> DstRef<'a> {
     /// Sampled packets across all protocols.
     pub fn total_packets(&self) -> u64 {
-        self.tcp_packets + self.udp_packets + self.icmp_packets + self.other_packets
+        [self.udp_packets, self.icmp_packets, self.other_packets]
+            .into_iter()
+            .fold(self.tcp_packets, u64::saturating_add)
     }
 
     /// Average TCP packet size destined to the block.
@@ -224,9 +226,9 @@ impl<'a> DstRef<'a> {
             return None;
         }
         let half = self.tcp_packets.div_ceil(2);
-        let mut seen = 0;
+        let mut seen = 0u64;
         for &(size, count) in self.tcp_sizes {
-            seen += count;
+            seen = seen.saturating_add(count);
             if seen >= half {
                 return Some(size);
             }
@@ -366,11 +368,11 @@ impl DstBlockStats {
     /// columnar ↔ map conversions use in both directions, and the copy
     /// `ColumnSlices::export` makes of each row.
     pub(crate) fn merge_ref(&mut self, other: DstRef<'_>) {
-        self.tcp_packets += other.tcp_packets;
-        self.tcp_octets += other.tcp_octets;
-        self.udp_packets += other.udp_packets;
-        self.icmp_packets += other.icmp_packets;
-        self.other_packets += other.other_packets;
+        self.tcp_packets = self.tcp_packets.saturating_add(other.tcp_packets);
+        self.tcp_octets = self.tcp_octets.saturating_add(other.tcp_octets);
+        self.udp_packets = self.udp_packets.saturating_add(other.udp_packets);
+        self.icmp_packets = self.icmp_packets.saturating_add(other.icmp_packets);
+        self.other_packets = self.other_packets.saturating_add(other.other_packets);
         self.received.union_with(&other.received);
         self.received_tcp.union_with(&other.received_tcp);
         self.received_big_tcp.union_with(&other.received_big_tcp);
@@ -419,13 +421,13 @@ pub(crate) fn add_protocol_counts<'a>(
 ) {
     match IpProtocol::from_u8(r.protocol) {
         Some(IpProtocol::Tcp) => {
-            *tcp_packets += r.packets;
-            *tcp_octets += r.octets;
+            *tcp_packets = tcp_packets.saturating_add(r.packets);
+            *tcp_octets = tcp_octets.saturating_add(r.octets);
             bump_histogram(tcp_sizes(), mean_size(r.packets, r.octets), r.packets);
         }
-        Some(IpProtocol::Udp) => *udp_packets += r.packets,
-        Some(IpProtocol::Icmp) => *icmp_packets += r.packets,
-        None => *other_packets += r.packets,
+        Some(IpProtocol::Udp) => *udp_packets = udp_packets.saturating_add(r.packets),
+        Some(IpProtocol::Icmp) => *icmp_packets = icmp_packets.saturating_add(r.packets),
+        None => *other_packets = other_packets.saturating_add(r.packets),
     }
 }
 
@@ -434,7 +436,7 @@ pub(crate) fn add_protocol_counts<'a>(
 /// this crate goes through.
 pub(crate) fn bump_histogram(sizes: &mut Vec<(u16, u64)>, size: u16, count: u64) {
     match sizes.binary_search_by_key(&size, |&(s, _)| s) {
-        Ok(i) => sizes[i].1 += count,
+        Ok(i) => sizes[i].1 = sizes[i].1.saturating_add(count),
         Err(i) => sizes.insert(i, (size, count)),
     }
 }
@@ -464,7 +466,7 @@ impl SrcBlockStats {
     }
 
     pub(crate) fn ingest(&mut self, host: u8, packets: u64) {
-        self.packets += packets;
+        self.packets = self.packets.saturating_add(packets);
         self.originating.insert(host);
     }
 
@@ -474,7 +476,7 @@ impl SrcBlockStats {
 
     /// Merges a by-value view into this accumulator.
     pub(crate) fn merge_ref(&mut self, other: SrcRef) {
-        self.packets += other.packets;
+        self.packets = self.packets.saturating_add(other.packets);
         self.originating.union_with(&other.originating);
     }
 }
@@ -559,9 +561,7 @@ impl TrafficStats {
     /// halves of one record to the shards owning its dst and src blocks.
     pub(crate) fn ingest_dst_half(&mut self, r: &FlowRecord, sweep_seed: Option<u64>) {
         debug_assert!(r.packets > 0, "flow records carry at least one packet");
-        self.total_flows += 1;
-        self.total_packets += r.packets;
-        self.total_octets += r.octets;
+        self.add_totals(1, r.packets, r.octets);
         let dst = self.per_dst.entry(r.dst.block24_index()).or_default();
         match sweep_seed {
             None => dst.fold(
@@ -580,6 +580,17 @@ impl TrafficStats {
             .entry(r.src.block24_index())
             .or_default()
             .ingest(r.src.host_in_block24(), r.packets);
+    }
+
+    /// Adds record totals. Like every counter in this crate they
+    /// saturate: an exporter's count near 2^64 pins a total at
+    /// `u64::MAX` instead of wrapping it, and a saturating sum of
+    /// unsigned counts is independent of order, so sharded folds still
+    /// equal serial ones.
+    pub(crate) fn add_totals(&mut self, flows: u64, packets: u64, octets: u64) {
+        self.total_flows = self.total_flows.saturating_add(flows);
+        self.total_packets = self.total_packets.saturating_add(packets);
+        self.total_octets = self.total_octets.saturating_add(octets);
     }
 
     /// Stats for traffic destined to `block`.
@@ -620,9 +631,7 @@ impl TrafficStats {
             self.size_threshold, other.size_threshold,
             "merging stats with different host-size thresholds"
         );
-        self.total_flows += other.total_flows;
-        self.total_packets += other.total_packets;
-        self.total_octets += other.total_octets;
+        self.add_totals(other.total_flows, other.total_packets, other.total_octets);
         for (&b, s) in &other.per_dst {
             self.per_dst.entry(b).or_default().merge(s);
         }
@@ -640,9 +649,7 @@ impl TrafficStats {
             self.size_threshold, other.size_threshold,
             "merging stats with different host-size thresholds"
         );
-        self.total_flows += other.total_flows;
-        self.total_packets += other.total_packets;
-        self.total_octets += other.total_octets;
+        self.add_totals(other.total_flows, other.total_packets, other.total_octets);
         if self.per_dst.is_empty() && self.per_src.is_empty() {
             self.per_dst = other.per_dst;
             self.per_src = other.per_src;

@@ -2,7 +2,7 @@
 
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, MutexGuard};
 use std::time::Instant;
 
 /// What kind of metric a registered name is.
@@ -251,15 +251,18 @@ pub struct MetricsRegistry {
 
 impl std::fmt::Debug for MetricsRegistry {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        let n = self
-            .inner
-            .lock() // lock: obs.registry
-            // check: allow(no_panic, "poisoning means a registrant panicked mid-registration; re-raising is the only honest report")
-            .expect("registry lock poisoned")
-            .entries
-            .len();
+        let n = lock(&self.inner).entries.len(); // lock: obs.registry
         write!(f, "MetricsRegistry({n} series)")
     }
+}
+
+/// Takes the registry lock, re-raising any panic that poisoned it: a
+/// registrant that panicked mid-registration may have left the tables
+/// half-updated, and re-raising on the next toucher is the only honest
+/// report. The one place this crate states (and pragmas) that policy.
+fn lock(inner: &Mutex<Inner>) -> MutexGuard<'_, Inner> {
+    // check: allow(no_panic, "poisoning means a registrant panicked mid-registration; re-raising on the next toucher is the policy stated above")
+    inner.lock().expect("registry lock poisoned") // lock: generic
 }
 
 fn assert_valid_name(name: &str) {
@@ -289,8 +292,7 @@ impl MetricsRegistry {
             .iter()
             .map(|(k, v)| ((*k).to_owned(), (*v).to_owned()))
             .collect();
-        // check: allow(no_panic, "poisoning means a registrant panicked mid-registration; re-raising is the only honest report")
-        let mut inner = self.inner.lock().expect("registry lock poisoned"); // lock: obs.registry
+        let mut inner = lock(&self.inner); // lock: obs.registry
         let key = (name.to_owned(), labels.clone());
         if let Some(&i) = inner.index.get(&key) {
             let entry = &inner.entries[i];
@@ -390,8 +392,7 @@ impl MetricsRegistry {
     /// Reads every registered series into a [`Snapshot`], sorted by
     /// `(name, labels)` so exposition output is deterministic.
     pub fn snapshot(&self) -> Snapshot {
-        // check: allow(no_panic, "poisoning means a registrant panicked mid-registration; re-raising is the only honest report")
-        let inner = self.inner.lock().expect("registry lock poisoned"); // lock: obs.registry
+        let inner = lock(&self.inner); // lock: obs.registry
         let mut samples: Vec<Sample> = inner
             .entries
             .iter()

@@ -70,6 +70,10 @@
 //! closes and persists every open window, and returns the quiescent
 //! [`mt_stream::StreamOutput`] whose ledger identities hold exactly.
 //! Only then does `run` return the first loop error, if there was one.
+//! A panic is an error like any other: a loop's, and one that `finish`
+//! re-raises from a failed service (a dead ingest worker, a panicking
+//! close; see [`mt_stream::multi`]), whose windows closed before the
+//! failure stay persisted.
 
 use crate::http;
 use crate::reactor::{Handler, Next, Reactor, Step};
@@ -78,10 +82,12 @@ use mt_obs::{Counter, Histogram};
 use mt_store::{QueryIndex, ResultsStore, StoreConfig, Verdicts, WindowData};
 use mt_stream::{LaneProducer, MultiStreamService, StreamConfig};
 use mt_types::{Asn, Block24, Day, Ipv4, PrefixTrie};
+use std::any::Any;
 use std::io::{self, Read, Write};
 use std::net::{SocketAddr, SocketAddrV4, TcpListener, TcpStream, UdpSocket};
 use std::os::unix::io::{AsRawFd, RawFd};
 use std::os::unix::net::UnixStream;
+use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::str::FromStr;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, PoisonError, RwLock, RwLockReadGuard, RwLockWriteGuard};
@@ -832,7 +838,8 @@ impl<F: Fn(Day) -> PrefixTrie<Asn> + Send + 'static> Daemon<F> {
     /// loop on the calling thread. Whatever ends the first serve phase
     /// ends them all; then every loop drains and is joined, the service
     /// is finished (the open windows close and persist), and only then
-    /// is the first loop error, if any, returned.
+    /// is the first loop error, if any, returned. A panic in a loop or
+    /// in the service's `finish` is returned as the run's error.
     pub fn run(mut self) -> io::Result<ServeOutput> {
         let result = std::thread::scope(|s| {
             let mut threads = Vec::with_capacity(self.loops.len());
@@ -843,18 +850,26 @@ impl<F: Fn(Day) -> PrefixTrie<Asn> + Send + 'static> Daemon<F> {
                 // A loop that never started has left its serve phase.
                 threads.push(spawned.inspect_err(|_| self.shutdown.shutdown()));
             }
-            let control = serve_then_drain(&mut self.control, &self.shutdown);
+            let control = catch_unwind(AssertUnwindSafe(|| {
+                serve_then_drain(&mut self.control, &self.shutdown)
+            }));
             // Every loop is joined; the first error is kept.
-            let panicked = |_| Err(io::Error::other("ingest loop panicked"));
             threads
                 .into_iter()
-                .map(|t| t.and_then(|h| h.join().unwrap_or_else(panicked)))
-                .fold(control, Result::and)
+                .map(|t| t.and_then(|h| h.join().unwrap_or_else(panicked("ingest loop"))))
+                .fold(
+                    control.unwrap_or_else(panicked("control loop")),
+                    Result::and,
+                )
         });
         let event_loops = self.loops.len();
         let lanes = self.loops.into_iter().map(|l| l.handler.lane).collect();
         let http = self.control.handler;
-        let out = ServeOutput {
+        // A failed service re-raises its panic here (mt-stream's rule),
+        // after the windows it closed before the failure were persisted.
+        let finished = catch_unwind(AssertUnwindSafe(|| http.service.finish(lanes)));
+        let stream = result.and(finished.or_else(panicked("stream service")))?;
+        Ok(ServeOutput {
             datagrams: self.datagrams.get(),
             datagrams_rejected: self.datagrams_rejected.get(),
             tcp_connections: self.tcp_conns.get(),
@@ -863,10 +878,14 @@ impl<F: Fn(Day) -> PrefixTrie<Asn> + Send + 'static> Daemon<F> {
                 + http.http_store.get()
                 + http.http_other.get(),
             event_loops,
-            stream: http.service.finish(lanes),
-        };
-        result.map(|()| out)
+            stream,
+        })
     }
+}
+
+/// Turns a caught panic of `what` into the run's error.
+fn panicked<T>(what: &str) -> impl Fn(Box<dyn Any + Send>) -> io::Result<T> + '_ {
+    move |_| Err(io::Error::other(format!("{what} panicked")))
 }
 
 #[cfg(test)]
@@ -1038,33 +1057,62 @@ mod tests {
 
     #[test]
     fn a_failed_control_loop_stops_the_ingest_loops() {
-        let (mut daemon, dir) = store_daemon("controlfail", 2);
+        for (how, want) in [
+            (Failure::Err, "injected loop failure"),
+            (Failure::Panic, "control loop panicked"),
+        ] {
+            let (mut daemon, dir) = store_daemon(&format!("controlfail-{how:?}"), 2);
+            let tcp = daemon.tcp_addr().expect("tcp on");
+            let http = daemon.http_addr().expect("http on");
+            let armed = Arc::new(AtomicBool::new(false));
+            daemon.control.fault = serve_fault(&armed, how);
+            let ran = run_in_background(daemon);
+
+            ingest_day_zero(tcp, http);
+            // ordering: Release pairs with the fault's Acquire swap.
+            armed.store(true, Ordering::Release);
+            // The request wakes the control loop into its failing sweep;
+            // whether it is still answered does not matter here.
+            let _ = http_get(http, "/health");
+
+            let err = ran
+                .recv_timeout(Duration::from_secs(30))
+                .unwrap_or_else(|e| panic!("{how:?}: run did not return: {e}"))
+                .expect_err("the control loop's failure is the run's error");
+            assert_eq!(err.to_string(), want, "{how:?}");
+            assert!(
+                TcpStream::connect(tcp).is_err(),
+                "{how:?}: no ingest loop is left listening"
+            );
+            assert!(
+                dir.join("window-00000.mtw").exists(),
+                "{how:?}: the open day was persisted"
+            );
+            std::fs::remove_dir_all(&dir).ok();
+        }
+    }
+
+    /// A window sink that panics fails the close `finish` runs at
+    /// shutdown, under `stream.closer`: `run` returns the panic as its
+    /// error instead of unwinding.
+    #[test]
+    fn a_panicking_close_ends_run_with_an_error() {
+        let (daemon, dir) = store_daemon("closepanic", 1);
         let tcp = daemon.tcp_addr().expect("tcp on");
         let http = daemon.http_addr().expect("http on");
-        let armed = Arc::new(AtomicBool::new(false));
-        daemon.control.fault = serve_fault(&armed, Failure::Err);
+        let handle = daemon.shutdown_handle().expect("handle");
+        daemon
+            .service()
+            .set_window_sink(Box::new(|_| panic!("injected sink panic")));
         let ran = run_in_background(daemon);
 
         ingest_day_zero(tcp, http);
-        // ordering: Release pairs with the fault's Acquire swap.
-        armed.store(true, Ordering::Release);
-        // The request wakes the control loop into its failing sweep;
-        // whether it is still answered does not matter here.
-        let _ = http_get(http, "/health");
-
+        handle.shutdown();
         let err = ran
             .recv_timeout(Duration::from_secs(30))
-            .expect("run ended")
-            .expect_err("the control loop's failure is the run's error");
-        assert_eq!(err.to_string(), "injected loop failure");
-        assert!(
-            TcpStream::connect(tcp).is_err(),
-            "no ingest loop is left listening"
-        );
-        assert!(
-            dir.join("window-00000.mtw").exists(),
-            "the open day was persisted"
-        );
+            .unwrap_or_else(|e| panic!("run did not return: {e}"))
+            .expect_err("the failed close is the run's error");
+        assert_eq!(err.to_string(), "stream service panicked");
         std::fs::remove_dir_all(&dir).ok();
     }
 

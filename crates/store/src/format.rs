@@ -611,7 +611,7 @@ fn merge_first_dark(seen: &mut Vec<(u32, u32)>, dark: &[u32], day: u32) {
 fn merge_ports(into: &mut Vec<(u16, u64)>, from: &[(u16, u64)]) {
     for &(port, count) in from {
         match into.binary_search_by_key(&port, |&(p, _)| p) {
-            Ok(i) => into[i].1 += count,
+            Ok(i) => into[i].1 = into[i].1.saturating_add(count),
             Err(i) => into.insert(i, (port, count)),
         }
     }

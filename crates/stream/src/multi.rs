@@ -75,6 +75,19 @@
 //! batch pipeline at lanes ∈ {1, 2, 4}, `tests/streaming_equivalence.rs`
 //! over seven days of netmodel traffic, and `tests/serve_equivalence.rs`
 //! through real sockets at loops ∈ {1, 2, 4}.
+//!
+//! # When a thread fails
+//!
+//! A panic fails the run; it never hangs it. The rule is the crate's
+//! poisoning policy (`sync.rs`): a panic re-raises on whoever touches
+//! the poisoned lock next. A lane or closer that panics poisons the
+//! locks it holds. A worker that panics would hold nothing the closer
+//! waits on, so it is made to: it takes the days lock, closes the queue,
+//! wakes the barrier and resumes its unwind holding the lock. From then
+//! on the barrier, `finish` and each lane's next push re-raise. Windows
+//! closed before the failure stay closed (and persisted, under a sink
+//! that persists); the torn day, whose shards are half-folded, never
+//! reaches the scheduler.
 
 use crate::batch::BatchPool;
 use crate::collector::StreamCollector;
@@ -92,7 +105,8 @@ use mt_obs::{Counter, Gauge, Histogram, MetricsRegistry, DEFAULT_TIME_BUCKETS};
 use mt_types::{Asn, Block24, Day, FxHashMap, PrefixTrie};
 use mt_wire::ipfix::IpfixFlow;
 use std::collections::BTreeMap;
-use std::sync::{Arc, Condvar, Mutex, MutexGuard};
+use std::panic;
+use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
 use std::thread::JoinHandle;
 
 /// One unit of ingest work, tagged with the producer lane whose
@@ -152,7 +166,8 @@ struct GateState {
     exporters: BTreeMap<String, GateExporter>,
     /// Records shed by queue backpressure (`DropNewest` only).
     dropped_backpressure: u64,
-    /// Records lost to a queue closed mid-push (shutdown races).
+    /// Records lost to a queue closed mid-push: a shutdown race, or a
+    /// dead worker, which closes the queue (module docs).
     rejected_closed: u64,
 }
 
@@ -273,7 +288,19 @@ impl<F: Fn(Day) -> PrefixTrie<Asn>> MultiStreamService<F> {
         let handles = (0..cfg.ingest_threads)
             .map(|i| {
                 let shared = Arc::clone(&shared);
-                std::thread::spawn(move || ingest_worker(&shared, i))
+                std::thread::spawn(move || {
+                    let Err(panic) = panic::catch_unwind(|| ingest_worker(&shared, i)) else {
+                        return;
+                    };
+                    // A dead worker fails the run (module docs): it dies
+                    // holding the days lock, taken past any earlier
+                    // poisoning, so the lock re-raises its panic.
+                    // lock: stream.days
+                    let _days = shared.days.lock().unwrap_or_else(PoisonError::into_inner);
+                    shared.queue.close();
+                    shared.drained.notify_all();
+                    panic::resume_unwind(panic)
+                })
             })
             .collect();
         let scheduler = WindowScheduler::new(
@@ -523,8 +550,11 @@ impl<F> Drop for MultiStreamService<F> {
     fn drop(&mut self) {
         self.shared.queue.close();
         for h in self.handles.drain(..) {
-            // A worker's panic was reported on its own thread; a drop
-            // must not raise a second one.
+            // A dead worker's panic already failed the run through the
+            // poisoned days lock (module docs), and a drop, often on
+            // that very unwind, must not raise it again. Live workers
+            // exit on the closed queue or re-raise and exit, so every
+            // join returns.
             let _ = h.join();
         }
     }
@@ -609,7 +639,8 @@ impl<F: Fn(Day) -> PrefixTrie<Asn>> LaneProducer<F> {
         self.decode_buf = decoded;
         for (day, records) in by_day {
             for r in &records {
-                *self.port_scratch.entry(r.dst_port).or_default() += r.packets;
+                let tally = self.port_scratch.entry(r.dst_port).or_default();
+                *tally = tally.saturating_add(r.packets);
             }
             let n = records.len() as u64;
             let outcome = self.shared.queue.push_lane(
@@ -735,7 +766,8 @@ fn ingest_worker(shared: &LaneShared, index: usize) {
             let mut days = crate::sync::lock(&shared.days); // lock: stream.days
             let open = days.entry(batch.day).or_insert_with(OpenDay::new);
             for &(port, packets) in &batch.ports {
-                *open.ports.entry(port).or_default() += packets;
+                let tally = open.ports.entry(port).or_default();
+                *tally = tally.saturating_add(packets);
             }
             Arc::clone(&open.shards)
         };
@@ -755,6 +787,8 @@ fn ingest_worker(shared: &LaneShared, index: usize) {
                 shard.ingest_src_half(&batch.records[i]);
             }
         }
+        #[cfg(test)]
+        tests::fault(&batch.records);
         // Dropped before `processed` moves, so a passed barrier leaves
         // the closer the day's only handle (module docs).
         drop(shards);
@@ -779,6 +813,7 @@ mod tests {
     use mt_core::PipelineEngine;
     use mt_types::{Ipv4, Prefix, SimDuration};
     use mt_wire::ipfix;
+    use std::panic::AssertUnwindSafe;
     use std::sync::mpsc;
     use std::time::Duration;
 
@@ -1278,6 +1313,133 @@ mod tests {
             assert_eq!(out.health.exporters[0].decode_errors, 1, "{what}: counted");
             let ports = std::mem::take(&mut *seen.lock().unwrap());
             assert_matches_batch(&out, &ports, &days(1), &cfg, &what);
+        }
+    }
+
+    /// Records from this source port make the worker that folds them
+    /// panic: the hook in [`ingest_worker`] fires after a batch's fold,
+    /// before the batch counts as processed.
+    const FAULT_PORT: u16 = 0xFA17;
+
+    pub(super) fn fault(records: &[FlowRecord]) {
+        if records.iter().any(|r| r.src_port == FAULT_PORT) {
+            panic!("injected worker fault");
+        }
+    }
+
+    /// What is waiting on the worker when it dies.
+    #[derive(Clone, Copy, Debug, PartialEq)]
+    enum Waiter {
+        /// A lane closing day 1, at the close barrier.
+        Close,
+        /// A lane pushing into its full one-batch quota.
+        FullQueue,
+    }
+
+    /// Runs `f` on `keep` on its own thread; the receiver yields `keep`
+    /// back with whether `f` panicked.
+    fn spawn_catching<K: Send + 'static>(
+        mut keep: K,
+        f: impl FnOnce(&mut K) + Send + 'static,
+    ) -> mpsc::Receiver<(K, bool)> {
+        let (tx, rx) = mpsc::channel();
+        std::thread::spawn(move || {
+            let raised = std::panic::catch_unwind(AssertUnwindSafe(|| f(&mut keep))).is_err();
+            let _ = tx.send((keep, raised));
+        });
+        rx
+    }
+
+    /// Whether the thread behind `rx` panicked; fails instead of
+    /// hanging if it has not returned within [`DEADLINE`].
+    fn raised_in_time<K>(rx: &mpsc::Receiver<(K, bool)>, what: &str) -> (K, bool) {
+        rx.recv_timeout(DEADLINE)
+            .unwrap_or_else(|_| panic!("{what} did not return"))
+    }
+
+    #[test]
+    fn a_panicking_worker_fails_the_close_instead_of_hanging() {
+        // One worker, a one-batch quota per lane. Day 0 closes cleanly;
+        // then a test-held shard lock stalls the worker on a day-1 batch
+        // that carries the fault, while a lane waits on the worker: in
+        // the close of day 1, or pushing into its full quota. Released,
+        // the worker panics, and the waiter, `finish` and a drop of the
+        // service each return within the deadline.
+        let (shard, days) = one_shard_days(3);
+        let cfg = StreamConfig {
+            ingest_threads: 1,
+            queue_capacity: 1,
+            ..hour_late(1)
+        };
+        for lanes in LANES {
+            for waiter in [Waiter::Close, Waiter::FullQueue] {
+                let what = format!("{waiter:?} at {lanes} lanes");
+                let (svc, mut p) = MultiStreamService::start(cfg.clone(), lanes, |_| rib());
+                let seen = collect_ports(&svc);
+                let mut seq = 0;
+                feed_days(&mut p, &days[..2], &mut seq, Transport::Datagrams(40));
+                assert_eq!(svc.windows_closed(), 1, "{what}: day 0 closed");
+                wait_for("day 1 folded", || svc.health().in_flight == 0);
+
+                let held = Arc::clone(&svc.shared.days.lock().unwrap()[&Day(1)].shards);
+                let guard = held[shard].lock().unwrap();
+                let misses = svc.shared.shard_contended.get();
+                let faulty = FlowRecord {
+                    src_port: FAULT_PORT,
+                    ..days[1][0]
+                };
+                assert!(p[0].push_datagram("CE0", &messages(&[faulty], &mut seq, 1)[0]));
+                wait_for("the worker to stall on the held shard", || {
+                    svc.shared.shard_contended.get() > misses
+                });
+                let decoded = svc.health().decoded;
+                let waiting = match waiter {
+                    // Day 2 moves the watermark past day 1's end.
+                    Waiter::Close => {
+                        let day2 = messages(&days[2][..40], &mut seq, 40).remove(0);
+                        let waiting = spawn_catching(p, move |p| {
+                            p.last_mut().unwrap().push_datagram("CE9", &day2);
+                        });
+                        wait_for("the close to start", || svc.closer.try_lock().is_err());
+                        waiting
+                    }
+                    Waiter::FullQueue => {
+                        let more = messages(&days[1][..80], &mut seq, 40);
+                        let waiting = spawn_catching(p, move |p| {
+                            for m in &more {
+                                p[0].push_datagram("CE0", m);
+                            }
+                        });
+                        wait_for("both batches gated", || {
+                            svc.health().decoded == decoded + 80
+                        });
+                        waiting
+                    }
+                };
+                drop(guard);
+                drop(held);
+                let (p, raised) = raised_in_time(&waiting, &format!("{what}: the waiter"));
+                assert!(raised, "{what}: the waiter re-raises");
+
+                let raised = if waiter == Waiter::Close {
+                    let finishing = spawn_catching(Some((svc, p)), |k| {
+                        let (svc, p) = k.take().unwrap();
+                        svc.finish(p);
+                    });
+                    raised_in_time(&finishing, &format!("{what}: finish")).1
+                } else {
+                    drop(p);
+                    let dropping = spawn_catching(Some(svc), |k| drop(k.take()));
+                    !raised_in_time(&dropping, &format!("{what}: the drop")).1
+                };
+                assert!(raised, "{what}: finish re-raises, a drop returns quietly");
+                let closed: Vec<Day> = seen.lock().unwrap().iter().map(|w| w.0).collect();
+                assert_eq!(
+                    closed,
+                    [Day(0)],
+                    "{what}: the torn day never reaches the sink"
+                );
+            }
         }
     }
 

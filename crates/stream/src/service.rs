@@ -95,7 +95,9 @@ pub struct HealthSnapshot {
     pub dropped_late: u64,
     /// Records shed by queue backpressure (`DropNewest` only).
     pub dropped_backpressure: u64,
-    /// Records rejected because the queue was closed (shutdown races).
+    /// Records rejected because the queue was closed: a push racing
+    /// shutdown, or one after an ingest worker died (a dead worker
+    /// closes the queue; see [`crate::multi`]).
     pub rejected_closed: u64,
     /// Records folded into window accumulators by the ingest workers.
     pub ingested: u64,

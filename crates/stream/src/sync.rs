@@ -8,6 +8,15 @@
 //! the lock next rather than limp on with `into_inner`. These helpers
 //! state (and pragma) that decision once instead of at each of the
 //! crate's lock sites.
+//!
+//! The rule also covers a worker's own death, wherever it panics. Each
+//! ingest worker runs under `catch_unwind`. On a panic it takes the days
+//! lock (past any earlier poisoning), closes the queue so no lane stays
+//! parked on a full quota, wakes the close barrier, and resumes the
+//! unwind still holding the lock, which poisons it. A waiter woken by
+//! the close or the wake-up can only get the lock back poisoned, so the
+//! barrier, a close, `finish`, and every lane's next push re-raise the
+//! panic instead of waiting for records no worker will fold.
 
 use std::sync::{Condvar, Mutex, MutexGuard};
 
