@@ -253,7 +253,9 @@ impl StoreRuntime {
     /// Brings up the persistence sink and the query cache: cold-loads
     /// whatever earlier runs persisted, resumes the service's
     /// combination from it, then persists every window the scheduler
-    /// closes from here on.
+    /// closes from here on. A window file that fails validation is
+    /// moved to the store's `quarantine/` and counted, and its day
+    /// answers as never persisted; a bad summary fails the start.
     fn open<F: Fn(Day) -> PrefixTrie<Asn>>(
         cfg: StoreConfig,
         service: &MultiStreamService<F>,
@@ -263,7 +265,15 @@ impl StoreRuntime {
         let reg = service.registry();
         let slots = Arc::clone(&cfg.slots);
         let results = ResultsStore::open(cfg).map_err(to_io)?;
-        let (index, _cold) = QueryIndex::cold_load(&results).map_err(to_io)?;
+        let (index, _cold) = QueryIndex::cold_load_with(&results, |_, invalid| {
+            reg.counter_with(
+                "mt_store_quarantined_total",
+                &[("reason", invalid.reason())],
+                "Window files that failed validation at start and were moved to quarantine/.",
+            )
+            .inc();
+        })
+        .map_err(to_io)?;
         // The combination continues from the persisted summary, so the
         // next close's combined verdicts cover the whole history.
         let summary = index.summary();
@@ -536,7 +546,12 @@ impl<F: Fn(Day) -> PrefixTrie<Asn>> Http<F> {
                 self.http_health.inc();
                 let health = self.service.health();
                 let body = serde_json::to_string(&health).unwrap_or_else(|_| "{}".to_owned());
-                http::response("200 OK", "application/json", body.as_bytes())
+                let status = if health.failed {
+                    "503 Service Unavailable"
+                } else {
+                    "200 OK"
+                };
+                http::response(status, "application/json", body.as_bytes())
             }
             "/metrics" => {
                 self.http_metrics.inc();

@@ -535,6 +535,78 @@ fn store_endpoints_serve_persisted_windows_across_a_restart() {
     std::fs::remove_dir_all(&reference).ok();
 }
 
+/// Cold-loads the store in `dir` and answers a GET for each path:
+/// `(status line, body)`.
+fn get_all(dir: &Path, paths: &[String]) -> Vec<(String, String)> {
+    let mut cfg = serve_config(SimDuration::days(10));
+    cfg.store = Some(StoreConfig {
+        dir: dir.to_path_buf(),
+        slots: default_slots(),
+    });
+    let daemon = Daemon::bind(cfg, |_| replay::default_rib()).expect("bind");
+    let http = daemon.http_addr().expect("http on");
+    let handle = daemon.shutdown_handle().expect("handle");
+    let runner = std::thread::spawn(move || daemon.run());
+    let answers = paths
+        .iter()
+        .map(|path| http_get(http, path).expect("get"))
+        .collect();
+    handle.shutdown();
+    runner.join().expect("join").expect("run");
+    answers
+}
+
+#[test]
+fn a_corrupt_window_file_is_quarantined_not_fatal() {
+    let dir = temp_store_dir("quarantine");
+    let w = Workload {
+        exporters: 2,
+        days: 3,
+        flows_per_exporter_day: 300,
+        seed: 0x0bad,
+    };
+    ingest_into_store(&dir, &streams(&w, 0..w.days), w.total_flows());
+    let ranges: Vec<String> = (0..w.days)
+        .map(|d| format!("/v1/windows/{d}/verdicts"))
+        .collect();
+    let before = get_all(&dir, &ranges);
+    assert!(before
+        .iter()
+        .all(|(status, _)| status.starts_with("HTTP/1.1 200")));
+
+    // One flipped payload byte in day 1's file: its checksum fails.
+    let bad = dir.join("window-00001.mtw");
+    let mut bytes = std::fs::read(&bad).expect("read window");
+    let at = 64 + bytes.len() / 3;
+    bytes[at] ^= 0x10;
+    std::fs::write(&bad, &bytes).expect("corrupt window");
+
+    let mut paths = ranges.clone();
+    paths.push("/metrics".to_owned());
+    let after = get_all(&dir, &paths);
+    assert!(
+        after[1].0.starts_with("HTTP/1.1 404"),
+        "the quarantined day is unknown: {}",
+        after[1].0
+    );
+    for d in [0, 2] {
+        assert_eq!(after[d], before[d], "day {d} answers as before");
+    }
+    assert!(
+        after[3]
+            .1
+            .contains("mt_store_quarantined_total{reason=\"checksum\"} 1"),
+        "counted once, by reason"
+    );
+    assert!(!bad.exists(), "moved out of the store");
+    assert_eq!(
+        std::fs::read(dir.join("quarantine").join("window-00001.mtw")).expect("quarantined"),
+        bytes,
+        "kept as found"
+    );
+    std::fs::remove_dir_all(&dir).ok();
+}
+
 #[test]
 fn shutdown_races_with_inflight_sends_and_still_balances() {
     // Trigger shutdown immediately after the last send returns, with no

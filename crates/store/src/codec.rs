@@ -33,13 +33,57 @@ pub fn put_varint(out: &mut Vec<u8>, mut v: u64) {
     }
 }
 
-/// Appends a strictly-ascending u32 list as count + first + deltas,
-/// all varint. Deltas between consecutive ids are `id[i] - id[i-1]`,
-/// which for dense slot lists makes most entries one byte.
-pub fn put_delta_list(out: &mut Vec<u8>, ids: &[u32]) {
-    put_varint(out, ids.len() as u64);
+/// Bytes [`put_varint`] writes for `v`.
+fn varint_len(v: u64) -> usize {
+    (64 - (v | 1).leading_zeros() as usize).div_ceil(7)
+}
+
+/// Appends `N` varint columns, one value per row in each: the same
+/// bytes as `N` passes of [`put_varint`], column after column, but
+/// made in two passes over `rows` whatever `N` is. The first sizes
+/// each column, the second writes every column at its own offset, so
+/// wide rows are read twice rather than once per column.
+pub fn put_varint_columns<T, const N: usize>(
+    out: &mut Vec<u8>,
+    rows: &[T],
+    fields: impl Fn(&T) -> [u64; N],
+) {
+    let mut lens = [0usize; N];
+    for row in rows {
+        for (len, v) in lens.iter_mut().zip(fields(row)) {
+            *len += varint_len(v);
+        }
+    }
+    let mut at = [0usize; N];
+    let mut end = out.len();
+    for (at, len) in at.iter_mut().zip(lens) {
+        *at = end;
+        end += len;
+    }
+    out.resize(end, 0);
+    for row in rows {
+        for (at, mut v) in at.iter_mut().zip(fields(row)) {
+            while v >= 0x80 {
+                out[*at] = (v as u8) | 0x80;
+                v >>= 7;
+                *at += 1;
+            }
+            out[*at] = v as u8;
+            *at += 1;
+        }
+    }
+}
+
+/// Appends a strictly-ascending list of `len` u32 ids as the count,
+/// the first id and the deltas, all varint. Deltas between consecutive
+/// ids are `id[i] - id[i-1]`, which for dense slot lists makes most
+/// entries one byte. Taking the ids as an iterator lets a caller write
+/// a column of its rows' keys without first collecting them; `len`
+/// must be the iterator's length.
+pub fn put_delta_iter(out: &mut Vec<u8>, len: usize, ids: impl IntoIterator<Item = u32>) {
+    put_varint(out, len as u64);
     let mut prev = 0u32;
-    for (i, &id) in ids.iter().enumerate() {
+    for (i, id) in ids.into_iter().enumerate() {
         let delta = if i == 0 { id } else { id - prev };
         put_varint(out, u64::from(delta));
         prev = id;
@@ -156,10 +200,24 @@ impl<'a> Reader<'a> {
     }
 
     /// Reads a strictly-ascending delta-coded u32 list written by
-    /// [`put_delta_list`].
+    /// [`put_delta_iter`].
     pub fn delta_list(&mut self) -> Result<Vec<u32>, StoreError> {
+        let mut out = Vec::new();
+        self.delta_list_into(&mut out, Ok)?;
+        Ok(out)
+    }
+
+    /// Reads a delta-coded list like [`delta_list`](Self::delta_list),
+    /// appending `map(id)` to `out` for each id instead of collecting
+    /// the ids first: a decoder fills its rows straight from the bytes.
+    /// `map` may reject an id with its own error.
+    pub fn delta_list_into<T>(
+        &mut self,
+        out: &mut Vec<T>,
+        mut map: impl FnMut(u32) -> Result<T, StoreError>,
+    ) -> Result<(), StoreError> {
         let n = self.bounded_len()?;
-        let mut out = Vec::with_capacity(n);
+        out.reserve(n);
         let mut prev = 0u32;
         for i in 0..n {
             let delta = self.varint_u32()?;
@@ -172,10 +230,10 @@ impl<'a> Reader<'a> {
                 prev.checked_add(delta)
                     .ok_or(StoreError::Corrupt("delta list overflows u32"))?
             };
-            out.push(id);
+            out.push(map(id)?);
             prev = id;
         }
-        Ok(out)
+        Ok(())
     }
 }
 
@@ -191,6 +249,27 @@ mod tests {
             let mut r = Reader::new(&buf);
             assert_eq!(r.varint().unwrap(), v);
             assert!(r.is_empty());
+        }
+    }
+
+    #[test]
+    fn varint_columns_equal_one_pass_per_column() {
+        let rows: Vec<[u64; 3]> = (0..200u64)
+            .map(|i| [i, i << 20, u64::MAX >> (i % 64)])
+            .collect();
+        let mut by_column = vec![9];
+        for k in 0..3 {
+            for row in &rows {
+                put_varint(&mut by_column, row[k]);
+            }
+        }
+        let mut at_once = vec![9];
+        put_varint_columns(&mut at_once, &rows, |row| *row);
+        assert_eq!(at_once, by_column);
+        for v in [0, 127, 128, 1 << 35, u64::MAX] {
+            let mut buf = Vec::new();
+            put_varint(&mut buf, v);
+            assert_eq!(varint_len(v), buf.len(), "{v}");
         }
     }
 
@@ -214,7 +293,7 @@ mod tests {
     fn delta_list_round_trips() {
         for ids in [vec![], vec![0], vec![5], vec![0, 1, 2, 900, u32::MAX]] {
             let mut buf = Vec::new();
-            put_delta_list(&mut buf, &ids);
+            put_delta_iter(&mut buf, ids.len(), ids.iter().copied());
             assert_eq!(Reader::new(&buf).delta_list().unwrap(), ids);
         }
     }
@@ -222,7 +301,7 @@ mod tests {
     #[test]
     fn delta_list_rejects_repeats_and_mad_counts() {
         let mut buf = Vec::new();
-        put_delta_list(&mut buf, &[3, 3]);
+        put_delta_iter(&mut buf, 2, [3, 3]);
         // Encoding a repeat produces delta 0, which decode rejects.
         assert!(matches!(
             Reader::new(&buf).delta_list(),

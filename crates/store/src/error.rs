@@ -69,6 +69,25 @@ pub enum StoreError {
     },
 }
 
+impl StoreError {
+    /// A short, stable label for the failure's kind — the `reason` of
+    /// `mt_store_quarantined_total`.
+    pub fn reason(&self) -> &'static str {
+        match self {
+            StoreError::Io(_) => "io",
+            StoreError::BadMagic => "bad_magic",
+            StoreError::UnsupportedVersion { .. } => "version",
+            StoreError::WrongKind { .. } => "kind",
+            StoreError::Truncated { .. } => "truncated",
+            StoreError::ChecksumMismatch { .. } => "checksum",
+            StoreError::Corrupt(_) => "corrupt",
+            StoreError::FingerprintMismatch { .. } => "fingerprint",
+            StoreError::ThresholdMismatch { .. } => "threshold",
+            StoreError::WindowOrder { .. } => "order",
+        }
+    }
+}
+
 impl fmt::Display for StoreError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {

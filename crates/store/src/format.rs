@@ -107,12 +107,16 @@ impl Verdicts {
     }
 
     fn encode(&self, out: &mut Vec<u8>) {
-        codec::put_delta_list(out, &self.dark_slots);
-        codec::put_delta_list(out, &self.unclean_slots);
-        codec::put_delta_list(out, &self.gray_slots);
-        codec::put_delta_list(out, &self.dark_blocks);
-        codec::put_delta_list(out, &self.unclean_blocks);
-        codec::put_delta_list(out, &self.gray_blocks);
+        for ids in [
+            &self.dark_slots,
+            &self.unclean_slots,
+            &self.gray_slots,
+            &self.dark_blocks,
+            &self.unclean_blocks,
+            &self.gray_blocks,
+        ] {
+            codec::put_delta_iter(out, ids.len(), ids.iter().copied());
+        }
     }
 
     fn decode(r: &mut Reader<'_>) -> Result<Verdicts, StoreError> {
@@ -204,11 +208,20 @@ impl WindowData {
 
     /// Serialises the window: header plus payload, checksummed.
     pub fn encode(&self) -> Vec<u8> {
-        let mut out = with_header_room(64 + 64 * self.columns.rows());
-        codec::put_varint(&mut out, self.records);
-        encode_columns(&mut out, &self.columns);
-        self.verdicts.encode(&mut out);
-        encode_ports(&mut out, &self.ports);
+        let mut out = Vec::new();
+        self.encode_into(&mut out);
+        out
+    }
+
+    /// Serialises the window into `out`, replacing what it held: a
+    /// caller that keeps one buffer across closes reuses its memory
+    /// instead of first-touching a fresh one per file.
+    pub fn encode_into(&self, out: &mut Vec<u8>) {
+        header_room(out, &self.columns);
+        codec::put_varint(out, self.records);
+        encode_columns(out, &self.columns);
+        self.verdicts.encode(out);
+        encode_ports(out, &self.ports);
         seal(
             out,
             KIND_WINDOW,
@@ -217,7 +230,7 @@ impl WindowData {
             self.fingerprint,
             self.num_slots,
             self.columns.size_threshold,
-        )
+        );
     }
 
     /// Decodes and fully validates a window file.
@@ -365,15 +378,23 @@ impl SummaryData {
 
     /// Serialises the summary: header plus payload, checksummed.
     pub fn encode(&self) -> Vec<u8> {
-        let mut out = with_header_room(64 + 64 * self.columns.rows());
-        codec::put_varint(&mut out, u64::from(self.windows));
-        codec::put_varint(&mut out, self.records);
-        codec::put_u32(&mut out, self.last_day.map_or(0, |d| d.0));
-        encode_columns(&mut out, &self.columns);
-        self.verdicts.encode(&mut out);
-        encode_dated_list(&mut out, &self.first_dark_slots);
-        encode_dated_list(&mut out, &self.first_dark_blocks);
-        encode_ports(&mut out, &self.ports);
+        let mut out = Vec::new();
+        self.encode_into(&mut out);
+        out
+    }
+
+    /// Serialises the summary into `out`, replacing what it held (see
+    /// [`WindowData::encode_into`]).
+    pub fn encode_into(&self, out: &mut Vec<u8>) {
+        header_room(out, &self.columns);
+        codec::put_varint(out, u64::from(self.windows));
+        codec::put_varint(out, self.records);
+        codec::put_u32(out, self.last_day.map_or(0, |d| d.0));
+        encode_columns(out, &self.columns);
+        self.verdicts.encode(out);
+        encode_dated_list(out, &self.first_dark_slots);
+        encode_dated_list(out, &self.first_dark_blocks);
+        encode_ports(out, &self.ports);
         seal(
             out,
             KIND_SUMMARY,
@@ -382,7 +403,7 @@ impl SummaryData {
             self.fingerprint,
             self.num_slots,
             self.columns.size_threshold,
-        )
+        );
     }
 
     /// Decodes and fully validates a summary file.
@@ -500,27 +521,34 @@ impl Header {
     }
 }
 
-/// An encode buffer with the header's bytes reserved at its front: the
-/// payload is written after them and [`seal`] stamps the header in
-/// place, so the payload is never copied.
-fn with_header_room(payload_capacity: usize) -> Vec<u8> {
-    let mut out = Vec::with_capacity(HEADER_LEN + payload_capacity);
+/// Empties an encode buffer, keeping its capacity, and reserves the
+/// header's bytes at its front: the payload is written after them and
+/// [`seal`] stamps the header in place, so the payload is never copied.
+///
+/// An empty buffer is first given room for the file `columns` make,
+/// so that it is not regrown (and recopied) on the way: a destination
+/// row's three host sets and counters rarely take 128 bytes, a source
+/// row's 48. A retained buffer already has the room.
+fn header_room(out: &mut Vec<u8>, columns: &ColumnSlices) {
+    let dst = columns.dst.len() + columns.ovf_dst.len();
+    let src = columns.src.len() + columns.ovf_src.len();
+    out.clear();
+    out.reserve(HEADER_LEN + 128 * dst + 48 * src);
     out.resize(HEADER_LEN, 0);
-    out
 }
 
 /// Stamps the header into the reserved front of `out` (from
-/// [`with_header_room`]), over the payload after it, then [`reseal`]s
-/// it for both checksums.
+/// [`header_room`]), over the payload after it, then [`reseal`]s it
+/// for both checksums.
 fn seal(
-    mut out: Vec<u8>,
+    out: &mut [u8],
     kind: u8,
     day: u32,
     span_days: u32,
     fingerprint: u64,
     num_slots: u32,
     size_threshold: u16,
-) -> Vec<u8> {
+) {
     let mut header = Vec::with_capacity(HEADER_LEN);
     header.extend_from_slice(&MAGIC);
     codec::put_u32(&mut header, VERSION);
@@ -534,8 +562,7 @@ fn seal(
     codec::put_u16(&mut header, 0);
     codec::put_u64(&mut header, (out.len() - HEADER_LEN) as u64);
     out[..header.len()].copy_from_slice(&header);
-    reseal(&mut out);
-    out
+    reseal(out);
 }
 
 /// Recomputes both checksums over a (possibly edited) encoded file:
@@ -554,8 +581,7 @@ pub fn reseal(bytes: &mut [u8]) {
 }
 
 fn encode_ports(out: &mut Vec<u8>, ports: &[(u16, u64)]) {
-    let ids: Vec<u32> = ports.iter().map(|&(p, _)| u32::from(p)).collect();
-    codec::put_delta_list(out, &ids);
+    codec::put_delta_iter(out, ports.len(), ports.iter().map(|&(p, _)| u32::from(p)));
     for &(_, count) in ports {
         codec::put_varint(out, count);
     }
@@ -572,8 +598,7 @@ fn decode_ports(r: &mut Reader<'_>) -> Result<Vec<(u16, u64)>, StoreError> {
 }
 
 fn encode_dated_list(out: &mut Vec<u8>, entries: &[(u32, u32)]) {
-    let ids: Vec<u32> = entries.iter().map(|&(id, _)| id).collect();
-    codec::put_delta_list(out, &ids);
+    codec::put_delta_iter(out, entries.len(), entries.iter().map(|&(id, _)| id));
     for &(_, day) in entries {
         codec::put_varint(out, u64::from(day));
     }
@@ -654,45 +679,34 @@ fn decode_columns(
 }
 
 fn encode_dst_section(out: &mut Vec<u8>, rows: &[(u32, DstBlockStats)]) {
-    let ids: Vec<u32> = rows.iter().map(|&(id, _)| id).collect();
-    codec::put_delta_list(out, &ids);
-    for (_, row) in rows {
-        codec::put_varint(out, row.tcp_packets);
-    }
-    for (_, row) in rows {
-        codec::put_varint(out, row.tcp_octets);
-    }
-    for (_, row) in rows {
-        codec::put_varint(out, row.udp_packets);
-    }
-    for (_, row) in rows {
-        codec::put_varint(out, row.icmp_packets);
-    }
-    for (_, row) in rows {
-        codec::put_varint(out, row.other_packets);
-    }
-    for (_, row) in rows {
-        put_hosts(out, row.received);
-    }
-    for (_, row) in rows {
-        put_hosts(out, row.received_tcp);
-    }
-    for (_, row) in rows {
-        put_hosts(out, row.received_big_tcp);
-    }
+    codec::put_delta_iter(out, rows.len(), rows.iter().map(|&(id, _)| id));
+    codec::put_varint_columns(out, rows, |(_, r)| {
+        [
+            r.tcp_packets,
+            r.tcp_octets,
+            r.udp_packets,
+            r.icmp_packets,
+            r.other_packets,
+        ]
+    });
+    put_host_columns(out, rows, |(_, r)| {
+        [r.received, r.received_tcp, r.received_big_tcp]
+    });
     // Sparse size histograms: most /24s see a handful of sizes, many
     // see none; store only rows that have one.
-    let with_sizes: Vec<u32> = rows
-        .iter()
-        .enumerate()
-        .filter(|(_, (_, row))| !row.tcp_sizes.is_empty())
-        .map(|(i, _)| i as u32)
-        .collect();
-    codec::put_delta_list(out, &with_sizes);
-    for &i in &with_sizes {
-        let sizes = &rows[i as usize].1.tcp_sizes;
-        let size_ids: Vec<u32> = sizes.iter().map(|&(s, _)| u32::from(s)).collect();
-        codec::put_delta_list(out, &size_ids);
+    let with_sizes = || {
+        rows.iter()
+            .enumerate()
+            .filter(|(_, (_, row))| !row.tcp_sizes.is_empty())
+    };
+    codec::put_delta_iter(
+        out,
+        with_sizes().count(),
+        with_sizes().map(|(i, _)| i as u32),
+    );
+    for (_, (_, row)) in with_sizes() {
+        let sizes = &row.tcp_sizes;
+        codec::put_delta_iter(out, sizes.len(), sizes.iter().map(|&(s, _)| u32::from(s)));
         for &(_, count) in sizes {
             codec::put_varint(out, count);
         }
@@ -735,27 +749,24 @@ fn decode_dst_section(r: &mut Reader<'_>) -> Result<Vec<(u32, DstBlockStats)>, S
             .get_mut(i as usize)
             .ok_or(StoreError::Corrupt("size histogram for nonexistent row"))?;
         // The size ids are a strictly ascending delta list, so the
-        // histogram keeps `tcp_sizes`' ascending-by-size invariant.
-        let size_ids = r.delta_list()?;
-        let mut sizes = Vec::with_capacity(size_ids.len());
-        for sid in size_ids {
+        // histogram keeps `tcp_sizes`' ascending-by-size invariant. They
+        // go straight into the row; the counts follow them.
+        let sizes = &mut row.1.tcp_sizes;
+        r.delta_list_into(sizes, |sid| {
             let size = u16::try_from(sid).map_err(|_| StoreError::Corrupt("size exceeds u16"))?;
-            sizes.push((size, r.varint()?));
+            Ok((size, 0))
+        })?;
+        for size in sizes.iter_mut() {
+            size.1 = r.varint()?;
         }
-        row.1.tcp_sizes = sizes;
     }
     Ok(rows)
 }
 
 fn encode_src_section(out: &mut Vec<u8>, rows: &[(u32, SrcBlockStats)]) {
-    let ids: Vec<u32> = rows.iter().map(|&(id, _)| id).collect();
-    codec::put_delta_list(out, &ids);
-    for (_, row) in rows {
-        codec::put_varint(out, row.packets);
-    }
-    for (_, row) in rows {
-        put_hosts(out, row.originating);
-    }
+    codec::put_delta_iter(out, rows.len(), rows.iter().map(|&(id, _)| id));
+    codec::put_varint_columns(out, rows, |(_, r)| [r.packets]);
+    put_host_columns(out, rows, |(_, r)| [r.originating]);
 }
 
 fn decode_src_section(r: &mut Reader<'_>) -> Result<Vec<(u32, SrcBlockStats)>, StoreError> {
@@ -773,10 +784,27 @@ fn decode_src_section(r: &mut Reader<'_>) -> Result<Vec<(u32, SrcBlockStats)>, S
     Ok(rows)
 }
 
-/// A host set as its four raw u64 words.
-fn put_hosts(out: &mut Vec<u8>, hosts: HostSet) {
-    for w in hosts.to_words() {
-        codec::put_u64(out, w);
+/// Appends `N` host-set columns, each set as its four raw u64 words:
+/// the sets are 32 bytes each, so every column's offset is known and
+/// one pass over `rows` fills them all.
+fn put_host_columns<T, const N: usize>(
+    out: &mut Vec<u8>,
+    rows: &[T],
+    fields: impl Fn(&T) -> [HostSet; N],
+) {
+    let start = out.len();
+    out.resize(start + 32 * N * rows.len(), 0);
+    let columns = &mut out[start..];
+    for (i, row) in rows.iter().enumerate() {
+        for (k, hosts) in fields(row).into_iter().enumerate() {
+            let at = 32 * (k * rows.len() + i);
+            for (word, w) in columns[at..at + 32]
+                .chunks_exact_mut(8)
+                .zip(hosts.to_words())
+            {
+                word.copy_from_slice(&w.to_le_bytes());
+            }
+        }
     }
 }
 

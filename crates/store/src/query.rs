@@ -37,6 +37,9 @@ pub struct ColdLoad {
     pub windows: usize,
     /// Total bytes read and validated.
     pub bytes: u64,
+    /// Window files that failed validation and were moved to the
+    /// store's quarantine directory instead of being loaded.
+    pub quarantined: usize,
 }
 
 /// The answer to a point lookup.
@@ -156,8 +159,20 @@ impl QueryIndex {
 
     /// Loads everything the store has persisted: the summary plus each
     /// window's verdict lists. Every file is checksum-validated and
-    /// fingerprint-gated on the way in.
+    /// fingerprint-gated on the way in. A window file that fails is
+    /// moved to [`ResultsStore::quarantine_dir`] and its day reads as
+    /// never persisted; a summary that fails, or an i/o error, is the
+    /// load's error.
     pub fn cold_load(store: &ResultsStore) -> Result<(QueryIndex, ColdLoad), StoreError> {
+        QueryIndex::cold_load_with(store, |_, _| {})
+    }
+
+    /// [`cold_load`](Self::cold_load), calling `on_quarantine` with the
+    /// day and the validation error of each window file it moves aside.
+    pub fn cold_load_with(
+        store: &ResultsStore,
+        mut on_quarantine: impl FnMut(Day, &StoreError),
+    ) -> Result<(QueryIndex, ColdLoad), StoreError> {
         let mut index = QueryIndex::new(Arc::clone(store.slots()));
         let mut bytes = 0u64;
         if let Some(summary) = store.read_summary()? {
@@ -165,14 +180,30 @@ impl QueryIndex {
             index.top_ports = top_ports(&summary.ports, TOP_PORTS);
             index.summary = summary;
         }
-        let days = store.window_days()?;
-        let windows = days.len();
-        for day in days {
-            let w = store.read_window(day)?;
+        let mut quarantined = 0;
+        for day in store.window_days()? {
+            let w = match store.read_window(day) {
+                Ok(w) => w,
+                Err(StoreError::Io(e)) => return Err(StoreError::Io(e)),
+                Err(invalid) => {
+                    store.quarantine_window(day)?;
+                    quarantined += 1;
+                    on_quarantine(day, &invalid);
+                    continue;
+                }
+            };
             bytes += std::fs::metadata(store.window_path(day)).map_or(0, |m| m.len());
             index.windows.insert(day, w.verdicts);
         }
-        Ok((index, ColdLoad { windows, bytes }))
+        let windows = index.windows.len();
+        Ok((
+            index,
+            ColdLoad {
+                windows,
+                bytes,
+                quarantined,
+            },
+        ))
     }
 
     /// Folds a freshly closed window into the cache: merges it into

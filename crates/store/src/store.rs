@@ -8,12 +8,19 @@
 //! everything: checksums via decode, and the slot-index fingerprint
 //! against the live index, so a store written under an old RIB is a
 //! typed error instead of silently misaligned rows.
+//!
+//! Every write encodes into one buffer the store keeps between calls:
+//! the summary file is rewritten on every close and runs to ≈ 13 MB on
+//! world traffic, as large as a window file, so a close would otherwise
+//! allocate (and touch) two buffers that size. The buffer sits behind
+//! the `store.encode` mutex, a leaf held only to take the buffer and
+//! to hand it back, never across the encode or the file write.
 
 use crate::error::StoreError;
 use crate::format::{SummaryData, WindowData};
 use mt_types::{Day, Slot24Index};
 use std::path::{Path, PathBuf};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex, PoisonError};
 
 /// Where a store lives and which slot index its files must match.
 #[derive(Debug, Clone)]
@@ -29,13 +36,20 @@ pub struct StoreConfig {
 #[derive(Debug)]
 pub struct ResultsStore {
     cfg: StoreConfig,
+    /// The retained encode buffer (`store.encode`). A writer takes it,
+    /// leaving an empty `Vec`, and hands it back after the write; two
+    /// writers at once each get a buffer and the larger one is kept.
+    encode: Mutex<Vec<u8>>,
 }
 
 impl ResultsStore {
     /// Opens (creating if needed) the store directory.
     pub fn open(cfg: StoreConfig) -> Result<ResultsStore, StoreError> {
         std::fs::create_dir_all(&cfg.dir)?;
-        Ok(ResultsStore { cfg })
+        Ok(ResultsStore {
+            cfg,
+            encode: Mutex::new(Vec::new()),
+        })
     }
 
     /// The live slot index this store validates files against.
@@ -58,14 +72,54 @@ impl ResultsStore {
         self.cfg.dir.join("summary.mts")
     }
 
+    /// Where window files that failed validation are moved aside.
+    pub fn quarantine_dir(&self) -> PathBuf {
+        self.cfg.dir.join("quarantine")
+    }
+
+    /// Moves one day's window file into [`quarantine_dir`], keeping its
+    /// name, so the day reads as never persisted while the bytes stay
+    /// on disk for inspection.
+    ///
+    /// [`quarantine_dir`]: Self::quarantine_dir
+    pub(crate) fn quarantine_window(&self, day: Day) -> Result<(), StoreError> {
+        let from = self.window_path(day);
+        let dir = self.quarantine_dir();
+        std::fs::create_dir_all(&dir)?;
+        std::fs::rename(&from, dir.join(from.file_name().unwrap_or_default()))?;
+        Ok(())
+    }
+
     /// Persists one closed window atomically. Returns bytes written.
     pub fn write_window(&self, w: &WindowData) -> Result<u64, StoreError> {
-        self.write_atomic(&self.window_path(w.day), &w.encode())
+        self.write_encoded(&self.window_path(w.day), |buf| w.encode_into(buf))
     }
 
     /// Persists the running summary atomically. Returns bytes written.
     pub fn write_summary(&self, s: &SummaryData) -> Result<u64, StoreError> {
-        self.write_atomic(&self.summary_path(), &s.encode())
+        self.write_encoded(&self.summary_path(), |buf| s.encode_into(buf))
+    }
+
+    /// Encodes into the retained buffer and writes it to `path`; the
+    /// buffer goes back whether or not the write succeeded. A panic
+    /// cannot leave the buffer in a state that matters, since every
+    /// encode clears it first, so a poisoned lock is simply taken over.
+    fn write_encoded(
+        &self,
+        path: &Path,
+        encode: impl FnOnce(&mut Vec<u8>),
+    ) -> Result<u64, StoreError> {
+        let mut buf = std::mem::take(
+            &mut *self.encode.lock().unwrap_or_else(PoisonError::into_inner), // lock: store.encode
+        );
+        encode(&mut buf);
+        let written = self.write_atomic(path, &buf);
+        // lock: store.encode
+        let mut kept = self.encode.lock().unwrap_or_else(PoisonError::into_inner);
+        if buf.capacity() > kept.capacity() {
+            *kept = buf;
+        }
+        written
     }
 
     /// Loads and validates one day's window, gating on the live

@@ -620,3 +620,59 @@ fn a_missing_summary_reads_as_none() {
     assert!(store.window_days().expect("empty scan").is_empty());
     std::fs::remove_dir_all(&dir).ok();
 }
+
+#[test]
+fn a_reused_encode_buffer_leaves_no_stale_bytes() {
+    // One store writes a large window, then a smaller one, then a
+    // summary: each file is exactly its value's fresh encoding, so
+    // nothing of an earlier, longer file survives in the reused buffer.
+    let dir = temp_store_dir("reused-buffer");
+    let slots = slot_index(64);
+    let store = ResultsStore::open(StoreConfig {
+        dir: dir.clone(),
+        slots: Arc::clone(&slots),
+    })
+    .expect("open store");
+    let mut large = sample_window();
+    large.fingerprint = slots.fingerprint();
+    large.num_slots = slots.num_slots();
+    large.columns.dst = (0..slots.num_slots())
+        .map(|id| {
+            let mut row = large.columns.dst[0].1.clone();
+            row.tcp_packets = u64::from(id) * 977;
+            (id, row)
+        })
+        .collect();
+    let mut small = sample_window();
+    small.day = Day(large.day.0 + 1);
+    small.fingerprint = large.fingerprint;
+    small.num_slots = large.num_slots;
+    let mut summary = SummaryData::empty();
+    summary.merge_window(&large).expect("merge large");
+    summary.merge_window(&small).expect("merge small");
+
+    let large_bytes = store.write_window(&large).expect("write large");
+    let small_bytes = store.write_window(&small).expect("write small");
+    assert!(small_bytes < large_bytes, "the second file is the shorter");
+    store.write_summary(&summary).expect("write summary");
+
+    for (w, bytes) in [(&large, large_bytes), (&small, small_bytes)] {
+        let on_disk = std::fs::read(store.window_path(w.day)).expect("read window");
+        assert_eq!(
+            on_disk.len() as u64,
+            bytes,
+            "day {}: bytes reported",
+            w.day.0
+        );
+        assert!(
+            on_disk == w.encode(),
+            "day {}: file is the encoding",
+            w.day.0
+        );
+        assert_eq!(&WindowData::decode(&on_disk).expect("decodes"), w);
+    }
+    let on_disk = std::fs::read(store.summary_path()).expect("read summary");
+    assert!(on_disk == summary.encode(), "summary file is the encoding");
+    assert_eq!(SummaryData::decode(&on_disk).expect("decodes"), summary);
+    std::fs::remove_dir_all(&dir).ok();
+}

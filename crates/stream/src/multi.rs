@@ -84,7 +84,9 @@
 //! locks it holds. A worker that panics would hold nothing the closer
 //! waits on, so it is made to: it takes the days lock, closes the queue,
 //! wakes the barrier and resumes its unwind holding the lock. From then
-//! on the barrier, `finish` and each lane's next push re-raise. Windows
+//! on the barrier, `finish` and each lane's next push re-raise, and
+//! [`MultiStreamService::health`] reports `failed` even while no record
+//! arrives to run into the dead worker. Windows
 //! closed before the failure stay closed (and persisted, under a sink
 //! that persists); the torn day, whose shards are half-folded, never
 //! reaches the scheduler.
@@ -491,6 +493,9 @@ impl<F: Fn(Day) -> PrefixTrie<Asn>> MultiStreamService<F> {
             windows_open,
             windows_closed: self.windows_closed_counter.get(),
             exporters,
+            // A worker dies holding `stream.days` (see "When a thread
+            // fails"); asking whether it is poisoned takes no lock.
+            failed: self.shared.days.is_poisoned(),
         };
         republish_health(&self.registry, &snapshot);
         snapshot
@@ -1440,6 +1445,39 @@ mod tests {
                     "{what}: the torn day never reaches the sink"
                 );
             }
+        }
+    }
+
+    #[test]
+    fn an_idle_service_reports_a_dead_worker() {
+        // A worker dies on a record and nothing arrives after it: no
+        // push, close or `finish` runs into the poisoned lock, yet the
+        // snapshot says the service failed and its check fails.
+        let days = days(1);
+        for lanes in LANES {
+            let what = format!("{lanes} lanes");
+            let (svc, mut p) = MultiStreamService::start(hour_late(1), lanes, |_| rib());
+            let mut seq = 0;
+            feed_days(&mut p, &days, &mut seq, Transport::Datagrams(40));
+            wait_for("day 0 folded", || svc.health().in_flight == 0);
+            let healthy = svc.health();
+            assert!(!healthy.failed, "{what}: healthy before the fault");
+            healthy.check_invariants().expect("healthy invariants");
+
+            let faulty = FlowRecord {
+                src_port: FAULT_PORT,
+                ..days[0][0]
+            };
+            assert!(p[0].push_datagram("CE0", &messages(&[faulty], &mut seq, 1)[0]));
+            wait_for("the worker to die", || svc.health().failed);
+            assert!(
+                svc.health().check_invariants().is_err(),
+                "{what}: a dead worker fails the check"
+            );
+            drop(p);
+            let dropping = spawn_catching(Some(svc), |k| drop(k.take()));
+            let raised = raised_in_time(&dropping, &format!("{what}: the drop")).1;
+            assert!(!raised, "{what}: a drop returns quietly");
         }
     }
 

@@ -113,6 +113,10 @@ pub struct HealthSnapshot {
     pub windows_closed: u64,
     /// Per-exporter counters, ordered by exporter name.
     pub exporters: Vec<ExporterCounters>,
+    /// An ingest worker died: the service can fold nothing more, and
+    /// its next close, push or `finish` re-raises the panic. Set even
+    /// while no record arrives to run into it.
+    pub failed: bool,
 }
 
 impl HealthSnapshot {
@@ -121,6 +125,9 @@ impl HealthSnapshot {
     /// the only slack is `in_flight`, which this snapshot carries
     /// explicitly, so the identities still hold.
     pub fn check_invariants(&self) -> Result<(), String> {
+        if self.failed {
+            return Err("an ingest worker died; the service has failed".to_owned());
+        }
         let gate_total = self.on_time + self.late + self.dropped_late;
         if self.decoded != gate_total {
             return Err(format!(
