@@ -1,7 +1,7 @@
 //! Exploratory end-to-end run used while calibrating the scenario.
 //! Run: `cargo run --release -p mt-bench --example explore [paper]`
 
-use mt_core::{analysis, classifier, eval, pipeline, PipelineEngine, SpoofTolerance};
+use mt_core::{analysis, classifier, eval, pipeline, PipelineEngine, SpoofRule};
 use mt_netmodel::{AuxDatasets, Internet, InternetConfig};
 use mt_traffic::{generate_day, CaptureSet, SpoofSpace, TrafficConfig};
 use mt_types::Day;
@@ -103,8 +103,6 @@ fn main() {
         }
     }
     let all = all_stats.unwrap();
-    let tol = SpoofTolerance::estimate(&all, net.unrouted_octets(), 0.9999);
-    println!("spoof tolerance: {tol:?}");
     let rate = net.vantage_points[0].sampling_rate;
     let r = PipelineEngine::standard().run(&all, &rib, rate, 1, &pc);
     let gt = eval::GroundTruthReport::evaluate(&r.dark, &net, day, 1);
@@ -116,6 +114,22 @@ fn main() {
         r.gray.len(),
         gt.precision() * 100.0,
         gt.recall() * 100.0
+    );
+    let tolerant = PipelineEngine::standard().run(
+        &all,
+        &rib,
+        rate,
+        1,
+        &pipeline::PipelineConfig {
+            spoof_tolerance: SpoofRule::Unrouted(net.unrouted_octets().to_vec()),
+            ..pc.clone()
+        },
+    );
+    println!(
+        "spoof tolerance: {} packets (ALL dark {} strict, {} tolerant)",
+        tolerant.spoof_tolerance,
+        r.dark.len(),
+        tolerant.dark.len()
     );
     let aux = AuxDatasets::generate(&net);
     let check = eval::ActivityCheck::run(&r.dark, &aux);

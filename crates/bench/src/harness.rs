@@ -3,7 +3,7 @@
 //! the paper's tables and figures need, and auxiliary emission sinks.
 
 use mt_core::analysis::PortMatrix;
-use mt_core::{combine, pipeline, PipelineEngine, SpoofTolerance};
+use mt_core::{combine, pipeline, PipelineEngine, SpoofRule};
 use mt_flow::stats::DEFAULT_SIZE_THRESHOLD;
 use mt_flow::{FlowRecord, ShardedTrafficStats, TrafficStats};
 use mt_netmodel::{AuxDatasets, Internet, InternetConfig};
@@ -148,7 +148,8 @@ pub struct CumulativePoint {
     pub strict: HashMap<String, usize>,
     /// Tolerance-adjusted inference per label.
     pub tolerant: HashMap<String, usize>,
-    /// The estimated tolerance per label (sampled packets).
+    /// The tolerance the tolerant run forgave per label (sampled
+    /// packets): its `PipelineResult::spoof_tolerance`.
     pub tolerance: HashMap<String, u64>,
 }
 
@@ -188,6 +189,10 @@ pub fn simulate(world: &World, needs: Needs) -> SimData {
     let net = &world.net;
     let rate = world.sampling_rate();
     let pc = pipeline::PipelineConfig::default();
+    let tolerant_pc = pipeline::PipelineConfig {
+        spoof_tolerance: SpoofRule::Unrouted(net.unrouted_octets().to_vec()),
+        ..pc.clone()
+    };
     let engine = PipelineEngine::standard();
     let threads = std::thread::available_parallelism().map_or(1, |n| n.get());
 
@@ -302,21 +307,13 @@ pub fn simulate(world: &World, needs: Needs) -> SimData {
             for label in SERIES {
                 let stats = &cumulative[label];
                 let strict = engine.run_sharded(stats, &rib, rate, window_days, &pc, threads);
-                let tol = SpoofTolerance::estimate(stats, net.unrouted_octets(), 0.9999);
-                let tolerant = engine.run_sharded(
-                    stats,
-                    &rib,
-                    rate,
-                    window_days,
-                    &pipeline::PipelineConfig {
-                        spoof_tolerance_packets: tol.packets.max(1),
-                        ..pc.clone()
-                    },
-                    threads,
-                );
+                let tolerant =
+                    engine.run_sharded(stats, &rib, rate, window_days, &tolerant_pc, threads);
                 point.strict.insert(label.to_owned(), strict.dark.len());
                 point.tolerant.insert(label.to_owned(), tolerant.dark.len());
-                point.tolerance.insert(label.to_owned(), tol.packets.max(1));
+                point
+                    .tolerance
+                    .insert(label.to_owned(), tolerant.spoof_tolerance);
                 // Keep the dark sets Table 4 / Figures 3, 5, 6 consume.
                 if window_days == 1 || window_days == needs.days {
                     data.window_darks

@@ -167,6 +167,10 @@ struct Env<'a> {
     /// Step-6 cap on *sampled* packets, already scaled by window length
     /// and sampling rate.
     volume_cap: f64,
+    /// The config's spoofing rule, resolved once on the whole run's
+    /// stats: sampled source packets a block may emit before its
+    /// originating hosts are disqualified.
+    spoof_tolerance: u64,
 }
 
 /// One destination /24 under evaluation, with lazily derived host sets.
@@ -210,7 +214,7 @@ impl<'a> BlockCtx<'a> {
     /// otherwise none (light origination is forgiven as spoofed blame).
     fn originating(&self, env: &Env) -> &HostSet {
         self.originating.get_or_init(|| match self.src() {
-            Some(s) if s.packets > env.config.spoof_tolerance_packets => s.originating,
+            Some(s) if s.packets > env.spoof_tolerance => s.originating,
             _ => HostSet::EMPTY,
         })
     }
@@ -314,7 +318,11 @@ impl PipelineEngine {
         self
     }
 
-    fn env<'a>(
+    /// The run-wide environment. The spoofing rule is resolved here,
+    /// on all of `stats`: a sharded run must judge every shard by the
+    /// whole window's tolerance, as the serial run does.
+    fn env<'a, V: TrafficView>(
+        stats: &V,
         rib: &PrefixTrie<Asn>,
         special: &'a SpecialRegistry,
         sampling_rate: u32,
@@ -328,6 +336,7 @@ impl PipelineEngine {
             config,
             volume_cap: config.volume_threshold_per_day * f64::from(days)
                 / f64::from(sampling_rate),
+            spoof_tolerance: config.spoof_tolerance.resolve(stats),
         }
     }
 
@@ -341,7 +350,7 @@ impl PipelineEngine {
     /// * `sampling_rate` — the vantage points' packet sampling rate,
     ///   used to scale sampled counts back to volume estimates;
     /// * `days` — window length in days (volume normalisation);
-    /// * `config` — thresholds.
+    /// * `config` — thresholds and the spoofing rule.
     pub fn run<V: TrafficView>(
         &self,
         stats: &V,
@@ -350,10 +359,9 @@ impl PipelineEngine {
         days: u32,
         config: &PipelineConfig,
     ) -> PipelineResult {
-        // check: allow(determinism, "wall-clock only feeds the metrics histograms; no pipeline decision or output reads it")
-        let started = self.metrics.as_ref().map(|_| Instant::now());
+        let started = clock_if(self.metrics.is_some());
         let special = SpecialRegistry::new();
-        let env = Self::env(rib, &special, sampling_rate, days, config);
+        let env = Self::env(stats, rib, &special, sampling_rate, days, config);
         let part = run_view_sparse(stats, &env, self.metrics.is_some());
         self.publish(started, &part.funnel, &part.stage_nanos);
         PipelineResult {
@@ -361,6 +369,7 @@ impl PipelineEngine {
             unclean: Block24Set::from_iter(part.unclean),
             gray: Block24Set::from_iter(part.gray),
             funnel: part.funnel,
+            spoof_tolerance: env.spoof_tolerance,
         }
     }
 
@@ -371,7 +380,9 @@ impl PipelineEngine {
     /// Shards partition the destination blocks and carry the matching
     /// source blocks, so per-shard runs see exactly the serial run's
     /// per-block inputs; the folded funnel counts and dark/unclean/gray
-    /// sets are identical to [`run`](Self::run) on the same data.
+    /// sets are identical to [`run`](Self::run) on the same data. The
+    /// spoofing rule is resolved once, over all shards, before they fan
+    /// out.
     pub fn run_sharded(
         &self,
         stats: &ShardedTrafficStats,
@@ -382,10 +393,9 @@ impl PipelineEngine {
         threads: usize,
     ) -> PipelineResult {
         assert!(threads >= 1);
-        // check: allow(determinism, "wall-clock only feeds the metrics histograms; no pipeline decision or output reads it")
-        let started = self.metrics.as_ref().map(|_| Instant::now());
+        let started = clock_if(self.metrics.is_some());
         let special = SpecialRegistry::new();
-        let env = &Self::env(rib, &special, sampling_rate, days, config);
+        let env = &Self::env(stats, rib, &special, sampling_rate, days, config);
         let timed = self.metrics.is_some();
         let shards = stats.shards();
         let chunk = shards.len().div_ceil(threads).max(1);
@@ -415,6 +425,7 @@ impl PipelineEngine {
             unclean: Block24Set::new(),
             gray: Block24Set::new(),
             funnel: Funnel::default(),
+            spoof_tolerance: env.spoof_tolerance,
         };
         let mut stage_nanos = [0u64; 6];
         for part in parts {
@@ -482,8 +493,7 @@ fn run_view_sparse<V: TrafficView>(stats: &V, env: &Env<'_>, timed: bool) -> Sha
         survivors.clear();
         survivors.extend(0..ctxs.len() as u16);
         for (i, step) in STEPS.into_iter().enumerate() {
-            // check: allow(determinism, "wall-clock only feeds the metrics histograms; no pipeline decision or output reads it")
-            let started = timed.then(Instant::now);
+            let started = clock_if(timed);
             funnel.stages[i].entered += survivors.len() as u64;
             survivors.retain(|&j| step.keeps(&ctxs[usize::from(j)], env));
             funnel.stages[i].kept += survivors.len() as u64;
@@ -511,6 +521,12 @@ fn run_view_sparse<V: TrafficView>(stats: &V, env: &Env<'_>, timed: bool) -> Sha
     }
 }
 
+/// The engine's one clock read: now, if `on` (a registry is attached).
+fn clock_if(on: bool) -> Option<Instant> {
+    // check: allow(determinism, "wall-clock only feeds the metrics histograms; no pipeline decision or output reads it")
+    on.then(Instant::now)
+}
+
 /// Nanoseconds since `started`, saturating.
 fn nanos_since(started: Instant) -> u64 {
     u64::try_from(started.elapsed().as_nanos()).unwrap_or(u64::MAX)
@@ -529,6 +545,7 @@ struct ShardRun {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::spoofing::SpoofRule;
     use mt_flow::{FlowRecord, TrafficStats};
     use mt_types::{Ipv4, Prefix, SimTime};
     use proptest::prelude::*;
@@ -679,7 +696,23 @@ mod tests {
                 ],
                 rib: &["20.0.0.0/8", "9.0.0.0/8"],
                 config: PipelineConfig {
-                    spoof_tolerance_packets: 2,
+                    spoof_tolerance: SpoofRule::Fixed(2),
+                    ..PipelineConfig::default()
+                },
+                dark: &["20.1.1.0/24"],
+                dropped_at: &["clean_origin"],
+                ..Row::default()
+            },
+            Row {
+                // Nothing is blamed on 37/8, so the estimate is 0.
+                name: "the unrouted rule forgives one packet even when its estimate is 0",
+                records: vec![
+                    scan("20.1.1.1", 6, 10, 40),
+                    flow("20.1.1.50", "9.9.9.9", 6, 1, 40),
+                ],
+                rib: &["20.0.0.0/8", "9.0.0.0/8"],
+                config: PipelineConfig {
+                    spoof_tolerance: SpoofRule::Unrouted(vec![37]),
                     ..PipelineConfig::default()
                 },
                 dark: &["20.1.1.0/24"],
@@ -826,6 +859,56 @@ mod tests {
     }
 
     #[test]
+    fn a_sharded_run_judges_every_shard_by_the_whole_window_tolerance() {
+        // Sixteen /24s of unrouted 37/8 are each blamed for 5 packets.
+        // Over the whole /8 the 99.99th percentile (rank 65 528 of
+        // 65 536) is 5; a shard holding fewer than 8 of them estimates
+        // 0, floored to 1. Each candidate 20.1.i.0/24 has a clean
+        // receiving host and a host originating 3 packets: dark at a
+        // tolerance of 5, gray at 1.
+        let rib = rib_with(&["20.0.0.0/8", "9.0.0.0/8"]);
+        let mut records = Vec::new();
+        for i in 0..16 {
+            records.push(flow(&format!("37.0.{i}.1"), "9.9.9.9", 6, 5, 40));
+        }
+        for i in 0..8 {
+            records.push(flow("9.9.9.9", &format!("20.1.{i}.1"), 6, 10, 40));
+            records.push(flow(&format!("20.1.{i}.50"), "9.9.9.9", 6, 3, 40));
+        }
+        let rule = SpoofRule::Unrouted(vec![37]);
+        let config = PipelineConfig {
+            spoof_tolerance: rule.clone(),
+            ..PipelineConfig::default()
+        };
+        let engine = PipelineEngine::standard();
+        let serial = engine.run(&TrafficStats::from_records(&records), &rib, 1, 1, &config);
+        assert_eq!(serial.spoof_tolerance, 5);
+        assert_eq!(
+            serial.dark.len(),
+            8,
+            "every candidate's 3 packets are forgiven"
+        );
+        for shards in [4, 16] {
+            let sharded = ShardedTrafficStats::from_records(shards, &records);
+            assert!(
+                sharded
+                    .shards()
+                    .iter()
+                    .all(|shard| rule.resolve(shard) == 1),
+                "shards={shards}: no shard alone reaches the window's estimate"
+            );
+            for threads in [1, 2, 4] {
+                let par = engine.run_sharded(&sharded, &rib, 1, 1, &config, threads);
+                let what = format!("shards={shards} threads={threads}");
+                assert_eq!(par.spoof_tolerance, serial.spoof_tolerance, "{what}");
+                assert_eq!(par.dark, serial.dark, "{what}");
+                assert_eq!(par.gray, serial.gray, "{what}");
+                assert_eq!(par.funnel, serial.funnel, "{what}");
+            }
+        }
+    }
+
+    #[test]
     fn registry_mirrors_funnel_across_serial_and_sharded_runs() {
         let rib = rib_with(&["20.0.0.0/8", "9.0.0.0/8"]);
         let records = mixed_records();
@@ -884,6 +967,7 @@ mod tests {
             unclean: Block24Set::new(),
             gray: Block24Set::new(),
             funnel: Funnel::default(),
+            spoof_tolerance: env.spoof_tolerance,
         };
         let src_lookup = |block: Block24| stats.src(block);
         'blocks: for (block, d) in stats.iter_dst() {
@@ -960,8 +1044,8 @@ mod tests {
     fn assert_matches_oracle(records: &[FlowRecord], rib: &PrefixTrie<Asn>) -> PipelineResult {
         let config = PipelineConfig::default();
         let special = SpecialRegistry::new();
-        let env = PipelineEngine::env(rib, &special, 1, 1, &config);
         let flat = TrafficStats::from_records(records);
+        let env = PipelineEngine::env(&flat, rib, &special, 1, 1, &config);
         let oracle = block_major_oracle(&flat, &env);
         let same = |r: &PipelineResult, what: &str| {
             assert!(r.dark == oracle.dark, "{what}: dark");
@@ -1063,7 +1147,7 @@ mod tests {
         };
         let config = PipelineConfig::default();
         let special = SpecialRegistry::new();
-        let env = PipelineEngine::env(&rib_with(&["20.0.0.0/8"]), &special, 1, 1, &config);
+        let env = PipelineEngine::env(&stats, &rib_with(&["20.0.0.0/8"]), &special, 1, 1, &config);
         let ctx = BlockCtx::new(block, d, &lookup);
         assert_eq!(calls.get(), 0, "lookup is lazy");
         let _ = ctx.originating(&env);

@@ -14,12 +14,15 @@
 //! Around the pipeline:
 //! - [`engine`] — the funnel's six filter steps, its [`Funnel`]
 //!   accounting, and the serial/sharded traversals;
-//! - [`pipeline`] — the thresholds ([`PipelineConfig`]) and the output
-//!   ([`PipelineResult`]);
+//! - [`pipeline`] — the thresholds and spoofing rule
+//!   ([`PipelineConfig`]) and the output ([`PipelineResult`]);
 //! - [`classifier`] — the packet-size fingerprint calibration of
 //!   Section 4.1 / Table 3 (median vs average feature, threshold sweep,
 //!   confusion matrices);
-//! - [`spoofing`] — the unrouted-space spoofing tolerance of Section 7.2;
+//! - [`spoofing`] — the spoofing tolerance of Section 7.2: the
+//!   [`SpoofRule`] a run is configured with (a fixed count, or the
+//!   [`SPOOF_PERCENTILE`] of per-/24 source packets in unrouted /8s,
+//!   which the engine estimates on the stats it judges);
 //! - [`combine`] — multi-day and multi-vantage-point combination;
 //! - [`eval`] — evaluation against ground truth and the activity
 //!   datasets (telescope coverage of Table 4, false-positive scrubbing);
@@ -50,4 +53,4 @@ pub mod stability;
 pub use classifier::{ClassifierFeature, ConfusionMatrix};
 pub use engine::{Funnel, PipelineEngine, StageCount};
 pub use pipeline::{PipelineConfig, PipelineResult};
-pub use spoofing::SpoofTolerance;
+pub use spoofing::{SpoofRule, SpoofTolerance, SPOOF_PERCENTILE};

@@ -5,11 +5,11 @@
 //! [`PipelineEngine::standard().run(..)`](crate::engine::PipelineEngine::run).
 
 use crate::engine::Funnel;
+use crate::spoofing::SpoofRule;
 use mt_types::Block24Set;
-use serde::{Deserialize, Serialize};
 
 /// Tunable pipeline parameters.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct PipelineConfig {
     /// Maximum average TCP packet size (bytes) for a block to remain a
     /// candidate (the paper picks 44 after the Table 3 sweep).
@@ -17,10 +17,11 @@ pub struct PipelineConfig {
     /// Maximum estimated *true* packets per /24 per day (the paper's
     /// 1.7 M, scaled 1:1000 in this workspace).
     pub volume_threshold_per_day: f64,
-    /// Sampled source packets a block may emit before it counts as
-    /// originating (0 = strict; Section 7.2's spoofing tolerance raises
-    /// it).
-    pub spoof_tolerance_packets: u64,
+    /// How many sampled source packets a block may emit before it
+    /// counts as originating: a fixed count (the default,
+    /// `Fixed(0)`, is strict) or Section 7.2's estimate over unrouted
+    /// space, which the engine takes on the stats it judges.
+    pub spoof_tolerance: SpoofRule,
 }
 
 impl Default for PipelineConfig {
@@ -28,7 +29,7 @@ impl Default for PipelineConfig {
         PipelineConfig {
             avg_size_threshold: 44.0,
             volume_threshold_per_day: 1_700.0,
-            spoof_tolerance_packets: 0,
+            spoof_tolerance: SpoofRule::default(),
         }
     }
 }
@@ -45,6 +46,9 @@ pub struct PipelineResult {
     pub gray: Block24Set,
     /// Per-stage accounting.
     pub funnel: Funnel,
+    /// The sampled source packets this run forgave per block: the
+    /// config's [`SpoofRule`] resolved on the run's stats.
+    pub spoof_tolerance: u64,
 }
 
 impl PipelineResult {

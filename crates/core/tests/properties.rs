@@ -1,6 +1,6 @@
 //! Property-based tests for the inference pipeline's invariants.
 
-use mt_core::{baseline, pipeline, PipelineEngine};
+use mt_core::{baseline, pipeline, PipelineEngine, SpoofRule};
 use mt_flow::{FlowRecord, ShardedTrafficStats, TrafficStats};
 use mt_types::{Asn, Ipv4, Prefix, PrefixTrie, SimTime};
 use proptest::prelude::*;
@@ -115,7 +115,7 @@ proptest! {
         let stats = TrafficStats::from_records(&records);
         let rib = rib();
         let run_with = |tol| PipelineEngine::standard().run(&stats, &rib, 1, 1, &pipeline::PipelineConfig {
-            spoof_tolerance_packets: tol,
+            spoof_tolerance: SpoofRule::Fixed(tol),
             ..pipeline::PipelineConfig::default()
         });
         let low = run_with(tol_low);

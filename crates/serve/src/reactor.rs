@@ -11,9 +11,13 @@
 //!
 //! A per-connection setup error (`set_nonblocking`/`Poller::add`
 //! failing for one accepted socket) drops that socket and counts it in
-//! `mt_serve_connection_errors_total`; the loop keeps accepting.
+//! `mt_serve_connection_errors_total`; the loop keeps accepting. An
+//! `accept` that fails for want of descriptors or socket memory pauses
+//! the listener instead: it leaves the poller for [`ACCEPT_BACKOFF`],
+//! counted in `mt_serve_accept_paused_total`, so that a readable
+//! listener nobody can accept from does not spin the loop.
 
-use crate::sys::{Event, Interest, Poller};
+use crate::sys::{self, Event, Interest, Poller};
 use mt_obs::{Counter, Gauge, MetricsRegistry};
 use mt_types::FxHashMap;
 use std::io::{self, Read};
@@ -22,6 +26,7 @@ use std::os::unix::io::{AsRawFd, RawFd};
 use std::os::unix::net::UnixStream;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
+use std::time::{Duration, Instant};
 
 /// Per-sweep `epoll_wait` timeout during the drain phase, in ms.
 const DRAIN_WAIT_MS: i32 = 50;
@@ -29,6 +34,12 @@ const DRAIN_WAIT_MS: i32 = 50;
 /// Consecutive drain sweeps that move no bytes before a loop declares
 /// its sockets quiescent.
 const DRAIN_QUIET_SWEEPS: u32 = 2;
+
+/// How long a listener stays out of the poller after `accept` ran out
+/// of descriptors or socket memory: long enough that the loop does
+/// other work meanwhile, short enough that accepting resumes soon after
+/// descriptors free up.
+const ACCEPT_BACKOFF: Duration = Duration::from_millis(200);
 
 /// Registration tokens for a loop's own fds; connections start at
 /// [`FIRST_CONN_TOKEN`]. Each loop has its own poller, so the token
@@ -95,11 +106,16 @@ pub(crate) struct Reactor<H: Handler> {
     next_token: u64,
     /// Consecutive sweeps that moved no bytes.
     quiet: u32,
+    /// When a listener paused by [`Reactor::pause_accepting`] goes back
+    /// into the poller; `None` while it is registered.
+    accept_resumes_at: Option<Instant>,
     open_conns: Gauge,
     loop_events: Counter,
     conn_errors: Counter,
-    /// Fault injection, asked after each serve-phase sweep (`"serve"`)
-    /// and before each connection setup (`"accept"`).
+    accept_paused: Counter,
+    /// Fault injection, asked after each serve-phase sweep (`"serve"`),
+    /// in place of each `accept` (`"listen"`: an `Err` is the accept's
+    /// result) and before each connection setup (`"accept"`).
     #[cfg(test)]
     pub(crate) fault: tests::Fault,
 }
@@ -137,6 +153,7 @@ impl<H: Handler> Reactor<H> {
             conns: FxHashMap::default(),
             next_token: FIRST_CONN_TOKEN,
             quiet: 0,
+            accept_resumes_at: None,
             open_conns: reg.gauge_with(
                 "mt_serve_open_connections",
                 &[("loop", label)],
@@ -151,6 +168,11 @@ impl<H: Handler> Reactor<H> {
                 "mt_serve_connection_errors_total",
                 &[("loop", label)],
                 "Accepted connections dropped because their setup failed, by event loop.",
+            ),
+            accept_paused: reg.counter_with(
+                "mt_serve_accept_paused_total",
+                &[("loop", label)],
+                "Listener back-offs after accept ran out of descriptors or socket memory, by event loop.",
             ),
             #[cfg(test)]
             fault: Box::new(|_| Ok(())),
@@ -189,6 +211,7 @@ impl<H: Handler> Reactor<H> {
         self.accept_pending();
         // Closing the listener also drops it out of the poller.
         self.listener = None;
+        self.accept_resumes_at = None;
         let mut events = Vec::with_capacity(256);
         self.quiet = 0;
         while self.quiet < DRAIN_QUIET_SWEEPS
@@ -207,6 +230,7 @@ impl<H: Handler> Reactor<H> {
     /// `events`. Returns whether a wake source fired.
     fn sweep(&mut self, events: &mut Vec<Event>, timeout_ms: i32) -> io::Result<bool> {
         events.clear();
+        let timeout_ms = self.resume_accepting(timeout_ms);
         self.poller.wait(events, timeout_ms)?;
         let (mut woken, mut moved) = (false, 0);
         for ev in events.iter() {
@@ -234,18 +258,60 @@ impl<H: Handler> Reactor<H> {
     /// whose setup fails is dropped and counted; the rest are adopted.
     fn accept_pending(&mut self) {
         while let Some(listener) = &self.listener {
-            match listener.accept() {
+            #[cfg(test)]
+            let accepted = (self.fault)("listen").and_then(|()| listener.accept());
+            #[cfg(not(test))]
+            let accepted = listener.accept();
+            match accepted {
                 Ok((sock, peer)) => {
                     if self.adopt(sock, peer).is_err() {
                         self.conn_errors.inc();
                     }
                 }
+                // The backlog still holds the connection, so the
+                // level-triggered listener stays readable: left
+                // registered, it would wake every wait at once.
+                Err(e) if sys::is_resource_exhaustion(&e) => {
+                    self.pause_accepting();
+                    return;
+                }
                 // `WouldBlock`: the backlog is empty. Anything else
-                // ends the round too; the listener stays registered
-                // (level-triggered), so the next sweep resumes.
+                // ends the round too; the listener stays registered,
+                // so the next sweep resumes.
                 Err(_) => return,
             }
         }
+    }
+
+    /// Takes the listener out of the poller for [`ACCEPT_BACKOFF`].
+    fn pause_accepting(&mut self) {
+        if let Some(listener) = &self.listener {
+            let _ = self.poller.delete(listener.as_raw_fd());
+        }
+        self.accept_resumes_at = Some(now() + ACCEPT_BACKOFF);
+        self.accept_paused.inc();
+    }
+
+    /// Puts a paused listener back into the poller once its back-off is
+    /// over. Returns the timeout for this sweep's wait: `timeout_ms`,
+    /// bounded while the listener is paused by the time left, so that
+    /// even a wait that would block forever wakes to re-arm it.
+    fn resume_accepting(&mut self, timeout_ms: i32) -> i32 {
+        let Some(resume_at) = self.accept_resumes_at else {
+            return timeout_ms;
+        };
+        let left = resume_at.saturating_duration_since(now());
+        if !left.is_zero() {
+            return bounded(timeout_ms, left);
+        }
+        self.accept_resumes_at = None;
+        if let Some(fd) = self.listener.as_ref().map(AsRawFd::as_raw_fd) {
+            if self.poller.add(fd, TOK_LISTENER, Interest::READ).is_err() {
+                self.pause_accepting();
+                return bounded(timeout_ms, ACCEPT_BACKOFF);
+            }
+        }
+        timeout_ms
     }
 
     /// Registers one accepted socket and hands its peer to the handler.
@@ -285,6 +351,23 @@ impl<H: Handler> Reactor<H> {
         }
         step.moved
     }
+}
+
+/// `timeout_ms` (-1 = forever) capped at `limit`, rounded up to whole
+/// milliseconds: a wait that woke early would only have to wait again.
+fn bounded(timeout_ms: i32, limit: Duration) -> i32 {
+    let limit_ms = i32::try_from(limit.as_micros().div_ceil(1_000)).unwrap_or(i32::MAX);
+    if timeout_ms < 0 {
+        limit_ms
+    } else {
+        timeout_ms.min(limit_ms)
+    }
+}
+
+/// The reactor's one clock read.
+fn now() -> Instant {
+    // check: allow(determinism, "the accept back-off's deadline; it decides only when a paused listener is re-armed, never what a window holds")
+    Instant::now()
 }
 
 #[cfg(test)]
@@ -445,7 +528,8 @@ pub(crate) mod tests {
         let (tx, rx) = mpsc::channel();
         std::thread::spawn(move || {
             reactor.serve().unwrap();
-            tx.send(reactor)
+            // A dropped receiver means the test already failed.
+            let _ = tx.send(reactor);
         });
         rx
     }
@@ -600,6 +684,62 @@ pub(crate) mod tests {
         client.read_exact(&mut echoed).unwrap();
         assert_eq!(&echoed, b"x");
         assert_eq!(rig.series("mt_serve_connection_errors_total"), 1);
+    }
+
+    #[test]
+    fn an_exhausted_fd_table_pauses_the_listener_instead_of_spinning() {
+        use std::sync::atomic::AtomicU32;
+        let mut rig = rig(Echo::default());
+        // Every accept fails with EMFILE while `full` is set; `asked`
+        // counts the accepts tried.
+        let (asked, full) = (Arc::new(AtomicU32::new(0)), Arc::new(AtomicBool::new(true)));
+        rig.reactor.fault = Box::new({
+            let (asked, full) = (Arc::clone(&asked), Arc::clone(&full));
+            move |site| {
+                if site != "listen" {
+                    return Ok(());
+                }
+                // ordering: Relaxed ×2 — the hook runs on this thread.
+                asked.fetch_add(1, Ordering::Relaxed);
+                if full.load(Ordering::Relaxed) {
+                    Err(io::Error::from_raw_os_error(sys::EMFILE))
+                } else {
+                    Ok(())
+                }
+            }
+        });
+        let mut client = TcpStream::connect(rig.addr).unwrap();
+        let mut events = Vec::new();
+        // ordering: Relaxed — read on the hook's own thread.
+        let asked_now = || asked.load(Ordering::Relaxed);
+        while asked_now() == 0 {
+            rig.reactor.sweep(&mut events, 5_000).unwrap();
+        }
+        // The client is still queued, so a registered listener would
+        // stay readable and every sweep would try again.
+        for _ in 0..10 {
+            rig.reactor.sweep(&mut events, 0).unwrap();
+        }
+        assert_eq!(asked_now(), 1, "the paused listener is not polled");
+        assert_eq!(rig.series("mt_serve_accept_paused_total"), 1);
+        assert!(rig.reactor.conns.is_empty());
+
+        // Descriptors free up. Even a wait with a long timeout wakes at
+        // the re-arm deadline, and the queued client is served.
+        // ordering: Relaxed — the hook runs on this thread.
+        full.store(false, Ordering::Relaxed);
+        let t0 = Instant::now();
+        while rig.reactor.handler.accepted == 0 {
+            rig.reactor.sweep(&mut events, 60_000).unwrap();
+        }
+        assert!(t0.elapsed() < Duration::from_secs(30), "woke to re-arm");
+        assert_eq!(asked_now(), 3, "one accept, then WouldBlock");
+        client.write_all(b"x").unwrap();
+        rig.reactor.sweep(&mut events, 5_000).unwrap();
+        let mut echoed = [0u8; 1];
+        client.read_exact(&mut echoed).unwrap();
+        assert_eq!(&echoed, b"x");
+        assert_eq!(rig.series("mt_serve_accept_paused_total"), 1);
     }
 
     #[test]

@@ -34,6 +34,10 @@ const AF_INET: c_int = 2;
 const SOCK_STREAM: c_int = 1;
 const SOCK_DGRAM: c_int = 2;
 const SOCK_CLOEXEC: c_int = 0o2000000;
+const ENOMEM: i32 = 12;
+const ENFILE: i32 = 23;
+pub(crate) const EMFILE: i32 = 24;
+const ENOBUFS: i32 = 105;
 
 /// `struct epoll_event`. Packed on x86_64 (the kernel ABI packs it
 /// there so 32- and 64-bit layouts agree); natural alignment elsewhere.
@@ -66,6 +70,13 @@ extern "C" {
     fn socket(domain: c_int, ty: c_int, protocol: c_int) -> c_int;
     fn bind(fd: c_int, addr: *const SockaddrIn, addrlen: u32) -> c_int;
     fn listen(fd: c_int, backlog: c_int) -> c_int;
+}
+
+/// Whether `err` says the process or the kernel ran out of descriptors
+/// or socket memory (`EMFILE`, `ENFILE`, `ENOBUFS`, `ENOMEM`): retrying
+/// at once fails the same way.
+pub(crate) fn is_resource_exhaustion(err: &io::Error) -> bool {
+    matches!(err.raw_os_error(), Some(EMFILE | ENFILE | ENOBUFS | ENOMEM))
 }
 
 /// `struct sockaddr_in`, the kernel's IPv4 socket address. Port and

@@ -565,6 +565,7 @@ mod tests {
             unclean,
             gray,
             funnel: Funnel::default(),
+            spoof_tolerance: 0,
         }
     }
 

@@ -18,16 +18,20 @@
 //! barrier, a close, `finish`, and every lane's next push re-raise the
 //! panic instead of waiting for records no worker will fold.
 
-use std::sync::{Condvar, Mutex, MutexGuard};
+use std::sync::{Condvar, LockResult, Mutex, MutexGuard};
 
 /// Acquires `mutex`, re-raising any panic that poisoned it.
 pub(crate) fn lock<T>(mutex: &Mutex<T>) -> MutexGuard<'_, T> {
-    // check: allow(no_panic, "poisoning means a holder panicked; re-raising on the next toucher is the crate-wide policy stated at module level")
-    mutex.lock().expect("stream lock poisoned") // lock: generic
+    unpoisoned(mutex.lock()) // lock: generic
 }
 
 /// Blocks on `condvar`, re-raising any panic that poisoned the lock.
 pub(crate) fn wait<'a, T>(condvar: &Condvar, guard: MutexGuard<'a, T>) -> MutexGuard<'a, T> {
+    unpoisoned(condvar.wait(guard))
+}
+
+/// The guard, or the poisoning holder's panic re-raised.
+fn unpoisoned<G>(result: LockResult<G>) -> G {
     // check: allow(no_panic, "poisoning means a holder panicked; re-raising on the next toucher is the crate-wide policy stated at module level")
-    condvar.wait(guard).expect("stream lock poisoned")
+    result.expect("stream lock poisoned")
 }

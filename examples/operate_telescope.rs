@@ -8,7 +8,7 @@
 //! cargo run --release --example operate_telescope
 //! ```
 
-use metatelescope::core::{combine, eval, pipeline, PipelineEngine, SpoofTolerance};
+use metatelescope::core::{combine, eval, pipeline, PipelineEngine, SpoofRule};
 use metatelescope::flow::stats::DEFAULT_SIZE_THRESHOLD;
 use metatelescope::flow::TrafficStats;
 use metatelescope::netmodel::{Internet, InternetConfig};
@@ -56,11 +56,6 @@ fn main() {
 
     // ---- Phase 2: infer the meta-telescope with the Section 7.2
     //      spoofing tolerance.
-    let tol = SpoofTolerance::estimate(&stats, net.unrouted_octets(), 0.9999);
-    println!(
-        "spoofing tolerance: {} packets ({} of {} unrouted /24s polluted)",
-        tol.packets, tol.polluted_blocks, tol.baseline_blocks
-    );
     let rib = combine::rib_union(&net, Day(0), WINDOW_DAYS);
     let rate = net.vantage_points[0].sampling_rate;
     let result = PipelineEngine::standard().run(
@@ -69,9 +64,14 @@ fn main() {
         rate,
         WINDOW_DAYS,
         &pipeline::PipelineConfig {
-            spoof_tolerance_packets: tol.packets.max(1),
+            spoof_tolerance: SpoofRule::Unrouted(net.unrouted_octets().to_vec()),
             ..pipeline::PipelineConfig::default()
         },
+    );
+    println!(
+        "spoofing tolerance: {} packets (estimated over {} unrouted /8s)",
+        result.spoof_tolerance,
+        net.unrouted_octets().len()
     );
     println!(
         "inferred {} meta-telescope /24s over {WINDOW_DAYS} days",

@@ -7,7 +7,7 @@
 //! cargo run --release --example spoofing_study
 //! ```
 
-use metatelescope::core::{combine, pipeline, PipelineEngine, SpoofTolerance};
+use metatelescope::core::{combine, pipeline, PipelineEngine, SpoofRule};
 use metatelescope::flow::stats::DEFAULT_SIZE_THRESHOLD;
 use metatelescope::flow::TrafficStats;
 use metatelescope::netmodel::{Internet, InternetConfig};
@@ -21,6 +21,10 @@ fn main() {
     let traffic = TrafficConfig::default_profile();
     let spoof = SpoofSpace::new(&net, traffic.spoof_routed_bias);
     let rate = net.vantage_points[0].sampling_rate;
+    let tolerant_config = pipeline::PipelineConfig {
+        spoof_tolerance: SpoofRule::Unrouted(net.unrouted_octets().to_vec()),
+        ..pipeline::PipelineConfig::default()
+    };
 
     println!("window   strict   +tolerance   tolerance(pkts)");
     let mut merged: Option<TrafficStats> = None;
@@ -40,28 +44,18 @@ fn main() {
         let rib = combine::rib_union(&net, Day(0), d + 1);
 
         let strict = PipelineEngine::standard().run(
-            &stats.clone(),
+            stats,
             &rib,
             rate,
             d + 1,
             &pipeline::PipelineConfig::default(),
         );
-        let tol = SpoofTolerance::estimate(stats, net.unrouted_octets(), 0.9999);
-        let tolerant = PipelineEngine::standard().run(
-            &stats.clone(),
-            &rib,
-            rate,
-            d + 1,
-            &pipeline::PipelineConfig {
-                spoof_tolerance_packets: tol.packets.max(1),
-                ..pipeline::PipelineConfig::default()
-            },
-        );
+        let tolerant = PipelineEngine::standard().run(stats, &rib, rate, d + 1, &tolerant_config);
         println!(
             "0-{d}      {:>6}   {:>10}   {}",
             strict.dark.len(),
             tolerant.dark.len(),
-            tol.packets.max(1)
+            tolerant.spoof_tolerance
         );
     }
     println!();

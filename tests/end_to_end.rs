@@ -2,7 +2,7 @@
 //! capture → inference pipeline → evaluation. Asserts the qualitative
 //! results the paper reports, on the small test scenario.
 
-use metatelescope::core::{analysis, classifier, eval, pipeline, PipelineEngine, SpoofTolerance};
+use metatelescope::core::{analysis, classifier, eval, pipeline, PipelineEngine, SpoofRule};
 use metatelescope::flow::stats::DEFAULT_SIZE_THRESHOLD;
 use metatelescope::netmodel::{AuxDatasets, Internet, InternetConfig};
 use metatelescope::traffic::{generate_day, CaptureSet, SpoofSpace, TrafficConfig};
@@ -233,14 +233,13 @@ fn spoofing_tolerance_recovers_polluted_blocks() {
 
     let strict =
         PipelineEngine::standard().run(&stats, &rib, rate, 3, &pipeline::PipelineConfig::default());
-    let tol = SpoofTolerance::estimate(&stats, w.net.unrouted_octets(), 0.9999);
     let tolerant = PipelineEngine::standard().run(
         &stats,
         &rib,
         rate,
         3,
         &pipeline::PipelineConfig {
-            spoof_tolerance_packets: tol.packets.max(1),
+            spoof_tolerance: SpoofRule::Unrouted(w.net.unrouted_octets().to_vec()),
             ..pipeline::PipelineConfig::default()
         },
     );

@@ -2,7 +2,7 @@
 //! spoofing decay and its tolerance fix (Figure 9), sub-sampling
 //! behaviour (Figure 10), and multi-day telescope coverage (Table 4).
 
-use metatelescope::core::{combine, eval, pipeline, PipelineEngine, SpoofTolerance};
+use metatelescope::core::{combine, eval, pipeline, PipelineEngine, SpoofRule};
 use metatelescope::flow::sampling::thin_records;
 use metatelescope::flow::stats::DEFAULT_SIZE_THRESHOLD;
 use metatelescope::flow::{FlowRecord, TrafficStats};
@@ -31,7 +31,12 @@ fn day_stats(net: &Internet, cfg: &TrafficConfig, day: Day, code: &str) -> Traff
     capture.vantages.swap_remove(idx).into_stats()
 }
 
-fn dark_of(net: &Internet, stats: &TrafficStats, days_window: (Day, u32), tol: u64) -> Block24Set {
+fn dark_of(
+    net: &Internet,
+    stats: &TrafficStats,
+    days_window: (Day, u32),
+    spoof_tolerance: SpoofRule,
+) -> Block24Set {
     let rib = combine::rib_union(net, days_window.0, days_window.1);
     PipelineEngine::standard()
         .run(
@@ -40,7 +45,7 @@ fn dark_of(net: &Internet, stats: &TrafficStats, days_window: (Day, u32), tol: u
             net.vantage_points[0].sampling_rate,
             days_window.1,
             &pipeline::PipelineConfig {
-                spoof_tolerance_packets: tol,
+                spoof_tolerance,
                 ..pipeline::PipelineConfig::default()
             },
         )
@@ -54,8 +59,8 @@ fn weekend_days_yield_more_meta_telescope_prefixes() {
     let (net, cfg) = world();
     let wednesday = day_stats(&net, &cfg, Day(2), "CE1");
     let saturday = day_stats(&net, &cfg, Day(5), "CE1");
-    let mid = dark_of(&net, &wednesday, (Day(2), 1), 0);
-    let sat = dark_of(&net, &saturday, (Day(5), 1), 0);
+    let mid = dark_of(&net, &wednesday, (Day(2), 1), SpoofRule::Fixed(0));
+    let sat = dark_of(&net, &saturday, (Day(5), 1), SpoofRule::Fixed(0));
     assert!(
         sat.len() > mid.len(),
         "Saturday ({}) should beat Wednesday ({})",
@@ -69,6 +74,7 @@ fn cumulative_windows_decay_without_tolerance_and_recover_with_it() {
     // Figure 9: adding days compounds spoofing pollution; the unrouted-
     // space tolerance wins most of it back.
     let (net, cfg) = world();
+    let unrouted = SpoofRule::Unrouted(net.unrouted_octets().to_vec());
     let mut merged: Option<TrafficStats> = None;
     let mut strict_series = Vec::new();
     let mut tolerant_series = Vec::new();
@@ -79,9 +85,8 @@ fn cumulative_windows_decay_without_tolerance_and_recover_with_it() {
             Some(m) => m.merge(&s),
         }
         let acc = merged.as_ref().unwrap();
-        strict_series.push(dark_of(&net, acc, (Day(0), d + 1), 0).len());
-        let tol = SpoofTolerance::estimate(acc, net.unrouted_octets(), 0.9999);
-        tolerant_series.push(dark_of(&net, acc, (Day(0), d + 1), tol.packets.max(1)).len());
+        strict_series.push(dark_of(&net, acc, (Day(0), d + 1), SpoofRule::Fixed(0)).len());
+        tolerant_series.push(dark_of(&net, acc, (Day(0), d + 1), unrouted.clone()).len());
     }
     assert!(
         strict_series[3] < strict_series[0],
@@ -111,12 +116,11 @@ fn multi_day_telescope_coverage_grows() {
             None => merged = Some(s),
             Some(m) => m.merge(&s),
         }
-        let tol = SpoofTolerance::estimate(merged.as_ref().unwrap(), net.unrouted_octets(), 0.9999);
         let dark = dark_of(
             &net,
             merged.as_ref().unwrap(),
             (Day(0), d + 1),
-            tol.packets.max(1),
+            SpoofRule::Unrouted(net.unrouted_octets().to_vec()),
         );
         let cov = eval::TelescopeCoverage::measure(&dark, tus1, &net, Day(0), d + 1);
         coverage.push(cov.inferred);

@@ -3,11 +3,12 @@
 //! and fed through the `mt-stream` stack, must produce per-window and
 //! combined pipeline results bit-identical to batch `run_sharded` over
 //! the same records — including when each day's records arrive shuffled
-//! (out of order within the allowed lateness).
+//! (out of order within the allowed lateness) — under a strict and an
+//! estimated spoofing tolerance alike.
 
 use metatelescope::core::combine;
 use metatelescope::core::pipeline::{PipelineConfig, PipelineResult};
-use metatelescope::core::PipelineEngine;
+use metatelescope::core::{PipelineEngine, SpoofRule};
 use metatelescope::flow::sharded::DEFAULT_SHARDS;
 use metatelescope::flow::stats::DEFAULT_SIZE_THRESHOLD;
 use metatelescope::flow::{FlowRecord, ShardedTrafficStats};
@@ -59,16 +60,24 @@ fn sampling_rate(net: &Internet) -> u32 {
     net.vantage_points[0].sampling_rate
 }
 
+fn pipeline_config(rule: &SpoofRule) -> PipelineConfig {
+    PipelineConfig {
+        spoof_tolerance: rule.clone(),
+        ..PipelineConfig::default()
+    }
+}
+
 /// Streams the given per-day per-exporter record sets through a
-/// `lanes`-lane `MultiStreamService`, interleaving exporters in
-/// transport-sized chunks. Exporters are pinned to lanes round-robin
-/// and one thread drives every lane, so the gate sequence is the same
-/// at any lane count.
+/// `lanes`-lane `MultiStreamService` judging by `rule`, interleaving
+/// exporters in transport-sized chunks. Exporters are pinned to lanes
+/// round-robin and one thread drives every lane, so the gate sequence
+/// is the same at any lane count.
 fn stream(
     net: &Internet,
     days: &[Vec<(String, Vec<FlowRecord>)>],
     lanes: usize,
     ingest_threads: usize,
+    rule: &SpoofRule,
 ) -> StreamOutput {
     let (svc, mut producers) = MultiStreamService::start(
         StreamConfig {
@@ -76,6 +85,7 @@ fn stream(
             sampling_rate: sampling_rate(net),
             overflow: OverflowPolicy::Block,
             allowed_lateness: SimDuration::hours(2),
+            pipeline: pipeline_config(rule),
             ..StreamConfig::default()
         },
         lanes,
@@ -120,32 +130,45 @@ fn assert_results_equal(a: &PipelineResult, b: &PipelineResult, what: &str) {
     assert_eq!(a.unclean, b.unclean, "{what}: unclean sets differ");
     assert_eq!(a.gray, b.gray, "{what}: gray sets differ");
     assert_eq!(a.funnel, b.funnel, "{what}: funnels differ");
+    assert_eq!(
+        a.spoof_tolerance, b.spoof_tolerance,
+        "{what}: spoofing tolerances differ"
+    );
 }
 
 /// Batch reference for one day: plain ingest of the day's records and
 /// one sharded pipeline run against the day's RIB.
-fn batch_window(net: &Internet, day: Day, records: &[FlowRecord]) -> PipelineResult {
+fn batch_window(
+    net: &Internet,
+    day: Day,
+    records: &[FlowRecord],
+    rule: &SpoofRule,
+) -> PipelineResult {
     let stats = ShardedTrafficStats::from_records(DEFAULT_SHARDS, records);
     PipelineEngine::standard().run_sharded(
         &stats,
         &net.rib(day),
         sampling_rate(net),
         1,
-        &PipelineConfig::default(),
+        &pipeline_config(rule),
         2,
     )
 }
 
 #[test]
 fn seven_day_stream_matches_batch() {
-    for lanes in [1, 3] {
-        seven_day_stream_matches_batch_at(lanes);
+    let unrouted = SpoofRule::Unrouted(fixture().net.unrouted_octets().to_vec());
+    assert_eq!(unrouted, SpoofRule::Unrouted(vec![37, 53]));
+    for rule in [SpoofRule::Fixed(0), unrouted] {
+        for lanes in [1, 2, 4] {
+            seven_day_stream_matches_batch_at(lanes, &rule);
+        }
     }
 }
 
-fn seven_day_stream_matches_batch_at(lanes: usize) {
+fn seven_day_stream_matches_batch_at(lanes: usize, rule: &SpoofRule) {
     let fx = fixture();
-    let out = stream(&fx.net, &fx.days, lanes, 3);
+    let out = stream(&fx.net, &fx.days, lanes, 3, rule);
 
     assert_eq!(out.windows.len(), DAYS as usize);
     assert_eq!(out.health.dropped_late, 0, "in-order arrival drops nothing");
@@ -166,8 +189,12 @@ fn seven_day_stream_matches_batch_at(lanes: usize) {
             .flat_map(|(_, r)| r.iter().copied())
             .collect();
         assert_eq!(w.records, records.len() as u64);
-        let batch = batch_window(&fx.net, w.day, &records);
-        assert_results_equal(&w.result, &batch, &format!("day {d} window"));
+        let batch = batch_window(&fx.net, w.day, &records, rule);
+        assert_results_equal(
+            &w.result,
+            &batch,
+            &format!("{rule:?} lanes={lanes} day {d} window"),
+        );
 
         let stats = ShardedTrafficStats::from_records(DEFAULT_SHARDS, &records);
         match &mut merged {
@@ -182,13 +209,17 @@ fn seven_day_stream_matches_batch_at(lanes: usize) {
         &combine::rib_union(&fx.net, Day(0), DAYS),
         sampling_rate(&fx.net),
         DAYS,
-        &PipelineConfig::default(),
+        &pipeline_config(rule),
         2,
     );
     let fin = out.combined.last().unwrap();
     assert_eq!(fin.first, Day(0));
     assert_eq!(fin.days, DAYS);
-    assert_results_equal(&fin.result, &batch_combined, "7-day combined");
+    assert_results_equal(
+        &fin.result,
+        &batch_combined,
+        &format!("{rule:?} lanes={lanes} 7-day combined"),
+    );
 
     // The unified health document ties the whole run together. After a
     // quiescent finish every decoded record is accounted for exactly
@@ -263,7 +294,7 @@ fn shuffled_arrival_within_lateness_matches_batch() {
         })
         .collect();
 
-    let out = stream(&fx.net, &days, 1, 2);
+    let out = stream(&fx.net, &days, 1, 2, &SpoofRule::default());
     assert!(
         out.health.late > 0,
         "shuffling produced out-of-order records"
@@ -277,7 +308,7 @@ fn shuffled_arrival_within_lateness_matches_batch() {
             .flat_map(|(_, r)| r.iter().copied())
             .collect();
         assert_eq!(w.records, records.len() as u64, "day {d} lost nothing");
-        let batch = batch_window(&fx.net, w.day, &records);
+        let batch = batch_window(&fx.net, w.day, &records, &SpoofRule::default());
         assert_results_equal(&w.result, &batch, &format!("shuffled day {d}"));
     }
 }
@@ -285,7 +316,7 @@ fn shuffled_arrival_within_lateness_matches_batch() {
 #[test]
 fn straggler_past_lateness_is_dropped_not_misfiled() {
     let fx = fixture();
-    let out_clean = stream(&fx.net, &fx.days[..2], 1, 2);
+    let out_clean = stream(&fx.net, &fx.days[..2], 1, 2, &SpoofRule::default());
 
     // Re-run with a day-0 record appended to the *day-1* stream of the
     // first exporter: by then day 0's window has closed, so the record
@@ -300,7 +331,7 @@ fn straggler_past_lateness_is_dropped_not_misfiled() {
         .1
         .push(straggler);
 
-    let out = stream(&fx.net, &days, 1, 2);
+    let out = stream(&fx.net, &days, 1, 2, &SpoofRule::default());
     assert_eq!(out.health.dropped_late, 1, "the straggler was dropped");
     out.health.check_invariants().expect("health invariants");
     assert_eq!(
