@@ -29,6 +29,14 @@
 //! by exporter name across loops — while template state never crosses
 //! loops (RFC 7011 §10 keeps transport sessions separate).
 //!
+//! One push down a lane is one socket read's worth: a TCP read of up
+//! to 64 KiB, or a UDP *run* — the consecutive datagrams of one peer
+//! received in one wake, up to 64 KiB. A run ends early when the socket
+//! is empty or the next datagram comes from another peer, which then
+//! starts the next run. Each datagram is decoded and rejected on its
+//! own, but the run meets the window gate once, so a UDP wake pays one
+//! gate pass and one queue hand-off instead of one per datagram.
+//!
 //! The *control loop* is the reactor around the `Http` handler. It
 //! runs on the caller's thread and owns the HTTP
 //! listener: `/health`, `/metrics`, and the `/v1` store queries are
@@ -75,6 +83,7 @@
 //! close; see [`mt_stream::multi`]), whose windows closed before the
 //! failure stay persisted.
 
+use crate::events::{EventKind, EventRing};
 use crate::http;
 use crate::reactor::{Handler, Next, Reactor, Step};
 use crate::sys;
@@ -116,6 +125,15 @@ pub const INGEST_LATENCY_BUCKETS: [u64; 16] = [
 
 /// Listen backlog for the `SO_REUSEPORT` exporter listeners.
 const TCP_BACKLOG: u32 = 1024;
+
+/// Bytes one TCP read asks for, and the budget that ends a UDP run:
+/// either way one push carries up to this much.
+const READ_BYTES: usize = 64 * 1024;
+
+/// The largest UDP payload over IPv4 (65 535 − 8 − 20). Every
+/// `recv_from` is handed at least this much room: the kernel silently
+/// truncates a datagram into a shorter buffer.
+const MAX_DATAGRAM: usize = 65_507;
 
 /// Requested kernel receive-buffer size for each UDP socket, in bytes.
 /// Best-effort: the kernel clamps to `net.core.rmem_max`.
@@ -255,17 +273,20 @@ impl StoreRuntime {
     /// combination from it, then persists every window the scheduler
     /// closes from here on. A window file that fails validation is
     /// moved to the store's `quarantine/` and counted, and its day
-    /// answers as never persisted; a bad summary fails the start.
+    /// answers as never persisted; a bad summary fails the start. Each
+    /// quarantine and each failed persist is also recorded in `events`.
     fn open<F: Fn(Day) -> PrefixTrie<Asn>>(
         cfg: StoreConfig,
         service: &MultiStreamService<F>,
+        events: &Arc<EventRing>,
     ) -> io::Result<StoreRuntime> {
         let to_io =
             |e: mt_store::StoreError| io::Error::new(io::ErrorKind::InvalidData, e.to_string());
         let reg = service.registry();
         let slots = Arc::clone(&cfg.slots);
         let results = ResultsStore::open(cfg).map_err(to_io)?;
-        let (index, _cold) = QueryIndex::cold_load_with(&results, |_, invalid| {
+        let (index, _cold) = QueryIndex::cold_load_with(&results, |day, invalid| {
+            events.record(EventKind::WindowQuarantined, day, invalid);
             reg.counter_with(
                 "mt_store_quarantined_total",
                 &[("reason", invalid.reason())],
@@ -301,6 +322,7 @@ impl StoreRuntime {
             )
         });
         let sink_index = Arc::clone(&index);
+        let sink_events = Arc::clone(events);
         service.set_window_sink(Box::new(move |w| {
             let verdicts = Verdicts::from_result(w.window, &slots);
             let wd = WindowData::build(w.day, w.records, w.stats, verdicts, w.ports, &slots);
@@ -326,7 +348,10 @@ impl StoreRuntime {
                     windows_persisted.inc();
                     bytes_written.add(n);
                 }
-                Err(_) => persist_errors.inc(),
+                Err(e) => {
+                    persist_errors.inc();
+                    sink_events.record(EventKind::PersistFailed, w.day, &e);
+                }
             }
         }));
         Ok(StoreRuntime {
@@ -360,7 +385,16 @@ fn lock_exclusive(l: &RwLock<QueryIndex>) -> RwLockWriteGuard<'_, QueryIndex> {
 struct Ipfix<F> {
     udp: Option<UdpSocket>,
     lane: LaneProducer<F>,
+    /// `READ_BYTES + MAX_DATAGRAM` long: a TCP read fills at most the
+    /// first `READ_BYTES`; a UDP run stays under `READ_BYTES` before
+    /// each `recv_from`, so every datagram has room to arrive whole.
     read_buf: Vec<u8>,
+    /// End offset in `read_buf` of each datagram of the current run.
+    run_ends: Vec<usize>,
+    /// The current run's peer and its session name, `udp:<peer addr>`
+    /// (kept across runs: a steady peer is named once).
+    run_peer: Option<SocketAddr>,
+    run_name: String,
     // Shared counters (one handle per loop onto the same cells) …
     datagrams: Counter,
     datagrams_rejected: Counter,
@@ -376,26 +410,40 @@ impl<F: Fn(Day) -> PrefixTrie<Asn>> Handler for Ipfix<F> {
         self.udp.as_ref().map(AsRawFd::as_raw_fd)
     }
 
+    /// Receives datagrams into runs and pushes each run as one batch.
+    /// A run is consecutive datagrams from one peer; it ends when
+    /// `READ_BYTES` have arrived, the socket is empty, or the peer
+    /// changes — the differing datagram then starts the next run.
     fn on_datagrams(&mut self) -> u64 {
         let mut moved = 0;
         loop {
             let Some(sock) = &self.udp else { return moved };
-            match sock.recv_from(&mut self.read_buf) {
+            let len = self.run_ends.last().copied().unwrap_or(0);
+            match sock.recv_from(&mut self.read_buf[len..]) {
                 Ok((n, peer)) => {
                     moved += n as u64;
                     self.datagrams.inc();
-                    let name = format!("udp:{peer}");
-                    let span = self.ingest_latency.start_span();
-                    let accepted = self.lane.push_datagram(&name, &self.read_buf[..n]);
-                    drop(span);
-                    if !accepted {
-                        self.datagrams_rejected.inc();
+                    let mut end = len + n;
+                    if self.run_peer != Some(peer) {
+                        // The datagram starts the next run.
+                        self.push_run();
+                        self.read_buf.copy_within(len..end, 0);
+                        end = n;
+                        self.run_peer = Some(peer);
+                        self.run_name = format!("udp:{peer}");
+                    }
+                    self.run_ends.push(end);
+                    if end >= READ_BYTES {
+                        self.push_run();
                     }
                 }
                 // `WouldBlock`: the socket is empty. Any other error
                 // (a nonblocking read never sees `EINTR`) also ends
                 // this round.
-                Err(_) => return moved,
+                Err(_) => {
+                    self.push_run();
+                    return moved;
+                }
             }
         }
     }
@@ -410,7 +458,7 @@ impl<F: Fn(Day) -> PrefixTrie<Asn>> Handler for Ipfix<F> {
     fn on_ready(&mut self, mut sock: &TcpStream, peer: &mut String) -> Step {
         let mut moved = 0;
         let next = loop {
-            match sock.read(&mut self.read_buf) {
+            match sock.read(&mut self.read_buf[..READ_BYTES]) {
                 Ok(0) => break Next::Close,
                 Ok(n) => {
                     moved += n as u64;
@@ -427,6 +475,26 @@ impl<F: Fn(Day) -> PrefixTrie<Asn>> Handler for Ipfix<F> {
     }
 }
 
+impl<F: Fn(Day) -> PrefixTrie<Asn>> Ipfix<F> {
+    /// Pushes the current run, if any, down the lane as one batch.
+    fn push_run(&mut self) {
+        if self.run_ends.is_empty() {
+            return;
+        }
+        let mut start = 0;
+        let datagrams = self.run_ends.iter().map(|&end| {
+            let datagram = &self.read_buf[start..end];
+            start = end;
+            datagram
+        });
+        let span = self.ingest_latency.start_span();
+        let rejected = self.lane.push_datagrams(&self.run_name, datagrams);
+        drop(span);
+        self.datagrams_rejected.add(rejected);
+        self.run_ends.clear();
+    }
+}
+
 /// One live HTTP probe connection: request bytes in, response bytes
 /// out. `out` is empty until the request head has fully arrived.
 #[derive(Default)]
@@ -438,14 +506,16 @@ struct HttpConn {
 
 /// The control loop's handler: the one-request-per-connection HTTP
 /// state machine, the routing, and what the routes read — the live
-/// service and the store's query cache.
+/// service, the store's query cache and the event ring.
 struct Http<F> {
     service: MultiStreamService<F>,
     store: Option<StoreRuntime>,
+    events: Arc<EventRing>,
     http_conns: Counter,
     http_health: Counter,
     http_metrics: Counter,
     http_store: Counter,
+    http_events: Counter,
     http_other: Counter,
 }
 
@@ -564,6 +634,11 @@ impl<F: Fn(Day) -> PrefixTrie<Asn>> Http<F> {
                     "text/plain; version=0.0.4; charset=utf-8",
                     text.as_bytes(),
                 )
+            }
+            "/v1/events" => {
+                self.http_events.inc();
+                let body = self.events.to_json();
+                http::response("200 OK", "application/json", body.as_bytes())
             }
             _ => {
                 self.http_other.inc();
@@ -717,8 +792,8 @@ impl<F: Fn(Day) -> PrefixTrie<Asn>> Daemon<F> {
                 "Connections accepted, by transport.",
             )
         });
-        let [http_health, http_metrics, http_store, http_other] =
-            ["health", "metrics", "store", "other"].map(|endpoint| {
+        let [http_health, http_metrics, http_store, http_events, http_other] =
+            ["health", "metrics", "store", "events", "other"].map(|endpoint| {
                 reg.counter_with(
                     "mt_serve_http_requests_total",
                     &[("endpoint", endpoint)],
@@ -763,7 +838,10 @@ impl<F: Fn(Day) -> PrefixTrie<Asn>> Daemon<F> {
             let handler = Ipfix {
                 udp,
                 lane,
-                read_buf: vec![0u8; 64 * 1024],
+                read_buf: vec![0u8; READ_BYTES + MAX_DATAGRAM],
+                run_ends: Vec::new(),
+                run_peer: None,
+                run_name: String::new(),
                 datagrams: datagrams.clone(),
                 datagrams_rejected: datagrams_rejected.clone(),
                 tcp_conns: tcp_conns.clone(),
@@ -771,7 +849,7 @@ impl<F: Fn(Day) -> PrefixTrie<Asn>> Daemon<F> {
                     "mt_serve_ingest_nanoseconds",
                     &[("loop", label.as_str())],
                     &INGEST_LATENCY_BUCKETS,
-                    "Wall time to push one socket read (datagram or stream chunk) into the service, by event loop.",
+                    "Wall time to push one socket read (a TCP stream chunk, or a UDP run of datagrams from one peer) into the service, by event loop.",
                 ),
             };
             let (reactor, wake_tx) = Reactor::new(handler, tcp, Arc::clone(&latch), &reg, &label)?;
@@ -781,17 +859,20 @@ impl<F: Fn(Day) -> PrefixTrie<Asn>> Daemon<F> {
 
         let http = cfg.http.map(TcpListener::bind).transpose()?;
         let http_addr = http.as_ref().map(TcpListener::local_addr).transpose()?;
+        let events = Arc::new(EventRing::default());
         let store = match cfg.store {
-            Some(store_cfg) => Some(StoreRuntime::open(store_cfg, &service)?),
+            Some(store_cfg) => Some(StoreRuntime::open(store_cfg, &service, &events)?),
             None => None,
         };
         let handler = Http {
             service,
             store,
+            events,
             http_conns,
             http_health,
             http_metrics,
             http_store,
+            http_events,
             http_other,
         };
         let (control, wake_tx) = Reactor::new(handler, http, Arc::clone(&latch), &reg, "control")?;
@@ -891,6 +972,7 @@ impl<F: Fn(Day) -> PrefixTrie<Asn> + Send + 'static> Daemon<F> {
             http_requests: http.http_health.get()
                 + http.http_metrics.get()
                 + http.http_store.get()
+                + http.http_events.get()
                 + http.http_other.get(),
             event_loops,
             stream,
@@ -1221,6 +1303,12 @@ mod tests {
         assert!(
             lost.starts_with("HTTP/1.1 404"),
             "window 1 never landed: {lost}"
+        );
+        let (_, events) = http_get(http, "/v1/events").expect("events");
+        let head = r#"{"capacity":256,"dropped":0,"events":[{"seq":0,"kind":"persist_failed","day":1,"reason":"io","#;
+        assert!(
+            events.starts_with(head),
+            "the failed persist is listed: {events}"
         );
 
         handle.shutdown();

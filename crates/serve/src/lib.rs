@@ -11,14 +11,16 @@
 //! - **UDP** (RFC 7011 §10.3): one datagram carries whole IPFIX
 //!   message(s); torn or garbage datagrams are counted and dropped
 //!   without desyncing the peer's session ([`mt_stream`]'s datagram
-//!   path).
+//!   path). A wake's datagrams from one peer are pushed as one run.
 //! - **TCP** (RFC 7011 §10.4): messages framed back to back on the
 //!   stream, any chunking, via the existing per-peer
 //!   [`StreamCollector`](mt_stream::StreamCollector) sessions.
 //! - **HTTP/1.1**: `GET /health` (the accounting-identity snapshot as
 //!   JSON), `GET /metrics` (Prometheus text exposition), and the
 //!   results store's `GET /v1/block/{addr}` and
-//!   `GET /v1/windows/{day}/verdicts` queries, answered by a minimal
+//!   `GET /v1/windows/{day}/verdicts` queries, and `GET /v1/events`
+//!   (the bounded ring of store quarantines and failed persists),
+//!   answered by a minimal
 //!   responder on a control loop of its own, never on an ingest loop.
 //! - **One exit path**: SIGTERM, a [`ShutdownHandle`] trigger, or any
 //!   event loop that fails or panics stops every loop. Each drains
@@ -44,6 +46,7 @@
 #![warn(missing_docs)]
 
 pub mod daemon;
+mod events;
 pub mod http;
 mod reactor;
 pub mod replay;

@@ -4,8 +4,9 @@
 use mt_serve::replay::{self, await_decoded, http_get, http_request, Workload};
 use mt_serve::{Daemon, ServeConfig, ServeOutput};
 use mt_store::{StoreConfig, SummaryData, Verdicts};
-use mt_stream::{HealthSnapshot, StreamConfig};
+use mt_stream::{ExporterCounters, HealthSnapshot, StreamConfig};
 use mt_types::{Day, Ipv4, RibIndex, SimDuration, Slot24Index};
+use mt_wire::ipfix;
 use std::io::{Read, Write};
 use std::net::{TcpStream, UdpSocket};
 use std::path::Path;
@@ -133,48 +134,128 @@ fn udp_and_tcp_ingest_match_and_drain_cleanly() {
     assert_eq!(windowed, w.total_flows());
 }
 
+/// The one exporter of `h` whose session is the UDP peer `peer`.
+fn udp_exporter<'a>(h: &'a HealthSnapshot, peer: &UdpSocket) -> &'a ExporterCounters {
+    let name = format!("udp:{}", peer.local_addr().expect("sender addr"));
+    h.exporters
+        .iter()
+        .find(|e| e.name == name)
+        .unwrap_or_else(|| panic!("no session {name}"))
+}
+
 #[test]
 fn torn_datagrams_are_rejected_without_desync() {
     let w = Workload {
-        exporters: 1,
+        exporters: 2,
         days: 1,
         flows_per_exporter_day: 60,
         seed: 9,
     };
-    let daemon = Daemon::bind(serve_config(SimDuration::hours(2)), |_| {
-        replay::default_rib()
-    })
-    .expect("bind");
+    // One loop, and every datagram queued before it runs: its first
+    // wake drains them all, so the two peers' datagrams interleave
+    // inside one wake and each change of peer ends a run.
+    let cfg = ServeConfig {
+        event_loops: 1,
+        ..serve_config(SimDuration::hours(2))
+    };
+    let daemon = Daemon::bind(cfg, |_| replay::default_rib()).expect("bind");
     let udp_to = daemon.udp_addr().expect("udp on");
     let http = daemon.http_addr().expect("http on");
     let handle = daemon.shutdown_handle().expect("handle");
+
+    let mut seq = [0, 0];
+    let a_msgs = w.encode_day(0, Day(0), &mut seq[0], 20);
+    let b_msgs = w.encode_day(1, Day(0), &mut seq[1], 20);
+    assert_eq!((a_msgs.len(), b_msgs.len()), (3, 3));
+    let a = UdpSocket::bind(("127.0.0.1", 0)).expect("bind sender");
+    let b = UdpSocket::bind(("127.0.0.1", 0)).expect("bind sender");
+    // A good, B good, A torn (truncated mid-record), B good, A
+    // garbage-tailed, A good: A's two bad datagrams must drop whole,
+    // mid-run or not, while both sessions keep decoding.
+    let torn = &a_msgs[1][..a_msgs[1].len() - 7];
+    let mut tailed = a_msgs[1].clone();
+    tailed.extend_from_slice(b"junk");
+    let sends: [(&UdpSocket, &[u8]); 6] = [
+        (&a, &a_msgs[0]),
+        (&b, &b_msgs[0]),
+        (&a, torn),
+        (&b, &b_msgs[1]),
+        (&a, &tailed),
+        (&a, &a_msgs[2]),
+    ];
+    for (sock, datagram) in sends {
+        sock.send_to(datagram, udp_to).expect("send");
+    }
     let runner = std::thread::spawn(move || daemon.run());
 
-    let mut seq = 0;
-    let msgs = w.encode_day(0, Day(0), &mut seq, 20);
-    assert_eq!(msgs.len(), 3);
-    let sock = UdpSocket::bind(("127.0.0.1", 0)).expect("bind sender");
-    // Good, torn (truncated mid-record), garbage-tailed, then good again
-    // from the same peer: the two bad datagrams must drop whole while
-    // the session keeps decoding.
-    sock.send_to(&msgs[0], udp_to).expect("send");
-    sock.send_to(&msgs[1][..msgs[1].len() - 7], udp_to)
-        .expect("send");
-    let mut tailed = msgs[1].clone();
-    tailed.extend_from_slice(b"junk");
-    sock.send_to(&tailed, udp_to).expect("send");
-    sock.send_to(&msgs[2], udp_to).expect("send");
-
-    let live = await_decoded(http, 40).expect("decoded");
-    assert_eq!(live.decoded, 40, "only the two clean datagrams count");
+    let live = await_decoded(http, 80).expect("decoded");
+    assert_eq!(live.decoded, 80, "only the four clean datagrams count");
 
     handle.shutdown();
     let out = runner.join().expect("join").expect("run");
-    assert_eq!(out.datagrams, 4);
+    assert_eq!(out.datagrams, 6);
     assert_eq!(out.datagrams_rejected, 2);
-    assert_eq!(out.stream.health.exporters.len(), 1);
-    assert_eq!(out.stream.health.exporters[0].flows, 40);
-    assert_eq!(out.stream.health.exporters[0].decode_errors, 2);
+    let h = &out.stream.health;
+    assert_eq!(h.exporters.len(), 2);
+    let (ea, eb) = (udp_exporter(h, &a), udp_exporter(h, &b));
+    assert_eq!((ea.flows, ea.decode_errors), (40, 2), "A");
+    assert_eq!((eb.flows, eb.decode_errors), (40, 0), "B");
+    h.check_invariants().expect("final ledger");
+}
+
+#[test]
+fn a_max_size_datagram_mid_run_is_received_whole() {
+    // The largest IPv4 UDP payload, queued behind a small datagram from
+    // the same peer, so it arrives second in the run: its `recv_from`
+    // must still get room for all of it. One data set of the most
+    // records a message holds, padded (RFC 7011 §3.3.1) to the limit.
+    const MAX_DATAGRAM: usize = 65_507;
+    let w = Workload {
+        exporters: 1,
+        days: 1,
+        flows_per_exporter_day: ipfix::MAX_RECORDS_PER_MESSAGE + 6,
+        seed: 0xB16,
+    };
+    let msgs = w.encode_day(0, Day(0), &mut 0, ipfix::MAX_RECORDS_PER_MESSAGE);
+    let (mut big, small) = (msgs[0].clone(), msgs[1].clone());
+    let pad = MAX_DATAGRAM - big.len();
+    big.resize(MAX_DATAGRAM, 0);
+    // The message's length field, and the data set's: past the header
+    // and the template set (set header, template header, fields).
+    let data_set_len_at = 16 + (4 + 4 + ipfix::FLOW_FIELDS.len() * 4) + 2;
+    for at in [2, data_set_len_at] {
+        let len = u16::from_be_bytes([big[at], big[at + 1]]) + pad as u16;
+        big[at..at + 2].copy_from_slice(&len.to_be_bytes());
+    }
+    assert_eq!(u16::from_be_bytes([big[2], big[3]]) as usize, MAX_DATAGRAM);
+
+    // Ten days of lateness: the small datagram's records end the day,
+    // and the big one's must not count as late-dropped behind them.
+    let cfg = ServeConfig {
+        event_loops: 1,
+        ..serve_config(SimDuration::days(10))
+    };
+    let daemon = Daemon::bind(cfg, |_| replay::default_rib()).expect("bind");
+    let udp_to = daemon.udp_addr().expect("udp on");
+    let http = daemon.http_addr().expect("http on");
+    let handle = daemon.shutdown_handle().expect("handle");
+    let sock = UdpSocket::bind(("127.0.0.1", 0)).expect("bind sender");
+    sock.send_to(&small, udp_to).expect("send small");
+    assert_eq!(sock.send_to(&big, udp_to).expect("send big"), MAX_DATAGRAM);
+    let runner = std::thread::spawn(move || daemon.run());
+
+    await_decoded(http, w.total_flows()).expect("decoded");
+    handle.shutdown();
+    let out = runner.join().expect("join").expect("run");
+    assert_eq!(out.datagrams, 2);
+    assert_eq!(out.datagrams_rejected, 0, "neither datagram was truncated");
+    let e = udp_exporter(&out.stream.health, &sock);
+    assert_eq!(
+        e.bytes,
+        (small.len() + MAX_DATAGRAM) as u64,
+        "received whole"
+    );
+    assert_eq!((e.flows, e.decode_errors), (w.total_flows(), 0));
     out.stream.health.check_invariants().expect("final ledger");
 }
 
@@ -604,6 +685,33 @@ fn a_corrupt_window_file_is_quarantined_not_fatal() {
         bytes,
         "kept as found"
     );
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
+fn a_quarantined_window_is_listed_in_events() {
+    let dir = temp_store_dir("events");
+    let w = Workload {
+        exporters: 1,
+        days: 2,
+        flows_per_exporter_day: 300,
+        seed: 0xE7E,
+    };
+    ingest_into_store(&dir, &streams(&w, 0..w.days), w.total_flows());
+    let (status, body) = &get_all(&dir, &["/v1/events".to_owned()])[0];
+    assert!(status.starts_with("HTTP/1.1 200"), "{status}");
+    assert_eq!(body, r#"{"capacity":256,"dropped":0,"events":[]}"#);
+
+    // Day 1's file loses its tail: it is quarantined at the next start.
+    let bad = dir.join("window-00001.mtw");
+    let bytes = std::fs::read(&bad).expect("read window");
+    std::fs::write(&bad, &bytes[..bytes.len() - 1]).expect("truncate window");
+
+    let (status, body) = &get_all(&dir, &["/v1/events".to_owned()])[0];
+    assert!(status.starts_with("HTTP/1.1 200"), "{status}");
+    let head = r#"{"capacity":256,"dropped":0,"events":[{"seq":0,"kind":"window_quarantined","day":1,"reason":"truncated","detail":""#;
+    assert!(body.starts_with(head), "{body}");
+    assert!(body.ends_with("\"}]}"), "exactly one event: {body}");
     std::fs::remove_dir_all(&dir).ok();
 }
 

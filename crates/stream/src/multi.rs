@@ -583,17 +583,30 @@ impl<F: Fn(Day) -> PrefixTrie<Asn>> LaneProducer<F> {
         self.ingest_decoded(exporter, decoded);
     }
 
-    /// Feeds one UDP datagram from `exporter`; rejected datagrams
-    /// (returning `false`) are counted on the exporter's session and
-    /// contribute no records.
-    pub fn push_datagram(&mut self, exporter: &str, datagram: &[u8]) -> bool {
+    /// Feeds a run of UDP datagrams from `exporter`, in arrival order:
+    /// each is decoded as its own unit, all under one collector hold,
+    /// and the run's records are gated and queued as one batch — the
+    /// gate sees the record sequence it would see datagram by datagram.
+    /// Returns how many datagrams were rejected; each is counted on the
+    /// exporter's session and contributes no records.
+    pub fn push_datagrams<D: AsRef<[u8]>>(
+        &mut self,
+        exporter: &str,
+        datagrams: impl IntoIterator<Item = D>,
+    ) -> u64 {
         let mut decoded = std::mem::take(&mut self.decode_buf);
         decoded.clear();
-        let accepted =
-            // lock: stream.collector
-            crate::sync::lock(&self.collector).feed_datagram_into(exporter, datagram, &mut decoded);
+        let mut rejected = 0;
+        {
+            let mut collector = crate::sync::lock(&self.collector); // lock: stream.collector
+            for datagram in datagrams {
+                if !collector.feed_datagram_into(exporter, datagram.as_ref(), &mut decoded) {
+                    rejected += 1;
+                }
+            }
+        }
         self.ingest_decoded(exporter, decoded);
-        accepted
+        rejected
     }
 
     /// Gates decoded records, batches them per day onto this lane, and
@@ -889,16 +902,22 @@ mod tests {
         /// messages cut every N bytes, so pieces straddle message
         /// boundaries.
         Chunks(usize),
-        /// One message of N records per UDP datagram.
-        Datagrams(usize),
+        /// One message of `.0` records per UDP datagram, pushed in runs
+        /// of `.1` datagrams ([`WHOLE_SHARE`]: the lane's whole share of
+        /// a day in one run).
+        Datagrams(usize, usize),
     }
+
+    /// A run length that takes a lane's whole share of a day at once.
+    const WHOLE_SHARE: usize = usize::MAX;
 
     /// The single-threaded driver the lane-agnostic cases share. Each
     /// day's messages are dealt round-robin to the lanes — lane `l` is
     /// exporter `CE{l}`, a peer lands on one lane at a time — and the
     /// lanes take turns, one piece each, until the day is through. One
     /// thread drives every lane, so the gate sequence (and with it every
-    /// late/dropped count) is deterministic.
+    /// late/dropped count) is deterministic. A turn is one stream chunk
+    /// or one run of datagrams.
     fn feed_days<F: Fn(Day) -> PrefixTrie<Asn>>(
         producers: &mut [LaneProducer<F>],
         days: &[Vec<FlowRecord>],
@@ -908,30 +927,34 @@ mod tests {
         let lanes = producers.len();
         let per_message = match transport {
             Transport::Chunks(_) => 7,
-            Transport::Datagrams(n) => n,
+            Transport::Datagrams(n, _) => n,
         };
         for records in days {
             let mut shares: Vec<Vec<Vec<u8>>> = vec![Vec::new(); lanes];
             for (i, m) in messages(records, seq, per_message).into_iter().enumerate() {
                 shares[i % lanes].push(m);
             }
-            let pieces: Vec<Vec<Vec<u8>>> = match transport {
-                Transport::Datagrams(_) => shares,
+            // Per lane, its turns; each turn is one or more pieces.
+            let turns: Vec<Vec<Vec<Vec<u8>>>> = match transport {
+                Transport::Datagrams(_, run) => shares
+                    .into_iter()
+                    .map(|msgs| msgs.chunks(run).map(<[Vec<u8>]>::to_vec).collect())
+                    .collect(),
                 Transport::Chunks(n) => shares
                     .into_iter()
-                    .map(|msgs| msgs.concat().chunks(n).map(<[u8]>::to_vec).collect())
+                    .map(|msgs| msgs.concat().chunks(n).map(|c| vec![c.to_vec()]).collect())
                     .collect(),
             };
-            let turns = pieces.iter().map(Vec::len).max().unwrap_or(0);
-            for turn in 0..turns {
+            let rounds = turns.iter().map(Vec::len).max().unwrap_or(0);
+            for round in 0..rounds {
                 for (lane, p) in producers.iter_mut().enumerate() {
-                    let Some(piece) = pieces[lane].get(turn) else {
+                    let Some(pieces) = turns[lane].get(round) else {
                         continue;
                     };
                     let name = format!("CE{lane}");
                     match transport {
-                        Transport::Chunks(_) => p.push_chunk(&name, piece),
-                        Transport::Datagrams(_) => assert!(p.push_datagram(&name, piece)),
+                        Transport::Chunks(_) => p.push_chunk(&name, &pieces[0]),
+                        Transport::Datagrams(..) => assert_eq!(p.push_datagrams(&name, pieces), 0),
                     }
                 }
             }
@@ -1067,13 +1090,18 @@ mod tests {
         // Both transports answer to the same oracle — the stream side
         // in `streamed_windows_match_batch_per_day` — so they agree
         // with each other, window for window.
+        // Each run of datagrams is gated as one batch, so runs of every
+        // length answer to it too.
         let days = days(3);
         let cfg = hour_late(2);
         for lanes in LANES {
-            let (out, ports) = run(cfg.clone(), lanes, &days, Transport::Datagrams(7));
-            out.health.check_invariants().unwrap();
-            let what = format!("datagrams, {lanes} lanes");
-            assert_matches_batch(&out, &ports, &days, &cfg, &what);
+            for run_len in [1, 3, WHOLE_SHARE] {
+                let transport = Transport::Datagrams(7, run_len);
+                let (out, ports) = run(cfg.clone(), lanes, &days, transport);
+                out.health.check_invariants().unwrap();
+                let what = format!("datagrams in runs of {run_len}, {lanes} lanes");
+                assert_matches_batch(&out, &ports, &days, &cfg, &what);
+            }
         }
     }
 
@@ -1084,10 +1112,12 @@ mod tests {
             let lane = &mut p[lanes - 1];
             let mut seq = 0;
             let good = messages(&day_records(Day(0)), &mut seq, 50).concat();
-            assert!(lane.push_datagram("U", &good));
             let mut torn = messages(&day_records(Day(1)), &mut seq, 50).concat();
             torn.truncate(torn.len() - 9);
-            assert!(!lane.push_datagram("U", &torn), "torn datagram rejected");
+            // Mid-run, between two good datagrams of one run.
+            let good_tail = messages(&day_records(Day(0))[..5], &mut seq, 50).concat();
+            let run = [&good, &torn, &good_tail];
+            assert_eq!(lane.push_datagrams("U", run), 1, "torn datagram rejected");
             let out = svc.finish(p);
             assert_eq!(out.windows.len(), 1, "only day 0 produced records");
             out.health.check_invariants().unwrap();
@@ -1097,7 +1127,7 @@ mod tests {
                 .iter()
                 .find(|e| e.name == "U")
                 .expect("session exists");
-            assert_eq!(u.flows, 40);
+            assert_eq!(u.flows, 45);
             assert_eq!(u.decode_errors, 1, "the torn datagram was counted");
         }
     }
@@ -1161,22 +1191,20 @@ mod tests {
             let seen = collect_ports(&svc);
             let mut seq = 0;
             let day0 = messages(&days[0], &mut seq, 40);
-            assert!(p[0].push_datagram("CE0", &day0[0]));
+            assert_eq!(p[0].push_datagrams("CE0", [&day0[0]]), 0);
             // Once the first batch is folded, day 0's accumulator is in
             // the open-day map.
             wait_for("the first batch folded", || svc.health().ingested == 40);
             let held = Arc::clone(&svc.shared.days.lock().unwrap()[&Day(0)].shards);
             let guard = held[shard].lock().unwrap();
-            assert!(p[lanes - 1].push_datagram("CE0", &day0[1]));
+            assert_eq!(p[lanes - 1].push_datagrams("CE0", [&day0[1]]), 0);
             wait_for("a worker to miss the held lock", || {
                 svc.shared.shard_contended.get() > 0
             });
             drop(guard);
             drop(held);
-            for m in &day0[2..] {
-                assert!(p[0].push_datagram("CE0", m));
-            }
-            feed_days(&mut p, &days[1..], &mut seq, Transport::Datagrams(40));
+            assert_eq!(p[0].push_datagrams("CE0", &day0[2..]), 0);
+            feed_days(&mut p, &days[1..], &mut seq, Transport::Datagrams(40, 1));
             let out = svc.finish(p);
             out.health.check_invariants().expect("final invariants");
             let contended = out
@@ -1382,7 +1410,7 @@ mod tests {
                 let (svc, mut p) = MultiStreamService::start(cfg.clone(), lanes, |_| rib());
                 let seen = collect_ports(&svc);
                 let mut seq = 0;
-                feed_days(&mut p, &days[..2], &mut seq, Transport::Datagrams(40));
+                feed_days(&mut p, &days[..2], &mut seq, Transport::Datagrams(40, 1));
                 assert_eq!(svc.windows_closed(), 1, "{what}: day 0 closed");
                 wait_for("day 1 folded", || svc.health().in_flight == 0);
 
@@ -1393,7 +1421,10 @@ mod tests {
                     src_port: FAULT_PORT,
                     ..days[1][0]
                 };
-                assert!(p[0].push_datagram("CE0", &messages(&[faulty], &mut seq, 1)[0]));
+                assert_eq!(
+                    p[0].push_datagrams("CE0", messages(&[faulty], &mut seq, 1)),
+                    0
+                );
                 wait_for("the worker to stall on the held shard", || {
                     svc.shared.shard_contended.get() > misses
                 });
@@ -1403,7 +1434,7 @@ mod tests {
                     Waiter::Close => {
                         let day2 = messages(&days[2][..40], &mut seq, 40).remove(0);
                         let waiting = spawn_catching(p, move |p| {
-                            p.last_mut().unwrap().push_datagram("CE9", &day2);
+                            p.last_mut().unwrap().push_datagrams("CE9", [&day2]);
                         });
                         wait_for("the close to start", || svc.closer.try_lock().is_err());
                         waiting
@@ -1412,7 +1443,7 @@ mod tests {
                         let more = messages(&days[1][..80], &mut seq, 40);
                         let waiting = spawn_catching(p, move |p| {
                             for m in &more {
-                                p[0].push_datagram("CE0", m);
+                                p[0].push_datagrams("CE0", [m]);
                             }
                         });
                         wait_for("both batches gated", || {
@@ -1458,7 +1489,7 @@ mod tests {
             let what = format!("{lanes} lanes");
             let (svc, mut p) = MultiStreamService::start(hour_late(1), lanes, |_| rib());
             let mut seq = 0;
-            feed_days(&mut p, &days, &mut seq, Transport::Datagrams(40));
+            feed_days(&mut p, &days, &mut seq, Transport::Datagrams(40, 1));
             wait_for("day 0 folded", || svc.health().in_flight == 0);
             let healthy = svc.health();
             assert!(!healthy.failed, "{what}: healthy before the fault");
@@ -1468,7 +1499,10 @@ mod tests {
                 src_port: FAULT_PORT,
                 ..days[0][0]
             };
-            assert!(p[0].push_datagram("CE0", &messages(&[faulty], &mut seq, 1)[0]));
+            assert_eq!(
+                p[0].push_datagrams("CE0", messages(&[faulty], &mut seq, 1)),
+                0
+            );
             wait_for("the worker to die", || svc.health().failed);
             assert!(
                 svc.health().check_invariants().is_err(),

@@ -90,17 +90,10 @@ fn main() {
 
     // ---- Phase 3: what does the meta-telescope see? Count sampled TCP
     //      toward inferred-dark blocks, port by port, and compare with
-    //      the operational telescope (Table 5's exercise).
+    //      the operational telescope (Table 5's exercise). The per-/24
+    //      aggregates keep no per-port split, so the example re-observes
+    //      one day with a port-counting sink over the inferred set.
     let mut meta_ports: HashMap<u16, u64> = HashMap::new();
-    for (block, d) in stats.iter_dst() {
-        if result.dark.contains(block) {
-            // The per-port split is not retained in aggregates; re-use
-            // the telescope's histogram granularity by scanning sizes is
-            // not possible either — so this example re-observes one day
-            // with a port-counting sink over the inferred set.
-            let _ = d;
-        }
-    }
     {
         use metatelescope::core::analysis::PortMatrix;
         use metatelescope::traffic::{EmissionSink, FlowEmission, SpoofFloodEmission};

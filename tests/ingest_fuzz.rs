@@ -7,7 +7,10 @@
 //! The oracle mirrors the service's front half with public parts: one
 //! `StreamCollector` per lane decodes the same pieces in the same order,
 //! and one `WindowTracker` gates what they decode. One thread drives
-//! every lane, so the service's gate sees that same sequence.
+//! every lane, so the service's gate sees that same sequence. Datagram
+//! feeds go in runs of a seeded length, each gated as one batch, so
+//! mutated and torn datagrams sit mid-run; the oracle decodes them one
+//! by one.
 //!
 //! Flows come from the full-range strategy mt-wire's property tests use
 //! (`crates/wire/tests/properties.rs`): packet and octet counts anywhere
@@ -86,6 +89,9 @@ struct Feed {
     lane: usize,
     datagrams: bool,
     pieces: Vec<Vec<u8>>,
+    /// Pieces per turn: one stream chunk, or a run of this many
+    /// datagrams pushed as one batch.
+    run: usize,
 }
 
 /// Cuts `bytes` into stream chunks of `size` bytes.
@@ -93,14 +99,20 @@ fn chunks(bytes: &[u8], size: usize) -> Vec<Vec<u8>> {
     bytes.chunks(size).map(<[u8]>::to_vec).collect()
 }
 
-/// The pieces in driving order: the feeds take turns, one piece each.
-fn interleave(feeds: &[Feed]) -> Vec<(&Feed, &[u8])> {
-    let turns = feeds.iter().map(|f| f.pieces.len()).max().unwrap_or(0);
-    (0..turns)
+/// The turns in driving order: the feeds take turns, one turn's
+/// pieces each.
+fn interleave(feeds: &[Feed]) -> Vec<(&Feed, &[Vec<u8>])> {
+    let turns: Vec<Vec<&[Vec<u8>]>> = feeds
+        .iter()
+        .map(|f| f.pieces.chunks(f.run).collect())
+        .collect();
+    let rounds = turns.iter().map(Vec::len).max().unwrap_or(0);
+    (0..rounds)
         .flat_map(|t| {
             feeds
                 .iter()
-                .filter_map(move |f| f.pieces.get(t).map(|p| (f, p.as_slice())))
+                .zip(&turns)
+                .filter_map(move |(f, turns)| turns.get(t).map(|&pieces| (f, pieces)))
         })
         .collect()
 }
@@ -113,12 +125,14 @@ fn run(cfg: &StreamConfig, lanes: usize, feeds: Vec<Feed>) -> Option<Result<Stre
     let (tx, rx) = mpsc::channel();
     std::thread::spawn(move || {
         let (svc, mut producers) = MultiStreamService::start(cfg, lanes, rib);
-        for (feed, piece) in interleave(&feeds) {
+        for (feed, pieces) in interleave(&feeds) {
             let lane = &mut producers[feed.lane];
             if feed.datagrams {
-                lane.push_datagram(&feed.exporter, piece);
+                lane.push_datagrams(&feed.exporter, pieces);
             } else {
-                lane.push_chunk(&feed.exporter, piece);
+                for piece in pieces {
+                    lane.push_chunk(&feed.exporter, piece);
+                }
             }
         }
         let _ = tx.send(svc.finish(producers));
@@ -142,7 +156,10 @@ fn oracle(
     let mut tracker = WindowTracker::new(cfg.allowed_lateness);
     let mut accepted: BTreeMap<Day, Vec<FlowRecord>> = BTreeMap::new();
     let mut decoded = 0;
-    for (feed, piece) in interleave(feeds) {
+    for (feed, piece) in interleave(feeds)
+        .into_iter()
+        .flat_map(|(f, ps)| ps.iter().map(move |p| (f, p)))
+    {
         let mut out = Vec::new();
         let collector = &mut collectors[feed.lane];
         if feed.datagrams {
@@ -181,6 +198,7 @@ proptest! {
         extend_by in 0usize..20,
         soup in proptest::collection::vec(any::<u8>(), 0..200),
         chunk in 1usize..=300,
+        run_len in 1usize..=5,
         transports in any::<u8>(),
         three_days in any::<bool>(),
         lateness_hours in 0u64..=48,
@@ -231,6 +249,7 @@ proptest! {
                 lane: k % lanes,
                 datagrams: datagrams(k),
                 pieces: if datagrams(k) { as_datagrams } else { chunks(&stream, chunk) },
+                run: if datagrams(k) { run_len } else { 1 },
             })
             .collect();
             let (accepted, decoded, tracker) = oracle(&cfg, lanes, &feeds);
