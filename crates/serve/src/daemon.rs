@@ -87,7 +87,7 @@ use crate::events::{EventKind, EventRing};
 use crate::http;
 use crate::reactor::{Handler, Next, Reactor, Step};
 use crate::sys;
-use mt_obs::{Counter, Histogram};
+use mt_obs::{Counter, Histogram, DEFAULT_TIME_BUCKETS};
 use mt_store::{QueryIndex, ResultsStore, StoreConfig, Verdicts, WindowData};
 use mt_stream::{LaneProducer, MultiStreamService, StreamConfig};
 use mt_types::{Asn, Block24, Day, Ipv4, PrefixTrie};
@@ -101,27 +101,19 @@ use std::str::FromStr;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, PoisonError, RwLock, RwLockReadGuard, RwLockWriteGuard};
 
-/// Histogram bounds for per-push ingest latency, in nanoseconds: fine
-/// enough around the sub-100µs hot path for meaningful p50/p99, topping
-/// out at 1s for queue-blocked pushes.
-pub const INGEST_LATENCY_BUCKETS: [u64; 16] = [
-    250,
-    500,
-    1_000,
-    2_500,
-    5_000,
-    10_000,
-    25_000,
-    50_000,
-    100_000,
-    250_000,
-    500_000,
-    1_000_000,
-    5_000_000,
-    25_000_000,
-    100_000_000,
-    1_000_000_000,
-];
+/// Histogram bounds for per-push ingest and per-query latency, in
+/// nanoseconds: a ×2 ladder from 256 ns to 2^30 ns (≈ 1.07 s, a
+/// queue-blocked push), so a quantile read off a bucket bound is never
+/// more than 2× from the observation it stands for.
+pub const INGEST_LATENCY_BUCKETS: [u64; 23] = {
+    let mut bounds = [0u64; 23];
+    let mut i = 0;
+    while i < bounds.len() {
+        bounds[i] = 256 << i;
+        i += 1;
+    }
+    bounds
+};
 
 /// Listen backlog for the `SO_REUSEPORT` exporter listeners.
 const TCP_BACKLOG: u32 = 1024;
@@ -321,23 +313,36 @@ impl StoreRuntime {
                 "Store queries answered, by kind.",
             )
         });
+        let [build, write_window, apply, write_summary] =
+            ["build", "write_window", "apply", "write_summary"].map(|step| {
+                reg.histogram_with(
+                    "mt_store_persist_nanoseconds",
+                    &[("step", step)],
+                    &DEFAULT_TIME_BUCKETS,
+                    "Wall time of each step of persisting a closed window, failed or not: build (snapshot its columns), write_window, apply (merge into the query index), write_summary.",
+                )
+            });
         let sink_index = Arc::clone(&index);
         let sink_events = Arc::clone(events);
         service.set_window_sink(Box::new(move |w| {
-            let verdicts = Verdicts::from_result(w.window, &slots);
-            let wd = WindowData::build(w.day, w.records, w.stats, verdicts, w.ports, &slots);
+            let wd = timed(&build, || {
+                let verdicts = Verdicts::from_result(w.window, &slots);
+                WindowData::build(w.day, w.records, w.stats, verdicts, w.ports, &slots)
+            });
             let outcome = (|| {
-                let mut n = results.write_window(&wd)?;
-                // Everything the merge can be handed ready-made
-                // is made before the exclusive section.
-                let combined = Verdicts::from_result(w.combined, &slots);
-                let window = wd.verdicts.clone();
-                lock_exclusive(&sink_index) // lock: serve.index
-                    .apply_verdicts(&wd, window, combined)?;
+                let mut n = timed(&write_window, || results.write_window(&wd))?;
+                timed(&apply, || {
+                    // Everything the merge can be handed ready-made
+                    // is made before the exclusive section.
+                    let combined = Verdicts::from_result(w.combined, &slots);
+                    let window = wd.verdicts.clone();
+                    lock_exclusive(&sink_index) // lock: serve.index
+                        .apply_verdicts(&wd, window, combined)
+                })?;
                 // lock: serve.index
                 let idx = lock_shared(&sink_index);
                 // check: allow(blocking_under_lock, "shared guard: queries keep reading beside the write; this sink is the index's only writer and runs under stream.closer, so the summary cannot change before it is on disk")
-                n += results.write_summary(idx.summary())?;
+                n += timed(&write_summary, || results.write_summary(idx.summary()))?;
                 Ok::<u64, mt_store::StoreError>(n)
             })();
             // A failed persist must never take down the
@@ -365,6 +370,12 @@ impl StoreRuntime {
             ),
         })
     }
+}
+
+/// Runs `f`, observing its wall time into `h`.
+fn timed<T>(h: &Histogram, f: impl FnOnce() -> T) -> T {
+    let _span = h.start_span();
+    f()
 }
 
 /// Takes the index lock shared, recovering the data from a poisoned
@@ -993,6 +1004,19 @@ mod tests {
     use std::path::PathBuf;
     use std::sync::mpsc;
     use std::time::Duration;
+
+    #[test]
+    fn latency_bounds_rise_by_at_most_two_times() {
+        let b = INGEST_LATENCY_BUCKETS;
+        assert_eq!(b[0], 256);
+        assert!(
+            b[b.len() - 1] >= 1_000_000_000,
+            "a blocked push still lands in a bucket"
+        );
+        for pair in b.windows(2) {
+            assert!(pair[0] < pair[1] && pair[1] <= 2 * pair[0], "{pair:?}");
+        }
+    }
 
     /// A store on a fresh directory over [`replay::default_rib`].
     fn fresh_store(tag: &str) -> StoreConfig {

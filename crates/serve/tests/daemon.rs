@@ -715,6 +715,34 @@ fn a_quarantined_window_is_listed_in_events() {
     std::fs::remove_dir_all(&dir).ok();
 }
 
+/// Every step of every close is timed in `/metrics`: the exposition
+/// text the daemon serves is rendered from the run's registry.
+#[test]
+fn the_store_steps_of_a_close_are_timed() {
+    let dir = temp_store_dir("steps");
+    let w = Workload {
+        exporters: 2,
+        days: 3,
+        flows_per_exporter_day: 300,
+        seed: 0x57e9,
+    };
+    let out = ingest_into_store(&dir, &streams(&w, 0..w.days), w.total_flows());
+    std::fs::remove_dir_all(&dir).ok();
+    let text = out.stream.registry.snapshot().render_prometheus_text();
+    let value = |series: &str| -> u64 {
+        text.lines()
+            .find_map(|line| line.strip_prefix(series)?.strip_prefix(' ')?.parse().ok())
+            .unwrap_or_else(|| panic!("no {series} in\n{text}"))
+    };
+    let persisted = value("mt_store_windows_persisted_total");
+    assert_eq!(persisted, u64::from(w.days));
+    for step in ["build", "write_window", "apply", "write_summary"] {
+        let series = |part: &str| format!("mt_store_persist_nanoseconds_{part}{{step=\"{step}\"}}");
+        assert_eq!(value(&series("count")), persisted, "{step}");
+        assert!(value(&series("sum")) > 0, "{step}");
+    }
+}
+
 #[test]
 fn shutdown_races_with_inflight_sends_and_still_balances() {
     // Trigger shutdown immediately after the last send returns, with no

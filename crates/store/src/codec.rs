@@ -1,7 +1,7 @@
 //! Byte-level primitives for the store format: little-endian scalars,
-//! LEB128 varints, delta-coded ascending id lists, and the FNV-1a
-//! checksum. Every decode path is total — malformed input comes back
-//! as a [`StoreError`], never a panic or a silent misread.
+//! LEB128 varints, delta-coded ascending id lists, and the FNV-1a and
+//! lane checksums. Every decode path is total — malformed input comes
+//! back as a [`StoreError`], never a panic or a silent misread.
 
 use crate::error::StoreError;
 
@@ -90,14 +90,53 @@ pub fn put_delta_iter(out: &mut Vec<u8>, len: usize, ids: impl IntoIterator<Item
     }
 }
 
-/// FNV-1a over a byte slice: the store's integrity checksum. Not
-/// cryptographic — it guards against truncation and bit rot, not
-/// adversaries.
+const FNV_BASIS: u64 = 0xcbf2_9ce4_8422_2325;
+const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
+
+/// FNV-1a over a byte slice: the store's header checksum, and the
+/// payload checksum of format version 1. Not cryptographic — it guards
+/// against truncation and bit rot, not adversaries.
 pub fn fnv1a64(bytes: &[u8]) -> u64 {
-    let mut h = 0xcbf2_9ce4_8422_2325u64;
+    let mut h = FNV_BASIS;
     for &b in bytes {
         h ^= u64::from(b);
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
+        h = h.wrapping_mul(FNV_PRIME);
+    }
+    h
+}
+
+/// Independent lanes of [`lanes64`]. A format constant: changing it
+/// changes every version-2 checksum.
+const LANES: usize = 4;
+
+/// The payload checksum of format version 2: FNV-1a's xor-then-multiply
+/// over little-endian u64 words, word `i` folded into lane `i mod 4`,
+/// so the four multiply chains run side by side instead of one chain
+/// per byte. The tail of under 32 bytes goes through [`fnv1a64`], then
+/// the lanes and the length are folded in, in order.
+///
+/// Each lane step is a bijection of the lane's state, and so is each
+/// fold, so a change confined to one 8-byte word (or to the tail)
+/// always changes the sum. A multiply carries a difference only
+/// upwards, so each step also rotates the lane: a flip in a word's
+/// high bits reaches the low bits of the next step instead of staying
+/// in the top bits, where a second flip in the same lane could cancel
+/// it.
+pub fn lanes64(bytes: &[u8]) -> u64 {
+    let mut lanes = [FNV_BASIS; LANES];
+    let mut blocks = bytes.chunks_exact(8 * LANES);
+    for block in &mut blocks {
+        for (lane, word) in lanes.iter_mut().zip(block.chunks_exact(8)) {
+            let mut w = [0u8; 8];
+            w.copy_from_slice(word);
+            *lane = (*lane ^ u64::from_le_bytes(w))
+                .wrapping_mul(FNV_PRIME)
+                .rotate_left(29);
+        }
+    }
+    let mut h = fnv1a64(blocks.remainder());
+    for v in lanes.into_iter().chain([bytes.len() as u64]) {
+        h = (h ^ v).wrapping_mul(FNV_PRIME);
     }
     h
 }
@@ -314,6 +353,39 @@ mod tests {
             Reader::new(&buf).delta_list(),
             Err(StoreError::Truncated { .. })
         ));
+    }
+
+    #[test]
+    fn every_single_bit_flip_changes_the_lane_sum() {
+        // Two whole 32-byte blocks and a 13-byte tail.
+        let bytes: Vec<u8> = (0..77u32).map(|i| (i * 37 + 11) as u8).collect();
+        let sum = lanes64(&bytes);
+        for pos in 0..bytes.len() {
+            for bit in 0..8 {
+                let mut dirty = bytes.clone();
+                dirty[pos] ^= 1 << bit;
+                assert_ne!(lanes64(&dirty), sum, "byte {pos} bit {bit}");
+            }
+        }
+    }
+
+    #[test]
+    fn top_bit_flips_in_one_lane_do_not_cancel() {
+        // Words 0 and 4 share lane 0. Without the rotation a flip of
+        // bit 63 stays in bit 63 through every multiply, and a second
+        // one four words later undoes it.
+        let bytes = vec![0x5au8; 64];
+        let mut dirty = bytes.clone();
+        dirty[7] ^= 0x80;
+        dirty[39] ^= 0x80;
+        assert_ne!(lanes64(&dirty), lanes64(&bytes));
+    }
+
+    #[test]
+    fn the_lane_sum_covers_the_length() {
+        assert_ne!(lanes64(&[]), lanes64(&[0]));
+        assert_ne!(lanes64(&[0; 32]), lanes64(&[0; 40]));
+        assert_ne!(lanes64(&[0; 32]), lanes64(&[0; 64]));
     }
 
     #[test]

@@ -6,7 +6,7 @@
 //! ```text
 //! offset  size  field
 //!      0     8  magic          b"MTSTOR01"
-//!      8     4  version        u32 LE, currently 1
+//!      8     4  version        u32 LE, one of ACCEPTED_VERSIONS
 //!     12     1  kind           1 = window, 2 = summary
 //!     13     3  (padding, zero)
 //!     16     4  day            u32 LE (window day / summary first day)
@@ -16,9 +16,21 @@
 //!     36     2  size_threshold u16 LE
 //!     38     2  (padding, zero)
 //!     40     8  payload_len    u64 LE
-//!     48     8  payload_fnv    FNV-1a over the payload bytes
+//!     48     8  payload_sum    checksum of the payload bytes, by version
 //!     56     8  header_fnv     FNV-1a over header bytes 0..56
 //! ```
+//!
+//! Versions differ only in what bytes 48..56 hold:
+//!
+//! ```text
+//! version  payload_sum                                 written by
+//!       1  codec::fnv1a64, one serial multiply chain   older builds
+//!       2  codec::lanes64, four independent lanes      this build
+//! ```
+//!
+//! Readers accept every version in [`ACCEPTED_VERSIONS`]; writers write
+//! only [`VERSION`]. The header checksum is FNV-1a in every version: it
+//! is checked before the version is read.
 //!
 //! Readers check, in order: length, magic, header checksum, version,
 //! kind, payload length, payload checksum — and only then decode. A
@@ -39,8 +51,12 @@ use mt_types::{Block24, Block24Set, Day, Slot24Index};
 
 /// File magic: "MTSTOR" plus the two-digit major layout generation.
 pub const MAGIC: [u8; 8] = *b"MTSTOR01";
-/// Current format version.
-pub const VERSION: u32 = 1;
+/// The format version this build writes: its payload checksum is
+/// [`codec::lanes64`].
+pub const VERSION: u32 = 2;
+/// The format versions this build reads. Version 1 files, written by
+/// older builds, carry [`codec::fnv1a64`] as their payload checksum.
+pub const ACCEPTED_VERSIONS: [u32; 2] = [1, VERSION];
 /// Header kind byte for a single-window file.
 pub const KIND_WINDOW: u8 = 1;
 /// Header kind byte for a running-summary file.
@@ -477,7 +493,7 @@ impl Header {
         let size_threshold = r.u16()?;
         let _pad2 = r.u16()?;
         let payload_len = r.u64()?;
-        let payload_fnv = r.u64()?;
+        let payload_sum = r.u64()?;
         let header_fnv = r.u64()?;
         if codec::fnv1a64(&bytes[..56]) != header_fnv {
             return Err(StoreError::ChecksumMismatch {
@@ -485,7 +501,7 @@ impl Header {
                 found: codec::fnv1a64(&bytes[..56]),
             });
         }
-        if version != VERSION {
+        if !ACCEPTED_VERSIONS.contains(&version) {
             return Err(StoreError::UnsupportedVersion { found: version });
         }
         let kind = kind as u8;
@@ -503,10 +519,10 @@ impl Header {
             });
         }
         let payload = &bytes[HEADER_LEN..HEADER_LEN + payload_len as usize];
-        let found = codec::fnv1a64(payload);
-        if found != payload_fnv {
+        let found = payload_sum_of(version, payload);
+        if found != payload_sum {
             return Err(StoreError::ChecksumMismatch {
-                expected: payload_fnv,
+                expected: payload_sum,
                 found,
             });
         }
@@ -566,18 +582,31 @@ fn seal(
 }
 
 /// Recomputes both checksums over a (possibly edited) encoded file:
-/// the last step of every encode. Also test tooling for corruption
-/// vectors: flip payload bytes, reseal the header, and the payload
-/// checksum stays honest while the content is wrong — proving decode
-/// catches structural damage, not just fnv.
+/// the last step of every encode. The payload checksum is the one the
+/// version field names, so a file whose version is set to 1 and
+/// resealed is a valid version 1 file. Also test tooling for
+/// corruption vectors: flip payload bytes, reseal the header, and the
+/// payload checksum stays honest while the content is wrong — proving
+/// decode catches structural damage, not just the checksum.
 pub fn reseal(bytes: &mut [u8]) {
     if bytes.len() < HEADER_LEN {
         return;
     }
-    let payload_fnv = codec::fnv1a64(&bytes[HEADER_LEN..]);
-    bytes[48..56].copy_from_slice(&payload_fnv.to_le_bytes());
+    let mut version = [0u8; 4];
+    version.copy_from_slice(&bytes[8..12]);
+    let payload_sum = payload_sum_of(u32::from_le_bytes(version), &bytes[HEADER_LEN..]);
+    bytes[48..56].copy_from_slice(&payload_sum.to_le_bytes());
     let header_fnv = codec::fnv1a64(&bytes[..56]);
     bytes[56..64].copy_from_slice(&header_fnv.to_le_bytes());
+}
+
+/// The payload checksum `version` carries in header bytes 48..56:
+/// FNV-1a for version 1, the lane sum for every later one.
+fn payload_sum_of(version: u32, payload: &[u8]) -> u64 {
+    match version {
+        1 => codec::fnv1a64(payload),
+        _ => codec::lanes64(payload),
+    }
 }
 
 fn encode_ports(out: &mut Vec<u8>, ports: &[(u16, u64)]) {

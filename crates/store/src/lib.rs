@@ -7,12 +7,12 @@
 //! of re-merging every window from scratch:
 //!
 //! - [`codec`] — byte primitives: varints, delta-coded ascending id
-//!   lists, bitmap words, FNV-1a checksums, a total bounds-checked
-//!   reader;
-//! - [`mod@format`] — the self-describing file format (magic, version,
-//!   kind, RIB fingerprint, checksums) and the [`WindowData`] /
-//!   [`SummaryData`] payloads with their incremental
-//!   [`SummaryData::merge_window`];
+//!   lists, bitmap words, the FNV-1a and lane checksums, a total
+//!   bounds-checked reader;
+//! - [`mod@format`] — the self-describing file format (magic, the
+//!   versions it reads and the one it writes, kind, RIB fingerprint,
+//!   checksums) and the [`WindowData`] / [`SummaryData`] payloads with
+//!   their incremental [`SummaryData::merge_window`];
 //! - [`store`] — directory layout and atomic window/summary
 //!   persistence, fingerprint-gated reads;
 //! - [`query`] — the in-memory slot-indexed [`QueryIndex`] behind

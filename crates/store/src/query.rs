@@ -175,15 +175,15 @@ impl QueryIndex {
     ) -> Result<(QueryIndex, ColdLoad), StoreError> {
         let mut index = QueryIndex::new(Arc::clone(store.slots()));
         let mut bytes = 0u64;
-        if let Some(summary) = store.read_summary()? {
-            bytes += std::fs::metadata(store.summary_path()).map_or(0, |m| m.len());
+        if let Some((summary, read)) = store.load_summary()? {
+            bytes += read;
             index.top_ports = top_ports(&summary.ports, TOP_PORTS);
             index.summary = summary;
         }
         let mut quarantined = 0;
         for day in store.window_days()? {
-            let w = match store.read_window(day) {
-                Ok(w) => w,
+            let (w, read) = match store.load_window(day) {
+                Ok(loaded) => loaded,
                 Err(StoreError::Io(e)) => return Err(StoreError::Io(e)),
                 Err(invalid) => {
                     store.quarantine_window(day)?;
@@ -192,7 +192,7 @@ impl QueryIndex {
                     continue;
                 }
             };
-            bytes += std::fs::metadata(store.window_path(day)).map_or(0, |m| m.len());
+            bytes += read;
             index.windows.insert(day, w.verdicts);
         }
         let windows = index.windows.len();

@@ -125,36 +125,45 @@ impl ResultsStore {
     /// Loads and validates one day's window, gating on the live
     /// slot-index fingerprint.
     pub fn read_window(&self, day: Day) -> Result<WindowData, StoreError> {
+        self.load_window(day).map(|(w, _)| w)
+    }
+
+    /// [`read_window`](Self::read_window), with the bytes it read.
+    pub(crate) fn load_window(&self, day: Day) -> Result<(WindowData, u64), StoreError> {
         let bytes = std::fs::read(self.window_path(day))?;
         let w = WindowData::decode(&bytes)?;
-        let expected = self.cfg.slots.fingerprint();
-        if w.fingerprint != expected {
-            return Err(StoreError::FingerprintMismatch {
-                expected,
-                found: w.fingerprint,
-            });
-        }
-        Ok(w)
+        self.gate(w.fingerprint)?;
+        Ok((w, bytes.len() as u64))
     }
 
     /// Loads the summary if one has been written, gating on the live
     /// slot-index fingerprint.
     pub fn read_summary(&self) -> Result<Option<SummaryData>, StoreError> {
-        let path = self.summary_path();
-        let bytes = match std::fs::read(&path) {
+        Ok(self.load_summary()?.map(|(s, _)| s))
+    }
+
+    /// [`read_summary`](Self::read_summary), with the bytes it read.
+    pub(crate) fn load_summary(&self) -> Result<Option<(SummaryData, u64)>, StoreError> {
+        let bytes = match std::fs::read(self.summary_path()) {
             Ok(b) => b,
             Err(e) if e.kind() == std::io::ErrorKind::NotFound => return Ok(None),
             Err(e) => return Err(StoreError::Io(e)),
         };
         let s = SummaryData::decode(&bytes)?;
-        let expected = self.cfg.slots.fingerprint();
-        if s.windows > 0 && s.fingerprint != expected {
-            return Err(StoreError::FingerprintMismatch {
-                expected,
-                found: s.fingerprint,
-            });
+        if s.windows > 0 {
+            self.gate(s.fingerprint)?;
         }
-        Ok(Some(s))
+        Ok(Some((s, bytes.len() as u64)))
+    }
+
+    /// Rejects a file written against another slot index than the live
+    /// one.
+    fn gate(&self, found: u64) -> Result<(), StoreError> {
+        let expected = self.cfg.slots.fingerprint();
+        if found != expected {
+            return Err(StoreError::FingerprintMismatch { expected, found });
+        }
+        Ok(())
     }
 
     /// Days with a persisted window file, ascending.

@@ -301,6 +301,39 @@ proptest! {
             }
         }
     }
+
+    /// A single changed byte anywhere in a version 1 or version 2
+    /// payload, every byte of the tail of under 32 bytes that the
+    /// version 2 lanes leave to FNV-1a included, fails the payload
+    /// checksum when the file is not resealed. A version 1 file is the
+    /// version 2 encoding with its version field set to 1 and resealed.
+    #[test]
+    fn a_payload_byte_flip_fails_the_checksum_in_every_version(
+        spec in arb_window(),
+        at in any::<u64>(),
+        mask in 1u8..=255,
+    ) {
+        let v2 = build_window(&spec).encode();
+        let mut v1 = v2.clone();
+        v1[8..12].copy_from_slice(&1u32.to_le_bytes());
+        reseal(&mut v1);
+        let payload = (v2.len() - 64) as u64;
+        let tail = v2.len() - (v2.len() - 64) % 32;
+        for bytes in [v1, v2] {
+            prop_assert!(WindowData::decode(&bytes).is_ok());
+            let mut positions = vec![64 + (at % payload) as usize];
+            positions.extend(tail..bytes.len());
+            for pos in positions {
+                let mut dirty = bytes.clone();
+                dirty[pos] ^= mask;
+                let got = WindowData::decode(&dirty);
+                prop_assert!(
+                    matches!(got, Err(StoreError::ChecksumMismatch { .. })),
+                    "v{} flip at {}: {:?}", bytes[8], pos, got.map(|w| w.day)
+                );
+            }
+        }
+    }
 }
 
 // -------------------------------------------------------- rejection vectors
@@ -395,11 +428,11 @@ fn wrong_kind_is_a_typed_error_both_ways() {
 #[test]
 fn future_version_is_rejected_even_with_valid_checksums() {
     let mut bytes = sample_window().encode();
-    bytes[8..12].copy_from_slice(&2u32.to_le_bytes());
+    bytes[8..12].copy_from_slice(&3u32.to_le_bytes());
     reseal(&mut bytes);
     assert!(matches!(
         WindowData::decode(&bytes),
-        Err(StoreError::UnsupportedVersion { found: 2 })
+        Err(StoreError::UnsupportedVersion { found: 3 })
     ));
 }
 
