@@ -31,15 +31,15 @@
 
 use std::sync::Arc;
 
+use crate::histogram::SizeHistogram;
 use crate::record::FlowRecord;
 use crate::stats::{
-    add_protocol_counts, bump_histogram, sweep_hosts, tcp_marks, DstRef, HostSet, SrcRef,
-    TrafficStats, TrafficView,
+    add_protocol_counts, sweep_hosts, tcp_marks, DstRef, HostSet, SrcRef, TrafficStats, TrafficView,
 };
 use mt_types::{Block24, FxHashMap, Slot24Index};
 
 /// Empty histogram handed out for rows that saw no TCP traffic.
-const NO_SIZES: &[(u16, u64)] = &[];
+static NO_SIZES: SizeHistogram = SizeHistogram::EMPTY;
 
 /// Struct-of-arrays per-/24 traffic accumulator over the announced
 /// blocks of one [`Slot24Index`] (or a contiguous row range of it).
@@ -68,7 +68,7 @@ pub struct ColumnarStats {
     /// of distinct sizes on a small fraction of rows, so a dense column
     /// per size would dwarf the payload.
     // check: allow(columnar_policy, "keyed by row id, not /24: sparse per-row histogram sidecar of the columnar store itself")
-    d_tcp_sizes: FxHashMap<u32, Vec<(u16, u64)>>,
+    d_tcp_sizes: FxHashMap<u32, SizeHistogram>,
 
     // Source-side columns.
     s_packets: Vec<u64>,
@@ -305,10 +305,10 @@ impl ColumnarStats {
             or_hosts(col, row, hosts);
         }
         if !d.tcp_sizes.is_empty() {
-            let sizes = self.d_tcp_sizes.entry(row as u32).or_default();
-            for &(size, count) in d.tcp_sizes {
-                bump_histogram(sizes, size, count);
-            }
+            self.d_tcp_sizes
+                .entry(row as u32)
+                .or_default()
+                .merge(d.tcp_sizes);
         }
     }
 
@@ -372,10 +372,7 @@ impl ColumnarStats {
                 &self.d_received_big_tcp,
                 row,
             )),
-            tcp_sizes: self
-                .d_tcp_sizes
-                .get(&(row as u32))
-                .map_or(NO_SIZES, Vec::as_slice),
+            tcp_sizes: self.d_tcp_sizes.get(&(row as u32)).unwrap_or(&NO_SIZES),
         }
     }
 
@@ -440,10 +437,7 @@ impl ColumnarStats {
             }
         }
         for (&row, sizes) in &other.d_tcp_sizes {
-            let mine = self.d_tcp_sizes.entry(row).or_default();
-            for &(size, count) in sizes {
-                bump_histogram(mine, size, count);
-            }
+            self.d_tcp_sizes.entry(row).or_default().merge(sizes);
         }
         self.ovf.merge(&other.ovf);
         self.add_totals(other.total_flows, other.total_packets, other.total_octets);

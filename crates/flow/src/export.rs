@@ -66,8 +66,8 @@ impl ColumnSlices {
     /// The row vectors are sized from the view's block counts up front,
     /// and each list is sorted by a cached key: a sort of `(id, index)`
     /// pairs and one permutation of the rows. Sorting the rows
-    /// themselves (168 bytes each for a destination) moved every row
-    /// many times.
+    /// themselves (176 bytes each for a destination, its TCP size
+    /// histogram in place) moved every row many times.
     pub fn export<V: TrafficView>(view: &V, slots: &Slot24Index) -> ColumnSlices {
         let mut out = ColumnSlices::empty(view.size_threshold());
         out.total_flows = view.total_flows();

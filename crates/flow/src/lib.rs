@@ -38,6 +38,7 @@
 
 pub mod columnar;
 pub mod export;
+mod histogram;
 pub mod meter;
 pub mod record;
 pub mod sampling;
@@ -46,6 +47,7 @@ pub mod stats;
 
 pub use columnar::ColumnarStats;
 pub use export::ColumnSlices;
+pub use histogram::SizeHistogram;
 pub use meter::{FlowKey, FlowMeter, MeteredPacket};
 pub use record::{FlowIntent, FlowRecord};
 pub use sampling::{binomial, Sampler};

@@ -20,6 +20,7 @@
 //! point's sampling rate where absolute volumes matter (the 1.7 M
 //! packets/day filter).
 
+use crate::histogram::SizeHistogram;
 use crate::record::FlowRecord;
 use mt_types::{Block24, FxHashMap};
 use mt_wire::IpProtocol;
@@ -38,7 +39,7 @@ use mt_wire::IpProtocol;
 /// rather than `&DstBlockStats`: a struct-of-arrays backend has no
 /// materialized `DstBlockStats` to lend out, and the views are cheap
 /// `Copy` aggregates (counters and 32-byte host sets by value, the size
-/// histogram by slice reference).
+/// histogram by reference).
 pub trait TrafficView {
     /// Stats for traffic destined to `block`.
     fn dst(&self, block: Block24) -> Option<DstRef<'_>>;
@@ -203,7 +204,7 @@ pub struct DstRef<'a> {
     /// size threshold.
     pub received_big_tcp: HostSet,
     /// TCP packet-size histogram, sorted by size.
-    pub(crate) tcp_sizes: &'a [(u16, u64)],
+    pub(crate) tcp_sizes: &'a SizeHistogram,
 }
 
 impl<'a> DstRef<'a> {
@@ -227,7 +228,7 @@ impl<'a> DstRef<'a> {
         }
         let half = self.tcp_packets.div_ceil(2);
         let mut seen = 0u64;
-        for &(size, count) in self.tcp_sizes {
+        for (size, count) in self.tcp_sizes.iter() {
             seen = seen.saturating_add(count);
             if seen >= half {
                 return Some(size);
@@ -237,11 +238,11 @@ impl<'a> DstRef<'a> {
         // crosses `half`; the largest recorded size is the correct
         // answer if that invariant ever slipped, and it keeps this
         // accessor total instead of a panic path.
-        self.tcp_sizes.last().map(|&(size, _)| size)
+        self.tcp_sizes.iter().last().map(|(size, _)| size)
     }
 
     /// The TCP size histogram, sorted by size.
-    pub fn tcp_size_histogram(&self) -> &'a [(u16, u64)] {
+    pub fn tcp_size_histogram(&self) -> &'a SizeHistogram {
         self.tcp_sizes
     }
 }
@@ -290,9 +291,9 @@ pub struct DstBlockStats {
     /// size threshold.
     pub received_big_tcp: HostSet,
     /// TCP packet-size histogram: `(size, sampled packets)`, strictly
-    /// ascending by size. IBR has very few distinct sizes, so this
-    /// stays tiny.
-    pub tcp_sizes: Vec<(u16, u64)>,
+    /// ascending by size. IBR has one to four distinct sizes per /24,
+    /// which the histogram holds in the row itself.
+    pub tcp_sizes: SizeHistogram,
 }
 
 impl DstBlockStats {
@@ -328,7 +329,7 @@ impl DstBlockStats {
     }
 
     /// The TCP size histogram, sorted by size.
-    pub fn tcp_size_histogram(&self) -> &[(u16, u64)] {
+    pub fn tcp_size_histogram(&self) -> &SizeHistogram {
         &self.tcp_sizes
     }
 
@@ -376,14 +377,7 @@ impl DstBlockStats {
         self.received.union_with(&other.received);
         self.received_tcp.union_with(&other.received_tcp);
         self.received_big_tcp.union_with(&other.received_big_tcp);
-        // A fresh row copies the histogram at its exact length.
-        if self.tcp_sizes.is_empty() {
-            self.tcp_sizes = other.tcp_sizes.to_vec();
-            return;
-        }
-        for &(size, count) in other.tcp_sizes {
-            bump_histogram(&mut self.tcp_sizes, size, count);
-        }
+        self.tcp_sizes.merge(other.tcp_sizes);
     }
 }
 
@@ -417,27 +411,17 @@ fn mean_size(packets: u64, octets: u64) -> u16 {
 pub(crate) fn add_protocol_counts<'a>(
     r: &FlowRecord,
     [tcp_packets, tcp_octets, udp_packets, icmp_packets, other_packets]: [&mut u64; 5],
-    tcp_sizes: impl FnOnce() -> &'a mut Vec<(u16, u64)>,
+    tcp_sizes: impl FnOnce() -> &'a mut SizeHistogram,
 ) {
     match IpProtocol::from_u8(r.protocol) {
         Some(IpProtocol::Tcp) => {
             *tcp_packets = tcp_packets.saturating_add(r.packets);
             *tcp_octets = tcp_octets.saturating_add(r.octets);
-            bump_histogram(tcp_sizes(), mean_size(r.packets, r.octets), r.packets);
+            tcp_sizes().add(mean_size(r.packets, r.octets), r.packets);
         }
         Some(IpProtocol::Udp) => *udp_packets = udp_packets.saturating_add(r.packets),
         Some(IpProtocol::Icmp) => *icmp_packets = icmp_packets.saturating_add(r.packets),
         None => *other_packets = other_packets.saturating_add(r.packets),
-    }
-}
-
-/// Adds `count` packets of `size` to a `(size, count)` histogram kept
-/// strictly ascending by size — the one upsert every size histogram in
-/// this crate goes through.
-pub(crate) fn bump_histogram(sizes: &mut Vec<(u16, u64)>, size: u16, count: u64) {
-    match sizes.binary_search_by_key(&size, |&(s, _)| s) {
-        Ok(i) => sizes[i].1 = sizes[i].1.saturating_add(count),
-        Err(i) => sizes.insert(i, (size, count)),
     }
 }
 
@@ -866,7 +850,10 @@ mod tests {
         let d = s.dst(Block24::containing(DST_A)).unwrap();
         assert_eq!(d.median_tcp_size(), Some(40));
         assert!((d.avg_tcp_size().unwrap() - 478.0).abs() < 1.0);
-        assert_eq!(d.tcp_size_histogram(), &[(40, 7), (1500, 3)]);
+        assert_eq!(
+            d.tcp_size_histogram().iter().collect::<Vec<_>>(),
+            [(40, 7), (1500, 3)]
+        );
     }
 
     #[test]
@@ -887,7 +874,10 @@ mod tests {
         s.ingest(&flow(SRC, DST_A, 6, 1, 100_000));
         s.ingest_sweep(&flow(SRC, DST_B, 6, 4, 100_000), 0x5eed);
         let d = s.dst(Block24::containing(DST_A)).unwrap();
-        assert_eq!(d.tcp_size_histogram(), &[(u16::MAX, 5)]);
+        assert_eq!(
+            d.tcp_size_histogram().iter().collect::<Vec<_>>(),
+            [(u16::MAX, 5)]
+        );
         assert_eq!(d.median_tcp_size(), Some(u16::MAX));
         assert!(d.received_big_tcp.contains(DST_A.host_in_block24()));
         assert_eq!(d.tcp_octets, 500_000, "octet totals stay exact");

@@ -4,8 +4,9 @@ use crate::registry::{Sample, SampleValue, Snapshot};
 use serde::{Map, Value};
 use std::fmt::Write as _;
 
-fn escape_label_value(v: &str) -> String {
-    let mut out = String::with_capacity(v.len());
+/// Appends a label value escaped per the text exposition format:
+/// backslash, double quote and newline.
+fn push_label_value(out: &mut String, v: &str) {
     for c in v.chars() {
         match c {
             '\\' => out.push_str("\\\\"),
@@ -14,7 +15,6 @@ fn escape_label_value(v: &str) -> String {
             _ => out.push(c),
         }
     }
-    out
 }
 
 /// HELP text escaping per the text exposition format: only backslash
@@ -31,19 +31,16 @@ fn escape_help(v: &str) -> String {
     out
 }
 
-/// `{k1="v1",k2="v2"}`, or `""` when there are no labels.
-fn label_block(labels: &[(String, String)], extra: Option<(&str, &str)>) -> String {
-    let mut parts: Vec<String> = labels
-        .iter()
-        .map(|(k, v)| format!("{k}=\"{}\"", escape_label_value(v)))
-        .collect();
-    if let Some((k, v)) = extra {
-        parts.push(format!("{k}=\"{}\"", escape_label_value(v)));
-    }
-    if parts.is_empty() {
-        String::new()
-    } else {
-        format!("{{{}}}", parts.join(","))
+/// Appends `k1="v1",k2="v2"` (values escaped, no braces) to `out`.
+fn push_labels(out: &mut String, labels: &[(String, String)]) {
+    for (i, (k, v)) in labels.iter().enumerate() {
+        if i > 0 {
+            out.push(',');
+        }
+        out.push_str(k);
+        out.push_str("=\"");
+        push_label_value(out, v);
+        out.push('"');
     }
 }
 
@@ -51,8 +48,13 @@ fn label_block(labels: &[(String, String)], extra: Option<(&str, &str)>) -> Stri
 /// (version 0.0.4): `# HELP` / `# TYPE` headers once per metric name,
 /// one line per series, histograms expanded to cumulative
 /// `_bucket{le=...}` lines plus `_sum` and `_count`.
+///
+/// Each series' label list is escaped once into a reused buffer; every
+/// line of the series, each `_bucket` line included, appends it and
+/// its own value in place.
 pub fn render_prometheus_text(snapshot: &Snapshot) -> String {
     let mut out = String::new();
+    let mut labels = String::new();
     let mut last_name: Option<&str> = None;
     for s in &snapshot.samples {
         if last_name != Some(s.name.as_str()) {
@@ -62,40 +64,35 @@ pub fn render_prometheus_text(snapshot: &Snapshot) -> String {
             let _ = writeln!(out, "# TYPE {} {}", s.name, s.value.kind().as_str());
             last_name = Some(s.name.as_str());
         }
+        labels.clear();
+        push_labels(&mut labels, &s.labels);
+        let (open, close) = if labels.is_empty() {
+            ("", "")
+        } else {
+            ("{", "}")
+        };
+        let name = &s.name;
         match &s.value {
             SampleValue::Counter(v) | SampleValue::Gauge(v) => {
-                let _ = writeln!(out, "{}{} {}", s.name, label_block(&s.labels, None), v);
+                let _ = writeln!(out, "{name}{open}{labels}{close} {v}");
             }
             SampleValue::Histogram(h) => {
+                let sep = if labels.is_empty() { "" } else { "," };
                 let mut cumulative = 0u64;
                 for (i, count) in h.buckets.iter().enumerate() {
                     cumulative += count;
-                    let le = match h.bounds.get(i) {
-                        Some(b) => b.to_string(),
-                        None => "+Inf".to_owned(),
+                    let _ = match h.bounds.get(i) {
+                        Some(b) => {
+                            writeln!(out, "{name}_bucket{{{labels}{sep}le=\"{b}\"}} {cumulative}")
+                        }
+                        None => writeln!(
+                            out,
+                            "{name}_bucket{{{labels}{sep}le=\"+Inf\"}} {cumulative}"
+                        ),
                     };
-                    let _ = writeln!(
-                        out,
-                        "{}_bucket{} {}",
-                        s.name,
-                        label_block(&s.labels, Some(("le", &le))),
-                        cumulative
-                    );
                 }
-                let _ = writeln!(
-                    out,
-                    "{}_sum{} {}",
-                    s.name,
-                    label_block(&s.labels, None),
-                    h.sum
-                );
-                let _ = writeln!(
-                    out,
-                    "{}_count{} {}",
-                    s.name,
-                    label_block(&s.labels, None),
-                    h.count
-                );
+                let _ = writeln!(out, "{name}_sum{open}{labels}{close} {}", h.sum);
+                let _ = writeln!(out, "{name}_count{open}{labels}{close} {}", h.count);
             }
         }
     }
@@ -158,7 +155,173 @@ pub fn to_json(snapshot: &Snapshot) -> Value {
 
 #[cfg(test)]
 mod tests {
+    use super::escape_help;
+    use crate::registry::{HistogramSample, Sample, SampleValue, Snapshot};
     use crate::MetricsRegistry;
+    use std::fmt::Write as _;
+
+    fn escape_label_value(v: &str) -> String {
+        let mut out = String::with_capacity(v.len());
+        for c in v.chars() {
+            match c {
+                '\\' => out.push_str("\\\\"),
+                '"' => out.push_str("\\\""),
+                '\n' => out.push_str("\\n"),
+                _ => out.push(c),
+            }
+        }
+        out
+    }
+
+    fn label_block(labels: &[(String, String)], extra: Option<(&str, &str)>) -> String {
+        let mut parts: Vec<String> = labels
+            .iter()
+            .map(|(k, v)| format!("{k}=\"{}\"", escape_label_value(v)))
+            .collect();
+        if let Some((k, v)) = extra {
+            parts.push(format!("{k}=\"{}\"", escape_label_value(v)));
+        }
+        if parts.is_empty() {
+            String::new()
+        } else {
+            format!("{{{}}}", parts.join(","))
+        }
+    }
+
+    /// The renderer that rebuilt and re-escaped a series' whole label
+    /// block for every line it wrote: the oracle for the byte output.
+    fn oracle_render(snapshot: &Snapshot) -> String {
+        let mut out = String::new();
+        let mut last_name: Option<&str> = None;
+        for s in &snapshot.samples {
+            if last_name != Some(s.name.as_str()) {
+                if !s.help.is_empty() {
+                    let _ = writeln!(out, "# HELP {} {}", s.name, escape_help(&s.help));
+                }
+                let _ = writeln!(out, "# TYPE {} {}", s.name, s.value.kind().as_str());
+                last_name = Some(s.name.as_str());
+            }
+            match &s.value {
+                SampleValue::Counter(v) | SampleValue::Gauge(v) => {
+                    let _ = writeln!(out, "{}{} {}", s.name, label_block(&s.labels, None), v);
+                }
+                SampleValue::Histogram(h) => {
+                    let mut cumulative = 0u64;
+                    for (i, count) in h.buckets.iter().enumerate() {
+                        cumulative += count;
+                        let le = match h.bounds.get(i) {
+                            Some(b) => b.to_string(),
+                            None => "+Inf".to_owned(),
+                        };
+                        let _ = writeln!(
+                            out,
+                            "{}_bucket{} {}",
+                            s.name,
+                            label_block(&s.labels, Some(("le", &le))),
+                            cumulative
+                        );
+                    }
+                    let _ = writeln!(
+                        out,
+                        "{}_sum{} {}",
+                        s.name,
+                        label_block(&s.labels, None),
+                        h.sum
+                    );
+                    let _ = writeln!(
+                        out,
+                        "{}_count{} {}",
+                        s.name,
+                        label_block(&s.labels, None),
+                        h.count
+                    );
+                }
+            }
+        }
+        out
+    }
+
+    #[test]
+    fn rendering_is_byte_identical_to_the_per_line_oracle() {
+        let labels = |pairs: &[(&str, &str)]| -> Vec<(String, String)> {
+            pairs
+                .iter()
+                .map(|&(k, v)| (k.to_owned(), v.to_owned()))
+                .collect()
+        };
+        let histogram = |bounds: Vec<u64>| {
+            let buckets: Vec<u64> = (0..=bounds.len() as u64).map(|i| i * 3 + 1).collect();
+            HistogramSample {
+                sum: 12_345,
+                count: buckets.iter().sum(),
+                bounds,
+                buckets,
+            }
+        };
+        let sample = |name: &str, l: &[(&str, &str)], help: &str, value: SampleValue| Sample {
+            name: name.to_owned(),
+            labels: labels(l),
+            help: help.to_owned(),
+            value,
+        };
+        let tricky = "a\"b\\c\nd,e=}{";
+        let snapshot = Snapshot {
+            samples: vec![
+                sample(
+                    "mt_a_total",
+                    &[],
+                    "plain \\ help\nwith \"quotes\"",
+                    SampleValue::Counter(7),
+                ),
+                sample(
+                    "mt_b_total",
+                    &[("exporter", "udp:1.2.3.4")],
+                    "",
+                    SampleValue::Counter(0),
+                ),
+                sample(
+                    "mt_b_total",
+                    &[("exporter", tricky)],
+                    "",
+                    SampleValue::Counter(u64::MAX),
+                ),
+                sample(
+                    "mt_c",
+                    &[("loop", "0"), ("kind", tricky)],
+                    "g",
+                    SampleValue::Gauge(3),
+                ),
+                sample(
+                    "mt_d_nanoseconds",
+                    &[],
+                    "no labels",
+                    SampleValue::Histogram(histogram(vec![10, 100, 1_000])),
+                ),
+                sample(
+                    "mt_e_nanoseconds",
+                    &[("step", "build")],
+                    "one label",
+                    SampleValue::Histogram(histogram((0..23).map(|i| 1u64 << (i + 8)).collect())),
+                ),
+                sample(
+                    "mt_e_nanoseconds",
+                    &[("step", tricky), ("shard", "\n")],
+                    "one label",
+                    SampleValue::Histogram(histogram(vec![])),
+                ),
+            ],
+        };
+        assert_eq!(snapshot.render_prometheus_text(), oracle_render(&snapshot));
+
+        let reg = MetricsRegistry::new();
+        reg.counter_with("mt_x_total", &[("name", tricky)], "x")
+            .add(2);
+        reg.histogram_with("mt_y_nanoseconds", &[("step", tricky)], &[5, 50], "y")
+            .observe(7);
+        reg.histogram("mt_z_nanoseconds", &[5], "").observe(1);
+        let snapshot = reg.snapshot();
+        assert_eq!(snapshot.render_prometheus_text(), oracle_render(&snapshot));
+    }
 
     #[test]
     fn text_format_shape() {

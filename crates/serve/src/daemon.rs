@@ -89,7 +89,7 @@ use crate::reactor::{Handler, Next, Reactor, Step};
 use crate::sys;
 use mt_obs::{Counter, Histogram, DEFAULT_TIME_BUCKETS};
 use mt_store::{QueryIndex, ResultsStore, StoreConfig, Verdicts, WindowData};
-use mt_stream::{LaneProducer, MultiStreamService, StreamConfig};
+use mt_stream::{ClosedWindow, LaneProducer, MultiStreamService, StreamConfig};
 use mt_types::{Asn, Block24, Day, Ipv4, PrefixTrie};
 use std::any::Any;
 use std::io::{self, Read, Write};
@@ -267,11 +267,14 @@ impl StoreRuntime {
     /// moved to the store's `quarantine/` and counted, and its day
     /// answers as never persisted; a bad summary fails the start. Each
     /// quarantine and each failed persist is also recorded in `events`.
+    ///
+    /// Returns the runtime and the persist step, which the daemon's
+    /// window sink runs on every closed window.
     fn open<F: Fn(Day) -> PrefixTrie<Asn>>(
         cfg: StoreConfig,
         service: &MultiStreamService<F>,
         events: &Arc<EventRing>,
-    ) -> io::Result<StoreRuntime> {
+    ) -> io::Result<(StoreRuntime, Persist)> {
         let to_io =
             |e: mt_store::StoreError| io::Error::new(io::ErrorKind::InvalidData, e.to_string());
         let reg = service.registry();
@@ -324,7 +327,7 @@ impl StoreRuntime {
             });
         let sink_index = Arc::clone(&index);
         let sink_events = Arc::clone(events);
-        service.set_window_sink(Box::new(move |w| {
+        let persist: Persist = Box::new(move |w| {
             let wd = timed(&build, || {
                 let verdicts = Verdicts::from_result(w.window, &slots);
                 WindowData::build(w.day, w.records, w.stats, verdicts, w.ports, &slots)
@@ -358,8 +361,8 @@ impl StoreRuntime {
                     sink_events.record(EventKind::PersistFailed, w.day, &e);
                 }
             }
-        }));
-        Ok(StoreRuntime {
+        });
+        let runtime = StoreRuntime {
             index,
             point_queries,
             range_queries,
@@ -368,9 +371,13 @@ impl StoreRuntime {
                 &INGEST_LATENCY_BUCKETS,
                 "Wall time to answer one store query from the in-memory cache.",
             ),
-        })
+        };
+        Ok((runtime, persist))
     }
 }
+
+/// The store's step of the window sink: persists one closed window.
+type Persist = Box<dyn FnMut(&ClosedWindow<'_>) + Send>;
 
 /// Runs `f`, observing its wall time into `h`.
 fn timed<T>(h: &Histogram, f: impl FnOnce() -> T) -> T {
@@ -871,10 +878,27 @@ impl<F: Fn(Day) -> PrefixTrie<Asn>> Daemon<F> {
         let http = cfg.http.map(TcpListener::bind).transpose()?;
         let http_addr = http.as_ref().map(TcpListener::local_addr).transpose()?;
         let events = Arc::new(EventRing::default());
-        let store = match cfg.store {
-            Some(store_cfg) => Some(StoreRuntime::open(store_cfg, &service, &events)?),
-            None => None,
+        let (store, mut persist) = match cfg.store {
+            Some(store_cfg) => {
+                let (runtime, persist) = StoreRuntime::open(store_cfg, &service, &events)?;
+                (Some(runtime), Some(persist))
+            }
+            None => (None, None),
         };
+        let [window_tolerance, span_tolerance] = ["window", "span"].map(|scope| {
+            reg.gauge_with(
+                "mt_pipeline_spoof_tolerance_packets",
+                &[("scope", scope)],
+                "Sampled source packets per /24 the last close forgave as spoofing: its own window (window) and the combined span (span).",
+            )
+        });
+        service.set_window_sink(Box::new(move |w| {
+            window_tolerance.set(w.window.spoof_tolerance);
+            span_tolerance.set(w.combined.spoof_tolerance);
+            if let Some(persist) = &mut persist {
+                persist(&w);
+            }
+        }));
         let handler = Http {
             service,
             store,

@@ -1,6 +1,7 @@
 //! Daemon integration: real sockets on loopback, UDP + TCP ingest, the
 //! HTTP endpoints, and the graceful-drain accounting identities.
 
+use mt_core::SpoofRule;
 use mt_serve::replay::{self, await_decoded, http_get, http_request, Workload};
 use mt_serve::{Daemon, ServeConfig, ServeOutput};
 use mt_store::{StoreConfig, SummaryData, Verdicts};
@@ -741,6 +742,48 @@ fn the_store_steps_of_a_close_are_timed() {
         assert_eq!(value(&series("count")), persisted, "{step}");
         assert!(value(&series("sum")) > 0, "{step}");
     }
+}
+
+/// Each close exports the spoofing tolerance its pipeline runs forgave:
+/// the window's own and the combined span's, as the reports carry them.
+#[test]
+fn the_tolerance_in_force_is_exported() {
+    let w = Workload {
+        exporters: 4,
+        days: 3,
+        flows_per_exporter_day: 1_000,
+        seed: 0x7015,
+    };
+    let mut cfg = serve_config(SimDuration::days(10));
+    // Replay sources live in 9.0.0.0/8, outside the replay RIB.
+    cfg.stream.pipeline.spoof_tolerance = SpoofRule::Unrouted(vec![9]);
+    let daemon = Daemon::bind(cfg, |_| replay::default_rib()).expect("bind");
+    let tcp_to = daemon.tcp_addr().expect("tcp on");
+    let http = daemon.http_addr().expect("http on");
+    let handle = daemon.shutdown_handle().expect("handle");
+    let runner = std::thread::spawn(move || daemon.run());
+    for messages in streams(&w, 0..w.days) {
+        replay::send_tcp(tcp_to, &messages).expect("send stream");
+    }
+    await_decoded(http, w.total_flows()).expect("decoded");
+    handle.shutdown();
+    let out = runner.join().expect("join").expect("run");
+
+    let window = out.stream.windows.last().expect("windows closed");
+    let combined = out.stream.combined.last().expect("combined");
+    let (window, span) = (
+        window.result.spoof_tolerance,
+        combined.result.spoof_tolerance,
+    );
+    assert!(
+        window >= 1 && span >= 1,
+        "an unrouted rule forgives at least 1"
+    );
+    assert_ne!(window, span, "the scopes are told apart");
+    let snapshot = out.stream.registry.snapshot();
+    let gauge = |scope| snapshot.scalar("mt_pipeline_spoof_tolerance_packets", &[("scope", scope)]);
+    assert_eq!(gauge("window"), Some(window));
+    assert_eq!(gauge("span"), Some(span));
 }
 
 #[test]

@@ -735,8 +735,8 @@ fn encode_dst_section(out: &mut Vec<u8>, rows: &[(u32, DstBlockStats)]) {
     );
     for (_, (_, row)) in with_sizes() {
         let sizes = &row.tcp_sizes;
-        codec::put_delta_iter(out, sizes.len(), sizes.iter().map(|&(s, _)| u32::from(s)));
-        for &(_, count) in sizes {
+        codec::put_delta_iter(out, sizes.len(), sizes.iter().map(|(s, _)| u32::from(s)));
+        for (_, count) in sizes.iter() {
             codec::put_varint(out, count);
         }
     }
@@ -773,20 +773,20 @@ fn decode_dst_section(r: &mut Reader<'_>) -> Result<Vec<(u32, DstBlockStats)>, S
         row.1.received_big_tcp = get_hosts(r)?;
     }
     let with_sizes = r.delta_list()?;
+    // One row's sizes, read ahead of their counts; reused across rows.
+    let mut sizes: Vec<u16> = Vec::new();
     for i in with_sizes {
         let row = rows
             .get_mut(i as usize)
             .ok_or(StoreError::Corrupt("size histogram for nonexistent row"))?;
-        // The size ids are a strictly ascending delta list, so the
-        // histogram keeps `tcp_sizes`' ascending-by-size invariant. They
-        // go straight into the row; the counts follow them.
-        let sizes = &mut row.1.tcp_sizes;
-        r.delta_list_into(sizes, |sid| {
-            let size = u16::try_from(sid).map_err(|_| StoreError::Corrupt("size exceeds u16"))?;
-            Ok((size, 0))
+        // The size ids are a strictly ascending delta list, so each
+        // `add` appends a new entry to the row's histogram.
+        sizes.clear();
+        r.delta_list_into(&mut sizes, |sid| {
+            u16::try_from(sid).map_err(|_| StoreError::Corrupt("size exceeds u16"))
         })?;
-        for size in sizes.iter_mut() {
-            size.1 = r.varint()?;
+        for &size in &sizes {
+            row.1.tcp_sizes.add(size, r.varint()?);
         }
     }
     Ok(rows)

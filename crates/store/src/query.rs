@@ -352,7 +352,7 @@ impl QueryIndex {
         let mut sizes: Vec<SizeCount> = row
             .tcp_sizes
             .iter()
-            .map(|&(size, count)| SizeCount { size, count })
+            .map(|(size, count)| SizeCount { size, count })
             .collect();
         sizes.sort_unstable_by(|a, b| b.count.cmp(&a.count).then(a.size.cmp(&b.size)));
         sizes.truncate(5);

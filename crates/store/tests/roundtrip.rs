@@ -164,7 +164,7 @@ fn dst_row(s: &DstSpec) -> DstBlockStats {
         received: hosts(s.wseed),
         received_tcp: hosts(s.wseed ^ 0x5555),
         received_big_tcp: hosts(s.wseed ^ 0xaaaa),
-        tcp_sizes: sizes,
+        tcp_sizes: sizes.into_iter().collect(),
     }
 }
 
@@ -352,7 +352,7 @@ fn sample_window() -> WindowData {
                 received: HostSet::from_words([0b1011, 0, 0, 0]),
                 received_tcp: HostSet::from_words([0b0011, 0, 0, 0]),
                 received_big_tcp: HostSet::from_words([0b0001, 0, 0, 0]),
-                tcp_sizes: vec![(40, 8), (1500, 2)],
+                tcp_sizes: [(40, 8), (1500, 2)].into_iter().collect(),
             },
         ),
         (7, DstBlockStats::default()),
@@ -457,6 +457,43 @@ fn trailing_garbage_behind_a_valid_payload_is_checksum_gated() {
     bytes.extend_from_slice(b"junk");
     let decoded = WindowData::decode(&bytes).expect("valid prefix decodes");
     assert_eq!(decoded, w);
+}
+
+/// A histogram past what a row holds in place — five sizes, a count
+/// above `u32::MAX` — encodes and decodes like any other, and its
+/// bytes equal those of the same entries added one by one.
+#[test]
+fn a_spilled_size_histogram_round_trips() {
+    let entries = [
+        (40, 3),
+        (44, u64::from(u32::MAX) + 7),
+        (48, 1),
+        (60, u64::MAX),
+        (1500, 2),
+    ];
+    let mut w = sample_window();
+    w.columns.dst[1].1.tcp_sizes = entries.into_iter().collect();
+    let bytes = w.encode();
+    let decoded = WindowData::decode(&bytes).expect("decodes");
+    assert_eq!(decoded, w);
+    assert_eq!(
+        decoded.columns.dst[1]
+            .1
+            .tcp_sizes
+            .iter()
+            .collect::<Vec<_>>(),
+        entries
+    );
+    assert_eq!(decoded.encode(), bytes, "re-encoding is canonical");
+
+    let mut summary = SummaryData::empty();
+    summary.merge_window(&w).expect("merge");
+    let back = SummaryData::decode(&summary.encode()).expect("summary decodes");
+    assert_eq!(back, summary);
+    assert_eq!(
+        back.columns.dst[1].1.tcp_sizes,
+        w.columns.dst[1].1.tcp_sizes
+    );
 }
 
 #[test]
@@ -567,7 +604,10 @@ fn merge_accumulates_counts_and_keeps_first_dark_days() {
     let row = &s.columns.dst[0];
     assert_eq!(row.0, 3);
     assert_eq!(row.1.tcp_packets, 20);
-    assert_eq!(row.1.tcp_sizes, vec![(40, 16), (1500, 4)]);
+    assert_eq!(
+        row.1.tcp_sizes.iter().collect::<Vec<_>>(),
+        [(40, 16), (1500, 4)]
+    );
 }
 
 // ------------------------------------------------------------- store gating
