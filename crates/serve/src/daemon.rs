@@ -280,16 +280,33 @@ impl StoreRuntime {
         let reg = service.registry();
         let slots = Arc::clone(&cfg.slots);
         let results = ResultsStore::open(cfg).map_err(to_io)?;
-        let (index, _cold) = QueryIndex::cold_load_with(&results, |day, invalid| {
-            events.record(EventKind::WindowQuarantined, day, invalid);
-            reg.counter_with(
-                "mt_store_quarantined_total",
-                &[("reason", invalid.reason())],
-                "Window files that failed validation at start and were moved to quarantine/.",
-            )
-            .inc();
+        let load_time = reg.histogram(
+            "mt_store_cold_load_nanoseconds",
+            &DEFAULT_TIME_BUCKETS,
+            "Wall time of the cold load at start: the summary decoded and each window file's verdicts loaded, quarantines included.",
+        );
+        let (index, cold) = timed(&load_time, || {
+            QueryIndex::cold_load_with(&results, |day, invalid| {
+                events.record_error(EventKind::WindowQuarantined, day, invalid);
+                reg.counter_with(
+                    "mt_store_quarantined_total",
+                    &[("reason", invalid.reason())],
+                    "Window files that failed validation at start and were moved to quarantine/.",
+                )
+                .inc();
+            })
         })
         .map_err(to_io)?;
+        reg.gauge(
+            "mt_store_cold_load_windows",
+            "Window files the cold load at start loaded (quarantined ones not counted).",
+        )
+        .set(cold.windows as u64);
+        reg.gauge(
+            "mt_store_cold_load_bytes",
+            "Bytes the cold load at start read and validated: the summary and the window files it loaded.",
+        )
+        .set(cold.bytes);
         // The combination continues from the persisted summary, so the
         // next close's combined verdicts cover the whole history.
         let summary = index.summary();
@@ -358,7 +375,7 @@ impl StoreRuntime {
                 }
                 Err(e) => {
                     persist_errors.inc();
-                    sink_events.record(EventKind::PersistFailed, w.day, &e);
+                    sink_events.record_error(EventKind::PersistFailed, w.day, &e);
                 }
             }
         });
@@ -892,9 +909,17 @@ impl<F: Fn(Day) -> PrefixTrie<Asn>> Daemon<F> {
                 "Sampled source packets per /24 the last close forgave as spoofing: its own window (window) and the combined span (span).",
             )
         });
+        let sink_events = Arc::clone(&events);
         service.set_window_sink(Box::new(move |w| {
             window_tolerance.set(w.window.spoof_tolerance);
             span_tolerance.set(w.combined.spoof_tolerance);
+            if w.forced {
+                let detail = format!(
+                    "closed at the end of the run before its watermark passed, {} records",
+                    w.records
+                );
+                sink_events.record(EventKind::WindowForced, w.day, "forced", detail);
+            }
             if let Some(persist) = &mut persist {
                 persist(&w);
             }
@@ -1281,18 +1306,7 @@ mod tests {
     fn a_failed_persist_is_counted_and_leaves_the_index_on_its_last_good_state() {
         let store = fresh_store("lostdir");
         let dir = store.dir.clone();
-        let cfg = ServeConfig {
-            udp: None,
-            event_loops: 1,
-            stream: StreamConfig {
-                ingest_threads: 2,
-                allowed_lateness: mt_types::SimDuration::hours(2),
-                ..StreamConfig::default()
-            },
-            store: Some(store),
-            ..ServeConfig::default()
-        };
-        let daemon = Daemon::bind(cfg, |_| replay::default_rib()).expect("bind");
+        let daemon = watermark_daemon(store);
         let tcp = daemon.tcp_addr().expect("tcp on");
         let http = daemon.http_addr().expect("http on");
         let handle = daemon.shutdown_handle().expect("handle");
@@ -1363,5 +1377,106 @@ mod tests {
         runner.join().expect("join").expect("run");
         assert!(!index.is_poisoned());
         assert!(!dir.exists(), "nothing recreated the store directory");
+    }
+
+    /// A TCP-only daemon over `store` whose windows close two hours
+    /// past their day.
+    fn watermark_daemon(store: StoreConfig) -> Daemon<Rib> {
+        let cfg = ServeConfig {
+            udp: None,
+            event_loops: 1,
+            stream: StreamConfig {
+                ingest_threads: 2,
+                allowed_lateness: mt_types::SimDuration::hours(2),
+                ..StreamConfig::default()
+            },
+            store: Some(store),
+            ..ServeConfig::default()
+        };
+        let rib_of: Rib = |_| replay::default_rib();
+        Daemon::bind(cfg, rib_of).expect("bind")
+    }
+
+    /// Day 1 passes day 0's watermark, so window 0 closes on its own;
+    /// day 1 is still open when the run ends, and `finish` closes it.
+    /// Only that forced close is listed in the ring `/v1/events`
+    /// serves.
+    #[test]
+    fn a_forced_close_is_listed_in_events() {
+        let store = fresh_store("forced");
+        let dir = store.dir.clone();
+        let daemon = watermark_daemon(store);
+        let tcp = daemon.tcp_addr().expect("tcp on");
+        let http = daemon.http_addr().expect("http on");
+        let handle = daemon.shutdown_handle().expect("handle");
+        let events = Arc::clone(&daemon.control.handler.events);
+        let ran = run_in_background(daemon);
+
+        let w = replay::Workload {
+            exporters: 1,
+            days: 2,
+            flows_per_exporter_day: 300,
+            seed: 0xF0_2CED,
+        };
+        let mut seq = 0;
+        for d in 0..2 {
+            replay::send_tcp(tcp, w.encode_day(0, Day(d), &mut seq, 25)).expect("send day");
+        }
+        await_metric(http, "mt_store_windows_persisted_total 1");
+        let (_, before) = http_get(http, "/v1/events").expect("events");
+        assert!(
+            !before.contains("window_forced"),
+            "the watermark closed day 0: {before}"
+        );
+
+        handle.shutdown();
+        ran.recv_timeout(Duration::from_secs(30))
+            .expect("run returned")
+            .expect("run");
+        let after = events.to_json();
+        let forced = r#"{"seq":0,"kind":"window_forced","day":1,"reason":"forced","detail":"closed at the end of the run before its watermark passed, 300 records"}"#;
+        assert!(
+            after.ends_with(&format!("[{forced}]}}")),
+            "one forced close, day 1: {after}"
+        );
+        assert!(dir.join("window-00001.mtw").exists(), "day 1 was persisted");
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    /// The cold load at start is exported: a store of two good window
+    /// files and one damaged one loads two windows, reads the two good
+    /// files' bytes, quarantines the third, and times the whole load.
+    #[test]
+    fn the_cold_load_is_exported() {
+        let store = fresh_store("coldload");
+        let dir = store.dir.clone();
+        let results = ResultsStore::open(store.clone()).expect("open");
+        let mut bytes = 0;
+        for d in 0..2 {
+            let empty = mt_flow::TrafficStats::new();
+            let w = WindowData::build(Day(d), 0, &empty, Verdicts::default(), &[], &store.slots);
+            bytes += results.write_window(&w).expect("write window");
+        }
+        std::fs::write(results.window_path(Day(2)), b"not a window").expect("damage");
+        let daemon = watermark_daemon(store);
+        let http = daemon.http_addr().expect("http on");
+        let handle = daemon.shutdown_handle().expect("handle");
+        let ran = run_in_background(daemon);
+
+        let (_, text) = http_get(http, "/metrics").expect("metrics");
+        for line in [
+            "mt_store_cold_load_windows 2".to_owned(),
+            format!("mt_store_cold_load_bytes {bytes}"),
+            r#"mt_store_quarantined_total{reason="truncated"} 1"#.to_owned(),
+            "mt_store_cold_load_nanoseconds_count 1".to_owned(),
+        ] {
+            assert!(text.lines().any(|l| l == line), "no `{line}` in:\n{text}");
+        }
+
+        handle.shutdown();
+        ran.recv_timeout(Duration::from_secs(30))
+            .expect("run returned")
+            .expect("run");
+        std::fs::remove_dir_all(&dir).ok();
     }
 }

@@ -3,7 +3,8 @@
 //!
 //! Counters say how often something went wrong; the ring says which
 //! window it was and why. Its feeders are a window file quarantined at
-//! start and a window persist that failed. The ring keeps the newest
+//! start, a window persist that failed, and a window the run's end
+//! closed before its watermark did. The ring keeps the newest
 //! [`EVENT_RING_CAPACITY`] events; every event gets the next sequence
 //! number, so a reader sees how many older ones were dropped.
 
@@ -24,6 +25,9 @@ pub(crate) enum EventKind {
     WindowQuarantined,
     /// A closed window could not be persisted.
     PersistFailed,
+    /// The run ended with the window open, so `finish` closed it before
+    /// the watermark passed it.
+    WindowForced,
 }
 
 impl EventKind {
@@ -32,6 +36,7 @@ impl EventKind {
         match self {
             EventKind::WindowQuarantined => "window_quarantined",
             EventKind::PersistFailed => "persist_failed",
+            EventKind::WindowForced => "window_forced",
         }
     }
 }
@@ -42,9 +47,9 @@ struct Event {
     seq: u64,
     kind: EventKind,
     day: Day,
-    /// The store error's stable label ([`StoreError::reason`]).
+    /// A stable label: for a store failure, [`StoreError::reason`].
     reason: &'static str,
-    /// The store error's message.
+    /// What happened, in words: for a store failure, its message.
     detail: String,
 }
 
@@ -64,8 +69,12 @@ pub(crate) struct EventRing {
 
 impl EventRing {
     /// Records that `kind` happened to `day`'s window because of `err`.
-    pub(crate) fn record(&self, kind: EventKind, day: Day, err: &StoreError) {
-        let detail = err.to_string();
+    pub(crate) fn record_error(&self, kind: EventKind, day: Day, err: &StoreError) {
+        self.record(kind, day, err.reason(), err.to_string());
+    }
+
+    /// Records that `kind` happened to `day`'s window, labelled `reason`.
+    pub(crate) fn record(&self, kind: EventKind, day: Day, reason: &'static str, detail: String) {
         let mut ring = self.lock(); // lock: serve.events
         if ring.events.len() == EVENT_RING_CAPACITY {
             ring.events.pop_front();
@@ -76,7 +85,7 @@ impl EventRing {
             seq,
             kind,
             day,
-            reason: err.reason(),
+            reason,
             detail,
         });
     }
@@ -127,7 +136,7 @@ mod tests {
         let ring = EventRing::default();
         let err = StoreError::BadMagic;
         for d in 0..EVENT_RING_CAPACITY as u32 + 3 {
-            ring.record(EventKind::PersistFailed, Day(d), &err);
+            ring.record_error(EventKind::PersistFailed, Day(d), &err);
         }
         let text = ring.to_json();
         serde_json::from_str::<Value>(&text).expect("a JSON document");

@@ -1,7 +1,10 @@
 //! Byte-level primitives for the store format: little-endian scalars,
 //! LEB128 varints, delta-coded ascending id lists, and the FNV-1a and
 //! lane checksums. Every decode path is total — malformed input comes
-//! back as a [`StoreError`], never a panic or a silent misread.
+//! back as a [`StoreError`], never a panic or a silent misread. Besides
+//! reading values, the reader can span a column — a delta list, `n`
+//! varints, `n` u64 words — and check it without building its values,
+//! failing exactly as reading it value by value would.
 
 use crate::error::StoreError;
 
@@ -34,44 +37,22 @@ pub fn put_varint(out: &mut Vec<u8>, mut v: u64) {
 }
 
 /// Bytes [`put_varint`] writes for `v`.
-fn varint_len(v: u64) -> usize {
+pub(crate) fn varint_len(v: u64) -> usize {
     (64 - (v | 1).leading_zeros() as usize).div_ceil(7)
 }
 
-/// Appends `N` varint columns, one value per row in each: the same
-/// bytes as `N` passes of [`put_varint`], column after column, but
-/// made in two passes over `rows` whatever `N` is. The first sizes
-/// each column, the second writes every column at its own offset, so
-/// wide rows are read twice rather than once per column.
-pub fn put_varint_columns<T, const N: usize>(
-    out: &mut Vec<u8>,
-    rows: &[T],
-    fields: impl Fn(&T) -> [u64; N],
-) {
-    let mut lens = [0usize; N];
-    for row in rows {
-        for (len, v) in lens.iter_mut().zip(fields(row)) {
-            *len += varint_len(v);
-        }
+/// Writes `v` as a varint into `buf` at `*at`, the bytes
+/// [`put_varint`] would append, and moves `*at` past them: an encoder
+/// that has sized its columns fills each at its own offset. `buf` must
+/// have [`varint_len`]`(v)` bytes from `*at`.
+pub(crate) fn put_varint_at(buf: &mut [u8], at: &mut usize, mut v: u64) {
+    while v >= 0x80 {
+        buf[*at] = (v as u8) | 0x80;
+        v >>= 7;
+        *at += 1;
     }
-    let mut at = [0usize; N];
-    let mut end = out.len();
-    for (at, len) in at.iter_mut().zip(lens) {
-        *at = end;
-        end += len;
-    }
-    out.resize(end, 0);
-    for row in rows {
-        for (at, mut v) in at.iter_mut().zip(fields(row)) {
-            while v >= 0x80 {
-                out[*at] = (v as u8) | 0x80;
-                v >>= 7;
-                *at += 1;
-            }
-            out[*at] = v as u8;
-            *at += 1;
-        }
-    }
+    buf[*at] = v as u8;
+    *at += 1;
 }
 
 /// Appends a strictly-ascending list of `len` u32 ids as the count,
@@ -164,6 +145,11 @@ impl<'a> Reader<'a> {
         self.remaining() == 0
     }
 
+    /// The bytes not yet consumed.
+    fn rest(&self) -> &'a [u8] {
+        &self.buf[self.pos..]
+    }
+
     fn take(&mut self, n: usize) -> Result<&'a [u8], StoreError> {
         if self.remaining() < n {
             return Err(StoreError::Truncated {
@@ -241,22 +227,45 @@ impl<'a> Reader<'a> {
     /// Reads a strictly-ascending delta-coded u32 list written by
     /// [`put_delta_iter`].
     pub fn delta_list(&mut self) -> Result<Vec<u32>, StoreError> {
-        let mut out = Vec::new();
-        self.delta_list_into(&mut out, Ok)?;
+        let n = self.bounded_len()?;
+        let mut out = Vec::with_capacity(n);
+        self.delta_ids(n, |id| {
+            out.push(id);
+            Ok(())
+        })?;
         Ok(out)
     }
 
-    /// Reads a delta-coded list like [`delta_list`](Self::delta_list),
-    /// appending `map(id)` to `out` for each id instead of collecting
-    /// the ids first: a decoder fills its rows straight from the bytes.
-    /// `map` may reject an id with its own error.
-    pub fn delta_list_into<T>(
+    /// Spans a delta-coded list like [`delta_list`](Self::delta_list),
+    /// with every check it makes, but collects nothing: the span keeps
+    /// the list's length, its last id, and its bytes, from which
+    /// [`DeltaSpan::iter`] reads the ids back. `check` may reject an id
+    /// with its own error, in list order.
+    pub(crate) fn delta_span(
         &mut self,
-        out: &mut Vec<T>,
-        mut map: impl FnMut(u32) -> Result<T, StoreError>,
-    ) -> Result<(), StoreError> {
+        mut check: impl FnMut(u32) -> Result<(), StoreError>,
+    ) -> Result<DeltaSpan<'a>, StoreError> {
         let n = self.bounded_len()?;
-        out.reserve(n);
+        let start = self.pos;
+        let mut last = None;
+        self.delta_ids(n, |id| {
+            last = Some(id);
+            check(id)
+        })?;
+        Ok(DeltaSpan {
+            len: n,
+            last,
+            deltas: Varints(&self.buf[start..self.pos]),
+        })
+    }
+
+    /// Reads `n` deltas, rejecting a repeat or an overflow, and hands
+    /// each id to `each` in order.
+    fn delta_ids(
+        &mut self,
+        n: usize,
+        mut each: impl FnMut(u32) -> Result<(), StoreError>,
+    ) -> Result<(), StoreError> {
         let mut prev = 0u32;
         for i in 0..n {
             let delta = self.varint_u32()?;
@@ -269,16 +278,142 @@ impl<'a> Reader<'a> {
                 prev.checked_add(delta)
                     .ok_or(StoreError::Corrupt("delta list overflows u32"))?
             };
-            out.push(map(id)?);
+            each(id)?;
             prev = id;
         }
         Ok(())
+    }
+
+    /// Spans a column of `n` varints and returns it, checked: the
+    /// errors, and the first of them, are exactly those `n` calls of
+    /// [`varint`](Self::varint) would give, but no value is built. A
+    /// reader that only needs to get past a column pays a scan of its
+    /// bytes, eight at a time where no varint in them nears ten bytes.
+    pub(crate) fn varint_column(&mut self, n: usize) -> Result<Varints<'a>, StoreError> {
+        const TOPS: u64 = 0x8080_8080_8080_8080;
+        let rest = self.rest();
+        // `run`: continuation bytes so far of the varint being spanned.
+        let (mut at, mut left, mut run) = (0usize, n, 0u32);
+        while left > 0 {
+            if let Some(Ok(word)) = rest.get(at..at + 8).map(<[u8; 8]>::try_from) {
+                // Each byte with its top bit clear ends a varint. The
+                // word is taken whole when every varint it ends is at
+                // most nine bytes long (so none needs the tenth-byte
+                // checks) and the column does not end inside it.
+                let ends = !u64::from_le_bytes(word) & TOPS;
+                let count = ends.count_ones() as usize;
+                let short = if ends == 0 {
+                    run == 0
+                } else {
+                    run + ends.trailing_zeros() / 8 <= 8
+                };
+                if short && (count < left || (count == left && ends >> 63 == 1)) {
+                    at += 8;
+                    left -= count;
+                    run = if ends == 0 {
+                        8
+                    } else {
+                        ends.leading_zeros() / 8
+                    };
+                    continue;
+                }
+            }
+            let Some(&byte) = rest.get(at) else {
+                return Err(StoreError::Truncated {
+                    needed: 1,
+                    available: 0,
+                });
+            };
+            at += 1;
+            if run == 9 {
+                if byte & 0x7f > 1 {
+                    return Err(StoreError::Corrupt("varint overflows u64"));
+                }
+                if byte & 0x80 != 0 {
+                    return Err(StoreError::Corrupt("varint longer than 10 bytes"));
+                }
+            }
+            if byte & 0x80 == 0 {
+                left -= 1;
+                run = 0;
+            } else {
+                run += 1;
+            }
+        }
+        self.pos += at;
+        Ok(Varints(&rest[..at]))
+    }
+
+    /// Spans `n` little-endian u64s and returns their bytes, with the
+    /// error `n` calls of [`u64`](Self::u64) would give.
+    pub(crate) fn u64_column(&mut self, n: usize) -> Result<&'a [u8], StoreError> {
+        let len = n.saturating_mul(8);
+        if self.remaining() < len {
+            return Err(StoreError::Truncated {
+                needed: 8,
+                available: self.remaining() % 8,
+            });
+        }
+        self.take(len)
+    }
+}
+
+/// A varint column that [`Reader::varint_column`] has checked,
+/// iterated value by value.
+#[derive(Debug, Clone, Copy, Default)]
+pub(crate) struct Varints<'a>(&'a [u8]);
+
+impl Iterator for Varints<'_> {
+    type Item = u64;
+
+    fn next(&mut self) -> Option<u64> {
+        let mut v = 0u64;
+        for (k, &byte) in self.0.iter().enumerate() {
+            // A checked varint ends within ten bytes, so the shift
+            // stays below 64.
+            v |= u64::from(byte & 0x7f).wrapping_shl(7 * k as u32);
+            if byte & 0x80 == 0 {
+                self.0 = &self.0[k + 1..];
+                return Some(v);
+            }
+        }
+        None
+    }
+}
+
+/// A delta-coded id list that [`Reader::delta_span`] has checked.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct DeltaSpan<'a> {
+    len: usize,
+    last: Option<u32>,
+    deltas: Varints<'a>,
+}
+
+impl<'a> DeltaSpan<'a> {
+    /// Ids in the list.
+    pub(crate) fn len(&self) -> usize {
+        self.len
+    }
+
+    /// The last (largest) id, if any.
+    pub(crate) fn last(&self) -> Option<u32> {
+        self.last
+    }
+
+    /// The ids, ascending.
+    pub(crate) fn iter(&self) -> impl Iterator<Item = u32> + 'a {
+        // Every delta and every running sum was checked to fit a u32.
+        self.deltas.scan(0u32, |id, delta| {
+            *id = id.wrapping_add(delta as u32);
+            Some(*id)
+        })
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     #[test]
     fn varint_round_trips_edge_values() {
@@ -291,24 +426,114 @@ mod tests {
         }
     }
 
-    #[test]
-    fn varint_columns_equal_one_pass_per_column() {
-        let rows: Vec<[u64; 3]> = (0..200u64)
-            .map(|i| [i, i << 20, u64::MAX >> (i % 64)])
-            .collect();
-        let mut by_column = vec![9];
-        for k in 0..3 {
-            for row in &rows {
-                put_varint(&mut by_column, row[k]);
+    /// `n` calls of `varint()` over the same bytes: where they stop,
+    /// or the first error's text.
+    fn one_by_one(bytes: &[u8], n: usize) -> Result<(usize, Vec<u64>), String> {
+        let mut r = Reader::new(bytes);
+        let values = (0..n)
+            .map(|_| r.varint())
+            .collect::<Result<Vec<_>, _>>()
+            .map_err(|e| e.to_string())?;
+        Ok((r.remaining(), values))
+    }
+
+    /// One encoded varint of any length.
+    fn one_varint() -> impl Strategy<Value = Vec<u8>> {
+        prop_oneof![
+            0u64..128,
+            128u64..1 << 21,
+            any::<u64>(),
+            (0u32..64).prop_map(|s| 1u64 << s),
+        ]
+        .prop_map(|v| {
+            let mut b = Vec::new();
+            put_varint(&mut b, v);
+            b
+        })
+    }
+
+    /// Varints of every length, among them ten-byte ones at and past
+    /// the u64 limit and raw bytes, cut anywhere in a third of cases.
+    fn varint_bytes() -> impl Strategy<Value = Vec<u8>> {
+        let piece = prop_oneof![
+            one_varint(),
+            one_varint(),
+            one_varint(),
+            one_varint(),
+            Just(vec![0xffu8; 10]),
+            Just(vec![
+                0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0x7f
+            ]),
+            Just(vec![
+                0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x01
+            ]),
+            proptest::collection::vec(any::<u8>(), 1..12),
+        ];
+        (proptest::collection::vec(piece, 0..40), any::<usize>()).prop_map(|(pieces, cut)| {
+            let bytes = pieces.concat();
+            if cut % 3 == 0 {
+                bytes[..cut % (bytes.len() + 1)].to_vec()
+            } else {
+                bytes
             }
+        })
+    }
+
+    proptest! {
+        /// `varint_column(n)` spans what `n` calls of `varint()` read,
+        /// holds their values, and fails with their first error.
+        #[test]
+        fn a_varint_column_is_n_varint_calls(bytes in varint_bytes(), n in 0usize..48) {
+            let mut r = Reader::new(&bytes);
+            let got = r
+                .varint_column(n)
+                .map(|column| (r.remaining(), column.collect::<Vec<_>>()))
+                .map_err(|e| e.to_string());
+            prop_assert_eq!(got, one_by_one(&bytes, n));
         }
-        let mut at_once = vec![9];
-        put_varint_columns(&mut at_once, &rows, |row| *row);
-        assert_eq!(at_once, by_column);
+
+        /// A delta span makes the checks of `delta_list` and reads back
+        /// its ids; a `u64_column` fails as `n` calls of `u64()` would.
+        #[test]
+        fn spans_agree_with_the_reads_they_replace(
+            ids in proptest::collection::vec(any::<u32>(), 0..20),
+            n in 0usize..20,
+            cut in 0usize..200,
+        ) {
+            // Sorted, with any repeats kept: a repeat is a zero delta.
+            let mut ids = ids;
+            ids.sort_unstable();
+            let mut bytes = Vec::new();
+            put_delta_iter(&mut bytes, ids.len(), ids.iter().copied());
+            let bytes = &bytes[..cut.min(bytes.len())];
+            let listed = Reader::new(bytes).delta_list().map_err(|e| e.to_string());
+            let spanned = Reader::new(bytes).delta_span(|_| Ok(())).map_err(|e| e.to_string());
+            if let Ok(span) = &spanned {
+                prop_assert_eq!(span.len(), span.iter().count());
+                prop_assert_eq!(span.last(), span.iter().last());
+            }
+            prop_assert_eq!(spanned.map(|span| span.iter().collect::<Vec<_>>()), listed);
+
+            let mut r = Reader::new(bytes);
+            let words = (0..n).map(|_| r.u64()).collect::<Result<Vec<_>, _>>();
+            let column = Reader::new(bytes).u64_column(n);
+            prop_assert_eq!(
+                column.map(|c| c.len()).map_err(|e| e.to_string()),
+                words.map(|w| w.len() * 8).map_err(|e| e.to_string())
+            );
+        }
+    }
+
+    #[test]
+    fn varint_len_is_the_bytes_put_varint_writes() {
         for v in [0, 127, 128, 1 << 35, u64::MAX] {
             let mut buf = Vec::new();
             put_varint(&mut buf, v);
             assert_eq!(varint_len(v), buf.len(), "{v}");
+            let mut at_offset = vec![0; buf.len()];
+            let mut at = 0;
+            put_varint_at(&mut at_offset, &mut at, v);
+            assert_eq!((at_offset, at), (buf.clone(), buf.len()));
         }
     }
 

@@ -8,11 +8,13 @@
 //!
 //! - [`codec`] — byte primitives: varints, delta-coded ascending id
 //!   lists, bitmap words, the FNV-1a and lane checksums, a total
-//!   bounds-checked reader;
+//!   bounds-checked reader that can also check a column without
+//!   building its values;
 //! - [`mod@format`] — the self-describing file format (magic, the
 //!   versions it reads and the one it writes, kind, RIB fingerprint,
 //!   checksums) and the [`WindowData`] / [`SummaryData`] payloads with
-//!   their incremental [`SummaryData::merge_window`];
+//!   their incremental [`SummaryData::merge_window`], and the
+//!   verdict-only window load [`WindowData::decode_verdicts`];
 //! - [`store`] — directory layout and atomic window/summary
 //!   persistence, fingerprint-gated reads;
 //! - [`query`] — the in-memory slot-indexed [`QueryIndex`] behind
@@ -29,6 +31,11 @@
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
+
+// The format module's tests share `tests/common`, which names the
+// crate as its integration tests do.
+#[cfg(test)]
+extern crate self as mt_store;
 
 pub mod codec;
 pub mod error;

@@ -6,7 +6,8 @@
 //! summary-wide top ports, and each persisted window's verdict lists
 //! keyed by day. Work proportional to the summary is done once per
 //! closed window ([`QueryIndex::apply_window`]) or once per
-//! [`QueryIndex::cold_load`], never per request:
+//! [`QueryIndex::cold_load`], never per request (a cold load validates
+//! each window file in full but builds none of its rows):
 //!
 //! - a **point lookup** is a handful of binary searches over the
 //!   summary's ascending id lists, one sort of the row's own (few)
@@ -157,18 +158,23 @@ impl QueryIndex {
         }
     }
 
-    /// Loads everything the store has persisted: the summary plus each
-    /// window's verdict lists. Every file is checksum-validated and
-    /// fingerprint-gated on the way in. A window file that fails is
-    /// moved to [`ResultsStore::quarantine_dir`] and its day reads as
-    /// never persisted; a summary that fails, or an i/o error, is the
-    /// load's error.
+    /// Loads everything the store has persisted: the summary, decoded
+    /// whole, plus each window's verdict lists. A window file is not
+    /// decoded into rows: the verdict-only load
+    /// ([`WindowData::decode_verdicts`]) walks its column sections and
+    /// makes every check a decode makes, then keeps only the verdicts.
+    /// Every file is checksum-validated and fingerprint-gated on the
+    /// way in. A window file that fails is moved to
+    /// [`ResultsStore::quarantine_dir`] and its day reads as never
+    /// persisted; a summary that fails, or an i/o error, is the load's
+    /// error.
     pub fn cold_load(store: &ResultsStore) -> Result<(QueryIndex, ColdLoad), StoreError> {
         QueryIndex::cold_load_with(store, |_, _| {})
     }
 
     /// [`cold_load`](Self::cold_load), calling `on_quarantine` with the
-    /// day and the validation error of each window file it moves aside.
+    /// day and the validation error of each window file it moves aside
+    /// — the same error a full decode of the file would give.
     pub fn cold_load_with(
         store: &ResultsStore,
         mut on_quarantine: impl FnMut(Day, &StoreError),
@@ -182,7 +188,7 @@ impl QueryIndex {
         }
         let mut quarantined = 0;
         for day in store.window_days()? {
-            let (w, read) = match store.load_window(day) {
+            let (verdicts, read) = match store.load_window_verdicts(day) {
                 Ok(loaded) => loaded,
                 Err(StoreError::Io(e)) => return Err(StoreError::Io(e)),
                 Err(invalid) => {
@@ -193,7 +199,7 @@ impl QueryIndex {
                 }
             };
             bytes += read;
-            index.windows.insert(day, w.verdicts);
+            index.windows.insert(day, verdicts);
         }
         let windows = index.windows.len();
         Ok((

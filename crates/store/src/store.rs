@@ -5,9 +5,14 @@
 //! a single `summary.mts` holding the running multi-day combination.
 //! Writes go through a temp file and rename, so a crashed writer never
 //! leaves a half-written file under a valid name. Reads re-validate
-//! everything: checksums via decode, and the slot-index fingerprint
-//! against the live index, so a store written under an old RIB is a
-//! typed error instead of silently misaligned rows.
+//! everything: checksums and structure via decode, and the slot-index
+//! fingerprint against the live index, so a store written under an old
+//! RIB is a typed error instead of silently misaligned rows. The cold
+//! load reads a window file by the verdict-only load
+//! ([`WindowData::decode_verdicts`]): the same checks, in the same
+//! order, with the same errors as [`ResultsStore::read_window`]'s full
+//! decode, but no row is built, since the query cache keeps only the
+//! window's verdicts.
 //!
 //! Every write encodes into one buffer the store keeps between calls:
 //! the summary file is rewritten on every close and runs to ≈ 13 MB on
@@ -17,7 +22,7 @@
 //! to hand it back, never across the encode or the file write.
 
 use crate::error::StoreError;
-use crate::format::{SummaryData, WindowData};
+use crate::format::{SummaryData, Verdicts, WindowData};
 use mt_types::{Day, Slot24Index};
 use std::path::{Path, PathBuf};
 use std::sync::{Arc, Mutex, PoisonError};
@@ -125,15 +130,21 @@ impl ResultsStore {
     /// Loads and validates one day's window, gating on the live
     /// slot-index fingerprint.
     pub fn read_window(&self, day: Day) -> Result<WindowData, StoreError> {
-        self.load_window(day).map(|(w, _)| w)
-    }
-
-    /// [`read_window`](Self::read_window), with the bytes it read.
-    pub(crate) fn load_window(&self, day: Day) -> Result<(WindowData, u64), StoreError> {
         let bytes = std::fs::read(self.window_path(day))?;
         let w = WindowData::decode(&bytes)?;
         self.gate(w.fingerprint)?;
-        Ok((w, bytes.len() as u64))
+        Ok(w)
+    }
+
+    /// The verdict-only load of one day's window, with the bytes it
+    /// read: the file is validated as [`read_window`](Self::read_window)
+    /// validates it, by [`WindowData::decode_verdicts`], and gated on
+    /// the live slot-index fingerprint, but no row is built.
+    pub(crate) fn load_window_verdicts(&self, day: Day) -> Result<(Verdicts, u64), StoreError> {
+        let bytes = std::fs::read(self.window_path(day))?;
+        let (fingerprint, verdicts) = WindowData::decode_verdicts(&bytes)?;
+        self.gate(fingerprint)?;
+        Ok((verdicts, bytes.len() as u64))
     }
 
     /// Loads the summary if one has been written, gating on the live

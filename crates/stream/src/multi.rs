@@ -503,8 +503,9 @@ impl<F: Fn(Day) -> PrefixTrie<Asn>> MultiStreamService<F> {
 
     /// Ends the run: takes the lanes back (their loops are done), closes
     /// every remaining open window in day order (each close waits for
-    /// its day's in-flight records), stops the workers, and returns the
-    /// run's full output.
+    /// its day's in-flight records, and its sink sees
+    /// [`ClosedWindow::forced`](crate::ClosedWindow::forced) set), stops
+    /// the workers, and returns the run's full output.
     ///
     /// Panics unless `lanes` is exactly this service's set: a lane left
     /// live could push after the final snapshot, into a closed queue.
@@ -525,7 +526,7 @@ impl<F: Fn(Day) -> PrefixTrie<Asn>> MultiStreamService<F> {
                                                               // lock: stream.gate
             let open = crate::sync::lock(&self.shared.gate).tracker.drain_open();
             for day in open {
-                close_window(&self.shared, &mut closer, day);
+                close_window(&self.shared, &mut closer, day, true);
             }
             (
                 std::mem::take(&mut closer.windows),
@@ -683,7 +684,7 @@ impl<F: Fn(Day) -> PrefixTrie<Asn>> LaneProducer<F> {
                                                               // lock: stream.gate
             let days = crate::sync::lock(&self.shared.gate).tracker.take_closable();
             for day in days {
-                close_window(&self.shared, &mut closer, day);
+                close_window(&self.shared, &mut closer, day, false);
             }
         }
     }
@@ -712,11 +713,13 @@ impl<F: Fn(Day) -> PrefixTrie<Asn>> LaneProducer<F> {
 /// record out of the open-day map in the same hold, then hands the
 /// window to the scheduler. Callers hold the closer lock (so closes stay
 /// serialized and ascending) and must have taken `day` from the tracker
-/// already.
+/// already. `forced` marks a close that `finish` makes, not the
+/// watermark.
 fn close_window<F: Fn(Day) -> PrefixTrie<Asn>>(
     shared: &LaneShared,
     closer: &mut CloserState<F>,
     day: Day,
+    forced: bool,
 ) {
     let [barrier, assemble, schedule] = &closer.close_time;
     // Per-day barrier: every record gated into `day` is in the day's
@@ -752,9 +755,7 @@ fn close_window<F: Fn(Day) -> PrefixTrie<Asn>>(
     ports.sort_unstable();
     drop(span);
     let _span = schedule.start_span();
-    let (window, combined) = closer
-        .scheduler
-        .close_with_ports(day, records, stats, &ports);
+    let (window, combined) = closer.scheduler.close(day, records, stats, &ports, forced);
     closer.windows.push(window);
     closer.combined.push(combined);
     closer.windows_closed.inc();

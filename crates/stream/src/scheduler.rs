@@ -76,6 +76,9 @@ pub struct ClosedWindow<'a> {
     pub first_day: Day,
     /// Calendar length of the combined span in days.
     pub span_days: u32,
+    /// True when the run's end closed the window — `finish` flushing a
+    /// day the watermark had not yet passed — rather than the watermark.
+    pub forced: bool,
 }
 
 /// Observer invoked after every window close — how the results store
@@ -159,6 +162,19 @@ impl<F: Fn(Day) -> PrefixTrie<Asn>> WindowScheduler<F> {
         stats: ShardedTrafficStats,
         ports: &[(u16, u64)],
     ) -> (WindowReport, CombinedReport) {
+        self.close(day, records, stats, ports, false)
+    }
+
+    /// [`close_with_ports`](Self::close_with_ports), telling the sink
+    /// whether the close was forced ([`ClosedWindow::forced`]).
+    pub(crate) fn close(
+        &mut self,
+        day: Day,
+        records: u64,
+        stats: ShardedTrafficStats,
+        ports: &[(u16, u64)],
+        forced: bool,
+    ) -> (WindowReport, CombinedReport) {
         if let Some(last) = self.last_day {
             assert!(day > last, "windows must close in ascending day order");
         }
@@ -228,6 +244,7 @@ impl<F: Fn(Day) -> PrefixTrie<Asn>> WindowScheduler<F> {
                 combined: &combined_result,
                 first_day: first,
                 span_days,
+                forced,
             });
         }
 
