@@ -100,6 +100,7 @@ use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::str::FromStr;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, PoisonError, RwLock, RwLockReadGuard, RwLockWriteGuard};
+use std::time::Duration;
 
 /// Histogram bounds for per-push ingest and per-query latency, in
 /// nanoseconds: a ×2 ladder from 256 ns to 2^30 ns (≈ 1.07 s, a
@@ -130,6 +131,12 @@ const MAX_DATAGRAM: usize = 65_507;
 /// Requested kernel receive-buffer size for each UDP socket, in bytes.
 /// Best-effort: the kernel clamps to `net.core.rmem_max`.
 const UDP_RECV_BUF: usize = 4 << 20;
+
+/// How long an HTTP connection may move no byte, in either direction,
+/// before the control loop closes it: far longer than any probe or
+/// query client takes to send a request head or read a response, and
+/// the most a stalled client can hold its descriptor.
+const HTTP_IDLE_TIMEOUT: Duration = Duration::from_secs(10);
 
 /// Daemon configuration. `Default` binds every transport on loopback
 /// with OS-assigned ports — query the actual addresses after
@@ -546,6 +553,8 @@ struct Http<F> {
     service: MultiStreamService<F>,
     store: Option<StoreRuntime>,
     events: Arc<EventRing>,
+    /// [`HTTP_IDLE_TIMEOUT`], reported in `/health`.
+    idle_timeout: Duration,
     http_conns: Counter,
     http_health: Counter,
     http_metrics: Counter,
@@ -627,6 +636,10 @@ impl<F: Fn(Day) -> PrefixTrie<Asn>> Handler for Http<F> {
         };
         Step { moved, next }
     }
+
+    fn idle_timeout(&self) -> Option<Duration> {
+        Some(self.idle_timeout)
+    }
 }
 
 impl<F: Fn(Day) -> PrefixTrie<Asn>> Http<F> {
@@ -650,7 +663,18 @@ impl<F: Fn(Day) -> PrefixTrie<Asn>> Http<F> {
             "/health" => {
                 self.http_health.inc();
                 let health = self.service.health();
-                let body = serde_json::to_string(&health).unwrap_or_else(|_| "{}".to_owned());
+                let idle_ms = self.idle_timeout.as_millis() as u64;
+                let body = serde_json::to_value(&health)
+                    .and_then(|mut doc| {
+                        // The one field the control loop, not the
+                        // service, knows.
+                        if let serde_json::Value::Object(fields) = &mut doc {
+                            let idle_ms = serde_json::Value::U64(idle_ms);
+                            fields.insert("http_idle_timeout_ms".to_owned(), idle_ms);
+                        }
+                        serde_json::to_string(&doc)
+                    })
+                    .unwrap_or_else(|_| "{}".to_owned());
                 let status = if health.failed {
                     "503 Service Unavailable"
                 } else {
@@ -928,6 +952,7 @@ impl<F: Fn(Day) -> PrefixTrie<Asn>> Daemon<F> {
             service,
             store,
             events,
+            idle_timeout: HTTP_IDLE_TIMEOUT,
             http_conns,
             http_health,
             http_metrics,
@@ -1052,7 +1077,6 @@ mod tests {
     use mt_types::{RibIndex, Slot24Index};
     use std::path::PathBuf;
     use std::sync::mpsc;
-    use std::time::Duration;
 
     #[test]
     fn latency_bounds_rise_by_at_most_two_times() {
@@ -1478,5 +1502,44 @@ mod tests {
             .expect("run returned")
             .expect("run");
         std::fs::remove_dir_all(&dir).ok();
+    }
+
+    /// A client that sends half a request head and then nothing is
+    /// closed once its connection has moved no byte for the control
+    /// loop's idle timeout; the close is counted, and `/health` states
+    /// the timeout.
+    #[test]
+    fn a_stalled_http_client_is_closed_after_its_idle_timeout() {
+        let cfg = ServeConfig {
+            udp: None,
+            tcp: None,
+            event_loops: 1,
+            ..ServeConfig::default()
+        };
+        let rib_of: Rib = |_| replay::default_rib();
+        let mut daemon = Daemon::bind(cfg, rib_of).expect("bind");
+        daemon.control.handler.idle_timeout = Duration::from_millis(300);
+        let http = daemon.http_addr().expect("http on");
+        let handle = daemon.shutdown_handle().expect("handle");
+        let ran = run_in_background(daemon);
+
+        let mut stalled = TcpStream::connect(http).expect("connect");
+        stalled.write_all(b"GET /hea").expect("half a head");
+        // Without the timeout this read blocks until the guard fires.
+        stalled
+            .set_read_timeout(Some(Duration::from_secs(10)))
+            .expect("guard");
+        let mut buf = [0u8; 64];
+        let n = stalled.read(&mut buf).expect("closed before the guard");
+        assert_eq!(n, 0, "closed with no response");
+        await_metric(http, r#"mt_serve_idle_closed_total{loop="control"} 1"#);
+        let (status, health) = http_get(http, "/health").expect("health");
+        assert!(status.starts_with("HTTP/1.1 200"), "{status}");
+        assert!(health.contains(r#""http_idle_timeout_ms":300"#), "{health}");
+
+        handle.shutdown();
+        ran.recv_timeout(Duration::from_secs(30))
+            .expect("run returned")
+            .expect("run");
     }
 }

@@ -16,6 +16,14 @@
 //! the listener instead: it leaves the poller for [`ACCEPT_BACKOFF`],
 //! counted in `mt_serve_accept_paused_total`, so that a readable
 //! listener nobody can accept from does not spin the loop.
+//!
+//! A handler may give its connections an idle timeout
+//! ([`Handler::idle_timeout`]): a connection that moves no byte in
+//! either direction for that long is closed and counted in
+//! `mt_serve_idle_closed_total`. While such a connection is open the
+//! loop's wait is bounded by the first idle deadline, so even a wait
+//! that would block forever wakes to close it; with none open the wait
+//! is left as it is.
 
 use crate::sys::{self, Event, Interest, Poller};
 use mt_obs::{Counter, Gauge, MetricsRegistry};
@@ -91,6 +99,20 @@ pub(crate) trait Handler {
     /// `sock` is ready: advance the connection as far as the socket
     /// allows without blocking.
     fn on_ready(&mut self, sock: &TcpStream, conn: &mut Self::Conn) -> Step;
+
+    /// How long a connection may move no byte before the loop closes
+    /// it; `None`, the default, keeps idle connections open. Asked on
+    /// every sweep; whether it is `None` is fixed at [`Reactor::new`].
+    fn idle_timeout(&self) -> Option<Duration> {
+        None
+    }
+}
+
+/// The idle bookkeeping of a loop whose handler sets a timeout.
+struct Idle {
+    /// Token → when the connection was adopted or last moved a byte.
+    last_moved: FxHashMap<u64, Instant>,
+    closed: Counter,
 }
 
 /// One event loop around a [`Handler`].
@@ -113,6 +135,7 @@ pub(crate) struct Reactor<H: Handler> {
     loop_events: Counter,
     conn_errors: Counter,
     accept_paused: Counter,
+    idle: Option<Idle>,
     /// Fault injection, asked after each serve-phase sweep (`"serve"`),
     /// in place of each `accept` (`"listen"`: an `Err` is the accept's
     /// result) and before each connection setup (`"accept"`).
@@ -145,7 +168,6 @@ impl<H: Handler> Reactor<H> {
         wake_tx.set_nonblocking(true)?;
         poller.add(wake.as_raw_fd(), TOK_WAKE, Interest::READ)?;
         let reactor = Reactor {
-            handler,
             poller,
             wake,
             latch,
@@ -174,6 +196,15 @@ impl<H: Handler> Reactor<H> {
                 &[("loop", label)],
                 "Listener back-offs after accept ran out of descriptors or socket memory, by event loop.",
             ),
+            idle: handler.idle_timeout().map(|_| Idle {
+                last_moved: FxHashMap::default(),
+                closed: reg.counter_with(
+                    "mt_serve_idle_closed_total",
+                    &[("loop", label)],
+                    "Connections closed after moving no byte for the idle timeout, by event loop.",
+                ),
+            }),
+            handler,
             #[cfg(test)]
             fault: Box::new(|_| Ok(())),
         };
@@ -222,6 +253,9 @@ impl<H: Handler> Reactor<H> {
         // Anything still open is an idle peer; close our side (which
         // also drops the sockets out of the poller).
         self.conns.clear();
+        if let Some(idle) = &mut self.idle {
+            idle.last_moved.clear();
+        }
         self.open_conns.set(0);
         Ok(())
     }
@@ -231,6 +265,7 @@ impl<H: Handler> Reactor<H> {
     fn sweep(&mut self, events: &mut Vec<Event>, timeout_ms: i32) -> io::Result<bool> {
         events.clear();
         let timeout_ms = self.resume_accepting(timeout_ms);
+        let timeout_ms = self.idle_wait(timeout_ms);
         self.poller.wait(events, timeout_ms)?;
         let (mut woken, mut moved) = (false, 0);
         for ev in events.iter() {
@@ -251,7 +286,46 @@ impl<H: Handler> Reactor<H> {
         } else {
             self.quiet.saturating_add(1)
         };
+        self.close_idle();
         Ok(woken)
+    }
+
+    /// Returns the timeout for this sweep's wait: `timeout_ms`, bounded
+    /// while a connection is open by the time left until the first idle
+    /// deadline.
+    fn idle_wait(&self, timeout_ms: i32) -> i32 {
+        let (Some(idle), Some(after)) = (&self.idle, self.handler.idle_timeout()) else {
+            return timeout_ms;
+        };
+        match idle.last_moved.values().min() {
+            Some(&first) => bounded(timeout_ms, (first + after).saturating_duration_since(now())),
+            None => timeout_ms,
+        }
+    }
+
+    /// Closes, and counts, every connection that has moved no byte for
+    /// the handler's idle timeout.
+    fn close_idle(&mut self) {
+        let (Some(idle), Some(after)) = (&mut self.idle, self.handler.idle_timeout()) else {
+            return;
+        };
+        if idle.last_moved.is_empty() {
+            return;
+        }
+        let at = now();
+        let open = self.conns.len();
+        idle.last_moved.retain(|token, last| {
+            let stale = at.saturating_duration_since(*last) >= after;
+            if stale {
+                // Closing the socket also drops it out of the poller.
+                self.conns.remove(token);
+            }
+            !stale
+        });
+        if self.conns.len() < open {
+            idle.closed.add((open - self.conns.len()) as u64);
+            self.open_conns.set(self.conns.len() as u64);
+        }
     }
 
     /// Accepts every pending connection on the listener. A socket
@@ -324,6 +398,9 @@ impl<H: Handler> Reactor<H> {
         self.poller.add(sock.as_raw_fd(), token, Interest::READ)?;
         self.conns
             .insert(token, (sock, self.handler.on_accept(peer)));
+        if let Some(idle) = &mut self.idle {
+            idle.last_moved.insert(token, now());
+        }
         self.open_conns.set(self.conns.len() as u64);
         Ok(())
     }
@@ -335,6 +412,13 @@ impl<H: Handler> Reactor<H> {
             return 0;
         };
         let step = self.handler.on_ready(sock, conn);
+        if let Some(idle) = &mut self.idle {
+            if matches!(step.next, Next::Close) {
+                idle.last_moved.remove(&token);
+            } else if step.moved > 0 {
+                idle.last_moved.insert(token, now());
+            }
+        }
         match step.next {
             // Closing the socket also drops it out of the poller.
             Next::Close => {
@@ -366,7 +450,7 @@ fn bounded(timeout_ms: i32, limit: Duration) -> i32 {
 
 /// The reactor's one clock read.
 fn now() -> Instant {
-    // check: allow(determinism, "the accept back-off's deadline; it decides only when a paused listener is re-armed, never what a window holds")
+    // check: allow(determinism, "the accept back-off's and the idle timeout's deadlines; they decide only when a paused listener is re-armed or an idle connection closed, never what a window holds")
     Instant::now()
 }
 
@@ -391,6 +475,7 @@ pub(crate) mod tests {
     struct Echo {
         udp: Option<UdpSocket>,
         accepted: u64,
+        idle: Option<Duration>,
     }
 
     /// Bytes owed to the peer, and how many of them are sent.
@@ -467,6 +552,10 @@ pub(crate) mod tests {
                 moved,
                 next: Next::Read,
             }
+        }
+
+        fn idle_timeout(&self) -> Option<Duration> {
+            self.idle
         }
     }
 
@@ -619,7 +708,7 @@ pub(crate) mod tests {
         let to = udp.local_addr().unwrap();
         let mut rig = rig(Echo {
             udp: Some(udp),
-            accepted: 0,
+            ..Echo::default()
         });
         UdpSocket::bind("127.0.0.1:0")
             .unwrap()
@@ -788,5 +877,48 @@ pub(crate) mod tests {
         });
         rig.reactor.drain().unwrap();
         assert_eq!(reader.join().unwrap(), BIG, "the whole response arrived");
+    }
+
+    #[test]
+    fn an_idle_connection_bounds_the_wait_that_closes_it() {
+        // A loop whose handler sets no timeout has no idle series.
+        let plain = rig(Echo::default()).reg.snapshot();
+        assert_eq!(
+            plain.scalar("mt_serve_idle_closed_total", &[("loop", "t")]),
+            None
+        );
+
+        let after = Duration::from_millis(100);
+        let mut rig = rig(Echo {
+            idle: Some(after),
+            ..Echo::default()
+        });
+        assert_eq!(rig.reactor.idle_wait(-1), -1, "nothing open: unbounded");
+        let mut client = rig.connect();
+        let bound = rig.reactor.idle_wait(-1);
+        assert!(
+            (0..=100).contains(&bound),
+            "bounded by the deadline: {bound}"
+        );
+        assert_eq!(rig.reactor.idle_wait(20), 20, "a shorter wait stands");
+
+        // A wait that would block forever still wakes to close it.
+        let (tx, rx) = mpsc::channel();
+        let mut reactor = rig.reactor;
+        std::thread::spawn(move || {
+            while !reactor.conns.is_empty() {
+                reactor.sweep(&mut Vec::new(), -1).unwrap();
+            }
+            let _ = tx.send(reactor);
+        });
+        let reactor = rx
+            .recv_timeout(Duration::from_secs(10))
+            .expect("the idle deadline ended the wait");
+        assert_eq!(client.read(&mut [0u8; 8]).unwrap(), 0, "our side closed");
+        assert_eq!(reactor.idle_wait(-1), -1, "nothing open again");
+        let snapshot = rig.reg.snapshot();
+        let series = |name| snapshot.scalar(name, &[("loop", "t")]);
+        assert_eq!(series("mt_serve_idle_closed_total"), Some(1));
+        assert_eq!(series("mt_serve_open_connections"), Some(0));
     }
 }

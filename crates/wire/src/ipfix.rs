@@ -2,19 +2,29 @@
 //! sampled flow records.
 //!
 //! Implemented: the 16-byte message header (version 10), template sets
-//! (set id 2) with IANA information elements, and data sets keyed by
-//! template id. Not implemented (not needed by the workspace): options
-//! templates, enterprise-specific elements, variable-length fields,
-//! template withdrawal.
+//! (set id 2) with IANA information elements, template withdrawal
+//! (§8.1), and data sets keyed by template id. Not implemented (not
+//! needed by the workspace): options templates, enterprise-specific
+//! elements, variable-length fields.
 //!
 //! The exporter emits the template set at the start of every message, as
 //! RFC 7011 permits (UDP transports re-send templates periodically; doing
 //! it per message keeps every message self-describing, which matters for
 //! a file-based interchange). The collector learns templates as they
 //! appear and rejects data sets that reference an unknown template.
+//!
+//! Every read and write is a fixed-width big-endian field at a constant
+//! offset: a data record is taken whole as a `[u8; FLOW_RECORD_LEN]`
+//! and its fields read at the `field` offsets, and headers are
+//! checked for length once and then read the same way. Nothing on the
+//! per-record path calls out of the crate.
 
+use crate::bytes::{be_u16, be_u32, be_u64};
 use crate::{Result, WireError};
-use bytes::{Buf, BufMut};
+use std::collections::{HashMap, HashSet};
+
+#[cfg(test)]
+mod oracle;
 
 /// The IPFIX protocol version.
 pub const VERSION: u16 = 10;
@@ -42,6 +52,27 @@ pub const FLOW_FIELDS: &[(u16, u16)] = &[
 
 /// Encoded length of one data record under [`FLOW_FIELDS`].
 pub const FLOW_RECORD_LEN: usize = 4 + 4 + 2 + 2 + 1 + 1 + 8 + 8 + 4;
+
+/// Byte offsets of the [`FLOW_FIELDS`] inside one data record.
+mod field {
+    use std::ops::Range;
+
+    pub const SRC: Range<usize> = 0..4;
+    pub const DST: Range<usize> = 4..8;
+    pub const SRC_PORT: Range<usize> = 8..10;
+    pub const DST_PORT: Range<usize> = 10..12;
+    pub const PROTOCOL: usize = 12;
+    pub const TCP_FLAGS: usize = 13;
+    pub const PACKETS: Range<usize> = 14..22;
+    pub const OCTETS: Range<usize> = 22..30;
+    pub const START_SECS: Range<usize> = 30..34;
+}
+
+/// Length of the message header.
+const HEADER_LEN: usize = 16;
+
+/// Length of a set header, and of a template record header.
+const SET_HEADER_LEN: usize = 4;
 
 /// One exported flow record, as carried on the wire.
 ///
@@ -71,29 +102,31 @@ pub struct IpfixFlow {
 }
 
 impl IpfixFlow {
-    fn encode<B: BufMut>(&self, buf: &mut B) {
-        buf.put_u32(self.src.0);
-        buf.put_u32(self.dst.0);
-        buf.put_u16(self.src_port);
-        buf.put_u16(self.dst_port);
-        buf.put_u8(self.protocol);
-        buf.put_u8(self.tcp_flags);
-        buf.put_u64(self.packets);
-        buf.put_u64(self.octets);
-        buf.put_u32(self.start_secs);
+    fn encode(&self) -> [u8; FLOW_RECORD_LEN] {
+        let mut rec = [0u8; FLOW_RECORD_LEN];
+        rec[field::SRC].copy_from_slice(&self.src.0.to_be_bytes());
+        rec[field::DST].copy_from_slice(&self.dst.0.to_be_bytes());
+        rec[field::SRC_PORT].copy_from_slice(&self.src_port.to_be_bytes());
+        rec[field::DST_PORT].copy_from_slice(&self.dst_port.to_be_bytes());
+        rec[field::PROTOCOL] = self.protocol;
+        rec[field::TCP_FLAGS] = self.tcp_flags;
+        rec[field::PACKETS].copy_from_slice(&self.packets.to_be_bytes());
+        rec[field::OCTETS].copy_from_slice(&self.octets.to_be_bytes());
+        rec[field::START_SECS].copy_from_slice(&self.start_secs.to_be_bytes());
+        rec
     }
 
-    fn decode<B: Buf>(buf: &mut B) -> IpfixFlow {
+    fn decode(rec: &[u8; FLOW_RECORD_LEN]) -> IpfixFlow {
         IpfixFlow {
-            src: mt_types::Ipv4(buf.get_u32()),
-            dst: mt_types::Ipv4(buf.get_u32()),
-            src_port: buf.get_u16(),
-            dst_port: buf.get_u16(),
-            protocol: buf.get_u8(),
-            tcp_flags: buf.get_u8(),
-            packets: buf.get_u64(),
-            octets: buf.get_u64(),
-            start_secs: buf.get_u32(),
+            src: mt_types::Ipv4(be_u32(rec, field::SRC)),
+            dst: mt_types::Ipv4(be_u32(rec, field::DST)),
+            src_port: be_u16(rec, field::SRC_PORT),
+            dst_port: be_u16(rec, field::DST_PORT),
+            protocol: rec[field::PROTOCOL],
+            tcp_flags: rec[field::TCP_FLAGS],
+            packets: be_u64(rec, field::PACKETS),
+            octets: be_u64(rec, field::OCTETS),
+            start_secs: be_u32(rec, field::START_SECS),
         }
     }
 }
@@ -102,9 +135,30 @@ impl IpfixFlow {
 /// one `(ie, len)` pair per field.
 const TEMPLATE_SET_LEN: usize = 4 + 4 + FLOW_FIELDS.len() * 4;
 
+/// The template set every message starts with, as bytes.
+const TEMPLATE_SET: [u8; TEMPLATE_SET_LEN] = {
+    const fn put(set: &mut [u8; TEMPLATE_SET_LEN], at: usize, v: u16) {
+        let [hi, lo] = v.to_be_bytes();
+        set[at] = hi;
+        set[at + 1] = lo;
+    }
+    let mut set = [0u8; TEMPLATE_SET_LEN];
+    put(&mut set, 0, TEMPLATE_SET_ID);
+    put(&mut set, 2, TEMPLATE_SET_LEN as u16);
+    put(&mut set, 4, FLOW_TEMPLATE_ID);
+    put(&mut set, 6, FLOW_FIELDS.len() as u16);
+    let mut i = 0;
+    while i < FLOW_FIELDS.len() {
+        put(&mut set, 8 + 4 * i, FLOW_FIELDS[i].0);
+        put(&mut set, 10 + 4 * i, FLOW_FIELDS[i].1);
+        i += 1;
+    }
+    set
+};
+
 /// Bytes of a message before its first data record: message header,
 /// template set, data set header.
-const MESSAGE_OVERHEAD: usize = 16 + TEMPLATE_SET_LEN + 4;
+const MESSAGE_OVERHEAD: usize = HEADER_LEN + TEMPLATE_SET_LEN + SET_HEADER_LEN;
 
 /// The most data records [`encode_messages`] puts in one message: the
 /// largest count whose message still fits a UDP payload (65 507 bytes),
@@ -133,32 +187,26 @@ pub fn encode_messages(
         flows.chunks(per_message).collect()
     };
     for chunk in chunks {
-        let mut msg = Vec::with_capacity(64 + chunk.len() * FLOW_RECORD_LEN);
-        // Message header; length patched at the end.
-        msg.put_u16(VERSION);
-        msg.put_u16(0);
-        msg.put_u32(export_time);
-        msg.put_u32(*sequence);
-        msg.put_u32(domain);
-        // Template set.
-        msg.put_u16(TEMPLATE_SET_ID);
-        msg.put_u16(TEMPLATE_SET_LEN as u16);
-        msg.put_u16(FLOW_TEMPLATE_ID);
-        msg.put_u16(FLOW_FIELDS.len() as u16);
-        for &(ie, len) in FLOW_FIELDS {
-            msg.put_u16(ie);
-            msg.put_u16(len);
-        }
-        // Data set.
-        if !chunk.is_empty() {
-            msg.put_u16(FLOW_TEMPLATE_ID);
-            msg.put_u16((4 + chunk.len() * FLOW_RECORD_LEN) as u16);
+        // The cap keeps both lengths inside their u16 fields.
+        let data_len = match chunk.len() {
+            0 => 0,
+            n => SET_HEADER_LEN + n * FLOW_RECORD_LEN,
+        };
+        let total = HEADER_LEN + TEMPLATE_SET_LEN + data_len;
+        let mut msg = Vec::with_capacity(total);
+        msg.extend_from_slice(&VERSION.to_be_bytes());
+        msg.extend_from_slice(&(total as u16).to_be_bytes());
+        msg.extend_from_slice(&export_time.to_be_bytes());
+        msg.extend_from_slice(&sequence.to_be_bytes());
+        msg.extend_from_slice(&domain.to_be_bytes());
+        msg.extend_from_slice(&TEMPLATE_SET);
+        if data_len > 0 {
+            msg.extend_from_slice(&FLOW_TEMPLATE_ID.to_be_bytes());
+            msg.extend_from_slice(&(data_len as u16).to_be_bytes());
             for flow in chunk {
-                flow.encode(&mut msg);
+                msg.extend_from_slice(&flow.encode());
             }
         }
-        let total = msg.len() as u16;
-        msg[2..4].copy_from_slice(&total.to_be_bytes());
         *sequence = sequence.wrapping_add(chunk.len() as u32);
         messages.push(msg);
     }
@@ -169,7 +217,10 @@ pub fn encode_messages(
 ///
 /// Learns template definitions from template sets; a template whose field
 /// layout differs from [`FLOW_FIELDS`] is remembered but its data records
-/// are skipped (we only understand our own layout). Unknown set ids are
+/// are skipped (we only understand our own layout). A template record
+/// with no fields withdraws its id, and one under the template set's own
+/// id withdraws every template of the session (RFC 7011 §8.1); data sets
+/// that reference a withdrawn id are then unknown. Unknown set ids are
 /// skipped per RFC 7011 §8.
 ///
 /// A long-running collector must not lose a whole message because one
@@ -185,15 +236,16 @@ pub fn encode_messages(
 /// length out of range), where nothing after the error can be trusted.
 #[derive(Debug, Default)]
 pub struct Collector {
-    /// Template id → record length, for templates matching our layout.
-    known: std::collections::HashMap<u16, usize>,
+    /// Ids of the templates whose layout is [`FLOW_FIELDS`].
+    known: HashSet<u16>,
     /// Template id → record length, for templates with a foreign layout.
-    foreign: std::collections::HashMap<u16, usize>,
+    foreign: HashMap<u16, usize>,
     /// Count of data records skipped: those of a foreign template, and
     /// those claiming zero packets (a flow record describes at least
     /// one packet, and the fold divides octets by packets).
     pub skipped_records: u64,
-    /// Count of data sets skipped because their template was never seen.
+    /// Count of data sets skipped because their template was never seen,
+    /// or was withdrawn.
     pub unknown_sets: u64,
     /// Count of sets (or set remainders) skipped as structurally
     /// malformed: a set length under 4 or past the message end, a broken
@@ -222,29 +274,30 @@ impl Collector {
     /// Returns `Err` only for unparseable message headers; bad sets
     /// inside an otherwise well-framed message are skipped and counted
     /// (see the type-level docs).
-    pub fn decode_message(&mut self, mut msg: &[u8], out: &mut Vec<IpfixFlow>) -> Result<()> {
-        if msg.len() < 16 {
+    pub fn decode_message(&mut self, msg: &[u8], out: &mut Vec<IpfixFlow>) -> Result<()> {
+        let Some(header) = msg.first_chunk::<HEADER_LEN>() else {
             return Err(WireError::Truncated);
-        }
-        let declared = u16::from_be_bytes([msg[2], msg[3]]) as usize;
-        if u16::from_be_bytes([msg[0], msg[1]]) != VERSION {
+        };
+        if be_u16(header, 0..2) != VERSION {
             return Err(WireError::Version);
         }
-        if declared < 16 || declared > msg.len() {
+        // `None` for a declared length under the header or past the end.
+        let declared = usize::from(be_u16(header, 2..4));
+        let Some(mut body) = msg.get(HEADER_LEN..declared) else {
             return Err(WireError::Truncated);
-        }
-        msg = &msg[..declared];
-        let mut body = &msg[16..];
-        while body.remaining() >= 4 {
-            let set_id = body.get_u16();
-            let set_len = body.get_u16() as usize;
-            if set_len < 4 || set_len - 4 > body.remaining() {
+        };
+        while let Some((set_header, rest)) = body.split_first_chunk::<SET_HEADER_LEN>() {
+            let set_id = be_u16(set_header, 0..2);
+            let set_len = usize::from(be_u16(set_header, 2..4));
+            let Some((set_body, rest)) = set_len
+                .checked_sub(SET_HEADER_LEN)
+                .and_then(|n| rest.split_at_checked(n))
+            else {
                 // The set boundary is lost; nothing after this point in
                 // the message can be framed. Skip the remainder.
                 self.malformed_sets += 1;
                 return Ok(());
-            }
-            let (set_body, rest) = body.split_at(set_len - 4);
+            };
             body = rest;
             match set_id {
                 TEMPLATE_SET_ID => self.learn_templates(set_body),
@@ -303,42 +356,70 @@ impl Collector {
         // padding shorter than a record header is permitted. A broken
         // record loses the in-set framing, so the rest of the set is
         // skipped (and counted) — but templates already learned stand.
-        while set.remaining() >= 4 {
-            let template_id = set.get_u16();
-            let field_count = set.get_u16() as usize;
-            if template_id < 256 || set.remaining() < field_count * 4 {
+        while let Some((head, rest)) = set.split_first_chunk::<SET_HEADER_LEN>() {
+            let template_id = be_u16(head, 0..2);
+            let field_count = usize::from(be_u16(head, 2..4));
+            let Some((fields, rest)) = rest.split_at_checked(field_count * 4) else {
                 self.malformed_sets += 1;
                 return;
-            }
+            };
+            set = rest;
             self.scratch_fields.clear();
-            let mut record_len = 0usize;
-            let mut enterprise = false;
-            for _ in 0..field_count {
-                let ie = set.get_u16();
-                let len = set.get_u16();
-                // Enterprise elements are out of scope.
-                enterprise |= ie & 0x8000 != 0;
-                record_len += len as usize;
-                self.scratch_fields.push((ie, len));
-            }
-            if enterprise {
+            let (fields, _) = fields.as_chunks::<4>();
+            let pairs = fields.iter().map(|f| (be_u16(f, 0..2), be_u16(f, 2..4)));
+            self.scratch_fields.extend(pairs);
+            if !self.apply_template(template_id) {
                 self.malformed_sets += 1;
                 return;
-            }
-            if self.scratch_fields == FLOW_FIELDS {
-                self.known.insert(template_id, record_len);
-                self.foreign.remove(&template_id);
-            } else {
-                self.foreign.insert(template_id, record_len);
-                self.known.remove(&template_id);
             }
         }
     }
 
-    fn decode_data_set(&mut self, template_id: u16, mut set: &[u8], out: &mut Vec<IpfixFlow>) {
-        if let Some(&len) = self.known.get(&template_id) {
-            while set.remaining() >= len {
-                let flow = IpfixFlow::decode(&mut set);
+    /// Applies the template record `template_id` whose fields were just
+    /// read into `scratch_fields`. A definition replaces whatever the id
+    /// meant before; a record with no fields withdraws its id, or under
+    /// the template set's own id every template of the session
+    /// (RFC 7011 §8.1). Returns `false` for a record that cannot be
+    /// applied — any other id below 256, an enterprise element — which
+    /// the caller counts as malformed.
+    fn apply_template(&mut self, template_id: u16) -> bool {
+        if self.scratch_fields.is_empty() {
+            match template_id {
+                TEMPLATE_SET_ID => {
+                    self.known.clear();
+                    self.foreign.clear();
+                }
+                id if id >= 256 => {
+                    self.known.remove(&id);
+                    self.foreign.remove(&id);
+                }
+                _ => return false,
+            }
+            return true;
+        }
+        // Enterprise elements are out of scope.
+        let enterprise = self.scratch_fields.iter().any(|&(ie, _)| ie & 0x8000 != 0);
+        if template_id < 256 || enterprise {
+            return false;
+        }
+        if self.scratch_fields == FLOW_FIELDS {
+            self.known.insert(template_id);
+            self.foreign.remove(&template_id);
+        } else {
+            let record_len = self.scratch_fields.iter().map(|&(_, len)| usize::from(len));
+            self.foreign.insert(template_id, record_len.sum());
+            self.known.remove(&template_id);
+        }
+        true
+    }
+
+    fn decode_data_set(&mut self, template_id: u16, set: &[u8], out: &mut Vec<IpfixFlow>) {
+        if self.known.contains(&template_id) {
+            // Trailing padding shorter than a record is permitted.
+            let (records, _padding) = set.as_chunks::<FLOW_RECORD_LEN>();
+            out.reserve(records.len());
+            for rec in records {
+                let flow = IpfixFlow::decode(rec);
                 // A flow record describes at least one packet: one that
                 // claims none has no mean size and is no traffic.
                 if flow.packets == 0 {
@@ -348,7 +429,7 @@ impl Collector {
                 }
             }
         } else if let Some(&len) = self.foreign.get(&template_id) {
-            if let Some(skipped) = set.remaining().checked_div(len) {
+            if let Some(skipped) = set.len().checked_div(len) {
                 self.skipped_records += skipped as u64;
             }
         } else {
@@ -360,6 +441,7 @@ impl Collector {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use bytes::BufMut;
     use mt_types::Ipv4;
 
     fn sample_flow(i: u32) -> IpfixFlow {
@@ -522,7 +604,7 @@ mod tests {
                           // Data set for the good template.
         msg.put_u16(FLOW_TEMPLATE_ID);
         msg.put_u16((4 + FLOW_RECORD_LEN) as u16);
-        sample_flow(3).encode(&mut msg);
+        msg.put_slice(&sample_flow(3).encode());
         let total = msg.len() as u16;
         msg[2..4].copy_from_slice(&total.to_be_bytes());
         let mut collector = Collector::new();
@@ -662,17 +744,7 @@ mod tests {
         assert!(out.is_empty());
 
         // Data-only message referencing the (now learned) template.
-        let mut data_only = Vec::new();
-        data_only.put_u16(VERSION);
-        data_only.put_u16(0);
-        data_only.put_u32(0);
-        data_only.put_u32(1);
-        data_only.put_u32(1);
-        data_only.put_u16(FLOW_TEMPLATE_ID);
-        data_only.put_u16((4 + FLOW_RECORD_LEN) as u16);
-        sample_flow(5).encode(&mut data_only);
-        let total = data_only.len() as u16;
-        data_only[2..4].copy_from_slice(&total.to_be_bytes());
+        let data_only = data_only(&[sample_flow(5)]);
         assert_eq!(collector.decode_datagram(&data_only, &mut out).unwrap(), 1);
         assert_eq!(out, vec![sample_flow(5)], "session not desynced");
     }
@@ -686,6 +758,103 @@ mod tests {
         let mut out = Vec::new();
         assert_eq!(collector.decode_datagram(&datagram, &mut out).unwrap(), 1);
         assert!(out.is_empty());
+    }
+
+    /// A message of one template set holding one record header with no
+    /// fields: a withdrawal of `template_id` (RFC 7011 §8.1).
+    fn withdrawal(template_id: u16) -> Vec<u8> {
+        let mut msg = Vec::new();
+        msg.put_u16(VERSION);
+        msg.put_u16(16 + 8);
+        msg.put_u32(0);
+        msg.put_u32(0);
+        msg.put_u32(0);
+        msg.put_u16(TEMPLATE_SET_ID);
+        msg.put_u16(8);
+        msg.put_u16(template_id);
+        msg.put_u16(0);
+        msg
+    }
+
+    /// A message holding only a data set for the flow template.
+    fn data_only(flows: &[IpfixFlow]) -> Vec<u8> {
+        let mut msg = Vec::new();
+        msg.put_u16(VERSION);
+        msg.put_u16((16 + 4 + flows.len() * FLOW_RECORD_LEN) as u16);
+        msg.put_u32(0);
+        msg.put_u32(0);
+        msg.put_u32(0);
+        msg.put_u16(FLOW_TEMPLATE_ID);
+        msg.put_u16((4 + flows.len() * FLOW_RECORD_LEN) as u16);
+        for flow in flows {
+            msg.put_slice(&flow.encode());
+        }
+        msg
+    }
+
+    #[test]
+    fn a_withdrawn_template_counts_its_data_as_unknown() {
+        let flows = [sample_flow(0), sample_flow(1)];
+        let mut collector = Collector::new();
+        let mut out = Vec::new();
+        let template_and_data = encode_messages(&flows, 1, 1, &mut 0, 10).remove(0);
+        collector
+            .decode_message(&template_and_data, &mut out)
+            .unwrap();
+        assert_eq!(out, flows);
+        collector
+            .decode_message(&withdrawal(FLOW_TEMPLATE_ID), &mut out)
+            .unwrap();
+        collector
+            .decode_message(&data_only(&flows), &mut out)
+            .unwrap();
+        assert_eq!(out, flows, "no record of a withdrawn template");
+        assert_eq!(collector.unknown_sets, 1, "the data set is unknown");
+        assert_eq!(collector.skipped_records, 0);
+        assert_eq!(collector.malformed_sets, 0);
+        // A fresh definition brings the id back.
+        collector
+            .decode_message(&template_and_data, &mut out)
+            .unwrap();
+        assert_eq!(out.len(), 2 * flows.len());
+    }
+
+    #[test]
+    fn a_withdraw_all_record_forgets_every_template_of_the_session() {
+        let mut collector = Collector::new();
+        let mut out = Vec::new();
+        for m in &encode_messages(&[sample_flow(0)], 1, 1, &mut 0, 10) {
+            collector.decode_message(m, &mut out).unwrap();
+        }
+        // A second, foreign template, learned beside the flow template.
+        let mut foreign = Vec::new();
+        foreign.put_u16(VERSION);
+        foreign.put_u16(16 + 12);
+        foreign.put_slice(&[0; 12]);
+        foreign.put_u16(TEMPLATE_SET_ID);
+        foreign.put_u16(12);
+        foreign.put_slice(&[0x01, 0x2c, 0, 1, 0, 7, 0, 2]); // id 300: one port
+        collector.decode_message(&foreign, &mut out).unwrap();
+        assert_eq!((collector.known.len(), collector.foreign.len()), (1, 1));
+        collector
+            .decode_message(&withdrawal(TEMPLATE_SET_ID), &mut out)
+            .unwrap();
+        assert_eq!(collector.malformed_sets, 0, "withdraw-all is well formed");
+        assert!(collector.known.is_empty() && collector.foreign.is_empty());
+        collector
+            .decode_message(&data_only(&[sample_flow(1)]), &mut out)
+            .unwrap();
+        assert_eq!(out, [sample_flow(0)]);
+        assert_eq!(collector.unknown_sets, 1);
+    }
+
+    #[test]
+    fn a_fieldless_record_under_a_reserved_id_is_malformed() {
+        let mut collector = Collector::new();
+        collector
+            .decode_message(&withdrawal(255), &mut Vec::new())
+            .unwrap();
+        assert_eq!(collector.malformed_sets, 1);
     }
 
     #[test]
